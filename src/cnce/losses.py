@@ -5,10 +5,18 @@ population loss.
 
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
 ``nce_loss`` are the reference implementations in natural parameters; the
-``*_objective`` builders produce (value, gradient) callables in the
-optimiser's unconstrained coordinates and exploit models whose log phi is
-affine in the packed parameters by caching the feature differences once.
-The two routes agree to float precision and are tested against each other.
+``*_objective`` builders produce callables in the optimiser's unconstrained
+coordinates and exploit models whose log phi is affine in the packed
+parameters by caching the feature differences once.  The two routes agree to
+float precision and are tested against each other.
+
+Objective contract: ``objective(raw)`` returns ``(value, grad)`` or
+``(value, grad, hess)``, all in raw coordinates.  The exact Hessian comes
+with every objective built on affine features (CNCE and NCE on the cached
+features, and score matching, which is quadratic in natural parameters);
+``minimize`` picks its route from the length of that tuple.  The Hessian is
+part of the return value, not an attribute of the callable, so it survives
+any wrapper that passes the result through.
 
 log(1 + exp(-G)) is evaluated as logaddexp(0, -G) and the logistic function
 through scipy's expit; |G| beyond 700 overflows a naive exp.
@@ -26,6 +34,7 @@ from .kernels import MarginalKernel, NoisePairing, log_density_marginal
 from .models import BERNOULLI, GAUSSIAN, ICA, LOGNORMAL, RING
 
 _CHUNK = 1 << 18  # fixed block size keeps the reduction order deterministic
+_GRAM_ROWS = 4096  # row block of _weighted_gram, fixed for the same reason
 
 TWO_LOG2 = 2.0 * np.log(2.0)
 
@@ -45,6 +54,16 @@ def _pair_work(m: int):
     """Scratch arrays for _softplus_sigmoid_neg; allocating these once per
     objective (not per iteration) keeps the hot loop free of large mmaps."""
     return (np.empty(m), np.empty(m, dtype=bool), np.empty(m), np.empty(m))
+
+
+def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d' diag(w) d, accumulated over fixed row blocks so that the scaled
+    copy of d is never materialised whole."""
+    out = np.zeros((d.shape[1], d.shape[1]))
+    for lo in range(0, len(d), _GRAM_ROWS):
+        blk = d[lo:lo + _GRAM_ROWS]
+        out += blk.T @ (blk * w[lo:lo + _GRAM_ROWS, None])
+    return out
 
 
 def _softplus_sigmoid_neg(g: np.ndarray, work=None):
@@ -124,10 +143,11 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing) -> LossReport:
 
 
 def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
-    """(value, grad) callable over unconstrained coordinates.
+    """Objective over unconstrained coordinates.
 
-    Affine models get the cached-feature fast path; the rest re-evaluate the
-    model per call via the reference arithmetic.
+    Affine models get the cached-feature fast path, which returns (value,
+    grad, hess); the rest re-evaluate the model per call via the reference
+    arithmetic and return (value, grad).
     """
     x = np.asarray(x, dtype=float)
     if model.spec.kind == ICA:
@@ -161,9 +181,11 @@ def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
         grad = -2.0 / m * (sig @ dphi)
+        hess = 2.0 / m * _weighted_gram(dphi, sig * (1.0 - sig))
         if in_raw:
-            return value, grad
-        return value, model.chain_raw(grad, coords)
+            return value, grad, hess
+        return (value, model.chain_raw(grad, coords),
+                model.chain_raw_hessian(hess, grad, coords))
 
     return objective
 
@@ -193,15 +215,15 @@ def _cnce_objective_ica(model, x: np.ndarray, pairing: NoisePairing):
         # G = sqrt(2) (|s_y| - |s_x|) summed over sources, plus the log ratio
         g.reshape(n, kappa)[:] = fx[:, None]
         np.subtract(fy, g, out=g)
-        g *= sqrt2
-        g += ratios
+        np.multiply(g, sqrt2, out=g)
+        np.add(g, ratios, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
         np.sum(sig.reshape(n, kappa), axis=1, out=wx)
         np.sign(sx, out=ax)
-        ax *= wx[:, None]
+        np.multiply(ax, wx[:, None], out=ax)
         np.sign(sy, out=ay)
-        ay *= sig[:, None]
+        np.multiply(ay, sig[:, None], out=ay)
         # d loss / dB = (2 sqrt2 / m) [sum_i w_i sign(s_x) x - sum w sign(s_y) y]
         grad = (2.0 * sqrt2 / m) * (ax.T @ x - ay.T @ y)
         return value, grad.reshape(-1)
@@ -246,7 +268,8 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
 
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
-    """(value, grad) callable over (raw model coordinates, c)."""
+    """Objective over (raw model coordinates, c): (value, grad, hess) on the
+    cached features of affine models, (value, grad) otherwise."""
     x = np.asarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
@@ -281,9 +304,20 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
         wy = expit(hy)
         g_theta = (wx @ phi_x + wy @ phi_y) / n
         g_c = (wx.sum() + wy.sum()) / n
+        # logistic curvature sigma(h) sigma(-h), bordered by the c column
+        cx = -wx * (1.0 + wx)
+        cy = wy * (1.0 - wy)
+        p = len(theta)
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = model.chain_raw_hessian(
+            (_weighted_gram(phi_x, cx) + _weighted_gram(phi_y, cy)) / n,
+            g_theta, theta)
+        hess[:p, p] = hess[p, :p] = model.chain_raw((cx @ phi_x + cy @ phi_y) / n,
+                                                    theta)
+        hess[p, p] = (cx.sum() + cy.sum()) / n
         return float(value), np.concatenate(
             [model.chain_raw(g_theta, theta), [g_c]]
-        )
+        ), hess
 
     return objective
 
@@ -332,12 +366,24 @@ def score_matching_loss(model, theta, x: np.ndarray) -> LossReport:
 
 
 def score_matching_objective(model, x: np.ndarray):
+    """(value, grad, hess) callable over unconstrained coordinates.
+
+    The loss is quadratic in natural parameters, so its natural Hessian is
+    a constant, read off exactly from the gradient at 0 and at each unit
+    vector.
+    """
     x = np.asarray(x, dtype=float)
+    p = model.spec.param_count
+    g0 = score_matching_loss(model, np.zeros(p), x).gradient
+    hess_theta = np.array([score_matching_loss(model, e, x).gradient - g0
+                           for e in np.eye(p)])
+    hess_theta = 0.5 * (hess_theta + hess_theta.T)
 
     def objective(raw):
         theta = model.from_raw(raw)
         rep = score_matching_loss(model, theta, x)
-        return rep.value, model.chain_raw(rep.gradient, theta)
+        return (rep.value, model.chain_raw(rep.gradient, theta),
+                model.chain_raw_hessian(hess_theta, rep.gradient, theta))
 
     return objective
 

@@ -10,8 +10,8 @@ random state is always passed in explicitly.
 Where a parameter must stay positive (ring precision, Bernoulli weights,
 log-normal precision) the optimiser works in log-space.  ``to_raw`` /
 ``from_raw`` convert between the natural packing and the unconstrained
-representation, and ``chain_raw`` applies the corresponding Jacobian to a
-gradient taken in natural coordinates.
+representation, and ``chain_raw`` / ``chain_raw_hessian`` carry a gradient /
+Hessian taken in natural coordinates over to the raw ones.
 """
 
 from __future__ import annotations
@@ -131,6 +131,20 @@ class _Model:
         out = np.asarray(grad_theta, dtype=float).copy()
         mask = self.positive_mask
         out[mask] *= theta[mask]
+        return out
+
+    def chain_raw_hessian(self, hess_theta: np.ndarray, grad_theta: np.ndarray,
+                          theta: np.ndarray) -> np.ndarray:
+        """Hessian in natural coordinates -> Hessian in raw coordinates.
+
+        With theta = exp(z) on the positive coordinates, the Jacobian J is
+        diagonal (theta there, 1 elsewhere) and d2theta/dz2 = theta, so the
+        raw Hessian is J H J + diag(mask * grad * theta).
+        """
+        mask = self.positive_mask
+        jac = np.where(mask, theta, 1.0)
+        out = np.asarray(hess_theta, dtype=float) * jac[:, None] * jac[None, :]
+        out[np.diag_indices_from(out)] += np.where(mask, grad_theta * theta, 0.0)
         return out
 
     def init_raw(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:

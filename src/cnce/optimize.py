@@ -1,11 +1,20 @@
-"""Deterministic full-batch first-order optimiser plus the noise-scale
-adaptation heuristic.
+"""Deterministic full-batch optimiser plus the noise-scale adaptation
+heuristic.
 
-``minimize`` runs a per-coordinate adaptive-moment phase (full batch, fixed
-step) followed by a backtracking gradient-descent polish that certifies a
-monotone tail and a clean gradient norm; ``step_rule="backtracking_gd"``
-skips the first phase.  Everything is a pure function of (objective, start,
-config, seed): traces are bit-reproducible.
+``minimize`` has two routes, chosen by what the objective returns at the
+start point:
+
+- ``(value, grad, hess)``: damped Newton.  Each step solves with the exact
+  Hessian plus the smallest Levenberg damping that makes it positive
+  definite, then backtracks to the Armijo condition.  The affine-feature
+  objectives of ``losses`` take this route.
+- ``(value, grad)``: a per-coordinate adaptive-moment phase (full batch,
+  fixed step) followed by a backtracking gradient-descent polish that
+  certifies a monotone tail and a clean gradient norm;
+  ``step_rule="backtracking_gd"`` skips the first phase.
+
+Everything is a pure function of (objective, start, config, seed): traces
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +34,13 @@ STEP_RULES = ("adaptive_moment", "backtracking_gd")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``max_iters``, ``grad_tol``, ``restarts`` and ``init_scale`` govern
+    both routes of ``minimize``.  ``step_rule``, ``adam_*``,
+    ``polish_iters`` and ``plateau_*`` apply to the first-order route only.
+    On the Newton route ``max_iters`` caps the whole trace; on the
+    first-order route it caps the first phase, and the polish may add up to
+    ``polish_iters + 1`` entries."""
+
     max_iters: int = 2000
     grad_tol: float = 1e-7  # infinity norm
     step_rule: str = "adaptive_moment"
@@ -92,6 +108,12 @@ def _check_finite(value, grad, run):
         raise OptimizationError("non-finite loss or gradient", run=run)
 
 
+def _record(run, value, grad):
+    run.loss_trace.append(float(value))
+    run.grad_norm_trace.append(float(np.max(np.abs(grad))))
+    run.iters += 1
+
+
 def _plateaued(trace, cfg) -> bool:
     """Best-so-far improvement over the trailing window; the raw trace
     oscillates under the adaptive-moment rule."""
@@ -103,17 +125,15 @@ def _plateaued(trace, cfg) -> bool:
     return best_then - best_now <= cfg.plateau_rtol * max(1.0, abs(best_now))
 
 
-def _adam_phase(loss_fn, z, cfg, run) -> np.ndarray:
+def _adam_phase(loss_fn, z, first, cfg, run) -> np.ndarray:
     b1, b2 = cfg.adam_betas
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     z_best, v_best = z, np.inf
     for t in range(1, cfg.max_iters + 1):
-        value, grad = loss_fn(z)
+        value, grad = first if t == 1 else loss_fn(z)
         _check_finite(value, grad, run)
-        run.loss_trace.append(float(value))
-        run.grad_norm_trace.append(float(np.max(np.abs(grad))))
-        run.iters += 1
+        _record(run, value, grad)
         if value < v_best:
             z_best, v_best = z, value
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
@@ -129,12 +149,10 @@ def _adam_phase(loss_fn, z, cfg, run) -> np.ndarray:
     return z_best  # the trace oscillates; hand the best visited point on
 
 
-def _backtracking_phase(loss_fn, z, cfg, iters, run) -> np.ndarray:
-    value, grad = loss_fn(z)
+def _backtracking_phase(loss_fn, z, cfg, iters, run, first=None) -> np.ndarray:
+    value, grad = loss_fn(z) if first is None else first
     _check_finite(value, grad, run)
-    run.loss_trace.append(float(value))
-    run.grad_norm_trace.append(float(np.max(np.abs(grad))))
-    run.iters += 1
+    _record(run, value, grad)
     if run.grad_norm_trace[-1] <= cfg.grad_tol:
         run.converged = True
         return z
@@ -153,9 +171,7 @@ def _backtracking_phase(loss_fn, z, cfg, iters, run) -> np.ndarray:
                 return z
         z, value, grad = z_new, v_new, g_new
         _check_finite(value, grad, run)
-        run.loss_trace.append(float(value))
-        run.grad_norm_trace.append(float(np.max(np.abs(grad))))
-        run.iters += 1
+        _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
             run.converged = True
             break
@@ -164,16 +180,78 @@ def _backtracking_phase(loss_fn, z, cfg, iters, run) -> np.ndarray:
     return z
 
 
+def _newton_direction(hess, grad) -> np.ndarray:
+    """-(H + lam I)^{-1} grad with Levenberg damping lam.
+
+    lam starts at 1e-12 s (s the largest diagonal magnitude of H) and
+    doubles until H + lam I has a Cholesky factor.  The floor keeps a
+    rank-deficient H (the Bernoulli scale, a vanishing log-normal C) from
+    amplifying rounding along its null space.  Where the floor is not
+    enough, H is indefinite (the log-space chain rule of a positive
+    parameter far from its optimum) and the factor found may be barely
+    positive definite; lam then also gets the gradient's infinity norm,
+    which bounds the step's Euclidean length by sqrt(p).
+    """
+    eye = np.eye(len(grad))
+    floor = 1e-12 * (float(np.max(np.abs(np.diag(hess)))) or 1.0)
+    lam = floor
+    while True:
+        try:
+            np.linalg.cholesky(hess + lam * eye)
+            break
+        except np.linalg.LinAlgError:
+            lam *= 2.0
+    if lam > floor:
+        lam += float(np.max(np.abs(grad)))
+    return -np.linalg.solve(hess + lam * eye, grad)
+
+
+def _all_finite(out) -> bool:
+    return all(np.all(np.isfinite(a)) for a in out)
+
+
+def _newton_phase(loss_fn, z, first, cfg, run) -> np.ndarray:
+    if not _all_finite(first):
+        raise OptimizationError("non-finite loss, gradient or Hessian", run=run)
+    value, grad, hess = first
+    while True:
+        _record(run, value, grad)
+        if run.grad_norm_trace[-1] <= cfg.grad_tol:
+            run.converged = True
+            return z
+        if run.iters >= cfg.max_iters:
+            return z
+        direction = _newton_direction(hess, grad)
+        slope = float(grad @ direction)
+        step = 1.0
+        while True:
+            z_new = z + step * direction
+            # a trial that overflows is rejected like one that fails Armijo,
+            # so only finite points are ever accepted
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = loss_fn(z_new)
+            if _all_finite(out) and out[0] <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-14:
+                run.warning = "newton line search collapsed"
+                return z
+        z, (value, grad, hess) = z_new, out
+
+
 def _single_start(loss_fn, z0, cfg) -> EstimationRun:
     run = EstimationRun(theta0=np.array(z0, dtype=float), theta=np.array(z0, dtype=float))
     z = np.array(z0, dtype=float)
-    if cfg.step_rule == "adaptive_moment":
-        z = _adam_phase(loss_fn, z, cfg, run)
+    first = loss_fn(z)
+    if len(first) == 3:
+        z = _newton_phase(loss_fn, z, first, cfg, run)
+    elif cfg.step_rule == "adaptive_moment":
+        z = _adam_phase(loss_fn, z, first, cfg, run)
         run.theta = z
         if not run.converged and cfg.polish_iters > 0:
             z = _backtracking_phase(loss_fn, z, cfg, cfg.polish_iters, run)
     else:
-        z = _backtracking_phase(loss_fn, z, cfg, cfg.max_iters, run)
+        z = _backtracking_phase(loss_fn, z, cfg, cfg.max_iters, run, first)
     run.theta = z
     return run
 
@@ -182,6 +260,14 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig, rng_seed: int = 0) -> Estima
     """Minimise a differentiable objective from theta0 (unconstrained
     coordinates).  With restarts > 1 the extra starts are drawn N(0,
     init_scale^2) from the seeded generator and the best final loss wins.
+
+    ``loss_fn(z)`` returns ``(value, grad)`` or ``(value, grad, hess)``.
+    The first call, at the start point, picks the route for that start:
+    with a Hessian, damped Newton with Armijo backtracking, stopping at
+    ``grad_tol``, at ``max_iters`` trace entries, or (with ``run.warning``
+    set, not converged) when the line search collapses; without one, the
+    adaptive-moment phase and backtracking polish selected by
+    ``step_rule``.  ``run.iters == len(run.loss_trace)`` on both routes.
     """
     theta0 = np.asarray(theta0, dtype=float)
     started = time.perf_counter()

@@ -3,6 +3,8 @@ config validation, output files)."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,3 +253,16 @@ def test_limit_check_cli(tmp_path, capsys):
 def test_usage_error_exit_1(capsys):
     assert main(["estimate", "--out", "x"]) == 1  # missing --config
     assert main(["no-such-command"]) == 1
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # importing scipy.optimize would add ~0.3 s to the CLI's ~0.5 s import
+    # (2-core VM); the optimiser needs numpy.linalg only
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cnce.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

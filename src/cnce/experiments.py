@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -80,6 +81,11 @@ class ExperimentConfig:
             raise ParameterError("repeats must be >= 1")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ParameterError("n_grid must be strictly ascending")
+        if not self.kappa_grid or not all(
+                isinstance(k, numbers.Integral) and k >= 1 for k in self.kappa_grid):
+            raise ParameterError("kappa_grid must be non-empty, integers >= 1")
+        if list(self.kappa_grid) != sorted(set(self.kappa_grid)):
+            raise ParameterError("kappa_grid must be strictly ascending")
         if not self.methods:
             raise ParameterError("methods must be non-empty")
         for m in self.methods:
@@ -87,6 +93,9 @@ class ExperimentConfig:
                 raise ParameterError(
                     f"method {m!r} unsupported for {self.model.kind}"
                 )
+        if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
+            # the moment-matched noise needs a covariance fit
+            raise ParameterError("nce needs every n >= dim + 1")
         if self.epsilon != "auto" and float(self.epsilon) <= 0:
             raise ParameterError("epsilon must be 'auto' or > 0")
 
@@ -217,7 +226,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         elif method == "mle":
             res = mle_fit(model, x, rng_seed=stable_hash(seed, "mle"))
             theta_hat = res.theta_hat
-            converged = res.converged
+            iters, converged = res.iters, res.converged
         elif method == "score_matching":
             run = minimize(score_matching_objective(model, x), theta0,
                            cfg.optimizer, stable_hash(seed, "opt"))

@@ -100,17 +100,6 @@ def kernel_for_data(kind: str, epsilon: float, x: np.ndarray, per_dim: bool = Tr
     raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
-def kernel_config_to_json(kind: str, epsilon: float, per_dim: bool = True) -> dict:
-    return {"kind": kind, "epsilon": float(epsilon), "per_dim": bool(per_dim)}
-
-
-def kernel_config_from_json(obj: dict) -> tuple[str, float, bool]:
-    kind = str(obj["kind"])
-    if kind not in ("gaussian_perturb", "bernoulli_flip"):
-        raise ParameterError(f"unknown kernel kind {kind!r}")
-    return kind, float(obj["epsilon"]), bool(obj.get("per_dim", True))
-
-
 def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> NoisePairing:
     """Draw kappa noise points per data point and cache the log-ratios."""
     if kappa < 1:

@@ -6,8 +6,18 @@ population loss.
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
 ``nce_loss`` are the reference implementations in natural parameters; the
 ``*_objective`` builders produce callables in the optimiser's unconstrained
-coordinates and exploit models whose log phi is affine in the packed
-parameters by caching the feature differences once.  The two routes agree to
+coordinates, with one route per model:
+
+- Gaussian, ring, log-normal (and Bernoulli for CNCE, in log-weights):
+  log phi is affine in the parameters, so the features, and for NCE the
+  noise log-densities, are computed once at build time.
+- Laplace ICA: log phi = -sqrt(2) sum_j |b_j . u| is not affine.  The CNCE
+  and NCE objectives share ``_IcaSources``, which computes the source
+  matrix U B' once per call for the value and pulls the loss weights back
+  through it for the gradient; NCE stacks data and noise into one matrix
+  and evaluates the noise log-densities at build time.
+
+Any other model raises ``UnsupportedModelError``.  The two routes agree to
 float precision and are tested against each other.
 
 Objective contract: ``objective(raw)`` returns ``(value, grad)`` or
@@ -19,7 +29,8 @@ part of the return value, not an attribute of the callable, so it survives
 any wrapper that passes the result through.
 
 log(1 + exp(-G)) is evaluated as logaddexp(0, -G) and the logistic function
-through scipy's expit; |G| beyond 700 overflows a naive exp.
+through scipy's expit (``_softplus_sigmoid_neg`` gets both from one
+exp(-|G|) pass); |G| beyond 700 overflows a naive exp.
 """
 
 from __future__ import annotations
@@ -143,24 +154,16 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing) -> LossReport:
 
 
 def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
-    """Objective over unconstrained coordinates.
-
-    Affine models get the cached-feature fast path, which returns (value,
-    grad, hess); the rest re-evaluate the model per call via the reference
-    arithmetic and return (value, grad).
-    """
+    """Objective over unconstrained coordinates: (value, grad, hess) on the
+    cached features of affine models, (value, grad) on ICA's source
+    matrices."""
     x = np.asarray(x, dtype=float)
     if model.spec.kind == ICA:
-        return _cnce_objective_ica(model, x, pairing)
+        return _cnce_objective_ica(x, pairing)
     in_raw = model.raw_features(x) is not None
     feats = model.raw_features(x) if in_raw else model.theta_features(x)
     if feats is None:
-        def objective(raw):
-            theta = model.from_raw(raw)
-            rep = cnce_loss(model, theta, x, pairing)
-            return rep.value, model.chain_raw(rep.gradient, theta)
-
-        return objective
+        raise UnsupportedModelError(f"cnce unsupported for {model.spec.kind}")
 
     y, ratios = _flat_pairs(x, pairing)
     kappa = pairing.kappa
@@ -190,28 +193,54 @@ def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
     return objective
 
 
-def _cnce_objective_ica(model, x: np.ndarray, pairing: NoisePairing):
-    """ICA is the one model whose log phi is not affine in any coordinates;
-    sharing the source matrices U B' between the value and the gradient and
-    reusing workspaces halves the per-iteration cost of the generic route."""
+class _IcaSources:
+    """Source matrix S = U B' of a fixed stack of points U, with workspaces.
+
+    ICA is the one model whose log phi = -sqrt(2) sum_j |S_j| is not affine
+    in any coordinates.  ``l1`` computes S once per call and returns the
+    per-row sum_j |S_j|; ``vjp`` reuses that S to pull per-row weights w back
+    to (sign(S) w)' U, the B-gradient of sum_r w_r sum_j |S_rj|.  At kinks
+    the subgradient sign(0) = 0 is used, as in the model's grad_theta.
+
+    Row-wise work goes column by column: numpy's per-row loops over d
+    entries cost up to 10x more.  The sequential column sum is the one
+    np.sum(axis=1) computes for d < 8.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.u = u
+        self.s = np.empty(u.shape)
+        self.a = np.empty(u.shape)
+        self.f = np.empty(len(u))
+
+    def l1(self, b: np.ndarray) -> np.ndarray:
+        np.matmul(self.u, b.T, out=self.s)
+        np.abs(self.s, out=self.a)
+        np.copyto(self.f, self.a[:, 0])
+        for j in range(1, self.a.shape[1]):
+            np.add(self.f, self.a[:, j], out=self.f)
+        return self.f
+
+    def vjp(self, w: np.ndarray) -> np.ndarray:
+        np.sign(self.s, out=self.a)
+        for j in range(self.a.shape[1]):
+            np.multiply(self.a[:, j], w, out=self.a[:, j])
+        return self.a.T @ self.u
+
+
+def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
     y, ratios = _flat_pairs(x, pairing)
     kappa = pairing.kappa
     n, d = x.shape
     m = len(y)
     sqrt2 = np.sqrt(2.0)
-    sx, sy = np.empty((n, d)), np.empty((m, d))
-    ax, ay = np.empty((n, d)), np.empty((m, d))
-    fx, fy, g, wx = np.empty(n), np.empty(m), np.empty(m), np.empty(n)
+    src_x, src_y = _IcaSources(x), _IcaSources(y)
+    g, wx = np.empty(m), np.empty(n)
     work = _pair_work(m)
 
     def objective(raw):
         b = raw.reshape(d, d)
-        np.matmul(x, b.T, out=sx)
-        np.matmul(y, b.T, out=sy)
-        np.abs(sx, out=ax)
-        np.abs(sy, out=ay)
-        np.sum(ax, axis=1, out=fx)
-        np.sum(ay, axis=1, out=fy)
+        fx, fy = src_x.l1(b), src_y.l1(b)
         # G = sqrt(2) (|s_y| - |s_x|) summed over sources, plus the log ratio
         g.reshape(n, kappa)[:] = fx[:, None]
         np.subtract(fy, g, out=g)
@@ -220,12 +249,8 @@ def _cnce_objective_ica(model, x: np.ndarray, pairing: NoisePairing):
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
         np.sum(sig.reshape(n, kappa), axis=1, out=wx)
-        np.sign(sx, out=ax)
-        np.multiply(ax, wx[:, None], out=ax)
-        np.sign(sy, out=ay)
-        np.multiply(ay, sig[:, None], out=ay)
         # d loss / dB = (2 sqrt2 / m) [sum_i w_i sign(s_x) x - sum w sign(s_y) y]
-        grad = (2.0 * sqrt2 / m) * (ax.T @ x - ay.T @ y)
+        grad = (2.0 * sqrt2 / m) * (src_x.vjp(wx) - src_y.vjp(sig))
         return value, grad.reshape(-1)
 
     return objective
@@ -269,24 +294,18 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
     """Objective over (raw model coordinates, c): (value, grad, hess) on the
-    cached features of affine models, (value, grad) otherwise."""
+    cached features of affine models, (value, grad) on ICA's source
+    matrices.  The noise log-densities are evaluated once, here."""
     x = np.asarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
         raise ParameterError("noise count must be a multiple of the data count")
+    if model.spec.kind == ICA:
+        return _nce_objective_ica(x, noise, marginal)
     feats = model.theta_features(x)
-    n = len(x)
     if feats is None:
-        def objective(raw):
-            theta = model.from_raw(raw[:-1])
-            rep = nce_loss(model, np.concatenate([theta, raw[-1:]]), x, noise, marginal)
-            grad = np.concatenate(
-                [model.chain_raw(rep.gradient[:-1], theta), rep.gradient[-1:]]
-            )
-            return rep.value, grad
-
-        return objective
-
+        raise UnsupportedModelError(f"nce unsupported for {model.spec.kind}")
+    n = len(x)
     nu = len(noise) // n
     log_nu = np.log(nu)
     phi_x, off_x = feats
@@ -318,6 +337,38 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
         return float(value), np.concatenate(
             [model.chain_raw(g_theta, theta), [g_c]]
         ), hess
+
+    return objective
+
+
+def _nce_objective_ica(x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
+    """Data and noise stacked into one source matrix.  With the row sign
+    s = +1 for data and -1 for noise, the terms softplus(-h) and softplus(h)
+    are both softplus(-s h), so one pass gives value and weights."""
+    n, d = x.shape
+    u = np.concatenate([x, noise])
+    offset = -log_density_marginal(marginal, u) - np.log(len(noise) // n)
+    row_sign = np.ones(len(u))
+    row_sign[n:] = -1.0
+    sqrt2 = np.sqrt(2.0)
+    src = _IcaSources(u)
+    h, w = np.empty(len(u)), np.empty(len(u))
+    work = _pair_work(len(u))
+
+    def objective(raw):
+        b = raw[:-1].reshape(d, d)
+        # h = log phi + c - log q - log nu, then s h
+        np.multiply(src.l1(b), -sqrt2, out=h)
+        np.add(h, offset, out=h)
+        np.add(h, raw[-1], out=h)
+        np.multiply(h, row_sign, out=h)
+        sp, sig = _softplus_sigmoid_neg(h, work)
+        value = float(np.sum(sp)) / n
+        np.multiply(sig, row_sign, out=w)  # w = -n d loss / dh
+        grad = np.empty(d * d + 1)
+        grad[:-1] = (sqrt2 / n) * src.vjp(w).reshape(-1)
+        grad[-1] = -float(np.sum(w)) / n
+        return value, grad
 
     return objective
 
@@ -397,6 +448,7 @@ class MleResult:
     theta_hat: np.ndarray
     method: str  # closed_form | gradient_ascent
     converged: bool
+    iters: int = 0  # optimiser iterations; 0 for the closed forms
 
 
 def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
@@ -449,7 +501,7 @@ def _ica_mle(model, x, rng_seed):
     raw0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init")))
     run = minimize(ica_mle_objective(model, x), raw0, cfg,
                    stable_hash(rng_seed, "ica_mle"))
-    return MleResult(run.theta, "gradient_ascent", run.converged)
+    return MleResult(run.theta, "gradient_ascent", run.converged, run.iters)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_config_validation():
         small_config(kind=BERNOULLI, methods=("nce",))
     with pytest.raises(ParameterError):
         small_config(repeats=0)
+    for kappa_grid in ((), (0,), (2, 2), (3, 2), (2.5,)):
+        with pytest.raises(ParameterError):
+            small_config(kappa_grid=kappa_grid)
+    with pytest.raises(ParameterError):
+        small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(5, 200))
+    small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(6,),
+                 kappa_grid=(1, np.int64(3)))
+    small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(5,))
 
 
 def test_run_grid_cardinality_and_order():
@@ -207,6 +215,31 @@ def test_run_single_mle_has_no_epsilon():
     record, _ = run_single(cfg, "mle", 300, 2, 0)
     assert record.epsilon is None
     assert record.converged
+    assert record.iters == 0  # closed form
+
+
+def test_run_single_ica_mle_reports_iters(monkeypatch):
+    import cnce.losses
+    import cnce.optimize
+
+    runs, built = [], []
+    minimize, objective = cnce.optimize.minimize, cnce.losses.ica_mle_objective
+
+    def counted_minimize(*args, **kwargs):
+        runs.append(minimize(*args, **kwargs))
+        return runs[-1]
+
+    def counted_objective(*args, **kwargs):
+        built.append(1)
+        return objective(*args, **kwargs)
+
+    # the MLE looks both up at the module attributes on every call
+    monkeypatch.setattr(cnce.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(cnce.losses, "ica_mle_objective", counted_objective)
+    cfg = small_config(kind=ICA, methods=("mle",), n_grid=(300,))
+    record, _ = run_single(cfg, "mle", 300, 2, 0)
+    assert len(runs) == len(built) == 1
+    assert record.iters == runs[0].iters > 0
 
 
 def test_run_single_fixed_epsilon():

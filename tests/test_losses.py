@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cnce import (
     GaussianPerturbKernel,
     ParameterError,
+    RingModel,
     TWO_LOG2,
     UnsupportedModelError,
     bernoulli_population_loss,
@@ -230,13 +231,29 @@ def test_cnce_objective_matches_reference(kind):
                        rtol=1e-10, atol=1e-12)
 
 
-def test_nce_objective_matches_reference():
-    model = make(RING)
+NCE_KINDS = (GAUSSIAN, ICA, RING, LOGNORMAL)
+
+
+def nce_problem(kind):
+    model = make(kind)
     rng = rng_from(43)
     theta = model.random_params(rng)
+    if kind == ICA:
+        theta = np.round(8.0 * theta) / 8.0  # dyadic: the kink below is exact
     x = model.sample(theta, 80, rng_from(44))
+    if kind == ICA:
+        b = model.unpack(theta)
+        x[0] = [b[0, 1], -b[0, 0], 0.0, 0.0]  # b_0 . x_0 == 0, sign(0) = 0
     marginal = fit_marginal(x)
     noise = sample_marginal(marginal, 160, 45)
+    return model, theta, x, noise, marginal
+
+
+@pytest.mark.parametrize("kind", NCE_KINDS)
+def test_nce_objective_matches_reference(kind):
+    model, theta, x, noise, marginal = nce_problem(kind)
+    if kind == ICA:
+        assert np.min(np.abs(x @ model.unpack(theta).T)) == 0.0
     objective = nce_objective(model, x, noise, marginal)
     raw = np.concatenate([model.to_raw(theta), [0.3]])
     value, grad_raw = objective(raw)[:2]
@@ -245,6 +262,42 @@ def test_nce_objective_matches_reference():
     expected = np.concatenate(
         [model.chain_raw(ref.gradient[:-1], theta), ref.gradient[-1:]])
     assert np.allclose(grad_raw, expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", NCE_KINDS)
+def test_nce_objective_evaluates_noise_density_only_at_build(kind, monkeypatch):
+    import cnce.losses
+
+    calls = []
+
+    def counted(marginal, u):
+        calls.append(len(u))
+        return log_density_marginal(marginal, u)
+
+    monkeypatch.setattr(cnce.losses, "log_density_marginal", counted)
+    model, theta, x, noise, marginal = nce_problem(kind)
+    objective = nce_objective(model, x, noise, marginal)
+    built = len(calls)
+    assert built > 0
+    raw = np.concatenate([model.to_raw(theta), [0.3]])
+    for step in range(5):
+        objective(raw + 0.01 * step)
+    assert len(calls) == built
+
+
+def test_objectives_reject_models_without_a_route():
+    class Opaque(RingModel):
+        def theta_features(self, U):
+            return None
+
+    x = make(RING).sample(np.array([2.0]), 20, rng_from(46))
+    with pytest.raises(UnsupportedModelError):
+        cnce_objective(Opaque(), x, make_pairing(make(RING), None, x, 2, 47))
+    model = make(BERNOULLI)
+    x = model.sample(np.array([0.4, 0.6]), 20, rng_from(48))
+    marginal = fit_marginal(x)
+    with pytest.raises(UnsupportedModelError):
+        nce_objective(model, x, sample_marginal(marginal, 40, 49), marginal)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +395,7 @@ def test_mle_gaussian_closed_form():
     res = mle_fit(model, x)
     s = x.T @ x / len(x)
     assert np.allclose(model.unpack(res.theta_hat), np.linalg.inv(s))
-    assert res.method == "closed_form" and res.converged
+    assert res.method == "closed_form" and res.converged and res.iters == 0
     assert np.all(np.linalg.eigvalsh(model.unpack(res.theta_hat)) > 0)
 
 
@@ -371,7 +424,7 @@ def test_mle_ica_recovers_demixing():
     from cnce import estimation_error
 
     assert estimation_error(model, res.theta_hat, theta) < 0.15
-    assert res.method == "gradient_ascent"
+    assert res.method == "gradient_ascent" and res.iters > 0
 
 
 def test_mle_ring_unsupported():

@@ -13,6 +13,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import CnceError, ParameterError
 from .experiments import (
-    ExperimentConfig,
     config_from_json,
     config_to_json,
     limit_check,
@@ -133,12 +133,7 @@ def _write_report_svgs(records, out_dir: str, force: bool) -> list:
 def cmd_experiment(args) -> int:
     cfg = config_from_json(_load_config(args.config))
     if args.seed is not None:
-        cfg = ExperimentConfig(
-            model=cfg.model, methods=cfg.methods, n_grid=cfg.n_grid,
-            kappa_grid=cfg.kappa_grid, repeats=cfg.repeats,
-            master_seed=args.seed, epsilon=cfg.epsilon,
-            optimizer=cfg.optimizer, schedule=cfg.schedule,
-            ring_mu=cfg.ring_mu)
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     _guard_outputs([os.path.join(args.out, "results.csv"),
                     os.path.join(args.out, "summary.json")], args.force)

@@ -184,7 +184,10 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                repeat: int, collect_trace: bool = False):
     """One (method, n, kappa, repeat) cell.  Returns (ErrorRecord, warnings)
     or, with collect_trace, (ErrorRecord, warnings, trace dict).  Optimiser
-    blow-ups are recorded as non-converged runs, never raised."""
+    blow-ups are recorded as non-converged runs, never raised.  Any other
+    exception from the estimation fails the cell alone: error = inf, not
+    converged, and a warning naming the exception class, so that a grid
+    keeps its other cells."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
     model = cfg.build_model()
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
@@ -246,6 +249,11 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             if np.all(np.isfinite(candidate)):
                 theta_hat = candidate
                 error = estimation_error(model, theta_hat, theta_true)
+    except Exception as exc:  # a cell's failure must not end the grid
+        converged = False
+        warnings.append(f"cell failed: {type(exc).__name__}: {exc}")
+        theta_hat = np.full(model.spec.param_count, np.nan)
+        error = float("inf")
 
     if not converged:
         warnings.append("not converged")

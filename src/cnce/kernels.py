@@ -1,6 +1,13 @@
 """Conditional noise kernels for CNCE and the moment-matched marginal noise
 used by the NCE baseline.
 
+Each built-in conditional kernel splits its sampler in two: ``draw`` makes
+the noise-scale-free random part from the generator, ``perturb`` turns it
+into noise points at the kernel's scale, and ``sample`` is
+``perturb(x, draw(x, kappa, rng))``.  A scan over noise scales draws once
+and perturbs per scale, getting the same points as ``sample`` with the same
+generator at every scale.
+
 Both built-in conditional kernels are symmetric, so their log-ratio
 log pc(u2|u1) - log pc(u1|u2) is identically zero and is returned as the
 constant 0 rather than computed from two log-densities.  Asymmetric kernels
@@ -47,12 +54,17 @@ class GaussianPerturbKernel:
             raise ParameterError("epsilon components must be finite and >= 0")
         self.epsilon = eps
 
-    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
-        n, dim = x.shape
+    def draw(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+        """The scale-free part of the noise: standard-normal xi."""
+        return rng.standard_normal((len(x), kappa, x.shape[1]))
+
+    def perturb(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
         if np.any(self.epsilon == 0):
             raise ParameterError("epsilon = 0 is degenerate for sampling")
-        xi = rng.standard_normal((n, kappa, dim))
-        return x[:, None, :] + self.epsilon * xi
+        return x[:, None, :] + self.epsilon * base
+
+    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+        return self.perturb(x, self.draw(x, kappa, rng))
 
     def log_ratio_pairs(self, x, noise):
         return np.zeros(noise.shape[:2])
@@ -69,12 +81,18 @@ class BernoulliFlipKernel:
             raise ParameterError("flip probability must lie in [0, 1]")
         self.epsilon = float(epsilon)
 
-    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+        """The scale-free part of the noise: uniforms on [0, 1), one per bit;
+        a bit flips where its uniform falls below eps."""
         if not np.all((x == 0.0) | (x == 1.0)):
             raise DomainError("flip kernel needs {0,1} data")
-        n, dim = x.shape
-        flip = rng.random((n, kappa, dim)) < self.epsilon
-        return np.where(flip, 1.0 - x[:, None, :], x[:, None, :])
+        return rng.random((len(x), kappa, x.shape[1]))
+
+    def perturb(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return np.where(base < self.epsilon, 1.0 - x[:, None, :], x[:, None, :])
+
+    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
+        return self.perturb(x, self.draw(x, kappa, rng))
 
     def log_ratio_pairs(self, x, noise):
         return np.zeros(noise.shape[:2])
@@ -105,12 +123,17 @@ def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> Nois
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
     x = np.asarray(x, dtype=float)
-    noise = kernel.sample(x, kappa, rng_from(rng_seed))
+    return pair_noise(kernel, x, kernel.sample(x, kappa, rng_from(rng_seed)))
+
+
+def pair_noise(kernel, x: np.ndarray, noise: np.ndarray) -> NoisePairing:
+    """Pairing of (n, kappa, dim) noise drawn from kernel around x, with the
+    log-ratios cached."""
     if getattr(kernel, "symmetric", False):
         ratios = np.zeros(noise.shape[:2])
     else:
         ratios = kernel.log_ratio_pairs(x, noise)
-    return NoisePairing(noise=noise, kappa=kappa, log_ratio=ratios)
+    return NoisePairing(noise=noise, kappa=noise.shape[1], log_ratio=ratios)
 
 
 def pairing_at_data(x: np.ndarray, kappa: int = 1) -> NoisePairing:

@@ -6,16 +6,25 @@ population loss.
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
 ``nce_loss`` are the reference implementations in natural parameters; the
 ``*_objective`` builders produce callables in the optimiser's unconstrained
-coordinates, with one route per model:
+coordinates.  Both contrastive objectives are logistic losses, and each
+call makes one ``_softplus_sigmoid_neg`` pass over its rows:
+
+- CNCE: one row per (data, noise) pair, G = log phi(x) - log phi(y) plus
+  the kernel's log-ratio.
+- NCE: data and noise stacked into one point matrix u = [x; noise]
+  (``_NceHead``), with the offsets -log q(u) - log nu evaluated at build
+  time and a +-1 row sign that turns the data and noise terms into one
+  softplus.
+
+What differs per model is log phi over the rows:
 
 - Gaussian, ring, log-normal (and Bernoulli for CNCE, in log-weights):
-  log phi is affine in the parameters, so the features, and for NCE the
-  noise log-densities, are computed once at build time.
+  log phi is affine in the parameters, so the features are computed once
+  at build time and each call is one matrix-vector product.
 - Laplace ICA: log phi = -sqrt(2) sum_j |b_j . u| is not affine.  The CNCE
   and NCE objectives share ``_IcaSources``, which computes the source
-  matrix U B' once per call for the value and pulls the loss weights back
-  through it for the gradient; NCE stacks data and noise into one matrix
-  and evaluates the noise log-densities at build time.
+  matrix B U' once per call for the value and pulls the loss weights back
+  through it for the gradient.
 
 Any other model raises ``UnsupportedModelError``.  The two routes agree to
 float precision and are tested against each other.
@@ -28,9 +37,9 @@ features, and score matching, which is quadratic in natural parameters);
 part of the return value, not an attribute of the callable, so it survives
 any wrapper that passes the result through.
 
-log(1 + exp(-G)) is evaluated as logaddexp(0, -G) and the logistic function
-through scipy's expit (``_softplus_sigmoid_neg`` gets both from one
-exp(-|G|) pass); |G| beyond 700 overflows a naive exp.
+log(1 + exp(-G)) and the logistic function are evaluated from one
+exp(-|G|) pass in ``_softplus_sigmoid_neg`` (the references use
+logaddexp(0, -G) and scipy's expit); |G| beyond 700 overflows a naive exp.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ def _softplus(v: np.ndarray) -> np.ndarray:
 def _pair_work(m: int):
     """Scratch arrays for _softplus_sigmoid_neg; allocating these once per
     objective (not per iteration) keeps the hot loop free of large mmaps."""
-    return (np.empty(m), np.empty(m, dtype=bool), np.empty(m), np.empty(m))
+    return (np.empty(m), np.empty(m), np.empty(m))
 
 
 def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -82,21 +91,22 @@ def _softplus_sigmoid_neg(g: np.ndarray, work=None):
     quantities always appear together in the loss/gradient inner loops.
 
     With t = exp(-|g|): softplus(-g) = log1p(t) + max(-g, 0) and
-    sigmoid(-g) = t/(1+t) for g >= 0, 1/(1+t) otherwise.  Consumes g.
+    sigmoid(-g) = max(t, [g < 0]) / (1 + t), which is t/(1+t) for g >= 0
+    and 1/(1+t) otherwise because t <= 1.  The select is a float mask and
+    a maximum, not a masked store.  Consumes g.
     """
     if work is None:
         work = _pair_work(len(g))
-    ag, neg, sp, sig = (w[: len(g)] for w in work)
-    np.signbit(g, out=neg)
+    ag, sp, sig = (w[: len(g)] for w in work)
+    np.less(g, 0.0, out=sig)  # sig := [g < 0] as 0.0 / 1.0
     np.abs(g, out=ag)
-    np.subtract(ag, g, out=g)  # g := 2 max(-g, 0)
+    np.negative(g, out=g)
+    np.maximum(g, 0.0, out=g)  # g := max(-g, 0)
     np.negative(ag, out=ag)
     np.exp(ag, out=ag)  # ag := t
     np.log1p(ag, out=sp)
-    g *= 0.5
     sp += g
-    np.copyto(sig, ag)
-    sig[neg] = 1.0
+    np.maximum(ag, sig, out=sig)
     ag += 1.0
     np.divide(sig, ag, out=sig)  # sig := sigmoid(-g)
     return sp, sig
@@ -184,7 +194,9 @@ def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
         grad = -2.0 / m * (sig @ dphi)
-        hess = 2.0 / m * _weighted_gram(dphi, sig * (1.0 - sig))
+        np.subtract(1.0, sig, out=g)
+        np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
+        hess = 2.0 / m * _weighted_gram(dphi, g)
         if in_raw:
             return value, grad, hess
         return (value, model.chain_raw(grad, coords),
@@ -194,38 +206,36 @@ def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
 
 
 class _IcaSources:
-    """Source matrix S = U B' of a fixed stack of points U, with workspaces.
+    """Sources S = B U' of a fixed stack of points U, with workspaces.
 
     ICA is the one model whose log phi = -sqrt(2) sum_j |S_j| is not affine
     in any coordinates.  ``l1`` computes S once per call and returns the
-    per-row sum_j |S_j|; ``vjp`` reuses that S to pull per-row weights w back
-    to (sign(S) w)' U, the B-gradient of sum_r w_r sum_j |S_rj|.  At kinks
-    the subgradient sign(0) = 0 is used, as in the model's grad_theta.
+    per-point sum_j |S_j|; ``vjp`` reuses that S to pull per-point weights w
+    back to (sign(S) w) U, the B-gradient of sum_r w_r sum_j |S_jr|.  At
+    kinks the subgradient sign(0) = 0 is used, as in the model's grad_theta.
 
-    Row-wise work goes column by column: numpy's per-row loops over d
-    entries cost up to 10x more.  The sequential column sum is the one
-    np.sum(axis=1) computes for d < 8.
+    Points are stored transposed, (d, m) and contiguous, so every row-wise
+    step runs over contiguous rows of length m: numpy's per-point loops
+    over d entries cost up to 10x more.  The sum over sources adds rows in
+    order, the same sequence np.sum(axis=1) of the (m, d) layout takes for
+    d < 8.
     """
 
     def __init__(self, u: np.ndarray):
-        self.u = u
-        self.s = np.empty(u.shape)
-        self.a = np.empty(u.shape)
+        self.ut = np.ascontiguousarray(u.T)
+        self.s = np.empty(self.ut.shape)
+        self.a = np.empty(self.ut.shape)
         self.f = np.empty(len(u))
 
     def l1(self, b: np.ndarray) -> np.ndarray:
-        np.matmul(self.u, b.T, out=self.s)
+        np.matmul(b, self.ut, out=self.s)
         np.abs(self.s, out=self.a)
-        np.copyto(self.f, self.a[:, 0])
-        for j in range(1, self.a.shape[1]):
-            np.add(self.f, self.a[:, j], out=self.f)
-        return self.f
+        return np.sum(self.a, axis=0, out=self.f)
 
     def vjp(self, w: np.ndarray) -> np.ndarray:
         np.sign(self.s, out=self.a)
-        for j in range(self.a.shape[1]):
-            np.multiply(self.a[:, j], w, out=self.a[:, j])
-        return self.a.T @ self.u
+        np.multiply(self.a, w, out=self.a)
+        return self.a @ self.ut.T
 
 
 def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
@@ -292,6 +302,35 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
                       n_terms=len(x) + len(noise))
 
 
+class _NceHead:
+    """The logistic part of NCE over the stacked points u = [x; noise].
+
+    With h = log phi(u) + c - log q(u) - log nu and the row sign s = +1 on
+    data and -1 on noise, the data terms softplus(-h) and the noise terms
+    softplus(h) are all softplus(-s h).  The offsets -log q - log nu are
+    evaluated here, once; ``logistic`` then makes one pass per call.
+    """
+
+    def __init__(self, u: np.ndarray, n: int, marginal: MarginalKernel):
+        self.n = n
+        self.offset = -log_density_marginal(marginal, u) - np.log((len(u) - n) // n)
+        self.w = np.empty(len(u))
+        self.work = _pair_work(len(u))
+
+    def logistic(self, h: np.ndarray, c: float):
+        """Consumes h, which holds log phi(u).  Returns (value, w, sig):
+        the loss, w = s sigmoid(-s h) = -n d loss / dh, and sigmoid(-s h),
+        whose sig (1 - sig) is the loss curvature in h (times n)."""
+        n = self.n
+        np.add(h, self.offset, out=h)
+        np.add(h, c, out=h)
+        np.negative(h[n:], out=h[n:])
+        sp, sig = _softplus_sigmoid_neg(h, self.work)
+        np.copyto(self.w, sig)
+        np.negative(self.w[n:], out=self.w[n:])
+        return float(np.sum(sp)) / n, self.w, sig
+
+
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
     """Objective over (raw model coordinates, c): (value, grad, hess) on the
     cached features of affine models, (value, grad) on ICA's source
@@ -300,71 +339,47 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
         raise ParameterError("noise count must be a multiple of the data count")
+    n = len(x)
+    u = np.concatenate([x, noise])
+    head = _NceHead(u, n, marginal)
     if model.spec.kind == ICA:
-        return _nce_objective_ica(x, noise, marginal)
-    feats = model.theta_features(x)
+        return _nce_objective_ica(u, head)
+    feats = model.theta_features(u)
     if feats is None:
         raise UnsupportedModelError(f"nce unsupported for {model.spec.kind}")
-    n = len(x)
-    nu = len(noise) // n
-    log_nu = np.log(nu)
-    phi_x, off_x = feats
-    phi_y, off_y = model.theta_features(noise)
-    bx = off_x - log_density_marginal(marginal, x) - log_nu
-    by = off_y - log_density_marginal(marginal, noise) - log_nu
+    phi, off = feats
+    head.offset += off
+    p = phi.shape[1]
+    h = np.empty(len(phi))
 
     def objective(raw):
         theta = model.from_raw(raw[:-1])
-        c = raw[-1]
-        hx = phi_x @ theta + bx + c
-        hy = phi_y @ theta + by + c
-        value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
-        wx = -expit(-hx)
-        wy = expit(hy)
-        g_theta = (wx @ phi_x + wy @ phi_y) / n
-        g_c = (wx.sum() + wy.sum()) / n
-        # logistic curvature sigma(h) sigma(-h), bordered by the c column
-        cx = -wx * (1.0 + wx)
-        cy = wy * (1.0 - wy)
-        p = len(theta)
+        np.matmul(phi, theta, out=h)
+        value, w, sig = head.logistic(h, raw[-1])
+        g_theta = -(w @ phi) / n
+        np.subtract(1.0, sig, out=h)
+        np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
         hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = model.chain_raw_hessian(
-            (_weighted_gram(phi_x, cx) + _weighted_gram(phi_y, cy)) / n,
-            g_theta, theta)
-        hess[:p, p] = hess[p, :p] = model.chain_raw((cx @ phi_x + cy @ phi_y) / n,
-                                                    theta)
-        hess[p, p] = (cx.sum() + cy.sum()) / n
-        return float(value), np.concatenate(
-            [model.chain_raw(g_theta, theta), [g_c]]
-        ), hess
+        hess[:p, :p] = model.chain_raw_hessian(_weighted_gram(phi, h) / n,
+                                               g_theta, theta)
+        hess[:p, p] = hess[p, :p] = model.chain_raw(h @ phi / n, theta)
+        hess[p, p] = float(np.sum(h)) / n
+        grad = np.append(model.chain_raw(g_theta, theta), -float(np.sum(w)) / n)
+        return value, grad, hess
 
     return objective
 
 
-def _nce_objective_ica(x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
-    """Data and noise stacked into one source matrix.  With the row sign
-    s = +1 for data and -1 for noise, the terms softplus(-h) and softplus(h)
-    are both softplus(-s h), so one pass gives value and weights."""
-    n, d = x.shape
-    u = np.concatenate([x, noise])
-    offset = -log_density_marginal(marginal, u) - np.log(len(noise) // n)
-    row_sign = np.ones(len(u))
-    row_sign[n:] = -1.0
+def _nce_objective_ica(u: np.ndarray, head: _NceHead):
+    n, d = head.n, u.shape[1]
     sqrt2 = np.sqrt(2.0)
     src = _IcaSources(u)
-    h, w = np.empty(len(u)), np.empty(len(u))
-    work = _pair_work(len(u))
+    h = np.empty(len(u))
 
     def objective(raw):
         b = raw[:-1].reshape(d, d)
-        # h = log phi + c - log q - log nu, then s h
-        np.multiply(src.l1(b), -sqrt2, out=h)
-        np.add(h, offset, out=h)
-        np.add(h, raw[-1], out=h)
-        np.multiply(h, row_sign, out=h)
-        sp, sig = _softplus_sigmoid_neg(h, work)
-        value = float(np.sum(sp)) / n
-        np.multiply(sig, row_sign, out=w)  # w = -n d loss / dh
+        np.multiply(src.l1(b), -sqrt2, out=h)  # log phi
+        value, w, _ = head.logistic(h, raw[-1])
         grad = np.empty(d * d + 1)
         grad[:-1] = (sqrt2 / n) * src.vjp(w).reshape(-1)
         grad[-1] = -float(np.sum(w)) / n

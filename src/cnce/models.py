@@ -210,6 +210,8 @@ class GaussianPrecisionModel(_Model):
     def __init__(self, dim: int = 5):
         self.spec = ModelSpec(GAUSSIAN, dim)
         self._iu = np.triu_indices(dim)
+        # d log phi / d theta_k = coef_k u_i u_j for packed entry k = (i, j)
+        self._coef = np.where(self._iu[0] == self._iu[1], -0.5, -1.0)
 
     def pack(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -230,13 +232,26 @@ class GaussianPrecisionModel(_Model):
 
     def theta_features(self, U):
         U = self._as_batch(U)
-        i, j = self._iu
-        phi = np.where(i == j, -0.5, -1.0) * U[:, i] * U[:, j]
-        return phi, np.zeros(len(U))
+        # built as (p, m) rows, with no (m, p) temporaries, and returned as
+        # a column-major (m, p) view: the products with phi in the loss
+        # routes run up to 2x faster on that layout than on row-major
+        ut = U.T.copy()
+        phi_t = np.empty((len(self._coef), len(U)))
+        for k, (i, j) in enumerate(zip(*self._iu)):
+            np.multiply(ut[i], self._coef[k], out=phi_t[k])
+            np.multiply(phi_t[k], ut[j], out=phi_t[k])
+        return phi_t.T, np.zeros(len(U))
 
     def grad_theta(self, theta, U):
         self._check_theta(theta)
         return self.theta_features(U)[0]
+
+    def grad_theta_weighted(self, theta, U, w):
+        # coef_k M_ij for the (dim, dim) M = U' diag(w) U
+        self._check_theta(theta)
+        U = self._as_batch(U)
+        m = (U * np.asarray(w, dtype=float)[:, None]).T @ U
+        return self._coef * m[self._iu]
 
     def grad_u(self, theta, U):
         lam = self.unpack(theta)

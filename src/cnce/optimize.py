@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OptimizationError, ParameterError
-from .kernels import kernel_for_data, sample_conditional
+from .kernels import kernel_for_data, pair_noise
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from, stable_hash
 
@@ -289,16 +289,23 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
     the starting parameters departs from 2 log 2 by at least delta.
 
     Returns (epsilon, capped).  ``capped`` is set when no ladder value meets
-    the gap and the ladder top is returned instead.  The same generator seed
-    is reused across ladder steps, so for the Gaussian kernel the underlying
-    standard-normal draws are shared and the scan is monotone in the scale.
+    the gap and the ladder top is returned instead.  The kernel's scale-free
+    random part is drawn once, from ``rng_seed``, and every rung perturbs x
+    with it, so each rung's noise is the one ``sample_conditional`` gives
+    for that scale and seed, and each rung's value is ``cnce_loss`` on it.
+    With shared draws the scan is monotone in the scale.
     """
     theta = model.from_raw(np.asarray(theta0_raw, dtype=float))
     x = np.asarray(x, dtype=float)
+    if kappa < 1:
+        raise ParameterError("kappa must be >= 1")
     cap = 1.0 if kernel_kind == "bernoulli_flip" else None
+    base = None
     for eps in schedule.ladder(cap):
         kernel = kernel_for_data(kernel_kind, eps, x, per_dim=per_dim)
-        pairing = sample_conditional(kernel, x, kappa, rng_seed)
+        if base is None:
+            base = kernel.draw(x, kappa, rng_from(rng_seed))
+        pairing = pair_noise(kernel, x, kernel.perturb(x, base))
         value = cnce_loss(model, theta, x, pairing).value
         if abs(value - TWO_LOG2) >= schedule.delta:
             return eps, False

@@ -2,6 +2,7 @@
 determinism, persistence round-trips, and the small-noise expansion table."""
 
 import itertools
+import multiprocessing
 import struct
 
 import numpy as np
@@ -198,6 +199,37 @@ def test_run_grid_jobs_agree():
     serial = run_grid(cfg, jobs=1)[0]
     parallel = run_grid(cfg, jobs=4)[0]
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+# summarize's np.quantile over an all-inf cell subtracts inf from inf
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
+    # worker processes see the patched module only when forked from this one
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("needs fork-started workers to inherit the patch")
+    import cnce.experiments
+
+    cfg = small_config(kind=GAUSSIAN, methods=("nce",), repeats=1)
+    clean = run_grid(cfg, jobs=1)[0]
+    build = cnce.experiments.nce_objective
+
+    def flaky(model, x, noise, marginal):
+        if len(x) == 400:
+            raise ValueError("injected")
+        return build(model, x, noise, marginal)
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", flaky)
+    records, _, warnings = run_grid(cfg, jobs=jobs)
+    assert [r.run_id for r in records] == [r.run_id for r in clean]
+    failed, kept = records[1], records[0]
+    assert failed.n == 400 and kept == clean[0]
+    assert failed.error == float("inf") and failed.sq_error == float("inf")
+    assert not failed.converged
+    assert any("ValueError" in w for w in warnings)
+    text = records_to_csv(records)
+    assert text.splitlines()[0] == ",".join(CSV_HEADER)
+    assert records_from_csv(text) == records
 
 
 def test_run_single_fields():

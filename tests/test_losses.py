@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from cnce import (
     GaussianPerturbKernel,
@@ -28,7 +29,7 @@ from cnce import (
     score_matching_loss,
 )
 from cnce.kernels import pairing_at_data
-from cnce.losses import cnce_objective, nce_objective
+from cnce.losses import _softplus_sigmoid_neg, cnce_objective, nce_objective
 from cnce.models import (
     BERNOULLI,
     GAUSSIAN,
@@ -143,6 +144,18 @@ def test_cnce_loss_shape_mismatch():
     pairing = pairing_at_data(x[:5])
     with pytest.raises(ParameterError):
         cnce_loss(model, model.pack(np.eye(5)), x, pairing)
+
+
+def test_softplus_sigmoid_neg_matches_logaddexp_and_expit():
+    mags = (0.0, 1e-300, 1.0, 30.0, 700.0, 750.0, 1e308)
+    g = np.array([sign * v for v in mags for sign in (1.0, -1.0)])
+    assert np.signbit(g[1]) and g[1] == 0.0  # -0.0 is among the inputs
+    sp, sig = _softplus_sigmoid_neg(g.copy())
+    assert not np.any(np.isnan(sp)) and not np.any(np.isnan(sig))
+    assert np.all((sig >= 0.0) & (sig <= 1.0))
+    np.testing.assert_allclose(sp, np.logaddexp(0.0, -g), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(sig, expit(-g), rtol=1e-15, atol=0)
+    assert np.all(sp[:2] == np.log(2.0)) and np.all(sig[:2] == 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,20 @@ def test_ica_grad_rows_are_signed_inputs():
 # point gradients / laplacians
 # ---------------------------------------------------------------------------
 
+def test_gaussian_grad_theta_weighted_matches_dense():
+    # the (dim, dim) U' diag(w) U route against w @ the (m, p) feature matrix
+    model = make(GAUSSIAN)
+    rng = rng_from(61)
+    for m in (1, 7, 500):
+        theta = random_theta(model, rng)
+        U = rng.standard_normal((m, 5)) * 3.0
+        w = rng.standard_normal(m)
+        expected = w @ model.grad_theta(theta, U)
+        got = model.grad_theta_weighted(theta, U, w)
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_grad_u_gaussian_identity():
     model = make(GAUSSIAN)
     theta = model.pack(np.eye(5))

@@ -11,6 +11,7 @@ from cnce import (
     TWO_LOG2,
     adapt_epsilon,
     build_model,
+    cnce_loss,
     default_spec,
     minimize,
     sample_conditional,
@@ -18,7 +19,7 @@ from cnce import (
 )
 from cnce.errors import OptimizationError
 from cnce.losses import bernoulli_population_objective, cnce_objective
-from cnce.models import BERNOULLI, GAUSSIAN, ModelSpec
+from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
 from cnce.seeding import rng_from
 
 
@@ -174,6 +175,67 @@ def test_adapt_epsilon_deterministic_and_on_ladder():
     assert out1 == out2
     assert out1[0] in sched.ladder(cap=1.0)
     assert out1[0] <= 1.0  # flip probability stays a probability
+
+
+LADDER_CASES = [
+    (GAUSSIAN, "gaussian_perturb", True), (GAUSSIAN, "gaussian_perturb", False),
+    (RING, "gaussian_perturb", True), (RING, "gaussian_perturb", False),
+    (LOGNORMAL, "gaussian_perturb", True), (LOGNORMAL, "gaussian_perturb", False),
+    (BERNOULLI, "bernoulli_flip", True),
+]
+
+
+@pytest.mark.parametrize("kind,kernel_kind,per_dim", LADDER_CASES)
+def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
+                                                   monkeypatch):
+    """Oracle: a fresh kernel, sample_conditional and cnce_loss per rung.
+    The shared-draw ladder must return the same (eps, capped) and evaluate
+    the same noise, bit for bit, at every rung it visits."""
+    import cnce.optimize
+
+    model = build_model(default_spec(kind))
+    rng = rng_from(15, kind)
+    theta = model.random_params(rng)
+    x = model.sample(theta, 300, rng_from(16, kind))
+    raw0 = model.init_raw(rng)
+    kappa, seed = 3, 17
+    cap = 1.0 if kernel_kind == "bernoulli_flip" else None
+
+    def oracle(sched):
+        rungs = []
+        for eps in sched.ladder(cap):
+            kernel = kernel_for_data(kernel_kind, eps, x, per_dim=per_dim)
+            pairing = sample_conditional(kernel, x, kappa, seed)
+            rungs.append(pairing.noise)
+            value = cnce_loss(model, model.from_raw(raw0), x, pairing).value
+            if abs(value - TWO_LOG2) >= sched.delta:
+                return (eps, False), rungs
+        return (sched.ladder(cap)[-1], True), rungs
+
+    seen = []
+
+    def recorded(model_, theta_, x_, pairing):
+        seen.append(pairing.noise)
+        return cnce_loss(model_, theta_, x_, pairing)
+
+    monkeypatch.setattr(cnce.optimize, "cnce_loss", recorded)
+    outcomes = set()
+    for delta in (1e-6, 0.02, 0.1, 0.3, 1.3):
+        sched = EpsilonSchedule(delta=delta)
+        seen.clear()
+        expected, rungs = oracle(sched)
+        got = adapt_epsilon(model, raw0, x, kernel_kind, sched, kappa, seed,
+                            per_dim=per_dim)
+        assert got == expected
+        assert len(seen) == len(rungs)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, rungs))
+        outcomes.add(got)
+    assert len(outcomes) >= 2  # the deltas reach more than one rung
+
+    kernel = kernel_for_data(kernel_kind, 0.3, x, per_dim=per_dim)
+    sampled = kernel.sample(x, kappa, rng_from(seed))
+    assert np.array_equal(kernel.perturb(x, kernel.draw(x, kappa, rng_from(seed))),
+                          sampled)
 
 
 def test_epsilon_ladder_shape():

@@ -189,13 +189,24 @@ def test_experiment_force_guard(tmp_path, capsys):
 
 
 def test_experiment_seed_override_changes_results(tmp_path):
-    cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
+    cfg = write_json(tmp_path / "e.json", experiment_config(
+        repeats=1, ring_mu=3.5, epsilon_schedule={"epsilon_0": 0.07, "delta": 0.1}))
     main(["experiment", "--config", cfg, "--out", str(tmp_path / "a")])
     main(["experiment", "--config", cfg, "--out", str(tmp_path / "b"),
           "--seed", "999"])
     a = open(tmp_path / "a" / "results.csv").read()
     b = open(tmp_path / "b" / "results.csv").read()
     assert a != b
+    # the override changes the seed and nothing else of the config
+    kept = json.load(open(tmp_path / "a" / "summary.json"))["config"]
+    got = json.load(open(tmp_path / "b" / "summary.json"))["config"]
+    assert (kept["master_seed"], got["master_seed"]) == (11, 999)
+    assert got["ring_mu"] == 3.5
+    assert got["optimizer"]["max_iters"] == 120
+    assert got["optimizer"]["plateau_window"] == 20
+    assert got["epsilon_schedule"]["epsilon_0"] == 0.07
+    assert got["epsilon_schedule"]["delta"] == 0.1
+    assert {**got, "master_seed": 11} == kept
 
 
 # ---------------------------------------------------------------------------

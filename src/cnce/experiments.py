@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import numbers
 import os
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OptimizationError, ParameterError, UnsupportedModelError
+from .errors import OptimizationError, ParameterError
 from .kernels import fit_marginal, kernel_for_data, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
@@ -34,13 +33,11 @@ from .losses import (
     score_matching_objective,
 )
 from .models import (
-    BERNOULLI,
     GAUSSIAN,
-    ICA,
-    LOGNORMAL,
     RING,
     ModelSpec,
     build_model,
+    default_spec,
     spec_from_json,
     spec_to_json,
 )
@@ -48,16 +45,6 @@ from .optimize import EpsilonSchedule, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
 METHODS = ("cnce", "nce", "mle", "score_matching")
-
-# nce needs continuous moment-matched noise; mle has no ring baseline;
-# score matching needs grad_u / laplacian_u.
-_VALID_METHODS = {
-    GAUSSIAN: ("cnce", "nce", "mle", "score_matching"),
-    ICA: ("cnce", "nce", "mle"),
-    RING: ("cnce", "nce", "score_matching"),
-    LOGNORMAL: ("cnce", "nce", "mle", "score_matching"),
-    BERNOULLI: ("cnce", "mle"),
-}
 
 CSV_HEADER = ("run_id", "model", "method", "n", "kappa", "epsilon", "seed",
               "error", "sq_error", "converged", "iters", "wall_ms")
@@ -88,8 +75,9 @@ class ExperimentConfig:
             raise ParameterError("kappa_grid must be strictly ascending")
         if not self.methods:
             raise ParameterError("methods must be non-empty")
+        supported = self.build_model().methods
         for m in self.methods:
-            if m not in _VALID_METHODS[self.model.kind]:
+            if m not in supported:
                 raise ParameterError(
                     f"method {m!r} unsupported for {self.model.kind}"
                 )
@@ -136,40 +124,13 @@ class QuantileSummary:
 # ---------------------------------------------------------------------------
 
 def estimation_error(model, theta_hat, theta_true) -> float:
-    """Distance between estimated and true parameters with the paper-specific
-    disambiguations: signed row permutations for ICA, scale normalisation for
-    the Bernoulli weights, precision-only absolute error for the log-normal
-    model."""
+    """Distance between estimated and true parameters, with the model's
+    paper-specific disambiguations (``model.error``)."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_hat.shape != theta_true.shape or theta_hat.shape != (model.spec.param_count,):
         raise ParameterError("parameter packings disagree")
-    kind = model.spec.kind
-    if kind in (GAUSSIAN, RING):
-        return float(np.linalg.norm(theta_hat - theta_true))
-    if kind == ICA:
-        return _ica_error(model.unpack(theta_hat), model.unpack(theta_true))
-    if kind == BERNOULLI:
-        return float(np.linalg.norm(theta_hat / theta_hat.sum() - theta_true))
-    if kind == LOGNORMAL:
-        return float(abs(theta_hat[0] - theta_true[0]))
-    raise UnsupportedModelError(kind)
-
-
-def _ica_error(b_hat: np.ndarray, b_true: np.ndarray) -> float:
-    """Minimum Euclidean distance over all signed row permutations.  Signs
-    decouple per assigned row, so only the d! permutations are enumerated."""
-    d = len(b_true)
-    cost = np.empty((d, d))
-    for p in range(d):
-        for q in range(d):
-            cost[p, q] = min(np.sum((b_hat[p] - b_true[q]) ** 2),
-                             np.sum((b_hat[p] + b_true[q]) ** 2))
-    best = min(
-        cost[list(perm), range(d)].sum()
-        for perm in itertools.permutations(range(d))
-    )
-    return float(np.sqrt(best))
+    return model.error(theta_hat, theta_true)
 
 
 # ---------------------------------------------------------------------------
@@ -201,42 +162,36 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     converged = True
     run = None
     try:
-        if method == "cnce":
-            kernel_kind = ("bernoulli_flip" if cfg.model.kind == BERNOULLI
-                           else "gaussian_perturb")
-            if cfg.epsilon == "auto":
-                epsilon, capped = adapt_epsilon(
-                    model, theta0, x, kernel_kind, cfg.schedule, kappa,
-                    stable_hash(seed, "epsilon"))
-                if capped:
-                    warnings.append("epsilon ladder capped")
-            else:
-                epsilon = float(cfg.epsilon)
-            kernel = kernel_for_data(kernel_kind, epsilon, x)
-            pairing = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
-            run = minimize(cnce_objective(model, x, pairing), theta0,
-                           cfg.optimizer, stable_hash(seed, "opt"))
-            theta_hat = model.from_raw(run.theta)
-            iters, converged = run.iters, run.converged
-        elif method == "nce":
-            marginal = fit_marginal(x)
-            noise = sample_marginal(marginal, kappa * n, stable_hash(seed, "nce_noise"))
-            raw0 = np.concatenate([theta0, [0.0]])
-            run = minimize(nce_objective(model, x, noise, marginal), raw0,
-                           cfg.optimizer, stable_hash(seed, "opt"))
-            theta_hat = model.from_raw(run.theta[:-1])
-            iters, converged = run.iters, run.converged
-        elif method == "mle":
+        if method == "mle":
             res = mle_fit(model, x, rng_seed=stable_hash(seed, "mle"))
-            theta_hat = res.theta_hat
-            iters, converged = res.iters, res.converged
-        elif method == "score_matching":
-            run = minimize(score_matching_objective(model, x), theta0,
-                           cfg.optimizer, stable_hash(seed, "opt"))
-            theta_hat = model.from_raw(run.theta)
-            iters, converged = run.iters, run.converged
+            theta_hat, iters, converged = res.theta_hat, res.iters, res.converged
         else:
-            raise ParameterError(f"unknown method {method!r}")
+            raw0 = theta0
+            if method == "cnce":
+                if cfg.epsilon == "auto":
+                    epsilon, capped = adapt_epsilon(
+                        model, theta0, x, model.kernel_kind, cfg.schedule, kappa,
+                        stable_hash(seed, "epsilon"))
+                    if capped:
+                        warnings.append("epsilon ladder capped")
+                else:
+                    epsilon = float(cfg.epsilon)
+                kernel = kernel_for_data(model.kernel_kind, epsilon, x)
+                pairing = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
+                objective = cnce_objective(model, x, pairing)
+            elif method == "nce":
+                marginal = fit_marginal(x)
+                noise = sample_marginal(marginal, kappa * n,
+                                        stable_hash(seed, "nce_noise"))
+                objective = nce_objective(model, x, noise, marginal)
+                raw0 = np.concatenate([theta0, [0.0]])  # trailing log-normaliser c
+            elif method == "score_matching":
+                objective = score_matching_objective(model, x)
+            else:
+                raise ParameterError(f"unknown method {method!r}")
+            run = minimize(objective, raw0, cfg.optimizer, stable_hash(seed, "opt"))
+            theta_hat = model.from_raw(run.theta[:model.spec.param_count])
+            iters, converged = run.iters, run.converged
         error = estimation_error(model, theta_hat, theta_true)
     except OptimizationError as exc:
         converged = False
@@ -315,16 +270,29 @@ def run_grid(cfg: ExperimentConfig, jobs: int = 1):
     return records, summarize(records), warnings
 
 
+def _quantile(errors: np.ndarray, q: float) -> float:
+    """np.quantile of sorted errors, except next to a failed run (error =
+    inf), where numpy's interpolation gives NaN: there the quantile is the
+    exact rank's value, or inf when it interpolates toward an inf."""
+    pos = q * (len(errors) - 1)
+    lo = int(pos)
+    if pos == lo or np.isinf(errors[lo]):
+        return float(errors[lo])
+    if np.isinf(errors[lo + 1]):
+        return float("inf")
+    return float(np.quantile(errors, q))
+
+
 def summarize(records) -> list:
     cells = {}
     for rec in records:
         cells.setdefault((rec.method, rec.n, rec.kappa), []).append(rec.error)
     out = []
     for (method, n, kappa) in sorted(cells):
-        q10, med, q90 = np.quantile(cells[(method, n, kappa)], [0.1, 0.5, 0.9])
+        errors = np.sort(cells[(method, n, kappa)])
+        q10, med, q90 = (_quantile(errors, q) for q in (0.1, 0.5, 0.9))
         out.append(QuantileSummary(method=method, n=n, kappa=kappa,
-                                   median=float(med), q10=float(q10),
-                                   q90=float(q90)))
+                                   median=med, q10=q10, q90=q90))
     return out
 
 
@@ -506,9 +474,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
     ring_mu = float(model_obj.pop("mu", obj.get("ring_mu", 4.0)))
     if "dim" not in model_obj:
-        from .models import _DEFAULT_DIM
-
-        model_obj["dim"] = _DEFAULT_DIM[model_obj["kind"]]
+        model_obj["dim"] = default_spec(model_obj["kind"]).dim
     spec = spec_from_json(model_obj)
     epsilon = obj.get("epsilon", "auto")
     if epsilon != "auto":

@@ -29,13 +29,18 @@ What differs per model is log phi over the rows:
 Any other model raises ``UnsupportedModelError``.  The two routes agree to
 float precision and are tested against each other.
 
+Score matching has one route: log phi is affine in theta for every smooth
+model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
+6), with (A, b, c) = ``model.score_quadratic(x)`` built once per objective.
+The reference value of ``score_matching_loss`` comes from ``grad_u`` and
+``laplacian_u`` instead, which share no code with (A, b, c).
+
 Objective contract: ``objective(raw)`` returns ``(value, grad)`` or
 ``(value, grad, hess)``, all in raw coordinates.  The exact Hessian comes
 with every objective built on affine features (CNCE and NCE on the cached
-features, and score matching, which is quadratic in natural parameters);
-``minimize`` picks its route from the length of that tuple.  The Hessian is
-part of the return value, not an attribute of the callable, so it survives
-any wrapper that passes the result through.
+features, and score matching); ``minimize`` picks its route from the length
+of that tuple.  The Hessian is part of the return value, not an attribute of
+the callable, so it survives any wrapper that passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg`` (the references use
@@ -50,10 +55,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ParameterError, UnsupportedModelError
-from .kernels import MarginalKernel, NoisePairing, log_density_marginal
-from .models import BERNOULLI, GAUSSIAN, ICA, LOGNORMAL, RING
+from .kernels import MarginalKernel, NoisePairing, log_density_marginal, log_ratio
+from .models import ICA
 
-_CHUNK = 1 << 18  # fixed block size keeps the reduction order deterministic
 _GRAM_ROWS = 4096  # row block of _weighted_gram, fixed for the same reason
 
 TWO_LOG2 = 2.0 * np.log(2.0)
@@ -119,8 +123,6 @@ def _softplus_sigmoid_neg(g: np.ndarray, work=None):
 def cnce_G(model, theta, kernel, u1, u2) -> float:
     """Log-odds statistic log[phi(u1) pc(u2|u1)] - log[phi(u2) pc(u1|u2)];
     antisymmetric in (u1, u2).  The partition function cancels."""
-    from .kernels import log_ratio
-
     f1 = float(model.log_phi(theta, u1)[0])
     f2 = float(model.log_phi(theta, u2)[0])
     return f1 - f2 + log_ratio(kernel, u1, u2)
@@ -144,23 +146,13 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing) -> LossReport:
     n, kappa = len(x), pairing.kappa
     m = n * kappa
 
-    fx = model.log_phi(theta, x)
-    value = 0.0
-    grad = np.zeros(model.spec.param_count)
-    wx = np.zeros(n)  # accumulated data-side weights
-    chunk = max(kappa, _CHUNK // kappa * kappa)  # whole noise groups per chunk
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        r0, r1 = lo // kappa, hi // kappa
-        g = (np.repeat(fx[r0:r1], kappa) - model.log_phi(theta, y[lo:hi])
-             + ratios[lo:hi])
-        sp, sig = _softplus_sigmoid_neg(g)
-        value += float(np.sum(sp))
-        wx[r0:r1] -= sig.reshape(-1, kappa).sum(axis=1)
-        grad += model.grad_theta_weighted(theta, y[lo:hi], sig)
-    grad += model.grad_theta_weighted(theta, x, wx)
+    g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y) + ratios
+    sp, sig = _softplus_sigmoid_neg(g)
+    wx = -sig.reshape(n, kappa).sum(axis=1)  # data-side weights
+    grad = (model.grad_theta_weighted(theta, y, sig)
+            + model.grad_theta_weighted(theta, x, wx))
     scale = 2.0 / m
-    return LossReport(value=scale * value, gradient=scale * grad, n_terms=m)
+    return LossReport(value=scale * float(np.sum(sp)), gradient=scale * grad, n_terms=m)
 
 
 def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
@@ -270,14 +262,6 @@ def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
 # NCE baseline
 # ---------------------------------------------------------------------------
 
-def _nce_parts(model, theta, c, x, noise, marginal):
-    nu = len(noise) // len(x)
-    log_nu = np.log(nu)
-    hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
-    hy = model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise) - log_nu
-    return hx, hy
-
-
 def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
              marginal: MarginalKernel) -> LossReport:
     """Logistic data-vs-noise loss with learned log-normaliser c (final slot
@@ -289,8 +273,9 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
     theta_with_c = np.asarray(theta_with_c, dtype=float)
     theta, c = theta_with_c[:-1], theta_with_c[-1]
     n = len(x)
-
-    hx, hy = _nce_parts(model, theta, c, x, noise, marginal)
+    log_nu = np.log(len(noise) // n)
+    hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
+    hy = model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise) - log_nu
     value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
     wx = -expit(-hx)
     wy = expit(hy)
@@ -393,63 +378,33 @@ def _nce_objective_ica(u: np.ndarray, head: _NceHead):
 # ---------------------------------------------------------------------------
 
 def score_matching_loss(model, theta, x: np.ndarray) -> LossReport:
-    """Empirical mean of sum_i d^2 f/dx_i^2 + ||grad_x f||^2 / 2 with the
-    analytic parameter gradient (smooth models only)."""
+    """Empirical mean of sum_i d^2 f/dx_i^2 + ||grad_x f||^2 / 2 from the
+    model's grad_u and laplacian_u (smooth models only), with the gradient
+    A theta + b of its score quadratic."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    kind = model.spec.kind
     grad_u = model.grad_u(theta, x)  # raises for non-smooth models
     lap = model.laplacian_u(theta, x)
     value = float(np.mean(lap + 0.5 * np.sum(grad_u**2, axis=1)))
-
-    if kind == GAUSSIAN:
-        lam = model.unpack(theta)
-        v = x @ lam  # rows Lam u
-        i, j = model._iu
-        diag = i == j
-        # d/dtheta of [-tr Lam + u'Lam^2 u / 2] per packed coordinate:
-        # diagonal (i,i): -1 + u_i v_i ; off-diagonal (i<j): u_i v_j + u_j v_i
-        quad = x[:, i] * v[:, j] + np.where(diag, 0.0, 1.0) * x[:, j] * v[:, i]
-        grad = np.where(diag, -1.0, 0.0) + np.mean(quad, axis=0)
-    elif kind == RING:
-        (gamma,) = theta
-        r = np.linalg.norm(x, axis=1)
-        d = model.spec.dim
-        grad = np.array([
-            np.mean(-(1.0 + (d - 1) * (r - model.mu) / r) + gamma * (r - model.mu) ** 2)
-        ])
-    elif kind == LOGNORMAL:
-        theta_p, _ = theta
-        u = x[:, 0]
-        lu = np.log(u)
-        grad = np.array([
-            np.mean((lu - 1.0) / u**2 + (theta_p * lu + 1.0) * lu / u**2),
-            0.0,
-        ])
-    else:  # pragma: no cover - grad_u above already rejects these
-        raise UnsupportedModelError(f"score matching unsupported for {kind}")
-    return LossReport(value=value, gradient=grad, n_terms=len(x))
+    a, b, _ = model.score_quadratic(x)
+    return LossReport(value=value, gradient=a @ theta + b, n_terms=len(x))
 
 
 def score_matching_objective(model, x: np.ndarray):
     """(value, grad, hess) callable over unconstrained coordinates.
 
-    The loss is quadratic in natural parameters, so its natural Hessian is
-    a constant, read off exactly from the gradient at 0 and at each unit
-    vector.
+    The loss is theta'A theta / 2 + b'theta + c in natural parameters, with
+    (A, b, c) built once from the data, so each call is O(p^2) and the
+    natural Hessian is A itself.
     """
-    x = np.asarray(x, dtype=float)
-    p = model.spec.param_count
-    g0 = score_matching_loss(model, np.zeros(p), x).gradient
-    hess_theta = np.array([score_matching_loss(model, e, x).gradient - g0
-                           for e in np.eye(p)])
-    hess_theta = 0.5 * (hess_theta + hess_theta.T)
+    a, b, c = model.score_quadratic(np.asarray(x, dtype=float))
 
     def objective(raw):
         theta = model.from_raw(raw)
-        rep = score_matching_loss(model, theta, x)
-        return (rep.value, model.chain_raw(rep.gradient, theta),
-                model.chain_raw_hessian(hess_theta, rep.gradient, theta))
+        grad = a @ theta + b
+        value = 0.5 * float(theta @ (grad + b)) + c
+        return (value, model.chain_raw(grad, theta),
+                model.chain_raw_hessian(a, grad, theta))
 
     return objective
 
@@ -467,24 +422,13 @@ class MleResult:
 
 
 def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
-    """Maximum likelihood under the normalised model.  Closed form for the
-    Gaussian (zero-mean second moment), Bernoulli (frequencies) and
-    log-normal (precision of log-data); gradient ascent for ICA.  The ring
-    model has no MLE baseline."""
+    """Maximum likelihood under the normalised model: the model's closed
+    form (``model.mle``), or gradient ascent for ICA.  Models without
+    either raise ``UnsupportedModelError``."""
     x = np.asarray(x, dtype=float)
-    kind = model.spec.kind
-    if kind == GAUSSIAN:
-        s = x.T @ x / len(x)
-        return MleResult(model.pack(np.linalg.inv(s)), "closed_form", True)
-    if kind == BERNOULLI:
-        ones = float(np.mean(x[:, 0]))
-        return MleResult(np.array([1.0 - ones, ones]), "closed_form", True)
-    if kind == LOGNORMAL:
-        theta_p = 1.0 / float(np.mean(np.log(x[:, 0]) ** 2))
-        return MleResult(np.array([theta_p, -5.0]), "closed_form", True)
-    if kind == ICA:
+    if model.spec.kind == ICA:
         return _ica_mle(model, x, rng_seed)
-    raise UnsupportedModelError(f"mle unsupported for {kind}")
+    return MleResult(model.mle(x), "closed_form", True)
 
 
 def ica_mle_objective(model, x: np.ndarray):

@@ -12,10 +12,22 @@ log-normal precision) the optimiser works in log-space.  ``to_raw`` /
 ``from_raw`` convert between the natural packing and the unconstrained
 representation, and ``chain_raw`` / ``chain_raw_hessian`` carry a gradient /
 Hessian taken in natural coordinates over to the raw ones.
+
+Model protocol: each class states once all the maths an estimator needs,
+so no estimator branches on the model kind.  ``methods`` (the estimators it
+supports) and ``kernel_kind`` (its CNCE noise kernel) are class attributes;
+``log_phi``, ``grad_theta`` and ``theta_features`` / ``raw_features`` (when
+log phi is affine in natural / raw coordinates) serve CNCE and NCE;
+``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``, with
+the score-matching loss exactly theta'A theta / 2 + b'theta + c, serve
+score matching; ``mle(x)`` gives the closed-form MLE; and ``error`` is the
+estimation error with the model's ambiguities resolved (Euclidean by
+default).  What a model does not support raises ``UnsupportedModelError``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +115,8 @@ class _Model:
 
     spec: ModelSpec
     packing: str
+    methods: tuple
+    kernel_kind = "gaussian_perturb"
 
     # --- parametrisation ---------------------------------------------------
     @property
@@ -186,6 +200,11 @@ class _Model:
         None when log phi is not affine in the unconstrained coordinates."""
         return None
 
+    def grad_theta(self, theta, U):
+        """(m, p) rows d log phi / d theta: the features of an affine model."""
+        self._check_theta(theta)
+        return self.theta_features(U)[0]
+
     def grad_theta_weighted(self, theta, U, w) -> np.ndarray:
         """w @ grad_theta without materialising the (m, p) matrix when a
         subclass can do better."""
@@ -197,6 +216,19 @@ class _Model:
     def laplacian_u(self, theta, U):
         raise UnsupportedModelError(f"laplacian_u unsupported for {self.spec.kind}")
 
+    def score_quadratic(self, x):
+        """(A, b, c) with the score-matching loss
+        mean(laplacian_u + |grad_u|^2 / 2) over x equal to
+        theta'A theta / 2 + b'theta + c in natural parameters."""
+        raise UnsupportedModelError(f"score matching unsupported for {self.spec.kind}")
+
+    def mle(self, x) -> np.ndarray:
+        """Closed-form maximum-likelihood estimate under the normalised model."""
+        raise UnsupportedModelError(f"mle unsupported for {self.spec.kind}")
+
+    def error(self, theta_hat, theta_true) -> float:
+        return float(np.linalg.norm(theta_hat - theta_true))
+
 
 class GaussianPrecisionModel(_Model):
     """Zero-mean Gaussian with free symmetric precision: log phi = -u'Lu/2.
@@ -206,12 +238,15 @@ class GaussianPrecisionModel(_Model):
     """
 
     packing = "precision upper triangle, row-major"
+    methods = ("cnce", "nce", "mle", "score_matching")
 
     def __init__(self, dim: int = 5):
         self.spec = ModelSpec(GAUSSIAN, dim)
         self._iu = np.triu_indices(dim)
         # d log phi / d theta_k = coef_k u_i u_j for packed entry k = (i, j)
         self._coef = np.where(self._iu[0] == self._iu[1], -0.5, -1.0)
+        # Lam = sum_k theta_k E_k, with E_k the symmetric 0/1 matrix of entry k
+        self._basis = np.array([self.unpack(e) for e in np.eye(len(self._coef))])
 
     def pack(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -242,10 +277,6 @@ class GaussianPrecisionModel(_Model):
             np.multiply(phi_t[k], ut[j], out=phi_t[k])
         return phi_t.T, np.zeros(len(U))
 
-    def grad_theta(self, theta, U):
-        self._check_theta(theta)
-        return self.theta_features(U)[0]
-
     def grad_theta_weighted(self, theta, U, w):
         # coef_k M_ij for the (dim, dim) M = U' diag(w) U
         self._check_theta(theta)
@@ -261,6 +292,18 @@ class GaussianPrecisionModel(_Model):
         lam = self.unpack(theta)
         U = self._as_batch(U)
         return np.full(len(U), -np.trace(lam))
+
+    def score_quadratic(self, x):
+        # mean(-tr Lam + |Lam u|^2 / 2) = -tr Lam + tr(Lam S Lam) / 2, S = x'x / n
+        x = self._as_batch(x)
+        s = x.T @ x / len(x)
+        a = np.einsum("kab,lba->kl", self._basis @ s, self._basis)
+        b = np.where(self._iu[0] == self._iu[1], -1.0, 0.0)
+        return 0.5 * (a + a.T), b, 0.0
+
+    def mle(self, x):
+        x = self._as_batch(x)
+        return self.pack(np.linalg.inv(x.T @ x / len(x)))
 
     def sample(self, theta, n, rng):
         lam = self.unpack(theta)
@@ -285,6 +328,7 @@ class IcaLaplaceModel(_Model):
     """
 
     packing = "demixing matrix rows, concatenated"
+    methods = ("cnce", "nce", "mle")  # not smooth: no score matching
 
     def __init__(self, dim: int = 4):
         self.spec = ModelSpec(ICA, dim)
@@ -312,6 +356,17 @@ class IcaLaplaceModel(_Model):
         s = np.sign(U @ b.T)
         return (-_SQRT2 * (s * w[:, None]).T @ U).reshape(-1)
 
+    def error(self, theta_hat, theta_true):
+        """Minimum Euclidean distance over all signed row permutations.
+        Signs decouple per assigned row, so only the d! permutations are
+        enumerated."""
+        b_hat, b_true = self.unpack(theta_hat), self.unpack(theta_true)
+        d = len(b_true)
+        cost = np.minimum(np.sum((b_hat[:, None] - b_true) ** 2, axis=2),
+                          np.sum((b_hat[:, None] + b_true) ** 2, axis=2))
+        return float(np.sqrt(min(cost[list(perm), range(d)].sum()
+                                 for perm in itertools.permutations(range(d)))))
+
     def sample(self, theta, n, rng):
         b = self.unpack(theta)
         if abs(np.linalg.det(b)) < 1e-12:
@@ -332,6 +387,7 @@ class RingModel(_Model):
     shell radius mu treated as known (estimation targets gamma only)."""
 
     packing = "[gamma]"
+    methods = ("cnce", "nce", "score_matching")  # no MLE baseline
 
     def __init__(self, dim: int = 5, mu: float = 4.0):
         self.spec = ModelSpec(RING, dim)
@@ -350,10 +406,6 @@ class RingModel(_Model):
         r = np.linalg.norm(self._as_batch(U), axis=1)
         return (-0.5 * (r - self.mu) ** 2)[:, None], np.zeros(len(r))
 
-    def grad_theta(self, theta, U):
-        self._check_theta(theta)
-        return self.theta_features(U)[0]
-
     def grad_u(self, theta, U):
         (gamma,) = self._check_theta(theta)
         U = self._as_batch(U)
@@ -369,6 +421,15 @@ class RingModel(_Model):
         if np.any(r == 0):
             raise SingularityError("ring laplacian undefined at the origin")
         return -gamma * (1.0 + (self.spec.dim - 1) * (r - self.mu) / r)
+
+    def score_quadratic(self, x):
+        # |grad_u|^2 = gamma^2 (r - mu)^2; the laplacian is linear in gamma
+        r = np.linalg.norm(self._as_batch(x), axis=1)
+        if np.any(r == 0):
+            raise SingularityError("ring score undefined at the origin")
+        dr = r - self.mu
+        b = -np.mean(1.0 + (self.spec.dim - 1) * dr / r)
+        return np.array([[np.mean(dr**2)]]), np.array([b]), 0.0
 
     def sample(self, theta, n, rng):
         (gamma,) = self._check_theta(theta)
@@ -398,6 +459,7 @@ class LogNormalExtModel(_Model):
     """
 
     packing = "[theta, C]"
+    methods = ("cnce", "nce", "mle", "score_matching")
 
     def __init__(self):
         self.spec = ModelSpec(LOGNORMAL, 1)
@@ -431,10 +493,6 @@ class LogNormalExtModel(_Model):
         offset[pos] = -lu
         return phi, offset
 
-    def grad_theta(self, theta, U):
-        self._check_theta(theta)
-        return self.theta_features(U)[0]
-
     def grad_u(self, theta, U):
         theta_p, _ = self._check_theta(theta)
         u, pos = self._split(U)
@@ -448,6 +506,26 @@ class LogNormalExtModel(_Model):
         if not np.all(pos):
             raise DomainError("laplacian_u defined only on the positive axis")
         return (theta_p * np.log(u) - theta_p + 1.0) / u**2
+
+    def score_quadratic(self, x):
+        # laplacian + |grad|^2 / 2 = [theta^2 lu^2 / 2 + theta (2 lu - 1) + 3/2] / u^2;
+        # C never enters, so its row and column of A are zero
+        u, pos = self._split(x)
+        if not np.all(pos):
+            raise DomainError("score matching defined only on the positive axis")
+        lu = np.log(u)
+        a = np.zeros((2, 2))
+        a[0, 0] = np.mean(lu**2 / u**2)
+        b = np.array([np.mean((2.0 * lu - 1.0) / u**2), 0.0])
+        return a, b, float(np.mean(1.5 / u**2))
+
+    def mle(self, x):
+        # precision of the log-data; C (the u <= 0 branch) is not identified
+        u, _ = self._split(x)
+        return np.array([1.0 / float(np.mean(np.log(u) ** 2)), -5.0])
+
+    def error(self, theta_hat, theta_true):
+        return float(abs(theta_hat[0] - theta_true[0]))  # precision only
 
     def sample(self, theta, n, rng):
         theta_p, _ = self._check_theta(theta)
@@ -464,6 +542,8 @@ class BernoulliModel(_Model):
     log phi(1) = log theta2, with theta1, theta2 > 0 (one redundant scale)."""
 
     packing = "[theta1, theta2]"
+    methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
+    kernel_kind = "bernoulli_flip"
 
     def __init__(self):
         self.spec = ModelSpec(BERNOULLI, 1)
@@ -511,6 +591,14 @@ class BernoulliModel(_Model):
         if t1 <= 0 or t2 <= 0:
             raise ParameterError("bernoulli weights must be positive")
         return (rng.random(n) < t2 / (t1 + t2)).astype(float)[:, None]
+
+    def mle(self, x):
+        ones = float(np.mean(self._as_batch(x)[:, 0]))  # frequencies
+        return np.array([1.0 - ones, ones])
+
+    def error(self, theta_hat, theta_true):
+        # the weights carry one redundant scale
+        return float(np.linalg.norm(theta_hat / theta_hat.sum() - theta_true))
 
     def random_params(self, rng):
         t1 = rng.uniform(0.1, 0.9)

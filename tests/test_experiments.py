@@ -4,6 +4,7 @@ determinism, persistence round-trips, and the small-noise expansion table."""
 import itertools
 import multiprocessing
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cnce import (
 )
 from cnce.experiments import (
     CSV_HEADER,
+    METHODS,
     ErrorRecord,
     config_from_json,
     config_to_json,
@@ -157,6 +159,18 @@ def test_stable_hash_rejects_floats():
 # grid runs
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_accepts_exactly_the_model_methods(kind):
+    supported = make(kind).methods
+    assert set(supported) <= set(METHODS)
+    for method in METHODS:
+        if method in supported:
+            small_config(kind=kind, methods=(method,))
+        else:
+            with pytest.raises(ParameterError):
+                small_config(kind=kind, methods=(method,))
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         small_config(n_grid=(400, 200))
@@ -202,8 +216,6 @@ def test_run_grid_jobs_agree():
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-# summarize's np.quantile over an all-inf cell subtracts inf from inf
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
     # worker processes see the patched module only when forked from this one
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
@@ -220,8 +232,10 @@ def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
         return build(model, x, noise, marginal)
 
     monkeypatch.setattr(cnce.experiments, "nce_objective", flaky)
-    records, _, warnings = run_grid(cfg, jobs=jobs)
+    records, summaries, warnings = run_grid(cfg, jobs=jobs)
     assert [r.run_id for r in records] == [r.run_id for r in clean]
+    assert [(s.n, s.median) for s in summaries] == [(200, clean[0].error),
+                                                     (400, float("inf"))]
     failed, kept = records[1], records[0]
     assert failed.n == 400 and kept == clean[0]
     assert failed.error == float("inf") and failed.sq_error == float("inf")
@@ -347,19 +361,51 @@ def test_config_json_unknown_key():
 # quantile summaries
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(0, 10), min_size=1, max_size=40),
-       st.integers(0, 2**31 - 1))
-def test_summary_quantile_ordering(errors, seed):
-    records = [
+def _one_cell(errors):
+    return [
         ErrorRecord(run_id=f"m-c-n{0:09d}-k{1:05d}-r{i:04d}", model="m",
-                    method="c", n=0, kappa=1, epsilon=None, seed=seed,
-                    error=e, sq_error=e * e, converged=True, iters=0,
-                    wall_ms=0.0)
+                    method="c", n=0, kappa=1, epsilon=None, seed=0, error=e,
+                    sq_error=e * e, converged=True, iters=0, wall_ms=0.0)
         for i, e in enumerate(errors)
     ]
-    (cell,) = summarize(records)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0, 10), min_size=1, max_size=40))
+def test_summary_quantile_ordering(errors):
+    (cell,) = summarize(_one_cell(errors))
     assert cell.q10 <= cell.median <= cell.q90
+    # cells without failed runs keep numpy's quantiles bit for bit
+    assert [cell.q10, cell.median, cell.q90] == list(
+        np.quantile(errors, [0.1, 0.5, 0.9]))
+
+
+@pytest.mark.parametrize("errors,expected", [
+    ([1.0, 2.0, float("inf")], (1.2, 2.0, float("inf"))),
+    ([float("inf"), 2.0, 1.0], (1.2, 2.0, float("inf"))),
+    ([1.0, float("inf")], (float("inf"),) * 3),
+    ([float("inf")], (float("inf"),) * 3),
+    ([float("inf"), float("inf"), 3.0], (float("inf"),) * 3),
+])
+def test_summary_quantiles_rank_failed_runs_last(errors, expected):
+    # numpy's interpolation gives NaN (and a RuntimeWarning) next to an inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (cell,) = summarize(_one_cell(errors))
+    assert (cell.q10, cell.median, cell.q90) == pytest.approx(expected, rel=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0, 10) | st.just(float("inf")), min_size=1, max_size=40))
+def test_summary_quantiles_with_failures_follow_a_huge_stand_in(errors):
+    # with 1e300 standing in for a failed run, a quantile that interpolates
+    # toward it lands above every finite error; that quantile must be inf,
+    # and any other must equal numpy's
+    (cell,) = summarize(_one_cell(errors))
+    stand_in = [1e300 if e == float("inf") else e for e in errors]
+    for got, ref in zip((cell.q10, cell.median, cell.q90),
+                        np.quantile(stand_in, [0.1, 0.5, 0.9])):
+        assert got == (float("inf") if ref > 10 else ref)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,12 @@ from cnce import (
     score_matching_loss,
 )
 from cnce.kernels import pairing_at_data
-from cnce.losses import _softplus_sigmoid_neg, cnce_objective, nce_objective
+from cnce.losses import (
+    _softplus_sigmoid_neg,
+    cnce_objective,
+    nce_objective,
+    score_matching_objective,
+)
 from cnce.models import (
     BERNOULLI,
     GAUSSIAN,
@@ -206,6 +211,22 @@ def test_score_matching_gradient_finite_differences(kind):
         rep = score_matching_loss(model, theta, x)
         assert_grad_matches(lambda t: score_matching_loss(model, t, x).value,
                             rep.gradient, theta)
+
+
+@pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
+def test_score_matching_objective_matches_reference(kind):
+    model = make(kind)
+    rng = rng_from(33, kind)
+    x = model.sample(random_theta(model, rng), 80, rng_from(34, kind))
+    objective = score_matching_objective(model, x)
+    for _ in range(4):
+        raw = model.to_raw(random_theta(model, rng))
+        theta = model.from_raw(raw)
+        value, grad, _ = objective(raw)
+        rep = score_matching_loss(model, theta, x)
+        assert value == pytest.approx(rep.value, rel=1e-10, abs=1e-12)
+        assert np.allclose(grad, model.chain_raw(rep.gradient, theta),
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_nce_gradient_finite_differences():

@@ -252,6 +252,36 @@ def test_grad_u_and_laplacian_match_finite_differences(kind):
         assert abs(lap - fd2) / max(1.0, abs(lap)) < 1e-4
 
 
+@pytest.mark.parametrize("kind", SMOOTH)
+def test_score_quadratic_matches_grad_u_and_laplacian(kind):
+    # grad_u / laplacian_u are checked against log_phi above and share no
+    # code with score_quadratic
+    model = make(kind)
+    rng = rng_from(17, kind)
+    x = model.sample(random_theta(model, rng), 300, rng_from(18, kind))
+    a, b, c = model.score_quadratic(x)
+    p = model.spec.param_count
+    assert a.shape == (p, p) and b.shape == (p,)
+    assert np.array_equal(a, a.T)
+    for _ in range(6):
+        theta = random_theta(model, rng) * rng.uniform(0.2, 3.0, p)
+        grad_u = model.grad_u(theta, x)
+        loss = np.mean(model.laplacian_u(theta, x) + 0.5 * np.sum(grad_u**2, axis=1))
+        quad = 0.5 * theta @ a @ theta + b @ theta + c
+        assert quad == pytest.approx(loss, rel=1e-10, abs=1e-12)
+
+
+def test_score_quadratic_unsupported_and_singular():
+    with pytest.raises(UnsupportedModelError):
+        make(ICA).score_quadratic(np.ones((3, 4)))
+    with pytest.raises(UnsupportedModelError):
+        make(BERNOULLI).score_quadratic(np.ones((3, 1)))
+    with pytest.raises(SingularityError):
+        make(RING).score_quadratic(np.vstack([np.ones(5), np.zeros(5)]))
+    with pytest.raises(DomainError):
+        make(LOGNORMAL).score_quadratic(np.array([[1.0], [0.0]]))
+
+
 def test_grad_u_unsupported_and_singular():
     with pytest.raises(UnsupportedModelError):
         make(ICA).grad_u(make(ICA).random_params(rng_from(0)), np.ones(4))

@@ -39,8 +39,7 @@ def build_objective(kind, method, seed=0, n=80):
     x = model.sample(theta, n, rng_from(seed + 1, kind))
     raw = model.to_raw(theta) + 0.2 * rng.standard_normal(len(theta))
     if method == "cnce":
-        kernel_kind = "bernoulli_flip" if kind == BERNOULLI else "gaussian_perturb"
-        kernel = kernel_for_data(kernel_kind, 0.3, x)
+        kernel = kernel_for_data(model.kernel_kind, 0.3, x)
         return cnce_objective(model, x, sample_conditional(kernel, x, 4, seed + 2)), raw
     if method == "nce":
         marginal = fit_marginal(x)

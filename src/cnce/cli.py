@@ -101,6 +101,7 @@ def cmd_estimate(args) -> int:
     if record.epsilon is not None:
         print(f"epsilon:   {record.epsilon:.6g}")
     print(f"converged: {record.converged}")
+    print(f"stop:      {trace['stop']}")
     print(f"trace:     {trace_path}")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

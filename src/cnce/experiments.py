@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -148,7 +149,9 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     blow-ups are recorded as non-converged runs, never raised.  Any other
     exception from the estimation fails the cell alone: error = inf, not
     converged, and a warning naming the exception class, so that a grid
-    keeps its other cells."""
+    keeps its other cells.  A cell that does not converge warns "not
+    converged (<stop>)" with the optimiser's stop reason, which the trace
+    dict also carries as ``stop``."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
     model = cfg.build_model()
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
@@ -160,11 +163,13 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     epsilon = None
     iters = 0
     converged = True
+    stop = None
     run = None
     try:
         if method == "mle":
             res = mle_fit(model, x, rng_seed=stable_hash(seed, "mle"))
-            theta_hat, iters, converged = res.theta_hat, res.iters, res.converged
+            theta_hat, iters = res.theta_hat, res.iters
+            converged, stop = res.converged, res.stop
         else:
             raw0 = theta0
             if method == "cnce":
@@ -191,7 +196,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 raise ParameterError(f"unknown method {method!r}")
             run = minimize(objective, raw0, cfg.optimizer, stable_hash(seed, "opt"))
             theta_hat = model.from_raw(run.theta[:model.spec.param_count])
-            iters, converged = run.iters, run.converged
+            iters, converged, stop = run.iters, run.converged, run.stop
         error = estimation_error(model, theta_hat, theta_true)
     except OptimizationError as exc:
         converged = False
@@ -199,7 +204,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         theta_hat = np.full(model.spec.param_count, np.nan)
         error = float("inf")
         if exc.run is not None:
-            iters = exc.run.iters
+            iters, stop = exc.run.iters, exc.run.stop
             candidate = model.from_raw(exc.run.theta)
             if np.all(np.isfinite(candidate)):
                 theta_hat = candidate
@@ -211,7 +216,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         error = float("inf")
 
     if not converged:
-        warnings.append("not converged")
+        warnings.append(f"not converged ({stop})" if stop else "not converged")
     record = ErrorRecord(
         run_id=_run_id(cfg.model.kind, method, n, kappa, repeat),
         model=cfg.model.kind,
@@ -235,6 +240,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         "error": error,
         "epsilon": epsilon,
         "converged": converged,
+        "stop": stop,
         "iters": iters,
         "loss_trace": [] if run is None else [float(v) for v in run.loss_trace],
         "grad_norm_trace": [] if run is None else
@@ -438,9 +444,11 @@ _CONFIG_KEYS = {"schema", "model", "methods", "n_grid", "kappa_grid", "repeats",
                 "master_seed", "epsilon", "optimizer", "epsilon_schedule",
                 "ring_mu"}
 _MODEL_KEYS = {"kind", "dim"}
-_OPT_KEYS = {"max_iters", "grad_tol", "step_rule", "init_scale", "restarts",
-             "adam_step", "adam_betas", "polish_iters", "plateau_window",
-             "plateau_rtol"}
+_OPT_KEYS = {"max_iters", "grad_tol", "init_scale", "restarts", "adam_step",
+             "adam_betas"}
+# schema-1 keys of the removed polish, plateau and backtracking phases:
+# accepted and ignored, so that existing configs keep running
+_OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol"}
 _SCHED_KEYS = {"epsilon_0", "growth", "delta", "epsilon_max"}
 
 
@@ -451,8 +459,13 @@ def _check_keys(obj: dict, allowed: set, where: str):
 
 
 def optimizer_from_json(obj: dict) -> OptimizerConfig:
-    _check_keys(obj, _OPT_KEYS, "optimizer")
-    kwargs = dict(obj)
+    _check_keys(obj, _OPT_KEYS | _OPT_DEPRECATED, "optimizer")
+    ignored = sorted(_OPT_DEPRECATED.intersection(obj))
+    if ignored:
+        logging.getLogger(__name__).warning(
+            "optimizer keys %s are deprecated and ignored: the first-order "
+            "route now stops on the loss's sampling error", ", ".join(ignored))
+    kwargs = {k: v for k, v in obj.items() if k in _OPT_KEYS}
     if "adam_betas" in kwargs:
         kwargs["adam_betas"] = tuple(kwargs["adam_betas"])
     return OptimizerConfig(**kwargs)
@@ -507,11 +520,8 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
         "epsilon": cfg.epsilon,
         "optimizer": {
             "max_iters": opt.max_iters, "grad_tol": opt.grad_tol,
-            "step_rule": opt.step_rule, "init_scale": opt.init_scale,
-            "restarts": opt.restarts, "adam_step": opt.adam_step,
-            "adam_betas": list(opt.adam_betas), "polish_iters": opt.polish_iters,
-            "plateau_window": opt.plateau_window,
-            "plateau_rtol": opt.plateau_rtol,
+            "init_scale": opt.init_scale, "restarts": opt.restarts,
+            "adam_step": opt.adam_step, "adam_betas": list(opt.adam_betas),
         },
         "epsilon_schedule": {
             "epsilon_0": sched.epsilon_0, "growth": sched.growth,

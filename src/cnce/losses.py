@@ -35,12 +35,17 @@ model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
 The reference value of ``score_matching_loss`` comes from ``grad_u`` and
 ``laplacian_u`` instead, which share no code with (A, b, c).
 
-Objective contract: ``objective(raw)`` returns ``(value, grad)`` or
-``(value, grad, hess)``, all in raw coordinates.  The exact Hessian comes
+Objective contract: ``objective(raw)`` returns ``(value, grad, hess)``,
+``(value, grad, se)`` or ``(value, grad)``, all in raw coordinates.  The exact Hessian comes
 with every objective built on affine features (CNCE and NCE on the cached
-features, and score matching); ``minimize`` picks its route from the length
-of that tuple.  The Hessian is part of the return value, not an attribute of
-the callable, so it survives any wrapper that passes the result through.
+features, and score matching).  The Laplace ICA objectives (CNCE, NCE and
+``ica_mle_objective``) return instead the loss's sampling standard error,
+std over sqrt(count) of the per-row terms they already hold, scaled as the
+loss scales them; it is computed at the first point an objective is called
+at, the optimiser's start, and returned unchanged after.  ``minimize``
+picks Newton for a matrix third slot and otherwise stops Adam on that
+standard error.  Both travel in the return value, not as attributes of the
+callable, so they survive any wrapper that passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg`` (the references use
@@ -66,7 +71,7 @@ TWO_LOG2 = 2.0 * np.log(2.0)
 @dataclass
 class LossReport:
     value: float
-    gradient: np.ndarray  # natural parameters (+ trailing slot for NCE's c)
+    gradient: np.ndarray | None  # natural parameters (+ trailing slot for NCE's c)
     n_terms: int
 
 
@@ -78,6 +83,12 @@ def _pair_work(m: int):
     """Scratch arrays for _softplus_sigmoid_neg; allocating these once per
     objective (not per iteration) keeps the hot loop free of large mmaps."""
     return (np.empty(m), np.empty(m), np.empty(m))
+
+
+def _std_error(t: np.ndarray) -> float:
+    """std(t) / sqrt(len(t)): the sampling standard error of the mean of
+    the per-row loss terms t."""
+    return float(np.std(t)) / np.sqrt(len(t))
 
 
 def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,9 +148,11 @@ def _flat_pairs(x: np.ndarray, pairing: NoisePairing):
     return y, r
 
 
-def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing) -> LossReport:
-    """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))] and its
-    gradient in natural parameters."""
+def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing,
+              gradient: bool = True) -> LossReport:
+    """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))] and,
+    unless ``gradient`` is false (then ``gradient`` is None), its gradient in
+    natural parameters.  The value does not depend on the flag."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     y, ratios = _flat_pairs(x, pairing)
@@ -148,17 +161,20 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing) -> LossReport:
 
     g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y) + ratios
     sp, sig = _softplus_sigmoid_neg(g)
+    scale = 2.0 / m
+    value = scale * float(np.sum(sp))
+    if not gradient:
+        return LossReport(value=value, gradient=None, n_terms=m)
     wx = -sig.reshape(n, kappa).sum(axis=1)  # data-side weights
     grad = (model.grad_theta_weighted(theta, y, sig)
             + model.grad_theta_weighted(theta, x, wx))
-    scale = 2.0 / m
-    return LossReport(value=scale * float(np.sum(sp)), gradient=scale * grad, n_terms=m)
+    return LossReport(value=value, gradient=scale * grad, n_terms=m)
 
 
 def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
     """Objective over unconstrained coordinates: (value, grad, hess) on the
-    cached features of affine models, (value, grad) on ICA's source
-    matrices."""
+    cached features of affine models, (value, grad, se) on ICA's source
+    matrices, se = 2 std(softplus rows) / sqrt(rows)."""
     x = np.asarray(x, dtype=float)
     if model.spec.kind == ICA:
         return _cnce_objective_ica(x, pairing)
@@ -239,8 +255,10 @@ def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
     src_x, src_y = _IcaSources(x), _IcaSources(y)
     g, wx = np.empty(m), np.empty(n)
     work = _pair_work(m)
+    se = None
 
     def objective(raw):
+        nonlocal se
         b = raw.reshape(d, d)
         fx, fy = src_x.l1(b), src_y.l1(b)
         # G = sqrt(2) (|s_y| - |s_x|) summed over sources, plus the log ratio
@@ -250,10 +268,12 @@ def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
         np.add(g, ratios, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
+        if se is None:
+            se = 2.0 * _std_error(sp)
         np.sum(sig.reshape(n, kappa), axis=1, out=wx)
         # d loss / dB = (2 sqrt2 / m) [sum_i w_i sign(s_x) x - sum w sign(s_y) y]
         grad = (2.0 * sqrt2 / m) * (src_x.vjp(wx) - src_y.vjp(sig))
-        return value, grad.reshape(-1)
+        return value, grad.reshape(-1), se
 
     return objective
 
@@ -315,11 +335,19 @@ class _NceHead:
         np.negative(self.w[n:], out=self.w[n:])
         return float(np.sum(sp)) / n, self.w, sig
 
+    def std_error(self) -> float:
+        """Sampling standard error of the last ``logistic`` value, whose
+        m = n (1 + nu) row terms are summed and divided by n.  The terms are
+        the softplus values ``_softplus_sigmoid_neg`` left in ``work[1]``."""
+        sp = self.work[1]
+        return len(sp) / self.n * _std_error(sp)
+
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
     """Objective over (raw model coordinates, c): (value, grad, hess) on the
-    cached features of affine models, (value, grad) on ICA's source
-    matrices.  The noise log-densities are evaluated once, here."""
+    cached features of affine models, (value, grad, se) on ICA's source
+    matrices, se = (rows / n) std(softplus rows) / sqrt(rows).  The noise
+    log-densities are evaluated once, here."""
     x = np.asarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
@@ -360,15 +388,19 @@ def _nce_objective_ica(u: np.ndarray, head: _NceHead):
     sqrt2 = np.sqrt(2.0)
     src = _IcaSources(u)
     h = np.empty(len(u))
+    se = None
 
     def objective(raw):
+        nonlocal se
         b = raw[:-1].reshape(d, d)
         np.multiply(src.l1(b), -sqrt2, out=h)  # log phi
         value, w, _ = head.logistic(h, raw[-1])
+        if se is None:
+            se = head.std_error()
         grad = np.empty(d * d + 1)
         grad[:-1] = (sqrt2 / n) * src.vjp(w).reshape(-1)
         grad[-1] = -float(np.sum(w)) / n
-        return value, grad
+        return value, grad, se
 
     return objective
 
@@ -419,6 +451,7 @@ class MleResult:
     method: str  # closed_form | gradient_ascent
     converged: bool
     iters: int = 0  # optimiser iterations; 0 for the closed forms
+    stop: str | None = None  # the optimiser's stop reason; None for closed forms
 
 
 def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
@@ -433,34 +466,56 @@ def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
 
 def ica_mle_objective(model, x: np.ndarray):
     """Negative mean normalised log-likelihood of the Laplace ICA model:
-    -log|det B| + sqrt(2) mean sum_j |b_j . x| (+ source normalisation)."""
+    -log|det B| + sqrt(2) mean sum_j |b_j . x| (+ source normalisation).
+
+    Returns (value, grad, se), se the sampling standard error
+    sqrt(2) std(sum_j |b_j . x|) / sqrt(n) at the first point evaluated."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     const = d * 0.5 * np.log(2.0)
+    sqrt2 = np.sqrt(2.0)
+    se = None
 
     def objective(raw):
+        nonlocal se
         b = raw.reshape(d, d)
         sign, logdet = np.linalg.slogdet(b)
         if sign == 0:
-            return np.inf, np.zeros(d * d)
+            return np.inf, np.zeros(d * d), np.nan
         s = x @ b.T
-        value = -logdet + np.sqrt(2.0) * float(np.mean(np.abs(s).sum(axis=1))) + const
-        grad = -np.linalg.inv(b).T + np.sqrt(2.0) * (np.sign(s).T @ x) / n
-        return value, grad.reshape(-1)
+        l1 = np.abs(s).sum(axis=1)
+        if se is None:
+            se = sqrt2 * _std_error(l1)
+        value = -logdet + sqrt2 * float(np.mean(l1)) + const
+        grad = -np.linalg.inv(b).T + sqrt2 * (np.sign(s).T @ x) / n
+        return value, grad.reshape(-1), se
 
     return objective
 
 
 def _ica_mle(model, x, rng_seed):
+    """Adam on the whitened problem.  With C = x'x/n, the data x C^{-1/2}
+    have identity second moment, and B~ = B C^{1/2} gives the same sources
+    B~ (C^{-1/2} x) = B x, so the loss changes by the constant
+    (1/2) log det C and the minimiser maps back as B = B~ C^{-1/2}.  Only
+    Adam's path changes: its per-coordinate steps suit the evenly scaled
+    whitened problem, which reaches the statistical stop in fewer
+    iterations and with a much shorter tail than the raw one.  ICA NCE and
+    CNCE are not whitened: it gained nothing for NCE and moved CNCE cells
+    to other basins."""
     from .optimize import OptimizerConfig, minimize
     from .seeding import rng_from, stable_hash
 
-    cfg = OptimizerConfig(max_iters=800, polish_iters=120,
-                          plateau_window=40, plateau_rtol=1e-12)
-    raw0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init")))
-    run = minimize(ica_mle_objective(model, x), raw0, cfg,
+    n, d = x.shape
+    evals, evecs = np.linalg.eigh(x.T @ x / n)
+    c_half = (evecs * np.sqrt(evals)) @ evecs.T
+    c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
+    b0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init"))).reshape(d, d)
+    run = minimize(ica_mle_objective(model, x @ c_inv_half),
+                   (b0 @ c_half).reshape(-1), OptimizerConfig(),
                    stable_hash(rng_seed, "ica_mle"))
-    return MleResult(run.theta, "gradient_ascent", run.converged, run.iters)
+    theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
+    return MleResult(theta, "gradient_ascent", run.converged, run.iters, run.stop)
 
 
 # ---------------------------------------------------------------------------

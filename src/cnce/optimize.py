@@ -4,14 +4,27 @@ heuristic.
 ``minimize`` has two routes, chosen by what the objective returns at the
 start point:
 
-- ``(value, grad, hess)``: damped Newton.  Each step solves with the exact
-  Hessian plus the smallest Levenberg damping that makes it positive
-  definite, then backtracks to the Armijo condition.  The affine-feature
+- ``(value, grad, hess)``, a matrix third slot: damped Newton, with the
+  smallest Levenberg damping that makes the Hessian positive definite and
+  an Armijo backtracking line search (Hager and Zhang's approximate Wolfe
+  test where the loss cannot resolve the decrease).  The affine-feature
   objectives of ``losses`` take this route.
-- ``(value, grad)``: a per-coordinate adaptive-moment phase (full batch,
-  fixed step) followed by a backtracking gradient-descent polish that
-  certifies a monotone tail and a clean gradient norm;
-  ``step_rule="backtracking_gd"`` skips the first phase.
+- ``(value, grad)`` or ``(value, grad, se)``, a scalar third slot:
+  full-batch Adam, which hands on the best point it visited.  The Laplace
+  ICA objectives take this route.
+
+Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
+count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
+acceptable Newton step) and ``nonfinite`` (raised as ``OptimizationError``).
+
+The statistical stop.  The ICA objectives have |.| kinks, where Adam's
+gradient norm stalls far above any useful ``grad_tol``.  Their third slot
+is the loss's sampling standard error at the start point.  Optimising
+below the estimator's own sampling error buys nothing (Bottou, Curtis and
+Nocedal 2018, SIAM Review 60(2), sections 3-4), so Adam stops with
+``stat_tol`` once the best loss so far has improved by at most
+``STAT_FRACTION`` standard errors over the last ``STAT_WINDOW`` trace
+entries.  Without a third slot it stops on ``grad_tol`` or ``max_iters``.
 
 Everything is a pure function of (objective, start, config, seed): traces
 are bit-reproducible.
@@ -29,36 +42,32 @@ from .kernels import kernel_for_data, pair_noise
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from, stable_hash
 
-STEP_RULES = ("adaptive_moment", "backtracking_gd")
+STAT_WINDOW = 200  # trace entries the best loss must improve over
+STAT_FRACTION = 0.01  # ... by more than this many standard errors
+_ARMIJO = 1e-4  # sufficient-decrease constant of the Newton line search
+_FLAT_ULPS = 16  # a change this many ulps of |f| is rounding, not decrease
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """``max_iters``, ``grad_tol``, ``restarts`` and ``init_scale`` govern
-    both routes of ``minimize``.  ``step_rule``, ``adam_*``,
-    ``polish_iters`` and ``plateau_*`` apply to the first-order route only.
-    On the Newton route ``max_iters`` caps the whole trace; on the
-    first-order route it caps the first phase, and the polish may add up to
-    ``polish_iters + 1`` entries."""
+    """Settings of ``minimize``'s two routes, damped Newton and Adam.
+    ``max_iters`` caps the trace length and ``grad_tol`` is the gradient
+    stop on both; ``adam_*`` apply to Adam only.  Adam's statistical stop
+    has constants, not options: it ends a run once progress falls below
+    the loss's own sampling error, which no setting should trade away."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-7  # infinity norm
-    step_rule: str = "adaptive_moment"
     init_scale: float = 0.3
     restarts: int = 1
     adam_step: float = 0.05
     adam_betas: tuple = (0.9, 0.999)
-    polish_iters: int = 200
-    plateau_window: int = 0  # 0 disables the plateau stop
-    plateau_rtol: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
         if self.grad_tol <= 0:
             raise ParameterError("grad_tol must be > 0")
-        if self.step_rule not in STEP_RULES:
-            raise ParameterError(f"step_rule must be one of {STEP_RULES}")
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
 
@@ -91,7 +100,7 @@ class EpsilonSchedule:
 
 @dataclass
 class EstimationRun:
-    """One optimiser trajectory."""
+    """One optimiser trajectory; ``stop`` is why it ended (module docstring)."""
 
     theta0: np.ndarray
     theta: np.ndarray
@@ -100,12 +109,12 @@ class EstimationRun:
     converged: bool = False
     iters: int = 0
     wall_ms: float = 0.0
-    warning: str | None = None
+    stop: str | None = None
 
 
-def _check_finite(value, grad, run):
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        raise OptimizationError("non-finite loss or gradient", run=run)
+def _nonfinite(run, what):
+    run.stop = "nonfinite"
+    return OptimizationError(f"non-finite {what}", run=run)
 
 
 def _record(run, value, grad):
@@ -114,70 +123,41 @@ def _record(run, value, grad):
     run.iters += 1
 
 
-def _plateaued(trace, cfg) -> bool:
-    """Best-so-far improvement over the trailing window; the raw trace
-    oscillates under the adaptive-moment rule."""
-    w = cfg.plateau_window
-    if w <= 0 or len(trace) <= w:
-        return False
-    best_now = min(trace)
-    best_then = min(trace[:-w])
-    return best_then - best_now <= cfg.plateau_rtol * max(1.0, abs(best_now))
+def _stopped(run, reason):
+    run.stop = reason
+    run.converged = reason in ("grad_tol", "stat_tol")
 
 
-def _adam_phase(loss_fn, z, first, cfg, run) -> np.ndarray:
+def _adam_phase(loss_fn, z, first, cfg, run):
+    """Adam from z; returns the best point visited and its loss, or the
+    point that met ``grad_tol``."""
+    tol = STAT_FRACTION * float(first[2]) if len(first) == 3 else np.nan
     b1, b2 = cfg.adam_betas
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     z_best, v_best = z, np.inf
+    best = []  # best loss so far, per trace entry
     for t in range(1, cfg.max_iters + 1):
-        value, grad = first if t == 1 else loss_fn(z)
-        _check_finite(value, grad, run)
+        value, grad = (first if t == 1 else loss_fn(z))[:2]
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            raise _nonfinite(run, "loss or gradient")
         _record(run, value, grad)
         if value < v_best:
             z_best, v_best = z, value
+        best.append(v_best)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            run.converged = True
-            return z
-        if _plateaued(run.loss_trace, cfg):
-            break
+            _stopped(run, "grad_tol")
+            return z, value
+        if t > STAT_WINDOW and best[-STAT_WINDOW - 1] - v_best <= tol:
+            _stopped(run, "stat_tol")
+            return z_best, v_best
         m = b1 * m + (1 - b1) * grad
         v = b2 * v + (1 - b2) * grad * grad
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
         z = z - cfg.adam_step * mhat / (np.sqrt(vhat) + 1e-8)
-    return z_best  # the trace oscillates; hand the best visited point on
-
-
-def _backtracking_phase(loss_fn, z, cfg, iters, run, first=None) -> np.ndarray:
-    value, grad = loss_fn(z) if first is None else first
-    _check_finite(value, grad, run)
-    _record(run, value, grad)
-    if run.grad_norm_trace[-1] <= cfg.grad_tol:
-        run.converged = True
-        return z
-    step = 0.01
-    for _ in range(iters):
-        # double then halve: accepted losses are non-increasing
-        step *= 2.0
-        while True:
-            z_new = z - step * grad
-            v_new, g_new = loss_fn(z_new)
-            if np.isfinite(v_new) and v_new <= value - 1e-4 * step * float(grad @ grad):
-                break
-            step *= 0.5
-            if step < 1e-14:
-                run.warning = "backtracking step collapsed"
-                return z
-        z, value, grad = z_new, v_new, g_new
-        _check_finite(value, grad, run)
-        _record(run, value, grad)
-        if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            run.converged = True
-            break
-        if _plateaued(run.loss_trace, cfg):
-            break
-    return z
+    _stopped(run, "max_iters")
+    return z_best, v_best  # the trace oscillates; hand the best visited point on
 
 
 def _newton_direction(hess, grad) -> np.ndarray:
@@ -210,64 +190,65 @@ def _all_finite(out) -> bool:
     return all(np.all(np.isfinite(a)) for a in out)
 
 
-def _newton_phase(loss_fn, z, first, cfg, run) -> np.ndarray:
+def _accept(value, out, step, slope, direction) -> bool:
+    """Armijo's f_new <= f + c step phi'(0), or, where |f_new - f| is within
+    _FLAT_ULPS ulps of |f| (a last Newton step, whose decrease is below the
+    loss's rounding error), Hager and Zhang's approximate Wolfe test
+    phi'(step) <= (2c - 1) phi'(0) (2005, SIAM J. Optim. 16(1))."""
+    if abs(out[0] - value) <= _FLAT_ULPS * np.spacing(abs(value)):
+        return float(out[1] @ direction) <= (2 * _ARMIJO - 1) * slope
+    return out[0] <= value + _ARMIJO * step * slope
+
+
+def _newton_phase(loss_fn, z, first, cfg, run):
     if not _all_finite(first):
-        raise OptimizationError("non-finite loss, gradient or Hessian", run=run)
+        raise _nonfinite(run, "loss, gradient or Hessian")
     value, grad, hess = first
     while True:
         _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            run.converged = True
-            return z
+            _stopped(run, "grad_tol")
+            return z, value
         if run.iters >= cfg.max_iters:
-            return z
+            _stopped(run, "max_iters")
+            return z, value
         direction = _newton_direction(hess, grad)
         slope = float(grad @ direction)
         step = 1.0
         while True:
             z_new = z + step * direction
-            # a trial that overflows is rejected like one that fails Armijo,
-            # so only finite points are ever accepted
+            # a trial that overflows is rejected like one that fails the
+            # decrease test, so only finite points are ever accepted
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 out = loss_fn(z_new)
-            if _all_finite(out) and out[0] <= value + 1e-4 * step * slope:
+            if _all_finite(out) and _accept(value, out, step, slope, direction):
                 break
             step *= 0.5
             if step < 1e-14:
-                run.warning = "newton line search collapsed"
-                return z
+                _stopped(run, "step_collapse")
+                return z, value
         z, (value, grad, hess) = z_new, out
 
 
-def _single_start(loss_fn, z0, cfg) -> EstimationRun:
+def _single_start(loss_fn, z0, cfg):
     run = EstimationRun(theta0=np.array(z0, dtype=float), theta=np.array(z0, dtype=float))
     z = np.array(z0, dtype=float)
     first = loss_fn(z)
-    if len(first) == 3:
-        z = _newton_phase(loss_fn, z, first, cfg, run)
-    elif cfg.step_rule == "adaptive_moment":
-        z = _adam_phase(loss_fn, z, first, cfg, run)
-        run.theta = z
-        if not run.converged and cfg.polish_iters > 0:
-            z = _backtracking_phase(loss_fn, z, cfg, cfg.polish_iters, run)
-    else:
-        z = _backtracking_phase(loss_fn, z, cfg, cfg.max_iters, run, first)
-    run.theta = z
-    return run
+    phase = _newton_phase if len(first) == 3 and np.ndim(first[2]) == 2 else _adam_phase
+    run.theta, value = phase(loss_fn, z, first, cfg, run)
+    return run, value
 
 
 def minimize(loss_fn, theta0, cfg: OptimizerConfig, rng_seed: int = 0) -> EstimationRun:
     """Minimise a differentiable objective from theta0 (unconstrained
     coordinates).  With restarts > 1 the extra starts are drawn N(0,
-    init_scale^2) from the seeded generator and the best final loss wins.
+    init_scale^2) from the seeded generator and the lowest loss at the
+    returned point wins.
 
-    ``loss_fn(z)`` returns ``(value, grad)`` or ``(value, grad, hess)``.
-    The first call, at the start point, picks the route for that start:
-    with a Hessian, damped Newton with Armijo backtracking, stopping at
-    ``grad_tol``, at ``max_iters`` trace entries, or (with ``run.warning``
-    set, not converged) when the line search collapses; without one, the
-    adaptive-moment phase and backtracking polish selected by
-    ``step_rule``.  ``run.iters == len(run.loss_trace)`` on both routes.
+    ``loss_fn(z)`` returns ``(value, grad)``, ``(value, grad, hess)`` or
+    ``(value, grad, se)``.  The first call, at the start point, picks the
+    route (module docstring); Adam reads ``se`` from that call alone.
+    ``run.iters == len(run.loss_trace) <= cfg.max_iters``.
     """
     theta0 = np.asarray(theta0, dtype=float)
     started = time.perf_counter()
@@ -275,9 +256,9 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig, rng_seed: int = 0) -> Estima
     best = None
     for r in range(cfg.restarts):
         z0 = theta0 if r == 0 else cfg.init_scale * rng.standard_normal(len(theta0))
-        run = _single_start(loss_fn, z0, cfg)
-        if best is None or run.loss_trace[-1] < best.loss_trace[-1]:
-            best = run
+        run, value = _single_start(loss_fn, z0, cfg)
+        if best is None or value < best_value:
+            best, best_value = run, value
     best.wall_ms = (time.perf_counter() - started) * 1e3
     return best
 
@@ -292,8 +273,9 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
     the gap and the ladder top is returned instead.  The kernel's scale-free
     random part is drawn once, from ``rng_seed``, and every rung perturbs x
     with it, so each rung's noise is the one ``sample_conditional`` gives
-    for that scale and seed, and each rung's value is ``cnce_loss`` on it.
-    With shared draws the scan is monotone in the scale.
+    for that scale and seed, and each rung's value is ``cnce_loss`` on it,
+    evaluated without the gradient it does not need.  With shared draws the
+    scan is monotone in the scale.
     """
     theta = model.from_raw(np.asarray(theta0_raw, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -306,7 +288,7 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
         pairing = pair_noise(kernel, x, kernel.perturb(x, base))
-        value = cnce_loss(model, theta, x, pairing).value
+        value = cnce_loss(model, theta, x, pairing, gradient=False).value
         if abs(value - TWO_LOG2) >= schedule.delta:
             return eps, False
     return schedule.ladder(cap)[-1], True

@@ -49,8 +49,7 @@ def small_config(kind=BERNOULLI, methods=("cnce",), repeats=2, **kw):
         kappa_grid=(2,),
         repeats=repeats,
         master_seed=7,
-        optimizer=OptimizerConfig(max_iters=150, polish_iters=20,
-                                  plateau_window=20, plateau_rtol=1e-12),
+        optimizer=OptimizerConfig(max_iters=150),
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -256,6 +255,29 @@ def test_run_single_fields():
     assert record.seed == stable_hash(7, GAUSSIAN, "cnce", 300, 2, 0)
 
 
+def test_run_single_reports_the_stop_reason():
+    cfg = small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(300,),
+                       optimizer=OptimizerConfig(max_iters=2))
+    record, warnings, trace = run_single(cfg, "cnce", 300, 2, 0, collect_trace=True)
+    assert not record.converged
+    assert "not converged (max_iters)" in warnings
+    assert trace["stop"] == "max_iters"
+    done = small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(300,))
+    record, warnings, trace = run_single(done, "cnce", 300, 2, 0, collect_trace=True)
+    assert record.converged and warnings == [] and trace["stop"] == "grad_tol"
+
+
+def test_run_single_ica_cells_stop_on_the_sampling_error():
+    cfg = small_config(kind=ICA, methods=("nce", "mle"), n_grid=(500,),
+                       kappa_grid=(5,), optimizer=OptimizerConfig())
+    for method in ("nce", "mle"):
+        record, warnings, trace = run_single(cfg, method, 500, 5, 0,
+                                             collect_trace=True)
+        assert record.converged and warnings == [], method
+        assert trace["stop"] == "stat_tol"
+        assert record.iters < 2000
+
+
 def test_run_single_mle_has_no_epsilon():
     cfg = small_config(kind=GAUSSIAN, methods=("mle",), n_grid=(300,))
     record, _ = run_single(cfg, "mle", 300, 2, 0)
@@ -347,6 +369,20 @@ def test_config_json_roundtrip():
     cfg = small_config(kind=RING, methods=("cnce", "nce"), epsilon=1.25)
     again = config_from_json(config_to_json(cfg))
     assert again == cfg
+
+
+def test_config_json_accepts_and_drops_the_removed_optimizer_keys(caplog):
+    obj = config_to_json(small_config())
+    assert not {"step_rule", "polish_iters", "plateau_window",
+                "plateau_rtol"} & set(obj["optimizer"])
+    old = dict(obj, optimizer={**obj["optimizer"], "step_rule": "adaptive_moment",
+                               "polish_iters": 20, "plateau_window": 20,
+                               "plateau_rtol": 1e-12})
+    with caplog.at_level("WARNING", logger="cnce.experiments"):
+        assert config_from_json(old) == config_from_json(obj)
+    assert len(caplog.records) == 1
+    message = caplog.records[0].getMessage()
+    assert "deprecated" in message and "polish_iters" in message
 
 
 def test_config_json_unknown_key():

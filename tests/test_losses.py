@@ -32,6 +32,7 @@ from cnce.kernels import pairing_at_data
 from cnce.losses import (
     _softplus_sigmoid_neg,
     cnce_objective,
+    ica_mle_objective,
     nce_objective,
     score_matching_objective,
 )
@@ -265,6 +266,55 @@ def test_cnce_objective_matches_reference(kind):
                        rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_cnce_loss_value_only_is_bit_equal(kind):
+    model = make(kind)
+    rng = rng_from(42, kind)
+    theta = random_theta(model, rng)
+    x = random_points(model, theta, rng, m=60)
+    pairing = make_pairing(model, theta, x, 3, 52)
+    full = cnce_loss(model, theta, x, pairing)
+    value_only = cnce_loss(model, theta, x, pairing, gradient=False)
+    assert value_only.value == full.value
+    assert value_only.gradient is None and value_only.n_terms == full.n_terms
+
+
+def test_ica_cnce_objective_standard_error():
+    # 2 std(sp) / sqrt(m) over the m softplus rows, at the first point the
+    # objective is called at, and unchanged by later calls
+    model = make(ICA)
+    rng = rng_from(47)
+    theta = model.random_params(rng)
+    x = model.sample(theta, 60, rng_from(48))
+    pairing = make_pairing(model, theta, x, 3, 49)
+    objective = cnce_objective(model, x, pairing)
+    y = pairing.noise.reshape(-1, 4)
+    g = (np.repeat(model.log_phi(theta, x), 3) - model.log_phi(theta, y)
+         + pairing.log_ratio.reshape(-1))
+    sp = np.logaddexp(0.0, -g)
+    value, _, se = objective(model.to_raw(theta))
+    assert value == pytest.approx(2.0 * np.mean(sp), rel=1e-12)
+    assert se == pytest.approx(2.0 * np.std(sp) / np.sqrt(len(sp)), rel=1e-12)
+    assert objective(model.to_raw(theta) + 0.1)[2] == se
+
+
+def test_ica_nce_objective_standard_error():
+    # (m / n) std(sp) / sqrt(m) over the m = n + noise softplus rows
+    model, theta, x, noise, marginal = nce_problem(ICA)
+    n, c = len(x), 0.3
+    log_nu = np.log(len(noise) // n)
+    hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
+    hy = (model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise)
+          - log_nu)
+    sp = np.concatenate([np.logaddexp(0.0, -hx), np.logaddexp(0.0, hy)])
+    objective = nce_objective(model, x, noise, marginal)
+    raw = np.concatenate([model.to_raw(theta), [c]])
+    value, _, se = objective(raw)
+    assert value == pytest.approx(np.sum(sp) / n, rel=1e-12)
+    assert se == pytest.approx(len(sp) / n * np.std(sp) / np.sqrt(len(sp)), rel=1e-12)
+    assert objective(raw + 0.1)[2] == se
+
+
 NCE_KINDS = (GAUSSIAN, ICA, RING, LOGNORMAL)
 
 
@@ -459,6 +509,45 @@ def test_mle_ica_recovers_demixing():
 
     assert estimation_error(model, res.theta_hat, theta) < 0.15
     assert res.method == "gradient_ascent" and res.iters > 0
+    assert (res.stop, res.converged) == ("stat_tol", True)
+
+
+def test_ica_mle_objective_standard_error():
+    model = make(ICA)
+    theta = model.random_params(rng_from(64))
+    x = model.sample(theta, 300, rng_from(65))
+    l1 = np.abs(x @ model.unpack(theta).T).sum(axis=1)
+    objective = ica_mle_objective(model, x)
+    _, _, se = objective(theta)
+    assert se == pytest.approx(np.sqrt(2.0) * np.std(l1) / np.sqrt(len(x)), rel=1e-12)
+    assert objective(theta + 0.1)[2] == se
+
+
+def test_ica_mle_objective_whitening_invariance():
+    # loss_x(B) = loss_{x C^{-1/2}}(B C^{1/2}) + (1/2) log det C, C = x'x/n,
+    # and the gradients map as G = G~ C^{1/2}; both checked against central
+    # finite differences of loss_x
+    model = make(ICA)
+    d = model.spec.dim
+    theta = model.random_params(rng_from(66))
+    x = model.sample(theta, 500, rng_from(67))
+    evals, evecs = np.linalg.eigh(x.T @ x / len(x))
+    c_half = (evecs * np.sqrt(evals)) @ evecs.T
+    c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
+    plain = ica_mle_objective(model, x)
+    white = ica_mle_objective(model, x @ c_inv_half)
+    b = model.unpack(theta) + 0.3 * rng_from(68).standard_normal((d, d))
+    value, grad, _ = plain(b.reshape(-1))
+    w_value, w_grad, _ = white((b @ c_half).reshape(-1))
+    assert value == pytest.approx(w_value + 0.5 * np.sum(np.log(evals)), rel=1e-12)
+    mapped = (w_grad.reshape(d, d) @ c_half).reshape(-1)
+    assert np.allclose(grad, mapped, rtol=1e-9, atol=1e-12)
+    h = 1e-6
+    assert np.min(np.abs(x @ b.T)) > h * np.max(np.abs(x))  # no sign flips within h
+    fd = np.array([(plain(b.reshape(-1) + h * e)[0] - plain(b.reshape(-1) - h * e)[0])
+                   / (2 * h) for e in np.eye(d * d)])
+    assert np.allclose(fd, grad, rtol=1e-5, atol=1e-7)
+    assert np.allclose(fd, mapped, rtol=1e-5, atol=1e-7)
 
 
 def test_mle_ring_unsupported():

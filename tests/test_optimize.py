@@ -1,5 +1,8 @@
-"""Optimiser: convex recovery, monotone backtracking traces, determinism,
+"""Optimiser: convex recovery, stop reasons, determinism,
 agreement with dense grid search, and the noise-scale heuristic."""
+
+import importlib.util
+import os
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from cnce import (
     kernel_for_data,
 )
 from cnce.errors import OptimizationError
+from cnce.experiments import config_from_json
 from cnce.losses import bernoulli_population_objective, cnce_objective
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
-from cnce.seeding import rng_from
+from cnce.seeding import rng_from, stable_hash
 
 
 def quadratic_bowl(a):
@@ -37,15 +41,6 @@ def test_minimize_quadratic_bowl():
         run = minimize(quadratic_bowl(a), np.zeros(6), OptimizerConfig(), seed)
         assert np.allclose(run.theta, a, atol=1e-6)
         assert run.converged
-
-
-def test_minimize_backtracking_rule_monotone():
-    a = np.array([2.0, -1.0, 0.5])
-    cfg = OptimizerConfig(step_rule="backtracking_gd", max_iters=300)
-    run = minimize(quadratic_bowl(a), np.zeros(3), cfg, 0)
-    assert np.allclose(run.theta, a, atol=1e-6)
-    trace = np.array(run.loss_trace)
-    assert np.all(np.diff(trace) <= 0)
 
 
 def test_minimize_deterministic():
@@ -67,6 +62,54 @@ def test_minimize_nonfinite_raises_with_trace():
         minimize(bad, np.array([0.0]), OptimizerConfig(max_iters=100), 0)
     assert err.value.run is not None
     assert len(err.value.run.loss_trace) >= 1
+    assert err.value.run.stop == "nonfinite" and not err.value.run.converged
+
+
+def test_minimize_stop_reasons_grad_tol_and_max_iters():
+    a = np.array([1.0, -2.0])
+    done = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(), 0)
+    assert (done.stop, done.converged) == ("grad_tol", True)
+    assert done.grad_norm_trace[-1] <= 1e-7
+    capped = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(max_iters=5), 0)
+    assert (capped.stop, capped.converged, capped.iters) == ("max_iters", False, 5)
+
+
+def l1_location(n=401, seed=0, with_se=True):
+    """mean_i |z - x_i| over a 2-d sample: kinked at every data point, so
+    the subgradient norm stalls near the minimiser (the coordinate-wise
+    median; n is odd, so it is at least 1/n off the data points) and never
+    meets grad_tol.  With with_se, the third slot is the
+    sampling standard error std_i(sum_j |z_j - x_ij|) / sqrt(n)."""
+    x = rng_from(seed, "l1").standard_normal((n, 2)) + np.array([3.0, -1.0])
+
+    def fn(z):
+        r = z - x
+        terms = np.abs(r).sum(axis=1)
+        out = float(np.mean(terms)), np.mean(np.sign(r), axis=0)
+        return out + (float(np.std(terms)) / np.sqrt(n),) if with_se else out
+
+    return fn, np.median(x, axis=0)
+
+
+def test_minimize_stat_stop_on_noisy_first_order_objective():
+    fn, median = l1_location()
+    run = minimize(fn, np.zeros(2), OptimizerConfig(), 0)
+    assert (run.stop, run.converged) == ("stat_tol", True)
+    assert min(run.grad_norm_trace) > 1e-7  # grad_tol alone never stops it
+    assert run.iters < 2000
+    # stopped within a small fraction of the standard error of the loss
+    se = fn(np.zeros(2))[2]
+    assert fn(run.theta)[0] - fn(median)[0] < 0.05 * se
+    assert fn(run.theta)[0] == min(run.loss_trace)  # the best point visited
+    # the window: the best loss improved by at most 0.01 se over 200 entries
+    best = np.minimum.accumulate(run.loss_trace)
+    assert best[-201] - best[-1] <= 0.01 * se < best[-202] - best[-2]
+
+
+def test_minimize_without_standard_error_never_stops_on_stat_tol():
+    fn, _ = l1_location(with_se=False)
+    run = minimize(fn, np.zeros(2), OptimizerConfig(), 0)
+    assert (run.stop, run.converged, run.iters) == ("max_iters", False, 2000)
 
 
 def test_minimize_records_traces_and_iters():
@@ -108,7 +151,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ParameterError):
         OptimizerConfig(grad_tol=0.0)
     with pytest.raises(ParameterError):
-        OptimizerConfig(step_rule="newton")
+        OptimizerConfig(restarts=0)
     with pytest.raises(ParameterError):
         EpsilonSchedule(delta=2.0)
 
@@ -214,9 +257,9 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
 
     seen = []
 
-    def recorded(model_, theta_, x_, pairing):
+    def recorded(model_, theta_, x_, pairing, **kwargs):
         seen.append(pairing.noise)
-        return cnce_loss(model_, theta_, x_, pairing)
+        return cnce_loss(model_, theta_, x_, pairing, **kwargs)
 
     monkeypatch.setattr(cnce.optimize, "cnce_loss", recorded)
     outcomes = set()
@@ -236,6 +279,53 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
     sampled = kernel.sample(x, kappa, rng_from(seed))
     assert np.array_equal(kernel.perturb(x, kernel.draw(x, kappa, rng_from(seed))),
                           sampled)
+
+
+def _load_benchmark_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
+    """The ladder evaluates its rungs without the gradient; on every CNCE
+    cell of the benchmark's affine_grid workload it must choose the same
+    scale as a ladder of full cnce_loss calls.  The cell inputs are derived
+    as run_single derives them."""
+    import cnce.optimize
+
+    workloads = _load_benchmark_workloads()
+    full_calls = []
+
+    def full(*args, **kwargs):
+        full_calls.append(kwargs)
+        return cnce_loss(*args)
+
+    cells = 0
+    for obj in workloads.build("affine_grid", seed)["configs"]:
+        cfg = config_from_json(obj)
+        if "cnce" not in cfg.methods:
+            continue
+        model = cfg.build_model()
+        for n in cfg.n_grid:
+            for kappa in cfg.kappa_grid:
+                cell = stable_hash(cfg.master_seed, cfg.model.kind, "cnce", n, kappa, 0)
+                theta = model.random_params(rng_from(stable_hash(cell, "params")))
+                x = model.sample(theta, n, rng_from(stable_hash(cell, "data")))
+                raw0 = model.init_raw(rng_from(stable_hash(cell, "init")),
+                                      cfg.optimizer.init_scale)
+                args = (model, raw0, x, model.kernel_kind, cfg.schedule, kappa,
+                        stable_hash(cell, "epsilon"))
+                monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
+                value_only = adapt_epsilon(*args)
+                monkeypatch.setattr(cnce.optimize, "cnce_loss", full)
+                assert adapt_epsilon(*args) == value_only
+                cells += 1
+    assert cells == 8
+    assert full_calls and all(kw == {"gradient": False} for kw in full_calls)
 
 
 def test_epsilon_ladder_shape():

@@ -139,8 +139,10 @@ def test_estimate_nonconvergence_exit_2(tmp_path, capsys):
                      bernoulli_config(optimizer={"max_iters": 2,
                                                  "polish_iters": 0}))
     assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    out = capsys.readouterr().out
-    assert "theta_hat" in out  # estimate still emitted
+    captured = capsys.readouterr()
+    assert "theta_hat" in captured.out  # estimate still emitted
+    assert "stop:      max_iters" in captured.out
+    assert "not converged (max_iters)" in captured.err
 
 
 def test_estimate_bernoulli_quality(tmp_path, capsys):
@@ -177,6 +179,19 @@ def test_experiment_outputs_and_cardinality(tmp_path):
     assert (out / "bernoulli.svg").exists()
 
 
+def test_experiment_ica_nce_and_mle_exits_0(tmp_path, capsys):
+    # the Laplace ICA objectives are kinked, so Adam never meets grad_tol;
+    # the statistical stop makes their cells converge
+    cfg = write_json(tmp_path / "e.json", {
+        "schema": 1, "model": {"kind": "ica_laplace"}, "methods": ["nce", "mle"],
+        "n_grid": [500], "kappa_grid": [5], "repeats": 2, "master_seed": 3})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+    assert "warnings" not in capsys.readouterr().err
+    rows = open(out / "results.csv").read().splitlines()[1:]
+    assert len(rows) == 4 and all(",true," in row for row in rows)
+
+
 def test_experiment_force_guard(tmp_path, capsys):
     cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
     out = tmp_path / "out"
@@ -203,7 +218,8 @@ def test_experiment_seed_override_changes_results(tmp_path):
     assert (kept["master_seed"], got["master_seed"]) == (11, 999)
     assert got["ring_mu"] == 3.5
     assert got["optimizer"]["max_iters"] == 120
-    assert got["optimizer"]["plateau_window"] == 20
+    assert got["optimizer"]["adam_step"] == 0.05
+    assert "plateau_window" not in got["optimizer"]  # deprecated, not written
     assert got["epsilon_schedule"]["epsilon_0"] == 0.07
     assert got["epsilon_schedule"]["delta"] == 0.1
     assert {**got, "master_seed": 11} == kept

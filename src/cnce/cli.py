@@ -36,7 +36,7 @@ from .experiments import (
     summary_to_json,
     _check_keys,
 )
-from .models import GAUSSIAN, ModelSpec, build_model, _DEFAULT_DIM
+from .models import GAUSSIAN, build_model, default_spec
 from .svgplot import chart_series_for_model, render_loglog
 
 _ESTIMATE_KEYS = {"schema", "model", "method", "n", "kappa", "epsilon", "seed",
@@ -164,7 +164,7 @@ def cmd_limit_check(args) -> int:
     if "precision" in obj:
         theta = np.asarray(obj["precision"], dtype=float)
     else:
-        model = build_model(ModelSpec(GAUSSIAN, _DEFAULT_DIM[GAUSSIAN]))
+        model = build_model(default_spec(GAUSSIAN))
         theta = model.pack(np.eye(model.spec.dim))
     rows = limit_check(theta, eps_grid, mc_pairs, seed)
 

@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ParameterError("repeats must be >= 1")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ParameterError("n_grid must be strictly ascending")
+        if any(n < 1 for n in self.n_grid):
+            raise ParameterError("n_grid entries must be >= 1")
         if not self.kappa_grid or not all(
                 isinstance(k, numbers.Integral) and k >= 1 for k in self.kappa_grid):
             raise ParameterError("kappa_grid must be non-empty, integers >= 1")
@@ -205,7 +207,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         error = float("inf")
         if exc.run is not None:
             iters, stop = exc.run.iters, exc.run.stop
-            candidate = model.from_raw(exc.run.theta)
+            candidate = model.from_raw(exc.run.theta[:model.spec.param_count])
             if np.all(np.isfinite(candidate)):
                 theta_hat = candidate
                 error = estimation_error(model, theta_hat, theta_true)

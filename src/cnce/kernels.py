@@ -10,9 +10,11 @@ generator at every scale.
 
 Both built-in conditional kernels are symmetric, so their log-ratio
 log pc(u2|u1) - log pc(u1|u2) is identically zero and is returned as the
-constant 0 rather than computed from two log-densities.  Asymmetric kernels
-(used as test doubles) implement ``log_ratio_pairs`` themselves; antisymmetry
-is the only structural requirement.
+constant 0 rather than computed from two log-densities.  An asymmetric
+kernel sets ``symmetric = False`` and implements ``log_ratio_pairs(x,
+noise)``; antisymmetry is the only structural requirement.  Each kernel
+class states ``epsilon_cap``, the top of its epsilon ladder (None: the
+schedule's own), and builds itself for a data set in ``for_data``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class GaussianPerturbKernel:
 
     kind = "gaussian_perturb"
     symmetric = True
+    epsilon_cap = None
 
     def __init__(self, epsilon):
         eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -66,8 +69,14 @@ class GaussianPerturbKernel:
     def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
         return self.perturb(x, self.draw(x, kappa, rng))
 
-    def log_ratio_pairs(self, x, noise):
-        return np.zeros(noise.shape[:2])
+    @classmethod
+    def for_data(cls, epsilon: float, x: np.ndarray, per_dim: bool):
+        if per_dim:
+            stds = np.asarray(x, dtype=float).std(axis=0)
+            if np.any(stds == 0):
+                raise ParameterError("degenerate data dimension (zero std)")
+            return cls(epsilon * stds)
+        return cls(np.full(x.shape[1], epsilon))
 
 
 class BernoulliFlipKernel:
@@ -75,6 +84,7 @@ class BernoulliFlipKernel:
 
     kind = "bernoulli_flip"
     symmetric = True
+    epsilon_cap = 1.0  # a flip probability
 
     def __init__(self, epsilon: float):
         if not 0.0 <= epsilon <= 1.0:
@@ -94,8 +104,19 @@ class BernoulliFlipKernel:
     def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
         return self.perturb(x, self.draw(x, kappa, rng))
 
-    def log_ratio_pairs(self, x, noise):
-        return np.zeros(noise.shape[:2])
+    @classmethod
+    def for_data(cls, epsilon: float, x: np.ndarray, per_dim: bool):
+        return cls(epsilon)
+
+
+_KERNELS = {cls.kind: cls for cls in (GaussianPerturbKernel, BernoulliFlipKernel)}
+
+
+def kernel_class(kind: str):
+    """The conditional kernel class of a kernel kind."""
+    if kind not in _KERNELS:
+        raise ParameterError(f"unknown kernel kind {kind!r}")
+    return _KERNELS[kind]
 
 
 def kernel_for_data(kind: str, epsilon: float, x: np.ndarray, per_dim: bool = True):
@@ -106,16 +127,7 @@ def kernel_for_data(kind: str, epsilon: float, x: np.ndarray, per_dim: bool = Tr
     data themselves are never rescaled).  For ``bernoulli_flip`` the scale is
     the flip probability.
     """
-    if kind == "gaussian_perturb":
-        if per_dim:
-            stds = np.asarray(x, dtype=float).std(axis=0)
-            if np.any(stds == 0):
-                raise ParameterError("degenerate data dimension (zero std)")
-            return GaussianPerturbKernel(epsilon * stds)
-        return GaussianPerturbKernel(np.full(x.shape[1], epsilon))
-    if kind == "bernoulli_flip":
-        return BernoulliFlipKernel(epsilon)
-    raise ParameterError(f"unknown kernel kind {kind!r}")
+    return kernel_class(kind).for_data(epsilon, x, per_dim)
 
 
 def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> NoisePairing:
@@ -134,13 +146,6 @@ def pair_noise(kernel, x: np.ndarray, noise: np.ndarray) -> NoisePairing:
     else:
         ratios = kernel.log_ratio_pairs(x, noise)
     return NoisePairing(noise=noise, kappa=noise.shape[1], log_ratio=ratios)
-
-
-def pairing_at_data(x: np.ndarray, kappa: int = 1) -> NoisePairing:
-    """Degenerate pairing with y_ij = x_i (the eps = 0 identity check)."""
-    x = np.asarray(x, dtype=float)
-    noise = np.repeat(x[:, None, :], kappa, axis=1)
-    return NoisePairing(noise=noise, kappa=kappa, log_ratio=np.zeros((len(x), kappa)))
 
 
 def log_ratio(kernel, u1, u2) -> float:

@@ -6,28 +6,22 @@ population loss.
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
 ``nce_loss`` are the reference implementations in natural parameters; the
 ``*_objective`` builders produce callables in the optimiser's unconstrained
-coordinates.  Both contrastive objectives are logistic losses, and each
-call makes one ``_softplus_sigmoid_neg`` pass over its rows:
+coordinates.  Both contrastive losses are logistic, and the model enters
+them only through log phi on a fixed set of points: the partition function
+cancels in CNCE and is learned as c in NCE.  So each builder has one body,
+takes the model's rows over those points (``models`` docstring), folds every
+constant into the rows' offset once, and makes one ``value``, one
+``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
 
-- CNCE: one row per (data, noise) pair, G = log phi(x) - log phi(y) plus
-  the kernel's log-ratio.
-- NCE: data and noise stacked into one point matrix u = [x; noise]
-  (``_NceHead``), with the offsets -log q(u) - log nu evaluated at build
-  time and a +-1 row sign that turns the data and noise terms into one
-  softplus.
+- CNCE: ``model.pair_rows``, one row per (data, noise) pair, G =
+  log phi(x) - log phi(y) plus the kernel's log-ratio.
+- NCE: ``model.rows`` over u = [x; noise], with the offsets
+  -log q(u) - log nu evaluated at build time and a +-1 row sign that turns
+  the data and noise terms into one softplus.
 
-What differs per model is log phi over the rows:
-
-- Gaussian, ring, log-normal (and Bernoulli for CNCE, in log-weights):
-  log phi is affine in the parameters, so the features are computed once
-  at build time and each call is one matrix-vector product.
-- Laplace ICA: log phi = -sqrt(2) sum_j |b_j . u| is not affine.  The CNCE
-  and NCE objectives share ``_IcaSources``, which computes the source
-  matrix B U' once per call for the value and pulls the loss weights back
-  through it for the gradient.
-
-Any other model raises ``UnsupportedModelError``.  The two routes agree to
-float precision and are tested against each other.
+A method missing from ``model.methods``, or a model without rows, raises
+``UnsupportedModelError``.  The two routes agree to float precision and are
+tested against each other.
 
 Score matching has one route: log phi is affine in theta for every smooth
 model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
@@ -36,16 +30,16 @@ The reference value of ``score_matching_loss`` comes from ``grad_u`` and
 ``laplacian_u`` instead, which share no code with (A, b, c).
 
 Objective contract: ``objective(raw)`` returns ``(value, grad, hess)``,
-``(value, grad, se)`` or ``(value, grad)``, all in raw coordinates.  The exact Hessian comes
-with every objective built on affine features (CNCE and NCE on the cached
-features, and score matching).  The Laplace ICA objectives (CNCE, NCE and
-``ica_mle_objective``) return instead the loss's sampling standard error,
-std over sqrt(count) of the per-row terms they already hold, scaled as the
-loss scales them; it is computed at the first point an objective is called
-at, the optimiser's start, and returned unchanged after.  ``minimize``
-picks Newton for a matrix third slot and otherwise stops Adam on that
-standard error.  Both travel in the return value, not as attributes of the
-callable, so they survive any wrapper that passes the result through.
+``(value, grad, se)`` or ``(value, grad)``, all in raw coordinates.  The
+exact Hessian comes with score matching and with the contrastive objectives
+on affine rows.  The others (on non-affine rows, and ``ica_mle_objective``)
+return instead the loss's sampling standard error, std over sqrt(count) of
+the per-row terms they already hold, scaled as the loss scales them; it is
+computed at the first point an objective is called at, the optimiser's
+start, and returned unchanged after.  ``minimize`` picks Newton for a
+matrix third slot and otherwise stops Adam on that standard error.  Both
+travel in the return value, not as attributes of the callable, so they
+survive any wrapper that passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg`` (the references use
@@ -62,8 +56,6 @@ from scipy.special import expit
 from .errors import ParameterError, UnsupportedModelError
 from .kernels import MarginalKernel, NoisePairing, log_density_marginal, log_ratio
 from .models import ICA
-
-_GRAM_ROWS = 4096  # row block of _weighted_gram, fixed for the same reason
 
 TWO_LOG2 = 2.0 * np.log(2.0)
 
@@ -89,16 +81,6 @@ def _std_error(t: np.ndarray) -> float:
     """std(t) / sqrt(len(t)): the sampling standard error of the mean of
     the per-row loss terms t."""
     return float(np.std(t)) / np.sqrt(len(t))
-
-
-def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """d' diag(w) d, accumulated over fixed row blocks so that the scaled
-    copy of d is never materialised whole."""
-    out = np.zeros((d.shape[1], d.shape[1]))
-    for lo in range(0, len(d), _GRAM_ROWS):
-        blk = d[lo:lo + _GRAM_ROWS]
-        out += blk.T @ (blk * w[lo:lo + _GRAM_ROWS, None])
-    return out
 
 
 def _softplus_sigmoid_neg(g: np.ndarray, work=None):
@@ -171,109 +153,40 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing,
     return LossReport(value=value, gradient=scale * grad, n_terms=m)
 
 
-def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
-    """Objective over unconstrained coordinates: (value, grad, hess) on the
-    cached features of affine models, (value, grad, se) on ICA's source
-    matrices, se = 2 std(softplus rows) / sqrt(rows)."""
-    x = np.asarray(x, dtype=float)
-    if model.spec.kind == ICA:
-        return _cnce_objective_ica(x, pairing)
-    in_raw = model.raw_features(x) is not None
-    feats = model.raw_features(x) if in_raw else model.theta_features(x)
-    if feats is None:
-        raise UnsupportedModelError(f"cnce unsupported for {model.spec.kind}")
+def _require(model, method: str):
+    if method not in model.methods:
+        raise UnsupportedModelError(f"{method} unsupported for {model.spec.kind}")
 
+
+def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
+    """Objective over unconstrained coordinates, from ``model.pair_rows``:
+    (value, grad, hess) on affine rows, (value, grad, se) otherwise, with
+    se = 2 std(softplus rows) / sqrt(rows)."""
+    _require(model, "cnce")
+    x = np.asarray(x, dtype=float)
     y, ratios = _flat_pairs(x, pairing)
-    kappa = pairing.kappa
-    phi_x, off_x = feats
-    phi_y, off_y = model.raw_features(y) if in_raw else model.theta_features(y)
-    rows = np.arange(len(y)) // kappa
-    dphi = phi_x[rows] - phi_y
-    doff = off_x[rows] - off_y + ratios
-    del phi_y, off_y
+    rows = model.pair_rows(x, y, pairing.kappa)
+    np.add(rows.offset, ratios, out=rows.offset)
     m = len(y)
     g = np.empty(m)
-    work = _pair_work(m)
-
-    def objective(raw):
-        coords = raw if in_raw else model.from_raw(raw)
-        np.matmul(dphi, coords, out=g)
-        np.add(g, doff, out=g)
-        sp, sig = _softplus_sigmoid_neg(g, work)
-        value = 2.0 / m * float(np.sum(sp))
-        grad = -2.0 / m * (sig @ dphi)
-        np.subtract(1.0, sig, out=g)
-        np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
-        hess = 2.0 / m * _weighted_gram(dphi, g)
-        if in_raw:
-            return value, grad, hess
-        return (value, model.chain_raw(grad, coords),
-                model.chain_raw_hessian(hess, grad, coords))
-
-    return objective
-
-
-class _IcaSources:
-    """Sources S = B U' of a fixed stack of points U, with workspaces.
-
-    ICA is the one model whose log phi = -sqrt(2) sum_j |S_j| is not affine
-    in any coordinates.  ``l1`` computes S once per call and returns the
-    per-point sum_j |S_j|; ``vjp`` reuses that S to pull per-point weights w
-    back to (sign(S) w) U, the B-gradient of sum_r w_r sum_j |S_jr|.  At
-    kinks the subgradient sign(0) = 0 is used, as in the model's grad_theta.
-
-    Points are stored transposed, (d, m) and contiguous, so every row-wise
-    step runs over contiguous rows of length m: numpy's per-point loops
-    over d entries cost up to 10x more.  The sum over sources adds rows in
-    order, the same sequence np.sum(axis=1) of the (m, d) layout takes for
-    d < 8.
-    """
-
-    def __init__(self, u: np.ndarray):
-        self.ut = np.ascontiguousarray(u.T)
-        self.s = np.empty(self.ut.shape)
-        self.a = np.empty(self.ut.shape)
-        self.f = np.empty(len(u))
-
-    def l1(self, b: np.ndarray) -> np.ndarray:
-        np.matmul(b, self.ut, out=self.s)
-        np.abs(self.s, out=self.a)
-        return np.sum(self.a, axis=0, out=self.f)
-
-    def vjp(self, w: np.ndarray) -> np.ndarray:
-        np.sign(self.s, out=self.a)
-        np.multiply(self.a, w, out=self.a)
-        return self.a @ self.ut.T
-
-
-def _cnce_objective_ica(x: np.ndarray, pairing: NoisePairing):
-    y, ratios = _flat_pairs(x, pairing)
-    kappa = pairing.kappa
-    n, d = x.shape
-    m = len(y)
-    sqrt2 = np.sqrt(2.0)
-    src_x, src_y = _IcaSources(x), _IcaSources(y)
-    g, wx = np.empty(m), np.empty(n)
     work = _pair_work(m)
     se = None
 
     def objective(raw):
         nonlocal se
-        b = raw.reshape(d, d)
-        fx, fy = src_x.l1(b), src_y.l1(b)
-        # G = sqrt(2) (|s_y| - |s_x|) summed over sources, plus the log ratio
-        g.reshape(n, kappa)[:] = fx[:, None]
-        np.subtract(fy, g, out=g)
-        np.multiply(g, sqrt2, out=g)
-        np.add(g, ratios, out=g)
+        rows.value(raw, g)
+        np.add(g, rows.offset, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
-        if se is None:
-            se = 2.0 * _std_error(sp)
-        np.sum(sig.reshape(n, kappa), axis=1, out=wx)
-        # d loss / dB = (2 sqrt2 / m) [sum_i w_i sign(s_x) x - sum w sign(s_y) y]
-        grad = (2.0 * sqrt2 / m) * (src_x.vjp(wx) - src_y.vjp(sig))
-        return value, grad.reshape(-1), se
+        grad = -2.0 / m * rows.vjp(sig)
+        if not hasattr(rows, "gram"):
+            if se is None:
+                se = 2.0 * _std_error(sp)
+            return value, grad, se
+        np.subtract(1.0, sig, out=g)
+        np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
+        hess = 2.0 / m * rows.gram(g)
+        return value, rows.chain(grad), rows.chain_hessian(hess, grad)
 
     return objective
 
@@ -307,100 +220,55 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
                       n_terms=len(x) + len(noise))
 
 
-class _NceHead:
-    """The logistic part of NCE over the stacked points u = [x; noise].
+def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
+    """Objective over (raw model coordinates, c), from ``model.rows`` over
+    u = [x; noise]: (value, grad, hess) on affine rows, (value, grad, se)
+    otherwise, with se = (rows / n) std(softplus rows) / sqrt(rows).  The
+    noise log-densities are evaluated once, here.
 
     With h = log phi(u) + c - log q(u) - log nu and the row sign s = +1 on
     data and -1 on noise, the data terms softplus(-h) and the noise terms
-    softplus(h) are all softplus(-s h).  The offsets -log q - log nu are
-    evaluated here, once; ``logistic`` then makes one pass per call.
+    softplus(h) are all softplus(-s h); w = s sigmoid(-s h) = -n d loss / dh.
     """
-
-    def __init__(self, u: np.ndarray, n: int, marginal: MarginalKernel):
-        self.n = n
-        self.offset = -log_density_marginal(marginal, u) - np.log((len(u) - n) // n)
-        self.w = np.empty(len(u))
-        self.work = _pair_work(len(u))
-
-    def logistic(self, h: np.ndarray, c: float):
-        """Consumes h, which holds log phi(u).  Returns (value, w, sig):
-        the loss, w = s sigmoid(-s h) = -n d loss / dh, and sigmoid(-s h),
-        whose sig (1 - sig) is the loss curvature in h (times n)."""
-        n = self.n
-        np.add(h, self.offset, out=h)
-        np.add(h, c, out=h)
-        np.negative(h[n:], out=h[n:])
-        sp, sig = _softplus_sigmoid_neg(h, self.work)
-        np.copyto(self.w, sig)
-        np.negative(self.w[n:], out=self.w[n:])
-        return float(np.sum(sp)) / n, self.w, sig
-
-    def std_error(self) -> float:
-        """Sampling standard error of the last ``logistic`` value, whose
-        m = n (1 + nu) row terms are summed and divided by n.  The terms are
-        the softplus values ``_softplus_sigmoid_neg`` left in ``work[1]``."""
-        sp = self.work[1]
-        return len(sp) / self.n * _std_error(sp)
-
-
-def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
-    """Objective over (raw model coordinates, c): (value, grad, hess) on the
-    cached features of affine models, (value, grad, se) on ICA's source
-    matrices, se = (rows / n) std(softplus rows) / sqrt(rows).  The noise
-    log-densities are evaluated once, here."""
+    _require(model, "nce")
     x = np.asarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
         raise ParameterError("noise count must be a multiple of the data count")
     n = len(x)
     u = np.concatenate([x, noise])
-    head = _NceHead(u, n, marginal)
-    if model.spec.kind == ICA:
-        return _nce_objective_ica(u, head)
-    feats = model.theta_features(u)
-    if feats is None:
-        raise UnsupportedModelError(f"nce unsupported for {model.spec.kind}")
-    phi, off = feats
-    head.offset += off
-    p = phi.shape[1]
-    h = np.empty(len(phi))
-
-    def objective(raw):
-        theta = model.from_raw(raw[:-1])
-        np.matmul(phi, theta, out=h)
-        value, w, sig = head.logistic(h, raw[-1])
-        g_theta = -(w @ phi) / n
-        np.subtract(1.0, sig, out=h)
-        np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
-        hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = model.chain_raw_hessian(_weighted_gram(phi, h) / n,
-                                               g_theta, theta)
-        hess[:p, p] = hess[p, :p] = model.chain_raw(h @ phi / n, theta)
-        hess[p, p] = float(np.sum(h)) / n
-        grad = np.append(model.chain_raw(g_theta, theta), -float(np.sum(w)) / n)
-        return value, grad, hess
-
-    return objective
-
-
-def _nce_objective_ica(u: np.ndarray, head: _NceHead):
-    n, d = head.n, u.shape[1]
-    sqrt2 = np.sqrt(2.0)
-    src = _IcaSources(u)
-    h = np.empty(len(u))
+    rows = model.rows(u)
+    np.add(rows.offset,
+           -log_density_marginal(marginal, u) - np.log(len(noise) // n),
+           out=rows.offset)
+    h, w = np.empty(len(u)), np.empty(len(u))
+    work = _pair_work(len(u))
     se = None
 
     def objective(raw):
         nonlocal se
-        b = raw[:-1].reshape(d, d)
-        np.multiply(src.l1(b), -sqrt2, out=h)  # log phi
-        value, w, _ = head.logistic(h, raw[-1])
-        if se is None:
-            se = head.std_error()
-        grad = np.empty(d * d + 1)
-        grad[:-1] = (sqrt2 / n) * src.vjp(w).reshape(-1)
-        grad[-1] = -float(np.sum(w)) / n
-        return value, grad, se
+        rows.value(raw[:-1], h)
+        np.add(h, rows.offset, out=h)
+        np.add(h, raw[-1], out=h)
+        np.negative(h[n:], out=h[n:])
+        sp, sig = _softplus_sigmoid_neg(h, work)
+        value = float(np.sum(sp)) / n
+        np.copyto(w, sig)
+        np.negative(w[n:], out=w[n:])
+        g_theta = -rows.vjp(w) / n
+        g_c = -float(np.sum(w)) / n
+        if not hasattr(rows, "gram"):
+            if se is None:
+                se = len(sp) / n * _std_error(sp)
+            return value, np.append(g_theta, g_c), se
+        np.subtract(1.0, sig, out=h)
+        np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
+        p = len(g_theta)
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = rows.chain_hessian(rows.gram(h) / n, g_theta)
+        hess[:p, p] = hess[p, :p] = rows.chain(rows.vjp(h) / n)
+        hess[p, p] = float(np.sum(h)) / n
+        return value, np.append(rows.chain(g_theta), g_c), hess
 
     return objective
 
@@ -537,18 +405,3 @@ def bernoulli_population_loss(theta, theta_true, epsilon: float) -> float:
         2.0 * (1.0 - epsilon) * np.log(2.0)
         + 2.0 * epsilon * (p0 * _softplus(-g) + (1.0 - p0) * _softplus(g))
     )
-
-
-def bernoulli_population_objective(theta_true, epsilon: float):
-    """(value, grad) in log-weights for minimising the exact population loss."""
-    theta_true = np.asarray(theta_true, dtype=float)
-    p0 = theta_true[0] / theta_true.sum()
-
-    def objective(raw):
-        g = raw[0] - raw[1]
-        value = (2.0 * (1.0 - epsilon) * np.log(2.0)
-                 + 2.0 * epsilon * (p0 * _softplus(-g) + (1.0 - p0) * _softplus(g)))
-        dg = 2.0 * epsilon * (-p0 * expit(-g) + (1.0 - p0) * expit(g))
-        return float(value), np.array([dg, -dg])
-
-    return objective

@@ -16,13 +16,24 @@ Hessian taken in natural coordinates over to the raw ones.
 Model protocol: each class states once all the maths an estimator needs,
 so no estimator branches on the model kind.  ``methods`` (the estimators it
 supports) and ``kernel_kind`` (its CNCE noise kernel) are class attributes;
-``log_phi``, ``grad_theta`` and ``theta_features`` / ``raw_features`` (when
-log phi is affine in natural / raw coordinates) serve CNCE and NCE;
-``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``, with
-the score-matching loss exactly theta'A theta / 2 + b'theta + c, serve
+``log_phi`` and ``grad_theta`` serve the reference contrastive losses;
+``rows(U)`` and ``pair_rows(x, y, kappa)`` serve the contrastive objectives
+(below); ``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``,
+with the score-matching loss exactly theta'A theta / 2 + b'theta + c, serve
 score matching; ``mle(x)`` gives the closed-form MLE; and ``error`` is the
 estimation error with the model's ambiguities resolved (Euclidean by
 default).  What a model does not support raises ``UnsupportedModelError``.
+
+Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
+over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
+object with ``offset``, the (m,) part no parameter moves, a fresh array a
+loss may fold its own constants into; ``value(raw, out)``, which writes the
+rest; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last ``value``.
+Affine rows, Phi @ theta + offset, add the exact curvature ``gram(c)`` =
+Phi' diag(c) Phi and ``chain(grad)`` / ``chain_hessian(hess, grad)`` to raw
+coordinates; other rows have raw = theta.  ``_Model`` builds affine rows
+from ``theta_features``, Bernoulli in its log-weights (its raw
+coordinates), and Laplace ICA from the sources B U'.
 """
 
 from __future__ import annotations
@@ -87,27 +98,50 @@ def spec_from_json(obj: dict) -> ModelSpec:
     return ModelSpec(str(obj["kind"]), int(obj["dim"]))
 
 
-def params_to_json(model, theta: np.ndarray) -> dict:
-    return {
-        "kind": model.spec.kind,
-        "dim": model.spec.dim,
-        "values": [float(v) for v in np.asarray(theta, dtype=float)],
-        "packing": model.packing,
-    }
+_GRAM_ROWS = 4096  # row block of _weighted_gram
 
 
-def params_from_json(obj: dict):
-    """Returns (model, theta) for a serialised parameter vector."""
-    model = build_model(ModelSpec(str(obj["kind"]), int(obj["dim"])))
-    theta = np.asarray(obj["values"], dtype=float)
-    if theta.shape != (model.spec.param_count,):
-        raise ParameterError(
-            f"expected {model.spec.param_count} values for {model.spec.kind}, "
-            f"got {theta.shape}"
-        )
-    if "packing" in obj and obj["packing"] != model.packing:
-        raise ParameterError(f"packing mismatch: {obj['packing']!r}")
-    return model, theta
+def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d' diag(w) d, accumulated over fixed row blocks so that the scaled
+    copy of d is never materialised whole."""
+    out = np.zeros((d.shape[1], d.shape[1]))
+    for lo in range(0, len(d), _GRAM_ROWS):
+        blk = d[lo:lo + _GRAM_ROWS]
+        out += blk.T @ (blk * w[lo:lo + _GRAM_ROWS, None])
+    return out
+
+
+class _AffineRows:
+    """Rows Phi @ theta + offset, theta = coords.from_raw(raw), with the
+    chain rule of coords (the model, or ``_RawCoords``) at the theta of the
+    last ``value`` call."""
+
+    def __init__(self, phi, offset, coords):
+        self.phi, self.offset, self.coords, self.theta = phi, offset, coords, None
+
+    def value(self, raw, out):
+        self.theta = self.coords.from_raw(raw)
+        np.matmul(self.phi, self.theta, out=out)
+
+    def vjp(self, w):
+        return w @ self.phi
+
+    def gram(self, c):
+        return _weighted_gram(self.phi, c)
+
+    def chain(self, grad):
+        return self.coords.chain_raw(grad, self.theta)
+
+    def chain_hessian(self, hess, grad):
+        return self.coords.chain_raw_hessian(hess, grad, self.theta)
+
+
+class _RawCoords:
+    """Rows affine in the raw coordinates themselves: an identity chain."""
+
+    from_raw = staticmethod(lambda raw: raw)
+    chain_raw = staticmethod(lambda grad, theta: grad)
+    chain_raw_hessian = staticmethod(lambda hess, grad, theta: hess)
 
 
 class _Model:
@@ -195,10 +229,25 @@ class _Model:
         None when log phi is not affine in the packed parameters."""
         return None
 
-    def raw_features(self, U):
-        """(Phi, offset) with log_phi(from_raw(z), U) == Phi @ z + offset, or
-        None when log phi is not affine in the unconstrained coordinates."""
-        return None
+    def _features(self, U):
+        """The (Phi, offset) the rows are built from: ``theta_features``."""
+        feats = self.theta_features(U)
+        if feats is None:
+            raise UnsupportedModelError(
+                f"log phi of {self.spec.kind} is not affine in its parameters")
+        return feats
+
+    def _rows(self, phi, offset):
+        return _AffineRows(phi, offset, self)
+
+    def rows(self, U):
+        return self._rows(*self._features(U))
+
+    def pair_rows(self, x, y, kappa: int):
+        phi_x, off_x = self._features(x)
+        phi_y, off_y = self._features(y)
+        i = np.arange(len(y)) // kappa
+        return self._rows(phi_x[i] - phi_y, off_x[i] - off_y)
 
     def grad_theta(self, theta, U):
         """(m, p) rows d log phi / d theta: the features of an affine model."""
@@ -320,6 +369,70 @@ class GaussianPrecisionModel(_Model):
         return self.pack(a.T @ a + 0.5 * np.eye(self.spec.dim))
 
 
+class _IcaSources:
+    """Sources S = B U' of a fixed stack of points U, with workspaces.
+
+    ``l1`` computes S once per call and writes the per-point sum_j |S_j|
+    to ``out``; ``pull`` reuses that S to pull per-point weights w back to
+    (sign(S) w) U, the B-gradient of sum_r w_r sum_j |S_jr| (sign(0) = 0 at
+    kinks, as in ``grad_theta``).
+
+    Points are stored transposed, (d, m) and contiguous, so every row-wise
+    step runs over contiguous rows of length m: numpy's per-point loops
+    over d entries cost up to 10x more.  The sum over sources adds rows in
+    order, the same sequence np.sum(axis=1) of the (m, d) layout takes for
+    d < 8.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self.ut = np.ascontiguousarray(u.T)
+        self.s = np.empty(self.ut.shape)
+        self.a = np.empty(self.ut.shape)
+
+    def l1(self, raw, out):
+        d = len(self.ut)
+        np.matmul(raw.reshape(d, d), self.ut, out=self.s)
+        np.abs(self.s, out=self.a)
+        return np.sum(self.a, axis=0, out=out)
+
+    def pull(self, w):
+        np.sign(self.s, out=self.a)
+        np.multiply(self.a, w, out=self.a)
+        return (self.a @ self.ut.T).reshape(-1)
+
+
+class _IcaRows(_IcaSources):
+    """log phi = -sqrt(2) sum_j |S_j|: not affine, and raw = theta."""
+
+    def __init__(self, u):
+        super().__init__(u)
+        self.offset = np.zeros(len(u))
+
+    def value(self, raw, out):
+        np.multiply(self.l1(raw, out), -_SQRT2, out=out)
+
+    def vjp(self, w):
+        return -_SQRT2 * self.pull(w)
+
+
+class _IcaPairRows:
+    """log phi(x_i) - log phi(y_ij) = sqrt(2) sum_j (|S_j(y_ij)| - |S_j(x_i)|)."""
+
+    def __init__(self, x, y, kappa):
+        self.x, self.y, self.kappa = _IcaSources(x), _IcaSources(y), kappa
+        self.fx = np.empty(len(x))  # per data point: l1, then summed weights
+        self.offset = np.zeros(len(y))
+
+    def value(self, raw, out):
+        pairs = self.y.l1(raw, out).reshape(-1, self.kappa)
+        np.subtract(pairs, self.x.l1(raw, self.fx)[:, None], out=pairs)
+        np.multiply(out, _SQRT2, out=out)
+
+    def vjp(self, w):
+        np.sum(w.reshape(-1, self.kappa), axis=1, out=self.fx)
+        return _SQRT2 * (self.y.pull(w) - self.x.pull(self.fx))
+
+
 class IcaLaplaceModel(_Model):
     """Laplace-source ICA: log phi = -sqrt(2) sum_j |b_j . u|.
 
@@ -355,6 +468,12 @@ class IcaLaplaceModel(_Model):
         U = self._as_batch(U)
         s = np.sign(U @ b.T)
         return (-_SQRT2 * (s * w[:, None]).T @ U).reshape(-1)
+
+    def rows(self, U):
+        return _IcaRows(self._as_batch(U))
+
+    def pair_rows(self, x, y, kappa):
+        return _IcaPairRows(self._as_batch(x), self._as_batch(y), kappa)
 
     def error(self, theta_hat, theta_true):
         """Minimum Euclidean distance over all signed row permutations.
@@ -570,13 +689,16 @@ class BernoulliModel(_Model):
             raise ParameterError("bernoulli weights must be positive")
         return np.where(self._bits(U), np.log(t2), np.log(t1))
 
-    def raw_features(self, U):
+    def _features(self, U):
         # log phi is linear in the log-weights
         ones = self._bits(U)
         phi = np.zeros((len(ones), 2))
         phi[~ones, 0] = 1.0
         phi[ones, 1] = 1.0
         return phi, np.zeros(len(ones))
+
+    def _rows(self, phi, offset):
+        return _AffineRows(phi, offset, _RawCoords)
 
     def grad_theta(self, theta, U):
         t1, t2 = self._check_theta(theta)

@@ -32,13 +32,14 @@ are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OptimizationError, ParameterError
-from .kernels import kernel_for_data, pair_noise
+from .kernels import kernel_class, kernel_for_data, pair_noise
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from, stable_hash
 
@@ -66,10 +67,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ParameterError("grad_tol must be > 0")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ParameterError("grad_tol must be finite and > 0")
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
+        if not (math.isfinite(self.adam_step) and self.adam_step > 0):
+            raise ParameterError("adam_step must be finite and > 0")
+        if len(self.adam_betas) != 2 or not all(0 <= b < 1 for b in self.adam_betas):
+            raise ParameterError("adam_betas must be two values in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,8 @@ class EpsilonSchedule:
             raise ParameterError("growth must be > 1")
         if not 0 < self.delta < TWO_LOG2:
             raise ParameterError("delta must lie in (0, 2 log 2)")
+        if not (math.isfinite(self.epsilon_max) and self.epsilon_max > 0):
+            raise ParameterError("epsilon_max must be finite and > 0")
 
     def ladder(self, cap: float | None = None) -> list:
         top = self.epsilon_max if cap is None else min(self.epsilon_max, cap)
@@ -270,7 +277,8 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
     the starting parameters departs from 2 log 2 by at least delta.
 
     Returns (epsilon, capped).  ``capped`` is set when no ladder value meets
-    the gap and the ladder top is returned instead.  The kernel's scale-free
+    the gap and the ladder top is returned instead; the ladder stops at the
+    kernel class's ``epsilon_cap`` where it has one.  The kernel's scale-free
     random part is drawn once, from ``rng_seed``, and every rung perturbs x
     with it, so each rung's noise is the one ``sample_conditional`` gives
     for that scale and seed, and each rung's value is ``cnce_loss`` on it,
@@ -281,7 +289,7 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
     x = np.asarray(x, dtype=float)
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
-    cap = 1.0 if kernel_kind == "bernoulli_flip" else None
+    cap = kernel_class(kernel_kind).epsilon_cap
     base = None
     for eps in schedule.ladder(cap):
         kernel = kernel_for_data(kernel_kind, eps, x, per_dim=per_dim)

@@ -179,6 +179,9 @@ def test_config_validation():
         small_config(kind=BERNOULLI, methods=("nce",))
     with pytest.raises(ParameterError):
         small_config(repeats=0)
+    for n_grid in ((0, 200), (-5,)):
+        with pytest.raises(ParameterError):
+            small_config(n_grid=n_grid)
     for kappa_grid in ((), (0,), (2, 2), (3, 2), (2.5,)):
         with pytest.raises(ParameterError):
             small_config(kappa_grid=kappa_grid)
@@ -243,6 +246,27 @@ def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
     text = records_to_csv(records)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     assert records_from_csv(text) == records
+
+
+def test_run_grid_keeps_a_nonfinite_nce_cell(monkeypatch):
+    # the failed run's theta carries NCE's trailing c; the cell must still
+    # be recorded, not end the grid
+    import cnce.experiments
+
+    build = cnce.experiments.nce_objective
+
+    def poisoned(model, x, noise, marginal):
+        objective = build(model, x, noise, marginal)
+        return lambda raw: (np.nan,) + tuple(objective(raw)[1:])
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", poisoned)
+    cfg = small_config(kind=GAUSSIAN, methods=("nce", "mle"), n_grid=(200,),
+                       repeats=1)
+    records, _, warnings = run_grid(cfg)
+    assert [r.method for r in records] == ["mle", "nce"]
+    nce = records[1]
+    assert not nce.converged and np.isfinite(nce.error)
+    assert "not converged (nonfinite)" in warnings
 
 
 def test_run_single_fields():

@@ -19,9 +19,16 @@ from cnce import (
     sample_conditional,
     sample_marginal,
 )
-from cnce.kernels import NoisePairing, pairing_at_data
+from cnce.kernels import NoisePairing, kernel_class
 from cnce.models import RING
 from cnce.seeding import rng_from
+
+
+def pairing_at_data(x: np.ndarray, kappa: int = 1) -> NoisePairing:
+    """Degenerate pairing with y_ij = x_i (the eps = 0 identity check)."""
+    x = np.asarray(x, dtype=float)
+    noise = np.repeat(x[:, None, :], kappa, axis=1)
+    return NoisePairing(noise=noise, kappa=kappa, log_ratio=np.zeros((len(x), kappa)))
 
 
 class ShiftedGaussianKernel:
@@ -97,6 +104,14 @@ def test_kernel_validation():
         GaussianPerturbKernel([-0.1])
     with pytest.raises(ParameterError):
         kernel_for_data("nope", 0.5, np.zeros((5, 2)))
+    with pytest.raises(ParameterError):
+        kernel_class("nope")
+
+
+def test_kernel_class_states_its_epsilon_cap():
+    assert kernel_class("bernoulli_flip") is BernoulliFlipKernel
+    assert BernoulliFlipKernel.epsilon_cap == 1.0  # a flip probability
+    assert kernel_class("gaussian_perturb").epsilon_cap is None
 
 
 def test_kernel_for_data_per_dim_scaling():

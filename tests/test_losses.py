@@ -28,7 +28,6 @@ from cnce import (
     sample_marginal,
     score_matching_loss,
 )
-from cnce.kernels import pairing_at_data
 from cnce.losses import (
     _softplus_sigmoid_neg,
     cnce_objective,
@@ -37,6 +36,7 @@ from cnce.losses import (
     score_matching_objective,
 )
 from cnce.models import (
+    _Model,
     BERNOULLI,
     GAUSSIAN,
     ICA,
@@ -47,6 +47,7 @@ from cnce.models import (
 )
 from cnce.seeding import rng_from
 
+from test_kernels import ShiftedGaussianKernel, pairing_at_data
 from test_models import make, random_points, random_theta
 
 
@@ -266,6 +267,21 @@ def test_cnce_objective_matches_reference(kind):
                        rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", (GAUSSIAN, ICA))
+def test_cnce_objective_folds_an_asymmetric_log_ratio(kind):
+    model = make(kind)
+    rng = rng_from(44, kind)
+    theta = random_theta(model, rng)
+    x = random_points(model, theta, rng, m=50)
+    pairing = sample_conditional(ShiftedGaussianKernel(0.3, 0.6), x, 3, 53)
+    assert np.min(np.abs(pairing.log_ratio)) > 0
+    value, grad_raw = cnce_objective(model, x, pairing)(model.to_raw(theta))[:2]
+    ref = cnce_loss(model, theta, x, pairing)
+    assert value == pytest.approx(ref.value, rel=1e-12)
+    assert np.allclose(grad_raw, model.chain_raw(ref.gradient, theta),
+                       rtol=1e-10, atol=1e-12)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_cnce_loss_value_only_is_bit_equal(kind):
     model = make(kind)
@@ -382,6 +398,65 @@ def test_objectives_reject_models_without_a_route():
     marginal = fit_marginal(x)
     with pytest.raises(UnsupportedModelError):
         nce_objective(model, x, sample_marginal(marginal, 40, 49), marginal)
+
+
+class _LocationRows:
+    """Rows -|a - theta| + |b - theta|, b absent over a single stack."""
+
+    def __init__(self, a, b=None):
+        self.a, self.b = a, b
+        self.offset = np.zeros(len(a))
+
+    def value(self, raw, out):
+        self.theta = raw[0]
+        out[:] = -np.abs(self.a - raw[0])
+        if self.b is not None:
+            out += np.abs(self.b - raw[0])
+
+    def vjp(self, w):
+        g = w @ np.sign(self.a - self.theta)
+        if self.b is not None:
+            g -= w @ np.sign(self.b - self.theta)
+        return np.array([g])
+
+
+class _LaplaceLocation(_Model):
+    """1-d Laplace location model, log phi = -|u - theta|: not affine, and
+    stated only through the model protocol."""
+
+    methods = ("cnce", "nce")
+
+    def log_phi(self, theta, U):
+        return -np.abs(np.asarray(U, dtype=float).reshape(-1) - theta[0])
+
+    def grad_theta(self, theta, U):
+        return np.sign(np.asarray(U, dtype=float).reshape(-1) - theta[0])[:, None]
+
+    def rows(self, U):
+        return _LocationRows(U.reshape(-1))
+
+    def pair_rows(self, x, y, kappa):
+        return _LocationRows(np.repeat(x.reshape(-1), kappa), y.reshape(-1))
+
+
+def test_objectives_take_any_model_that_states_its_rows():
+    model = _LaplaceLocation()
+    x = 0.4 + rng_from(71).laplace(size=(200, 1))
+    pairing = sample_conditional(kernel_for_data("gaussian_perturb", 0.5, x), x, 3, 72)
+    marginal = fit_marginal(x)
+    noise = sample_marginal(marginal, 400, 73)
+    for theta in (np.array([0.1]), np.array([0.7])):
+        value, grad, se = cnce_objective(model, x, pairing)(theta)
+        ref = cnce_loss(model, theta, x, pairing)
+        assert np.ndim(se) == 0 and se > 0
+        assert value == pytest.approx(ref.value, rel=1e-12)
+        assert np.allclose(grad, ref.gradient, rtol=1e-12, atol=1e-12)
+        full = np.append(theta, 0.3)
+        value, grad, se = nce_objective(model, x, noise, marginal)(full)
+        ref = nce_loss(model, full, x, noise, marginal)
+        assert np.ndim(se) == 0 and se > 0
+        assert value == pytest.approx(ref.value, rel=1e-12)
+        assert np.allclose(grad, ref.gradient, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from cnce.models import (
     KINDS,
     LOGNORMAL,
     RING,
-    params_from_json,
-    params_to_json,
 )
 from cnce.seeding import rng_from
 
@@ -74,15 +72,6 @@ def test_gaussian_pack_roundtrip():
     lam = model.unpack(model.random_params(rng))
     assert np.allclose(lam, lam.T)
     assert np.array_equal(model.unpack(model.pack(lam)), lam)
-
-
-def test_params_json_roundtrip():
-    for kind in KINDS:
-        model = make(kind)
-        theta = model.random_params(rng_from(7))
-        model2, theta2 = params_from_json(params_to_json(model, theta))
-        assert model2.spec == model.spec
-        assert np.array_equal(theta2, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +174,33 @@ def test_ica_grad_rows_are_signed_inputs():
     g = model.grad_theta(model.pack(np.eye(4)), u)[0].reshape(4, 4)
     for j in range(4):
         assert np.allclose(g[j], -np.sqrt(2) * np.sign(u[j]) * u)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_match_log_phi_and_its_gradient(kind):
+    # value + offset is log phi (or its pair difference); vjp, carried to
+    # raw coordinates, is the raw gradient of sum_r w_r row_r
+    model = make(kind)
+    rng = rng_from(63, kind)
+    theta = random_theta(model, rng)
+    raw = model.to_raw(theta)
+    x = random_points(model, theta, rng, m=12)
+    y = random_points(model, theta, rng, m=36)
+    cases = [(model.rows(y), model.log_phi(theta, y), [y], [1.0]),
+             (model.pair_rows(x, y, 3),
+              np.repeat(model.log_phi(theta, x), 3) - model.log_phi(theta, y),
+              [np.repeat(x, 3, axis=0), y], [1.0, -1.0])]
+    for rows, expected, stacks, signs in cases:
+        out = np.empty(len(y))
+        rows.value(raw, out)
+        assert np.allclose(out + rows.offset, expected, rtol=1e-12, atol=1e-12)
+        w = rng.standard_normal(len(y))
+        got = rows.vjp(w)
+        if hasattr(rows, "gram"):
+            got = rows.chain(got)
+        natural = sum(sign * model.grad_theta_weighted(theta, u, w)
+                      for u, sign in zip(stacks, signs))
+        assert np.allclose(got, model.chain_raw(natural, theta), rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

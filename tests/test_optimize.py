@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from cnce import (
     EpsilonSchedule,
@@ -22,7 +23,7 @@ from cnce import (
 )
 from cnce.errors import OptimizationError
 from cnce.experiments import config_from_json
-from cnce.losses import bernoulli_population_objective, cnce_objective
+from cnce.losses import cnce_objective
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
 from cnce.seeding import rng_from, stable_hash
 
@@ -133,6 +134,22 @@ def test_gaussian_1d_cnce_matches_grid_search():
     assert abs(lam_hat - 1.0) < 0.15
 
 
+def bernoulli_population_objective(theta_true, epsilon: float):
+    """(value, grad) in log-weights of ``bernoulli_population_loss``."""
+    theta_true = np.asarray(theta_true, dtype=float)
+    p0 = theta_true[0] / theta_true.sum()
+
+    def objective(raw):
+        g = raw[0] - raw[1]
+        value = (2.0 * (1.0 - epsilon) * np.log(2.0)
+                 + 2.0 * epsilon * (p0 * np.logaddexp(0.0, -g)
+                                    + (1.0 - p0) * np.logaddexp(0.0, g)))
+        dg = 2.0 * epsilon * (-p0 * expit(-g) + (1.0 - p0) * expit(g))
+        return float(value), np.array([dg, -dg])
+
+    return objective
+
+
 def test_bernoulli_population_minimize_from_random_starts():
     truth = np.array([0.3, 0.7])
     objective = bernoulli_population_objective(truth, 0.2)
@@ -152,8 +169,19 @@ def test_optimizer_config_validation():
         OptimizerConfig(grad_tol=0.0)
     with pytest.raises(ParameterError):
         OptimizerConfig(restarts=0)
+    for bad in ({"grad_tol": float("nan")}, {"grad_tol": float("inf")},
+                {"adam_step": 0.0}, {"adam_step": -0.05},
+                {"adam_step": float("nan")}, {"adam_betas": (0.9, 1.0)},
+                {"adam_betas": (1.0, 0.999)}, {"adam_betas": (-0.1, 0.999)},
+                {"adam_betas": (0.9, float("nan"))}, {"adam_betas": (0.9,)}):
+        with pytest.raises(ParameterError):
+            OptimizerConfig(**bad)
+    OptimizerConfig(adam_betas=(0.0, 0.0))
     with pytest.raises(ParameterError):
         EpsilonSchedule(delta=2.0)
+    for eps_max in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            EpsilonSchedule(epsilon_max=eps_max)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
+        if not self.n_grid:
+            raise ParameterError("n_grid must be non-empty")
         if list(self.n_grid) != sorted(set(self.n_grid)):
             raise ParameterError("n_grid must be strictly ascending")
         if any(n < 1 for n in self.n_grid):

@@ -5,7 +5,7 @@ population loss.
 
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
 ``nce_loss`` are the reference implementations in natural parameters; the
-``*_objective`` builders produce callables in the optimiser's unconstrained
+``*_objective`` builders produce callables in the model's raw
 coordinates.  Both contrastive losses are logistic, and the model enters
 them only through log phi on a fixed set of points: the partition function
 cancels in CNCE and is learned as c in NCE.  So each builder has one body,
@@ -30,9 +30,12 @@ The reference value of ``score_matching_loss`` comes from ``grad_u`` and
 ``laplacian_u`` instead, which share no code with (A, b, c).
 
 Objective contract: ``objective(raw)`` returns ``(value, grad, hess)``,
-``(value, grad, se)`` or ``(value, grad)``, all in raw coordinates.  The
+``(value, grad, se)`` or ``(value, grad)``, all in the model's raw
+coordinates, those in which log phi is affine (``models`` docstring).  The
 exact Hessian comes with score matching and with the contrastive objectives
-on affine rows.  The others (on non-affine rows, and ``ica_mle_objective``)
+on affine rows: logistic losses of affine rows have a Gram-matrix Hessian,
+and score matching the matrix A, so every Hessian returned is positive
+semi-definite.  The others (on non-affine rows, and ``ica_mle_objective``)
 return instead the loss's sampling standard error, std over sqrt(count) of
 the per-row terms they already hold, scaled as the loss scales them; it is
 computed at the first point an objective is called at, the optimiser's
@@ -159,7 +162,7 @@ def _require(model, method: str):
 
 
 def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
-    """Objective over unconstrained coordinates, from ``model.pair_rows``:
+    """Objective over raw model coordinates, from ``model.pair_rows``:
     (value, grad, hess) on affine rows, (value, grad, se) otherwise, with
     se = 2 std(softplus rows) / sqrt(rows)."""
     _require(model, "cnce")
@@ -186,7 +189,7 @@ def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
         np.subtract(1.0, sig, out=g)
         np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
         hess = 2.0 / m * rows.gram(g)
-        return value, rows.chain(grad), rows.chain_hessian(hess, grad)
+        return value, grad, hess
 
     return objective
 
@@ -265,10 +268,10 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
         np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
         p = len(g_theta)
         hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = rows.chain_hessian(rows.gram(h) / n, g_theta)
-        hess[:p, p] = hess[p, :p] = rows.chain(rows.vjp(h) / n)
+        hess[:p, :p] = rows.gram(h) / n
+        hess[:p, p] = hess[p, :p] = rows.vjp(h) / n
         hess[p, p] = float(np.sum(h)) / n
-        return value, np.append(rows.chain(g_theta), g_c), hess
+        return value, np.append(g_theta, g_c), hess
 
     return objective
 
@@ -291,20 +294,19 @@ def score_matching_loss(model, theta, x: np.ndarray) -> LossReport:
 
 
 def score_matching_objective(model, x: np.ndarray):
-    """(value, grad, hess) callable over unconstrained coordinates.
+    """(value, grad, hess) callable over raw coordinates, which for every
+    smooth model are its natural ones.
 
-    The loss is theta'A theta / 2 + b'theta + c in natural parameters, with
-    (A, b, c) built once from the data, so each call is O(p^2) and the
-    natural Hessian is A itself.
+    The loss is raw'A raw / 2 + b'raw + c, with (A, b, c) built once from
+    the data, so each call is O(p^2) and the Hessian is A itself: Newton's
+    first step lands on the minimiser.
     """
     a, b, c = model.score_quadratic(np.asarray(x, dtype=float))
 
     def objective(raw):
-        theta = model.from_raw(raw)
-        grad = a @ theta + b
-        value = 0.5 * float(theta @ (grad + b)) + c
-        return (value, model.chain_raw(grad, theta),
-                model.chain_raw_hessian(a, grad, theta))
+        grad = a @ raw + b
+        value = 0.5 * float(raw @ (grad + b)) + c
+        return value, grad, a
 
     return objective
 

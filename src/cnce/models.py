@@ -7,11 +7,11 @@ are packed into flat vectors; the layout is documented per model in its
 ``packing`` attribute.  All operations are pure functions of their arguments;
 random state is always passed in explicitly.
 
-Where a parameter must stay positive (ring precision, Bernoulli weights,
-log-normal precision) the optimiser works in log-space.  ``to_raw`` /
-``from_raw`` convert between the natural packing and the unconstrained
-representation, and ``chain_raw`` / ``chain_raw_hessian`` carry a gradient /
-Hessian taken in natural coordinates over to the raw ones.
+The optimiser's raw coordinates are those in which log phi is affine, so
+CNCE, NCE and score matching are convex in them.  For every model but
+Bernoulli they are the natural packing and ``to_raw`` / ``from_raw`` are the
+identity; Bernoulli's log phi is linear in its log-weights, so its raw
+coordinates are those, and ``from_raw`` is exp.
 
 Model protocol: each class states once all the maths an estimator needs,
 so no estimator branches on the model kind.  ``methods`` (the estimators it
@@ -28,12 +28,11 @@ Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
 object with ``offset``, the (m,) part no parameter moves, a fresh array a
 loss may fold its own constants into; ``value(raw, out)``, which writes the
-rest; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last ``value``.
-Affine rows, Phi @ theta + offset, add the exact curvature ``gram(c)`` =
-Phi' diag(c) Phi and ``chain(grad)`` / ``chain_hessian(hess, grad)`` to raw
-coordinates; other rows have raw = theta.  ``_Model`` builds affine rows
-from ``theta_features``, Bernoulli in its log-weights (its raw
-coordinates), and Laplace ICA from the sources B U'.
+rest; and ``vjp(w)``, sum_r w_r d row_r / d raw at the last ``value``.
+Affine rows, Phi @ raw + offset, add the exact curvature ``gram(c)`` =
+Phi' diag(c) Phi.  ``_Model`` builds them from ``theta_features``, Bernoulli
+from its log-weight indicators, and Laplace ICA builds non-affine rows from
+the sources B U'.
 """
 
 from __future__ import annotations
@@ -112,36 +111,19 @@ def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _AffineRows:
-    """Rows Phi @ theta + offset, theta = coords.from_raw(raw), with the
-    chain rule of coords (the model, or ``_RawCoords``) at the theta of the
-    last ``value`` call."""
+    """Rows Phi @ raw + offset."""
 
-    def __init__(self, phi, offset, coords):
-        self.phi, self.offset, self.coords, self.theta = phi, offset, coords, None
+    def __init__(self, phi, offset):
+        self.phi, self.offset = phi, offset
 
     def value(self, raw, out):
-        self.theta = self.coords.from_raw(raw)
-        np.matmul(self.phi, self.theta, out=out)
+        np.matmul(self.phi, raw, out=out)
 
     def vjp(self, w):
         return w @ self.phi
 
     def gram(self, c):
         return _weighted_gram(self.phi, c)
-
-    def chain(self, grad):
-        return self.coords.chain_raw(grad, self.theta)
-
-    def chain_hessian(self, hess, grad):
-        return self.coords.chain_raw_hessian(hess, grad, self.theta)
-
-
-class _RawCoords:
-    """Rows affine in the raw coordinates themselves: an identity chain."""
-
-    from_raw = staticmethod(lambda raw: raw)
-    chain_raw = staticmethod(lambda grad, theta: grad)
-    chain_raw_hessian = staticmethod(lambda hess, grad, theta: hess)
 
 
 class _Model:
@@ -153,54 +135,17 @@ class _Model:
     kernel_kind = "gaussian_perturb"
 
     # --- parametrisation ---------------------------------------------------
-    @property
-    def positive_mask(self) -> np.ndarray:
-        """Which packed coordinates are constrained positive."""
-        return np.zeros(self.spec.param_count, dtype=bool)
-
     def to_raw(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        mask = self.positive_mask
-        if np.any(theta[mask] <= 0):
-            raise ParameterError("positive-constrained parameter is <= 0")
-        raw = theta.copy()
-        raw[mask] = np.log(theta[mask])
-        return raw
+        return np.array(theta, dtype=float)
 
     def from_raw(self, raw: np.ndarray) -> np.ndarray:
-        raw = np.asarray(raw, dtype=float)
-        theta = raw.copy()
-        mask = self.positive_mask
-        theta[mask] = np.exp(raw[mask])
-        return theta
-
-    def chain_raw(self, grad_theta: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Gradient in natural coordinates -> gradient in raw coordinates."""
-        out = np.asarray(grad_theta, dtype=float).copy()
-        mask = self.positive_mask
-        out[mask] *= theta[mask]
-        return out
-
-    def chain_raw_hessian(self, hess_theta: np.ndarray, grad_theta: np.ndarray,
-                          theta: np.ndarray) -> np.ndarray:
-        """Hessian in natural coordinates -> Hessian in raw coordinates.
-
-        With theta = exp(z) on the positive coordinates, the Jacobian J is
-        diagonal (theta there, 1 elsewhere) and d2theta/dz2 = theta, so the
-        raw Hessian is J H J + diag(mask * grad * theta).
-        """
-        mask = self.positive_mask
-        jac = np.where(mask, theta, 1.0)
-        out = np.asarray(hess_theta, dtype=float) * jac[:, None] * jac[None, :]
-        out[np.diag_indices_from(out)] += np.where(mask, grad_theta * theta, 0.0)
-        return out
+        return np.array(raw, dtype=float)
 
     def init_raw(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
-        """Random optimiser start: N(0, scale^2) for free coordinates, 0 in
-        log-space for positive-constrained ones."""
-        raw = scale * rng.standard_normal(self.spec.param_count)
-        raw[self.positive_mask] = 0.0
-        return raw
+        """Random optimiser start: N(0, scale^2) in every raw coordinate.
+        Bernoulli needs the jitter: equal weights make log phi constant,
+        which degenerates the noise-scale heuristic."""
+        return scale * rng.standard_normal(self.spec.param_count)
 
     # --- point handling ----------------------------------------------------
     def _as_batch(self, U) -> np.ndarray:
@@ -237,17 +182,14 @@ class _Model:
                 f"log phi of {self.spec.kind} is not affine in its parameters")
         return feats
 
-    def _rows(self, phi, offset):
-        return _AffineRows(phi, offset, self)
-
     def rows(self, U):
-        return self._rows(*self._features(U))
+        return _AffineRows(*self._features(U))
 
     def pair_rows(self, x, y, kappa: int):
         phi_x, off_x = self._features(x)
         phi_y, off_y = self._features(y)
         i = np.arange(len(y)) // kappa
-        return self._rows(phi_x[i] - phi_y, off_x[i] - off_y)
+        return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
 
     def grad_theta(self, theta, U):
         """(m, p) rows d log phi / d theta: the features of an affine model."""
@@ -512,9 +454,8 @@ class RingModel(_Model):
         self.spec = ModelSpec(RING, dim)
         self.mu = float(mu)
 
-    @property
-    def positive_mask(self):
-        return np.array([True])
+    def init_raw(self, rng, scale=0.3):
+        return np.array([1.0])  # unit precision
 
     def log_phi(self, theta, U):
         (gamma,) = self._check_theta(theta)
@@ -583,12 +524,8 @@ class LogNormalExtModel(_Model):
     def __init__(self):
         self.spec = ModelSpec(LOGNORMAL, 1)
 
-    @property
-    def positive_mask(self):
-        return np.array([True, False])
-
     def init_raw(self, rng, scale=0.3):
-        return np.array([0.0, -5.0])  # C starts low: its optimum is -inf
+        return np.array([1.0, -5.0])  # C starts low: its optimum is -inf
 
     def _split(self, U):
         u = self._as_batch(U)[:, 0]
@@ -667,14 +604,14 @@ class BernoulliModel(_Model):
     def __init__(self):
         self.spec = ModelSpec(BERNOULLI, 1)
 
-    @property
-    def positive_mask(self):
-        return np.array([True, True])
+    def to_raw(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        if np.any(theta <= 0):
+            raise ParameterError("bernoulli weights must be positive")
+        return np.log(theta)
 
-    def init_raw(self, rng, scale=0.3):
-        # jitter in log space: equal weights make log phi constant, which
-        # degenerates the noise-scale heuristic
-        return scale * rng.standard_normal(2)
+    def from_raw(self, raw):
+        return np.exp(np.asarray(raw, dtype=float))
 
     def _bits(self, U):
         u = self._as_batch(U)[:, 0]
@@ -696,9 +633,6 @@ class BernoulliModel(_Model):
         phi[~ones, 0] = 1.0
         phi[ones, 1] = 1.0
         return phi, np.zeros(len(ones))
-
-    def _rows(self, phi, offset):
-        return _AffineRows(phi, offset, _RawCoords)
 
     def grad_theta(self, theta, U):
         t1, t2 = self._check_theta(theta)

@@ -69,6 +69,8 @@ class OptimizerConfig:
             raise ParameterError("max_iters must be >= 1")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ParameterError("grad_tol must be finite and > 0")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ParameterError("init_scale must be finite and > 0")
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
         if not (math.isfinite(self.adam_step) and self.adam_step > 0):
@@ -170,26 +172,21 @@ def _adam_phase(loss_fn, z, first, cfg, run):
 def _newton_direction(hess, grad) -> np.ndarray:
     """-(H + lam I)^{-1} grad with Levenberg damping lam.
 
-    lam starts at 1e-12 s (s the largest diagonal magnitude of H) and
-    doubles until H + lam I has a Cholesky factor.  The floor keeps a
-    rank-deficient H (the Bernoulli scale, a vanishing log-normal C) from
-    amplifying rounding along its null space.  Where the floor is not
-    enough, H is indefinite (the log-space chain rule of a positive
-    parameter far from its optimum) and the factor found may be barely
-    positive definite; lam then also gets the gradient's infinity norm,
-    which bounds the step's Euclidean length by sqrt(p).
+    Every Hessian ``minimize`` gets from this package is positive
+    semi-definite (``losses`` docstring), so lam is a floor of 1e-12 s, s
+    the largest diagonal magnitude of H, that keeps a rank-deficient H (the
+    Bernoulli scale, a vanishing log-normal C) from amplifying rounding
+    along its null space.  Where H + lam I still has no Cholesky factor, lam
+    doubles until it has one.
     """
     eye = np.eye(len(grad))
-    floor = 1e-12 * (float(np.max(np.abs(np.diag(hess)))) or 1.0)
-    lam = floor
+    lam = 1e-12 * (float(np.max(np.abs(np.diag(hess)))) or 1.0)
     while True:
         try:
             np.linalg.cholesky(hess + lam * eye)
             break
         except np.linalg.LinAlgError:
             lam *= 2.0
-    if lam > floor:
-        lam += float(np.max(np.abs(grad)))
     return -np.linalg.solve(hess + lam * eye, grad)
 
 

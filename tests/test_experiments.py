@@ -179,7 +179,7 @@ def test_config_validation():
         small_config(kind=BERNOULLI, methods=("nce",))
     with pytest.raises(ParameterError):
         small_config(repeats=0)
-    for n_grid in ((0, 200), (-5,)):
+    for n_grid in ((), (0, 200), (-5,)):
         with pytest.raises(ParameterError):
             small_config(n_grid=n_grid)
     for kappa_grid in ((), (0,), (2, 2), (3, 2), (2.5,)):

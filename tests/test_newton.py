@@ -31,8 +31,8 @@ AFFINE_CASES = [(kind, method) for kind in (GAUSSIAN, RING, LOGNORMAL)
 
 
 def build_objective(kind, method, seed=0, n=80):
-    """(objective, raw start) at a perturbed truth, so that the gradient and
-    the log-space chain-rule term are both non-zero."""
+    """(objective, raw start) at a perturbed truth, so that the gradient is
+    non-zero."""
     model = make(kind)
     rng = rng_from(seed, kind, method)
     theta = model.random_params(rng)
@@ -60,6 +60,38 @@ def test_hessian_matches_gradient_finite_differences(kind, method):
         e[i] = h
         fd[:, i] = (objective(raw + e)[1] - objective(raw - e)[1]) / (2 * h)
     assert np.allclose(hess, fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind,method", AFFINE_CASES)
+def test_hessian_is_positive_semidefinite_around_the_start(kind, method):
+    # log phi is affine in the raw coordinates, so the contrastive losses
+    # and score matching are convex there: no Newton step needs more than
+    # the damping floor, however far the start is from the optimum
+    objective, raw = build_objective(kind, method)
+    rng = rng_from(11, kind, method)
+    for _ in range(20):
+        hess = objective(raw + rng.uniform(-2.0, 2.0, len(raw)))[2]
+        eig = np.linalg.eigvalsh(hess)
+        assert eig[0] >= -1e-10 * eig[-1]
+
+
+@pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
+def test_score_matching_newton_lands_on_the_quadratic_minimiser(kind):
+    # the objective is the exact quadratic raw'A raw / 2 + b'raw + c, so
+    # the first Newton step solves it; coordinates A does not see (the
+    # log-normal C) keep their start
+    model = make(kind)
+    rng = rng_from(17, kind)
+    x = model.sample(model.random_params(rng), 300, rng_from(18, kind))
+    a, b, _ = model.score_quadratic(x)
+    raw0 = model.init_raw(rng)
+    run = minimize(score_matching_objective(model, x), raw0, OptimizerConfig(), 0)
+    assert (run.stop, run.converged) == ("grad_tol", True)
+    assert run.iters <= 2
+    seen = np.diag(a) > 0
+    assert np.allclose(run.theta[seen], (-np.linalg.pinv(a) @ b)[seen],
+                       rtol=1e-10, atol=1e-12)
+    assert np.array_equal(run.theta[~seen], raw0[~seen])
 
 
 @pytest.mark.parametrize("kind,method", AFFINE_CASES)
@@ -148,7 +180,8 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
 
 
 def test_lognormal_nce_overflowing_trials_leak_no_warnings():
-    # at this seed the first Newton trial overflows exp in from_raw
+    # with the precision in log-space, this seed's first Newton trial
+    # overflowed exp; the cell must converge without a RuntimeWarning
     cfg = ExperimentConfig(model=default_spec(LOGNORMAL), methods=("nce",),
                            n_grid=(4000,), kappa_grid=(10,), repeats=1,
                            master_seed=124981826)

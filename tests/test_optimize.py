@@ -170,6 +170,8 @@ def test_optimizer_config_validation():
     with pytest.raises(ParameterError):
         OptimizerConfig(restarts=0)
     for bad in ({"grad_tol": float("nan")}, {"grad_tol": float("inf")},
+                {"init_scale": float("nan")}, {"init_scale": float("inf")},
+                {"init_scale": -0.3},
                 {"adam_step": 0.0}, {"adam_step": -0.05},
                 {"adam_step": float("nan")}, {"adam_betas": (0.9, 1.0)},
                 {"adam_betas": (1.0, 0.999)}, {"adam_betas": (-0.1, 0.999)},

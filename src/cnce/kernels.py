@@ -202,5 +202,6 @@ def sample_marginal(kernel: MarginalKernel, m: int, rng_seed: int) -> np.ndarray
 def log_density_marginal(kernel: MarginalKernel, U) -> np.ndarray:
     """Exact normalised Gaussian log-density."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    d = U - kernel.mean
-    return kernel._log_norm - 0.5 * np.einsum("ij,jk,ik->i", d, kernel._precision, d)
+    # C order, so that the bits do not depend on the caller's layout
+    d = np.subtract(U, kernel.mean, order="C")
+    return kernel._log_norm - 0.5 * np.einsum("ij,ij->i", d @ kernel._precision, d)

@@ -45,8 +45,11 @@ travel in the return value, not as attributes of the callable, so they
 survive any wrapper that passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
-exp(-|G|) pass in ``_softplus_sigmoid_neg`` (the references use
-logaddexp(0, -G) and scipy's expit); |G| beyond 700 overflows a naive exp.
+exp(-|G|) pass in ``_softplus_sigmoid_neg``; |G| beyond 700 overflows a
+naive exp.  The references use logaddexp(0, -G), and ``nce_loss`` its
+logistic weights sigmoid(h) = exp(-logaddexp(0, -h)), which share no code
+with that pass.  The package runs on numpy alone: importing SciPy would
+double the start-up of every process, pool workers included.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError, UnsupportedModelError
 from .kernels import MarginalKernel, NoisePairing, log_density_marginal, log_ratio
@@ -213,14 +215,24 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
     hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
     hy = model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise) - log_nu
     value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
-    wx = -expit(-hx)
-    wy = expit(hy)
+    wx = -np.exp(-_softplus(hx))  # -sigmoid(-hx)
+    wy = np.exp(-_softplus(-hy))  # sigmoid(hy)
     g_theta = (model.grad_theta_weighted(theta, x, wx)
                + model.grad_theta_weighted(theta, noise, wy)) / n
     g_c = (wx.sum() + wy.sum()) / n
     return LossReport(value=float(value),
                       gradient=np.concatenate([g_theta, [g_c]]),
                       n_terms=len(x) + len(noise))
+
+
+def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel) -> float:
+    """-log mean_j phi(y_j; theta) / q(y_j) over noise y drawn from q: the
+    importance-sampling estimate of -log Z(theta), NCE's optimal c at theta.
+    The log-weights are shifted by their maximum before exp, so that neither
+    a tiny nor a huge Z over- or underflows."""
+    a = model.log_phi(theta, noise) - log_density_marginal(marginal, noise)
+    top = float(np.max(a))
+    return -(top + float(np.log(np.mean(np.exp(a - top)))))
 
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):

@@ -15,7 +15,8 @@ coordinates are those, and ``from_raw`` is exp.
 
 Model protocol: each class states once all the maths an estimator needs,
 so no estimator branches on the model kind.  ``methods`` (the estimators it
-supports) and ``kernel_kind`` (its CNCE noise kernel) are class attributes;
+supports), ``kernel_kind`` (its CNCE noise kernel) and ``affine`` (whether
+log phi is affine in the raw coordinates) are class attributes;
 ``log_phi`` and ``grad_theta`` serve the reference contrastive losses;
 ``rows(U)`` and ``pair_rows(x, y, kappa)`` serve the contrastive objectives
 (below); ``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``,
@@ -117,7 +118,8 @@ class _AffineRows:
         self.phi, self.offset = phi, offset
 
     def value(self, raw, out):
-        np.matmul(self.phi, raw, out=out)
+        # np.dot, not matmul: same bits, and 6-8x faster for one column
+        np.dot(self.phi, raw, out=out)
 
     def vjp(self, w):
         return w @ self.phi
@@ -133,6 +135,7 @@ class _Model:
     packing: str
     methods: tuple
     kernel_kind = "gaussian_perturb"
+    affine = True  # log phi affine in raw: its rows have ``gram``
 
     # --- parametrisation ---------------------------------------------------
     def to_raw(self, theta: np.ndarray) -> np.ndarray:
@@ -253,8 +256,9 @@ class GaussianPrecisionModel(_Model):
 
     def log_phi(self, theta, U):
         lam = self.unpack(theta)
-        U = self._as_batch(U)
-        return -0.5 * np.einsum("ij,jk,ik->i", U, lam, U)
+        # C order first, so that the bits do not depend on the caller's layout
+        U = np.ascontiguousarray(self._as_batch(U))
+        return -0.5 * np.einsum("ij,ij->i", U @ lam, U)
 
     def theta_features(self, U):
         U = self._as_batch(U)
@@ -277,7 +281,7 @@ class GaussianPrecisionModel(_Model):
 
     def grad_u(self, theta, U):
         lam = self.unpack(theta)
-        return -self._as_batch(U) @ lam
+        return -np.dot(self._as_batch(U), lam)  # matmul is slow at dim 1
 
     def laplacian_u(self, theta, U):
         lam = self.unpack(theta)
@@ -384,6 +388,7 @@ class IcaLaplaceModel(_Model):
 
     packing = "demixing matrix rows, concatenated"
     methods = ("cnce", "nce", "mle")  # not smooth: no score matching
+    affine = False
 
     def __init__(self, dim: int = 4):
         self.spec = ModelSpec(ICA, dim)

@@ -269,6 +269,36 @@ def test_run_grid_keeps_a_nonfinite_nce_cell(monkeypatch):
     assert "not converged (nonfinite)" in warnings
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, RING, LOGNORMAL, ICA])
+def test_run_single_starts_nce_c_at_its_log_normaliser_where_newton_runs(
+        kind, monkeypatch):
+    import cnce.experiments
+    from cnce.losses import nce_log_normaliser
+
+    build, minimize = cnce.experiments.nce_objective, cnce.experiments.minimize
+    seen = {}
+
+    def recorded_build(model, x, noise, marginal):
+        seen["args"] = (model, noise, marginal)
+        return build(model, x, noise, marginal)
+
+    def recorded_minimize(objective, raw0, cfg, seed):
+        seen["raw0"] = raw0
+        return minimize(objective, raw0, cfg, seed)
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", recorded_build)
+    monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
+    cfg = small_config(kind=kind, methods=("nce",), n_grid=(200,), repeats=1,
+                       optimizer=OptimizerConfig(max_iters=3))
+    run_single(cfg, "nce", 200, 2, 0)
+    model, noise, marginal = seen["args"]
+    *theta0, c0 = seen["raw0"]
+    if kind == ICA:  # the Adam route starts c at 0
+        assert c0 == 0.0
+    else:
+        assert c0 == nce_log_normaliser(model, np.array(theta0), noise, marginal)
+
+
 def test_run_single_fields():
     cfg = small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(300,))
     record, warnings = run_single(cfg, "cnce", 300, 2, 0)

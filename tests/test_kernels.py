@@ -187,6 +187,14 @@ def test_marginal_density_integrates_like_gaussian():
     assert np.allclose(np.cov(samples.T, bias=True), k.covariance, atol=0.06)
 
 
+def test_marginal_log_density_bits_do_not_depend_on_memory_layout():
+    x = rng_from(12).standard_normal((400, 5)) @ rng_from(13).standard_normal((5, 5))
+    k = fit_marginal(x)
+    u = sample_marginal(k, 257, 14)
+    assert np.array_equal(log_density_marginal(k, np.ascontiguousarray(u)),
+                          log_density_marginal(k, np.asfortranarray(u)))
+
+
 def test_fit_marginal_needs_enough_points():
     with pytest.raises(ParameterError):
         fit_marginal(np.zeros((3, 5)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
+from scipy.stats import multivariate_normal
 
 from cnce import (
     GaussianPerturbKernel,
@@ -32,6 +33,7 @@ from cnce.losses import (
     _softplus_sigmoid_neg,
     cnce_objective,
     ica_mle_objective,
+    nce_log_normaliser,
     nce_objective,
     score_matching_objective,
 )
@@ -43,6 +45,7 @@ from cnce.models import (
     KINDS,
     LOGNORMAL,
     RING,
+    GaussianPrecisionModel,
     ModelSpec,
 )
 from cnce.seeding import rng_from
@@ -508,6 +511,44 @@ def test_nce_noise_count_multiple():
     marginal = fit_marginal(x)
     with pytest.raises(ParameterError):
         nce_loss(model, np.zeros(16), x, np.zeros((15, 5)), marginal)
+
+
+@pytest.mark.parametrize("spread", [1.0, 1.5])
+def test_nce_log_normaliser_matches_the_gaussian_log_partition(spread):
+    # -log mean phi/q over exact draws from q estimates -log Z, and the
+    # Gaussian's log Z = (d/2) log 2 pi - (1/2) log det Lam is closed-form;
+    # the tolerance is the estimate's standard error, from weights that
+    # scipy's density gives.  Spread 1 fits q to the model, 1.5 widens it
+    model = make(GAUSSIAN)
+    theta = model.random_params(rng_from(55))
+    lam = model.unpack(theta)
+    marginal = fit_marginal(spread * model.sample(theta, 5_000, rng_from(56)))
+    noise = sample_marginal(marginal, 100_000, 57)
+    log_z = 0.5 * (5 * np.log(2 * np.pi) - np.linalg.slogdet(lam)[1])
+    log_w = (-0.5 * np.einsum("ij,jk,ik->i", noise, lam, noise)
+             - multivariate_normal(marginal.mean, marginal.covariance).logpdf(noise))
+    w = np.exp(log_w - log_w.max())
+    se = float(np.std(w) / np.mean(w)) / np.sqrt(len(w))
+    assert se < 0.01
+    assert abs(nce_log_normaliser(model, theta, noise, marginal) + log_z) < 4 * se
+
+
+def test_nce_log_normaliser_shifts_before_exp():
+    # phi times e^{-1000} or e^{1000}: a plain mean of exp(log phi - log q)
+    # under- or overflows
+    model = make(GAUSSIAN)
+    theta = model.random_params(rng_from(58))
+    marginal = fit_marginal(model.sample(theta, 500, rng_from(59)))
+    noise = sample_marginal(marginal, 2_000, 60)
+    base = nce_log_normaliser(model, theta, noise, marginal)
+
+    class Scaled(GaussianPrecisionModel):
+        def log_phi(self, theta, U):
+            return super().log_phi(theta, U) + shift
+
+    for shift in (-1000.0, 1000.0):
+        assert nce_log_normaliser(Scaled(5), theta, noise, marginal) == \
+            pytest.approx(base - shift, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,17 @@ def test_generate_true_params_invariants():
 # structural invariances
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_log_phi_bits_do_not_depend_on_memory_layout(kind):
+    # samplers hand out Fortran-ordered points (np.linalg.solve(...).T), and
+    # the eps = 0 row of limit_check compares log phi across layouts exactly
+    model = make(kind)
+    theta = random_theta(model, rng_from(61))
+    u = random_points(model, theta, rng_from(62), m=257)
+    c, f = np.ascontiguousarray(u), np.asfortranarray(u)
+    assert np.array_equal(model.log_phi(theta, c), model.log_phi(theta, f))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 2**31 - 1))
 def test_ica_row_sign_flip_invariance(row, seed):

@@ -282,14 +282,31 @@ def test_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # importing scipy.optimize would add ~0.3 s to the CLI's ~0.5 s import
-    # (2-core VM); the optimiser needs numpy.linalg only
+_ONE_CELL_PER_METHOD = """
+import sys, cnce, cnce.cli
+from cnce.experiments import ExperimentConfig, run_single
+from cnce.models import KINDS, build_model, default_spec
+from cnce.optimize import OptimizerConfig
+
+for kind in KINDS:
+    spec = default_spec(kind)
+    methods = build_model(spec).methods
+    cfg = ExperimentConfig(model=spec, methods=methods, n_grid=(40,),
+                           kappa_grid=(2,), repeats=1,
+                           optimizer=OptimizerConfig(max_iters=20))
+    for method in methods:
+        run_single(cfg, method, 40, 2, 0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_and_one_cell_per_method_load_no_scipy():
+    # importing scipy.special alone takes ~0.3 s, more than half of a
+    # fresh process's start-up (2-core VM); the package needs numpy only
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cnce.cli; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _ONE_CELL_PER_METHOD],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "[]"

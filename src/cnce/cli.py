@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .experiments import (
     summarize,
     summary_to_json,
     _check_keys,
+    _integer,
 )
 from .models import GAUSSIAN, build_model, default_spec
 from .svgplot import chart_series_for_model, render_loglog
@@ -68,13 +70,14 @@ def cmd_estimate(args) -> int:
     for key in ("model", "method", "n", "kappa"):
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in estimate config")
-    seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integer(obj.get("seed", 0), "seed")
+    n, kappa = _integer(obj["n"], "n"), _integer(obj["kappa"], "kappa")
     grid = {
         "schema": 1,
         "model": obj["model"],
         "methods": [obj["method"]],
-        "n_grid": [int(obj["n"])],
-        "kappa_grid": [int(obj["kappa"])],
+        "n_grid": [n],
+        "kappa_grid": [kappa],
         "repeats": 1,
         "master_seed": seed,
         "epsilon": obj.get("epsilon", "auto"),
@@ -84,9 +87,8 @@ def cmd_estimate(args) -> int:
     if "ring_mu" in obj:
         grid["ring_mu"] = obj["ring_mu"]
     cfg = config_from_json(grid)
-    record, warnings, trace = run_single(
-        cfg, obj["method"], int(obj["n"]), int(obj["kappa"]), 0,
-        collect_trace=True)
+    record, warnings, trace = run_single(cfg, obj["method"], n, kappa, 0,
+                                         collect_trace=True)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, f"{record.run_id}.json")
@@ -148,7 +150,9 @@ def cmd_experiment(args) -> int:
     for p in paths:
         print(f"wrote {p}")
     if warnings:
-        print(f"{len(warnings)} warnings (first: {warnings[0]})", file=sys.stderr)
+        print(f"{len(warnings)} warnings:", file=sys.stderr)
+        for text, count in Counter(warnings).most_common():
+            print(f"  {count}\u00d7 {text}", file=sys.stderr)
         return 2
     return 0
 
@@ -159,8 +163,8 @@ def cmd_limit_check(args) -> int:
     if obj.get("schema") != 1:
         raise ParameterError("missing or unsupported 'schema' (expected 1)")
     eps_grid = [float(e) for e in obj.get("eps_grid", [0.04, 0.02, 0.01])]
-    mc_pairs = int(obj.get("mc_pairs", 1_000_000))
-    seed = args.seed if args.seed is not None else int(obj.get("seed", 0))
+    mc_pairs = _integer(obj.get("mc_pairs", 1_000_000), "mc_pairs")
+    seed = args.seed if args.seed is not None else _integer(obj.get("seed", 0), "seed")
     if "precision" in obj:
         theta = np.asarray(obj["precision"], dtype=float)
     else:

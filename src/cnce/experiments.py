@@ -20,7 +20,7 @@ import logging
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,15 +34,7 @@ from .losses import (
     nce_objective,
     score_matching_objective,
 )
-from .models import (
-    GAUSSIAN,
-    RING,
-    ModelSpec,
-    build_model,
-    default_spec,
-    spec_from_json,
-    spec_to_json,
-)
+from .models import GAUSSIAN, RING, ModelSpec, build_model, default_spec, spec_from_json
 from .optimize import EpsilonSchedule, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
@@ -135,7 +127,7 @@ def estimation_error(model, theta_hat, theta_true) -> float:
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
     if theta_hat.shape != theta_true.shape or theta_hat.shape != (model.spec.param_count,):
-        raise ParameterError("parameter packings disagree")
+        raise ParameterError("parameter vectors disagree in shape")
     return model.error(theta_hat, theta_true)
 
 
@@ -180,7 +172,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             if method == "cnce":
                 if cfg.epsilon == "auto":
                     epsilon, capped = adapt_epsilon(
-                        model, theta0, x, model.kernel_kind, cfg.schedule, kappa,
+                        model, theta0, x, cfg.schedule, kappa,
                         stable_hash(seed, "epsilon"))
                     if capped:
                         warnings.append("epsilon ladder capped")
@@ -334,6 +326,8 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list:
+    """Records of a results CSV; a malformed row raises ``ParameterError``
+    naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader))
     if header != CSV_HEADER:
@@ -341,14 +335,21 @@ def records_from_csv(text: str) -> list:
         raise ParameterError(f"csv schema mismatch; missing columns: {missing}")
     out = []
     for row in reader:
-        out.append(ErrorRecord(
-            run_id=row[0], model=row[1], method=row[2], n=int(row[3]),
-            kappa=int(row[4]),
-            epsilon=None if row[5] == "" else float(row[5]),
-            seed=int(row[6]), error=float(row[7]), sq_error=float(row[8]),
-            converged=row[9] == "true", iters=int(row[10]),
-            wall_ms=float(row[11]),
-        ))
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{len(row)} fields, expected {len(CSV_HEADER)}")
+            if row[9] not in ("true", "false"):
+                raise ValueError(f"converged must be true or false, got {row[9]!r}")
+            out.append(ErrorRecord(
+                run_id=row[0], model=row[1], method=row[2], n=int(row[3]),
+                kappa=int(row[4]),
+                epsilon=None if row[5] == "" else float(row[5]),
+                seed=int(row[6]), error=float(row[7]), sq_error=float(row[8]),
+                converged=row[9] == "true", iters=int(row[10]),
+                wall_ms=float(row[11]),
+            ))
+        except ValueError as exc:
+            raise ParameterError(f"csv line {reader.line_num}: {exc}") from None
     return out
 
 
@@ -453,22 +454,32 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # config (de)serialisation
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"schema", "model", "methods", "n_grid", "kappa_grid", "repeats",
-                "master_seed", "epsilon", "optimizer", "epsilon_schedule",
-                "ring_mu"}
-_MODEL_KEYS = {"kind", "dim"}
-_OPT_KEYS = {"max_iters", "grad_tol", "init_scale", "restarts", "adam_step",
-             "adam_betas"}
+# the JSON keys are the dataclass fields, ``schedule`` written as
+# ``epsilon_schedule``, plus the schema version
+_CONFIG_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"schedule"}
+                | {"schema", "epsilon_schedule"})
+_MODEL_KEYS = {f.name for f in fields(ModelSpec)}
+_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 # schema-1 keys of the removed polish, plateau and backtracking phases:
 # accepted and ignored, so that existing configs keep running
 _OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol"}
-_SCHED_KEYS = {"epsilon_0", "growth", "delta", "epsilon_max"}
+_SCHED_KEYS = {f.name for f in fields(EpsilonSchedule)}
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
     for key in obj:
         if key not in allowed:
             raise ParameterError(f"unknown key {key!r} in {where}")
+
+
+def _integer(value, what: str) -> int:
+    """An integer or integral float as an int; anything else (2.7, a bool, a
+    string) raises instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def optimizer_from_json(obj: dict) -> OptimizerConfig:
@@ -479,6 +490,9 @@ def optimizer_from_json(obj: dict) -> OptimizerConfig:
             "optimizer keys %s are deprecated and ignored: the first-order "
             "route now stops on the loss's sampling error", ", ".join(ignored))
     kwargs = {k: v for k, v in obj.items() if k in _OPT_KEYS}
+    for key in ("max_iters", "restarts"):
+        if key in kwargs:
+            kwargs[key] = _integer(kwargs[key], key)
     if "adam_betas" in kwargs:
         kwargs["adam_betas"] = tuple(kwargs["adam_betas"])
     return OptimizerConfig(**kwargs)
@@ -499,7 +513,9 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     model_obj = dict(obj["model"])
     _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
     ring_mu = float(model_obj.pop("mu", obj.get("ring_mu", 4.0)))
-    if "dim" not in model_obj:
+    if "dim" in model_obj:
+        model_obj["dim"] = _integer(model_obj["dim"], "dim")
+    else:
         model_obj["dim"] = default_spec(model_obj["kind"]).dim
     spec = spec_from_json(model_obj)
     epsilon = obj.get("epsilon", "auto")
@@ -508,10 +524,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(
         model=spec,
         methods=tuple(obj["methods"]),
-        n_grid=tuple(int(n) for n in obj["n_grid"]),
-        kappa_grid=tuple(int(k) for k in obj["kappa_grid"]),
-        repeats=int(obj.get("repeats", 20)),
-        master_seed=int(obj.get("master_seed", 0)),
+        n_grid=tuple(_integer(n, "n_grid entry") for n in obj["n_grid"]),
+        kappa_grid=tuple(_integer(k, "kappa_grid entry") for k in obj["kappa_grid"]),
+        repeats=_integer(obj.get("repeats", 20), "repeats"),
+        master_seed=_integer(obj.get("master_seed", 0), "master_seed"),
         epsilon=epsilon,
         optimizer=optimizer_from_json(obj.get("optimizer", {})),
         schedule=schedule_from_json(obj.get("epsilon_schedule", {})),
@@ -520,25 +536,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    opt = cfg.optimizer
-    sched = cfg.schedule
-    return {
-        "schema": 1,
-        "model": spec_to_json(cfg.model),
-        "methods": list(cfg.methods),
-        "n_grid": list(cfg.n_grid),
-        "kappa_grid": list(cfg.kappa_grid),
-        "repeats": cfg.repeats,
-        "master_seed": cfg.master_seed,
-        "epsilon": cfg.epsilon,
-        "optimizer": {
-            "max_iters": opt.max_iters, "grad_tol": opt.grad_tol,
-            "init_scale": opt.init_scale, "restarts": opt.restarts,
-            "adam_step": opt.adam_step, "adam_betas": list(opt.adam_betas),
-        },
-        "epsilon_schedule": {
-            "epsilon_0": sched.epsilon_0, "growth": sched.growth,
-            "delta": sched.delta, "epsilon_max": sched.epsilon_max,
-        },
-        "ring_mu": cfg.ring_mu,
-    }
+    obj = asdict(cfg)
+    obj["epsilon_schedule"] = obj.pop("schedule")
+    return {"schema": 1, **obj}

@@ -70,13 +70,12 @@ class GaussianPerturbKernel:
         return self.perturb(x, self.draw(x, kappa, rng))
 
     @classmethod
-    def for_data(cls, epsilon: float, x: np.ndarray, per_dim: bool):
-        if per_dim:
-            stds = np.asarray(x, dtype=float).std(axis=0)
-            if np.any(stds == 0):
-                raise ParameterError("degenerate data dimension (zero std)")
-            return cls(epsilon * stds)
-        return cls(np.full(x.shape[1], epsilon))
+    def for_data(cls, epsilon: float, x: np.ndarray):
+        """eps in units of each dimension's empirical standard deviation."""
+        stds = np.asarray(x, dtype=float).std(axis=0)
+        if np.any(stds == 0):
+            raise ParameterError("degenerate data dimension (zero std)")
+        return cls(epsilon * stds)
 
 
 class BernoulliFlipKernel:
@@ -105,7 +104,7 @@ class BernoulliFlipKernel:
         return self.perturb(x, self.draw(x, kappa, rng))
 
     @classmethod
-    def for_data(cls, epsilon: float, x: np.ndarray, per_dim: bool):
+    def for_data(cls, epsilon: float, x: np.ndarray):
         return cls(epsilon)
 
 
@@ -119,15 +118,15 @@ def kernel_class(kind: str):
     return _KERNELS[kind]
 
 
-def kernel_for_data(kind: str, epsilon: float, x: np.ndarray, per_dim: bool = True):
+def kernel_for_data(kind: str, epsilon: float, x: np.ndarray):
     """Build a conditional kernel for a data set from a global noise scale.
 
     For ``gaussian_perturb`` the global scale is interpreted in units of the
-    per-dimension empirical standard deviation when ``per_dim`` is set (the
-    data themselves are never rescaled).  For ``bernoulli_flip`` the scale is
-    the flip probability.
+    per-dimension empirical standard deviation (the data themselves are
+    never rescaled).  For ``bernoulli_flip`` the scale is the flip
+    probability.
     """
-    return kernel_class(kind).for_data(epsilon, x, per_dim)
+    return kernel_class(kind).for_data(epsilon, x)
 
 
 def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> NoisePairing:

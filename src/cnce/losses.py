@@ -4,7 +4,8 @@ closed-form MLE baselines, and the exact enumeration of the Bernoulli
 population loss.
 
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
-``nce_loss`` are the reference implementations in natural parameters; the
+``nce_loss`` are the reference implementations in natural parameters, built
+on ``model.log_phi`` and the dense ``model.grad_theta``; the
 ``*_objective`` builders produce callables in the model's raw
 coordinates.  Both contrastive losses are logistic, and the model enters
 them only through log phi on a fixed set of points: the partition function
@@ -22,6 +23,11 @@ constant into the rows' offset once, and makes one ``value``, one
 A method missing from ``model.methods``, or a model without rows, raises
 ``UnsupportedModelError``.  The two routes agree to float precision and are
 tested against each other.
+
+The ICA MLE sees the model through the same rows: ``ica_mle_objective``
+is -mean log phi over ``model.rows(x)`` plus the Laplace ICA log-normaliser
+-log|det B| + (d/2) log 2, so the source product B x' is stated once, in
+``models``.  The other MLE baselines are the models' closed forms.
 
 Score matching has one route: log phi is affine in theta for every smooth
 model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
@@ -153,8 +159,7 @@ def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing,
     if not gradient:
         return LossReport(value=value, gradient=None, n_terms=m)
     wx = -sig.reshape(n, kappa).sum(axis=1)  # data-side weights
-    grad = (model.grad_theta_weighted(theta, y, sig)
-            + model.grad_theta_weighted(theta, x, wx))
+    grad = sig @ model.grad_theta(theta, y) + wx @ model.grad_theta(theta, x)
     return LossReport(value=value, gradient=scale * grad, n_terms=m)
 
 
@@ -217,8 +222,8 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
     value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
     wx = -np.exp(-_softplus(hx))  # -sigmoid(-hx)
     wy = np.exp(-_softplus(-hy))  # sigmoid(hy)
-    g_theta = (model.grad_theta_weighted(theta, x, wx)
-               + model.grad_theta_weighted(theta, noise, wy)) / n
+    g_theta = (wx @ model.grad_theta(theta, x)
+               + wy @ model.grad_theta(theta, noise)) / n
     g_c = (wx.sum() + wy.sum()) / n
     return LossReport(value=float(value),
                       gradient=np.concatenate([g_theta, [g_c]]),
@@ -347,15 +352,19 @@ def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
 
 
 def ica_mle_objective(model, x: np.ndarray):
-    """Negative mean normalised log-likelihood of the Laplace ICA model:
-    -log|det B| + sqrt(2) mean sum_j |b_j . x| (+ source normalisation).
+    """Negative mean normalised log-likelihood of the Laplace ICA model,
+    -mean log phi(x) - log|det B| + (d/2) log 2, with log phi from
+    ``model.rows(x)``; the last two terms are log Z(B), the log-normaliser
+    for unit-variance Laplace sources.
 
     Returns (value, grad, se), se the sampling standard error
-    sqrt(2) std(sum_j |b_j . x|) / sqrt(n) at the first point evaluated."""
+    std(log phi(x)) / sqrt(n) at the first point evaluated."""
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     const = d * 0.5 * np.log(2.0)
-    sqrt2 = np.sqrt(2.0)
+    rows = model.rows(x)
+    log_phi = np.empty(n)
+    w = np.full(n, 1.0 / n)
     se = None
 
     def objective(raw):
@@ -364,13 +373,13 @@ def ica_mle_objective(model, x: np.ndarray):
         sign, logdet = np.linalg.slogdet(b)
         if sign == 0:
             return np.inf, np.zeros(d * d), np.nan
-        s = x @ b.T
-        l1 = np.abs(s).sum(axis=1)
+        rows.value(raw, log_phi)
+        np.add(log_phi, rows.offset, out=log_phi)
         if se is None:
-            se = sqrt2 * _std_error(l1)
-        value = -logdet + sqrt2 * float(np.mean(l1)) + const
-        grad = -np.linalg.inv(b).T + sqrt2 * (np.sign(s).T @ x) / n
-        return value, grad.reshape(-1), se
+            se = _std_error(log_phi)
+        value = -logdet - float(np.mean(log_phi)) + const
+        grad = -np.linalg.inv(b).T.reshape(-1) - rows.vjp(w)
+        return value, grad, se
 
     return objective
 

@@ -3,25 +3,26 @@ samplers and random true-parameter generators.
 
 Every model evaluates on batches: ``U`` is an (m, dim) array (a bare (dim,)
 vector or, for one-dimensional models, an (m,) array is promoted).  Parameters
-are packed into flat vectors; the layout is documented per model in its
-``packing`` attribute.  All operations are pure functions of their arguments;
-random state is always passed in explicitly.
+are packed into flat vectors; the layout is documented in each model's
+docstring.  All operations are pure functions of their arguments; random
+state is always passed in explicitly.
 
 The optimiser's raw coordinates are those in which log phi is affine, so
 CNCE, NCE and score matching are convex in them.  For every model but
-Bernoulli they are the natural packing and ``to_raw`` / ``from_raw`` are the
-identity; Bernoulli's log phi is linear in its log-weights, so its raw
-coordinates are those, and ``from_raw`` is exp.
+Bernoulli they are the natural parameters and ``to_raw`` / ``from_raw``
+are the identity; Bernoulli's log phi is linear in its log-weights, so its
+raw coordinates are those, and ``from_raw`` is exp.
 
 Model protocol: each class states once all the maths an estimator needs,
 so no estimator branches on the model kind.  ``methods`` (the estimators it
 supports), ``kernel_kind`` (its CNCE noise kernel) and ``affine`` (whether
 log phi is affine in the raw coordinates) are class attributes;
-``log_phi`` and ``grad_theta`` serve the reference contrastive losses;
-``rows(U)`` and ``pair_rows(x, y, kappa)`` serve the contrastive objectives
-(below); ``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``,
-with the score-matching loss exactly theta'A theta / 2 + b'theta + c, serve
-score matching; ``mle(x)`` gives the closed-form MLE; and ``error`` is the
+``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d theta, serve
+the reference contrastive losses; ``rows(U)`` and ``pair_rows(x, y, kappa)``
+serve the contrastive objectives and the ICA MLE (below); ``grad_u``,
+``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``, with the
+score-matching loss exactly theta'A theta / 2 + b'theta + c, serve score
+matching; ``mle(x)`` gives the closed-form MLE; and ``error`` is the
 estimation error with the model's ambiguities resolved (Euclidean by
 default).  What a model does not support raises ``UnsupportedModelError``.
 
@@ -31,9 +32,10 @@ object with ``offset``, the (m,) part no parameter moves, a fresh array a
 loss may fold its own constants into; ``value(raw, out)``, which writes the
 rest; and ``vjp(w)``, sum_r w_r d row_r / d raw at the last ``value``.
 Affine rows, Phi @ raw + offset, add the exact curvature ``gram(c)`` =
-Phi' diag(c) Phi.  ``_Model`` builds them from ``theta_features``, Bernoulli
-from its log-weight indicators, and Laplace ICA builds non-affine rows from
-the sources B U'.
+Phi' diag(c) Phi.  ``_Model`` builds them from ``features(U)`` = (Phi,
+offset) in raw coordinates, which the affine models state (Bernoulli as its
+log-weight indicators); Laplace ICA builds non-affine rows from the sources
+B U' instead.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ def default_spec(kind: str) -> ModelSpec:
     return ModelSpec(kind, _DEFAULT_DIM[kind])
 
 
-def spec_to_json(spec: ModelSpec) -> dict:
-    return {"kind": spec.kind, "dim": spec.dim}
-
-
 def spec_from_json(obj: dict) -> ModelSpec:
     return ModelSpec(str(obj["kind"]), int(obj["dim"]))
 
@@ -132,7 +130,6 @@ class _Model:
     """Shared plumbing.  Subclasses fill in the maths."""
 
     spec: ModelSpec
-    packing: str
     methods: tuple
     kernel_kind = "gaussian_perturb"
     affine = True  # log phi affine in raw: its rows have ``gram``
@@ -172,37 +169,25 @@ class _Model:
         return theta
 
     # --- defaults ----------------------------------------------------------
-    def theta_features(self, U):
-        """(Phi, offset) with log_phi(theta, U) == Phi @ theta + offset, or
-        None when log phi is not affine in the packed parameters."""
-        return None
-
-    def _features(self, U):
-        """The (Phi, offset) the rows are built from: ``theta_features``."""
-        feats = self.theta_features(U)
-        if feats is None:
-            raise UnsupportedModelError(
-                f"log phi of {self.spec.kind} is not affine in its parameters")
-        return feats
+    def features(self, U):
+        """(Phi, offset) with log phi(U) == Phi @ raw + offset, for a model
+        whose log phi is affine in its raw coordinates."""
+        raise UnsupportedModelError(
+            f"log phi of {self.spec.kind} is not affine in its parameters")
 
     def rows(self, U):
-        return _AffineRows(*self._features(U))
+        return _AffineRows(*self.features(U))
 
     def pair_rows(self, x, y, kappa: int):
-        phi_x, off_x = self._features(x)
-        phi_y, off_y = self._features(y)
+        phi_x, off_x = self.features(x)
+        phi_y, off_y = self.features(y)
         i = np.arange(len(y)) // kappa
         return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
 
     def grad_theta(self, theta, U):
-        """(m, p) rows d log phi / d theta: the features of an affine model."""
+        """(m, p) rows d log phi / d theta: the features, where raw = theta."""
         self._check_theta(theta)
-        return self.theta_features(U)[0]
-
-    def grad_theta_weighted(self, theta, U, w) -> np.ndarray:
-        """w @ grad_theta without materialising the (m, p) matrix when a
-        subclass can do better."""
-        return np.asarray(w, dtype=float) @ self.grad_theta(theta, U)
+        return self.features(U)[0]
 
     def grad_u(self, theta, U):
         raise UnsupportedModelError(f"grad_u unsupported for {self.spec.kind}")
@@ -227,11 +212,10 @@ class _Model:
 class GaussianPrecisionModel(_Model):
     """Zero-mean Gaussian with free symmetric precision: log phi = -u'Lu/2.
 
-    Packing: upper triangle of the precision matrix, row-major, diagonal
+    Parameters: upper triangle of the precision matrix, row-major, diagonal
     included; off-diagonal entries parametrise both symmetric positions.
     """
 
-    packing = "precision upper triangle, row-major"
     methods = ("cnce", "nce", "mle", "score_matching")
 
     def __init__(self, dim: int = 5):
@@ -260,7 +244,7 @@ class GaussianPrecisionModel(_Model):
         U = np.ascontiguousarray(self._as_batch(U))
         return -0.5 * np.einsum("ij,ij->i", U @ lam, U)
 
-    def theta_features(self, U):
+    def features(self, U):
         U = self._as_batch(U)
         # built as (p, m) rows, with no (m, p) temporaries, and returned as
         # a column-major (m, p) view: the products with phi in the loss
@@ -271,13 +255,6 @@ class GaussianPrecisionModel(_Model):
             np.multiply(ut[i], self._coef[k], out=phi_t[k])
             np.multiply(phi_t[k], ut[j], out=phi_t[k])
         return phi_t.T, np.zeros(len(U))
-
-    def grad_theta_weighted(self, theta, U, w):
-        # coef_k M_ij for the (dim, dim) M = U' diag(w) U
-        self._check_theta(theta)
-        U = self._as_batch(U)
-        m = (U * np.asarray(w, dtype=float)[:, None]).T @ U
-        return self._coef * m[self._iu]
 
     def grad_u(self, theta, U):
         lam = self.unpack(theta)
@@ -382,11 +359,10 @@ class _IcaPairRows:
 class IcaLaplaceModel(_Model):
     """Laplace-source ICA: log phi = -sqrt(2) sum_j |b_j . u|.
 
-    Packing: rows of the demixing matrix B, concatenated.  At kink points
+    Parameters: rows of the demixing matrix B, concatenated.  At kink points
     (b_j . u == 0) the subgradient sign(0) = 0 is used.
     """
 
-    packing = "demixing matrix rows, concatenated"
     methods = ("cnce", "nce", "mle")  # not smooth: no score matching
     affine = False
 
@@ -409,12 +385,6 @@ class IcaLaplaceModel(_Model):
         U = self._as_batch(U)
         s = np.sign(U @ b.T)  # (m, dim) source signs; sign(0) = 0 at kinks
         return (-_SQRT2 * s[:, :, None] * U[:, None, :]).reshape(len(U), -1)
-
-    def grad_theta_weighted(self, theta, U, w):
-        b = self.unpack(theta)
-        U = self._as_batch(U)
-        s = np.sign(U @ b.T)
-        return (-_SQRT2 * (s * w[:, None]).T @ U).reshape(-1)
 
     def rows(self, U):
         return _IcaRows(self._as_batch(U))
@@ -452,7 +422,6 @@ class RingModel(_Model):
     """Shell-concentrated model: log phi = -(gamma/2)(||u|| - mu)^2 with the
     shell radius mu treated as known (estimation targets gamma only)."""
 
-    packing = "[gamma]"
     methods = ("cnce", "nce", "score_matching")  # no MLE baseline
 
     def __init__(self, dim: int = 5, mu: float = 4.0):
@@ -467,7 +436,7 @@ class RingModel(_Model):
         r = np.linalg.norm(self._as_batch(U), axis=1)
         return -0.5 * gamma * (r - self.mu) ** 2
 
-    def theta_features(self, U):
+    def features(self, U):
         r = np.linalg.norm(self._as_batch(U), axis=1)
         return (-0.5 * (r - self.mu) ** 2)[:, None], np.zeros(len(r))
 
@@ -523,7 +492,6 @@ class LogNormalExtModel(_Model):
     conditional noise (which crosses zero) stays inside the model domain.
     """
 
-    packing = "[theta, C]"
     methods = ("cnce", "nce", "mle", "score_matching")
 
     def __init__(self):
@@ -544,7 +512,7 @@ class LogNormalExtModel(_Model):
         out[pos] = -0.5 * theta_p * lu**2 - lu
         return out
 
-    def theta_features(self, U):
+    def features(self, U):
         u, pos = self._split(U)
         phi = np.zeros((len(u), 2))
         offset = np.zeros(len(u))
@@ -602,7 +570,6 @@ class BernoulliModel(_Model):
     """Unnormalised two-weight Bernoulli: log phi(0) = log theta1,
     log phi(1) = log theta2, with theta1, theta2 > 0 (one redundant scale)."""
 
-    packing = "[theta1, theta2]"
     methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
     kernel_kind = "bernoulli_flip"
 
@@ -631,7 +598,7 @@ class BernoulliModel(_Model):
             raise ParameterError("bernoulli weights must be positive")
         return np.where(self._bits(U), np.log(t2), np.log(t1))
 
-    def _features(self, U):
+    def features(self, U):
         # log phi is linear in the log-weights
         ones = self._bits(U)
         phi = np.zeros((len(ones), 2))

@@ -267,11 +267,11 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig, rng_seed: int = 0) -> Estima
     return best
 
 
-def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
-                  schedule: EpsilonSchedule, kappa: int, rng_seed: int,
-                  per_dim: bool = True):
+def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
+                  kappa: int, rng_seed: int):
     """Smallest noise scale on the geometric ladder whose empirical loss at
-    the starting parameters departs from 2 log 2 by at least delta.
+    the starting parameters departs from 2 log 2 by at least delta, for the
+    model's own kernel (``model.kernel_kind``).
 
     Returns (epsilon, capped).  ``capped`` is set when no ladder value meets
     the gap and the ladder top is returned instead; the ladder stops at the
@@ -286,10 +286,10 @@ def adapt_epsilon(model, theta0_raw, x, kernel_kind: str,
     x = np.asarray(x, dtype=float)
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
-    cap = kernel_class(kernel_kind).epsilon_cap
+    cap = kernel_class(model.kernel_kind).epsilon_cap
     base = None
     for eps in schedule.ladder(cap):
-        kernel = kernel_for_data(kernel_kind, eps, x, per_dim=per_dim)
+        kernel = kernel_for_data(model.kernel_kind, eps, x)
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
         pairing = pair_noise(kernel, x, kernel.perturb(x, base))

@@ -190,6 +190,21 @@ def test_config_validation():
     small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(6,),
                  kappa_grid=(1, np.int64(3)))
     small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(5,))
+    # JSON integers are checked, not truncated: [2.7] must not run kappa = 2
+    base = config_to_json(small_config())
+    for key, value in (("kappa_grid", [2.7]), ("kappa_grid", [True]),
+                       ("n_grid", [200, 400.5]), ("n_grid", ["200"]),
+                       ("repeats", 1.5), ("repeats", False),
+                       ("master_seed", 7.25), ("master_seed", float("nan")),
+                       ("optimizer", {"max_iters": 2.7}),
+                       ("optimizer", {"restarts": True}),
+                       ("model", {"kind": "gaussian_precision", "dim": 2.5})):
+        with pytest.raises(ParameterError) as err:
+            config_from_json(dict(base, **{key: value}))
+        assert "must be an integer" in str(err.value)
+    exact = config_from_json(dict(base, kappa_grid=[2.0], repeats=2.0))
+    assert exact.kappa_grid == (2,) and exact.repeats == 2
+    assert isinstance(exact.repeats, int)
 
 
 def test_run_grid_cardinality_and_order():

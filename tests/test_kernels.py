@@ -119,8 +119,6 @@ def test_kernel_for_data_per_dim_scaling():
     x = rng.standard_normal((20_000, 3)) * np.array([1.0, 2.0, 4.0])
     k = kernel_for_data("gaussian_perturb", 0.5, x)
     assert np.allclose(k.epsilon, 0.5 * x.std(axis=0))
-    k2 = kernel_for_data("gaussian_perturb", 0.5, x, per_dim=False)
-    assert np.array_equal(k2.epsilon, np.full(3, 0.5))
 
 
 def test_pairing_at_data_is_identity():

@@ -390,8 +390,7 @@ def test_nce_objective_evaluates_noise_density_only_at_build(kind, monkeypatch):
 
 def test_objectives_reject_models_without_a_route():
     class Opaque(RingModel):
-        def theta_features(self, U):
-            return None
+        features = _Model.features  # the base's: log phi is not affine
 
     x = make(RING).sample(np.array([2.0]), 20, rng_from(46))
     with pytest.raises(UnsupportedModelError):
@@ -477,8 +476,8 @@ class _MarginalAsModel:
     def log_phi(self, theta, U):
         return log_density_marginal(self.marginal, U)
 
-    def grad_theta_weighted(self, theta, U, w):
-        return np.zeros(self.spec.param_count)
+    def grad_theta(self, theta, U):
+        return np.zeros((len(U), self.spec.param_count))
 
 
 def test_nce_indifferent_classifier_value():
@@ -637,6 +636,32 @@ def test_ica_mle_objective_standard_error():
     _, _, se = objective(theta)
     assert se == pytest.approx(np.sqrt(2.0) * np.std(l1) / np.sqrt(len(x)), rel=1e-12)
     assert objective(theta + 0.1)[2] == se
+
+
+def test_ica_mle_objective_oracle_value_and_finite_differences():
+    # value: -mean log_phi - log|det B| + (d/2) log 2, and the same as the
+    # negative mean log-density of x = B^{-1} s with unit-variance Laplace
+    # sources (scipy); gradient: central finite differences away from kinks
+    from scipy.stats import laplace
+
+    model = make(ICA)
+    d = model.spec.dim
+    x = model.sample(model.random_params(rng_from(69)), 400, rng_from(70))
+    objective = ica_mle_objective(model, x)
+    for seed in (71, 72):
+        theta = model.random_params(rng_from(seed))
+        b = model.unpack(theta)
+        logdet = np.linalg.slogdet(b)[1]
+        value, grad, _ = objective(theta)
+        expected = -np.mean(model.log_phi(theta, x)) - logdet + 0.5 * d * np.log(2.0)
+        assert value == pytest.approx(expected, rel=1e-12)
+        density = logdet + laplace.logpdf(x @ b.T, scale=1 / np.sqrt(2.0)).sum(axis=1)
+        assert value == pytest.approx(-np.mean(density), rel=1e-12)
+        h = 1e-6
+        assert np.min(np.abs(x @ b.T)) > h * np.max(np.abs(x))  # no sign flips within h
+        fd = np.array([(objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
+                       for e in np.eye(d * d)])
+        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_ica_mle_objective_whitening_invariance():

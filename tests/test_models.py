@@ -205,7 +205,7 @@ def test_rows_match_log_phi_and_its_gradient(kind):
         assert np.allclose(out + rows.offset, expected, rtol=1e-12, atol=1e-12)
         w = rng.standard_normal(len(y))
         got = rows.vjp(w)
-        natural = sum(sign * model.grad_theta_weighted(theta, u, w)
+        natural = sum(sign * (w @ model.grad_theta(theta, u))
                       for u, sign in zip(stacks, signs))
         assert np.allclose(got, natural @ raw_jacobian(model, theta),
                            rtol=1e-10, atol=1e-12)
@@ -214,20 +214,6 @@ def test_rows_match_log_phi_and_its_gradient(kind):
 # ---------------------------------------------------------------------------
 # point gradients / laplacians
 # ---------------------------------------------------------------------------
-
-def test_gaussian_grad_theta_weighted_matches_dense():
-    # the (dim, dim) U' diag(w) U route against w @ the (m, p) feature matrix
-    model = make(GAUSSIAN)
-    rng = rng_from(61)
-    for m in (1, 7, 500):
-        theta = random_theta(model, rng)
-        U = rng.standard_normal((m, 5)) * 3.0
-        w = rng.standard_normal(m)
-        expected = w @ model.grad_theta(theta, U)
-        got = model.grad_theta_weighted(theta, U, w)
-        assert got.shape == expected.shape
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
 
 def test_grad_u_gaussian_identity():
     model = make(GAUSSIAN)

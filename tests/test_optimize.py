@@ -193,6 +193,8 @@ def test_optimizer_config_validation():
 class _FlatModel:
     """Constant log phi: the loss equals 2 log 2 at every scale."""
 
+    kernel_kind = "gaussian_perturb"
+
     def __init__(self):
         self.spec = ModelSpec(GAUSSIAN, 2)
 
@@ -202,14 +204,10 @@ class _FlatModel:
     def log_phi(self, theta, U):
         return np.zeros(len(np.atleast_2d(U)))
 
-    def grad_theta_weighted(self, theta, U, w):
-        return np.zeros(self.spec.param_count)
-
 
 def test_adapt_epsilon_flat_model_hits_cap():
     x = rng_from(7).standard_normal((200, 2))
-    eps, capped = adapt_epsilon(_FlatModel(), np.zeros(3), x, "gaussian_perturb",
-                                EpsilonSchedule(), 2, 8)
+    eps, capped = adapt_epsilon(_FlatModel(), np.zeros(3), x, EpsilonSchedule(), 2, 8)
     assert capped
     assert eps == 4.0
 
@@ -219,7 +217,7 @@ def test_adapt_epsilon_gaussian_returns_gap():
     x = model.sample(model.pack(np.eye(5)), 4_000, rng_from(9))
     theta0 = model.to_raw(model.pack(np.eye(5)))
     sched = EpsilonSchedule()
-    eps, capped = adapt_epsilon(model, theta0, x, "gaussian_perturb", sched, 5, 10)
+    eps, capped = adapt_epsilon(model, theta0, x, sched, 5, 10)
     assert not capped
     assert eps in sched.ladder()
     kernel = kernel_for_data("gaussian_perturb", eps, x)
@@ -235,7 +233,7 @@ def test_adapt_epsilon_tiny_delta_returns_floor():
     x = model.sample(model.pack(np.eye(5)), 2_000, rng_from(11))
     sched = EpsilonSchedule(delta=1e-9)
     eps, capped = adapt_epsilon(model, model.to_raw(model.pack(np.eye(5))), x,
-                                "gaussian_perturb", sched, 3, 12)
+                                sched, 3, 12)
     assert eps == sched.epsilon_0 and not capped
 
 
@@ -243,30 +241,28 @@ def test_adapt_epsilon_deterministic_and_on_ladder():
     model = build_model(default_spec(BERNOULLI))
     x = model.sample(np.array([0.4, 0.6]), 3_000, rng_from(13))
     sched = EpsilonSchedule()
-    out1 = adapt_epsilon(model, np.zeros(2), x, "bernoulli_flip", sched, 4, 14)
-    out2 = adapt_epsilon(model, np.zeros(2), x, "bernoulli_flip", sched, 4, 14)
+    out1 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
+    out2 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
     assert out1 == out2
     assert out1[0] in sched.ladder(cap=1.0)
     assert out1[0] <= 1.0  # flip probability stays a probability
 
 
 LADDER_CASES = [
-    (GAUSSIAN, "gaussian_perturb", True), (GAUSSIAN, "gaussian_perturb", False),
-    (RING, "gaussian_perturb", True), (RING, "gaussian_perturb", False),
-    (LOGNORMAL, "gaussian_perturb", True), (LOGNORMAL, "gaussian_perturb", False),
-    (BERNOULLI, "bernoulli_flip", True),
+    (GAUSSIAN, "gaussian_perturb"), (RING, "gaussian_perturb"),
+    (LOGNORMAL, "gaussian_perturb"), (BERNOULLI, "bernoulli_flip"),
 ]
 
 
-@pytest.mark.parametrize("kind,kernel_kind,per_dim", LADDER_CASES)
-def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
-                                                   monkeypatch):
+@pytest.mark.parametrize("kind,kernel_kind", LADDER_CASES)
+def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, monkeypatch):
     """Oracle: a fresh kernel, sample_conditional and cnce_loss per rung.
     The shared-draw ladder must return the same (eps, capped) and evaluate
     the same noise, bit for bit, at every rung it visits."""
     import cnce.optimize
 
     model = build_model(default_spec(kind))
+    assert model.kernel_kind == kernel_kind
     rng = rng_from(15, kind)
     theta = model.random_params(rng)
     x = model.sample(theta, 300, rng_from(16, kind))
@@ -277,7 +273,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
     def oracle(sched):
         rungs = []
         for eps in sched.ladder(cap):
-            kernel = kernel_for_data(kernel_kind, eps, x, per_dim=per_dim)
+            kernel = kernel_for_data(kernel_kind, eps, x)
             pairing = sample_conditional(kernel, x, kappa, seed)
             rungs.append(pairing.noise)
             value = cnce_loss(model, model.from_raw(raw0), x, pairing).value
@@ -297,15 +293,14 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, per_dim,
         sched = EpsilonSchedule(delta=delta)
         seen.clear()
         expected, rungs = oracle(sched)
-        got = adapt_epsilon(model, raw0, x, kernel_kind, sched, kappa, seed,
-                            per_dim=per_dim)
+        got = adapt_epsilon(model, raw0, x, sched, kappa, seed)
         assert got == expected
         assert len(seen) == len(rungs)
         assert all(np.array_equal(a, b) for a, b in zip(seen, rungs))
         outcomes.add(got)
     assert len(outcomes) >= 2  # the deltas reach more than one rung
 
-    kernel = kernel_for_data(kernel_kind, 0.3, x, per_dim=per_dim)
+    kernel = kernel_for_data(kernel_kind, 0.3, x)
     sampled = kernel.sample(x, kappa, rng_from(seed))
     assert np.array_equal(kernel.perturb(x, kernel.draw(x, kappa, rng_from(seed))),
                           sampled)
@@ -347,7 +342,7 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
                 x = model.sample(theta, n, rng_from(stable_hash(cell, "data")))
                 raw0 = model.init_raw(rng_from(stable_hash(cell, "init")),
                                       cfg.optimizer.init_scale)
-                args = (model, raw0, x, model.kernel_kind, cfg.schedule, kappa,
+                args = (model, raw0, x, cfg.schedule, kappa,
                         stable_hash(cell, "epsilon"))
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
                 value_only = adapt_epsilon(*args)

@@ -145,6 +145,21 @@ def test_estimate_nonconvergence_exit_2(tmp_path, capsys):
     assert "not converged (max_iters)" in captured.err
 
 
+def test_non_integral_config_numbers_exit_1(tmp_path, capsys):
+    # "kappa": 2.7 used to run kappa = 2; now it is a config error
+    cases = [("estimate", bernoulli_config(kappa=2.7)),
+             ("estimate", bernoulli_config(n=True)),
+             ("estimate", bernoulli_config(seed=5.5)),
+             ("experiment", experiment_config(kappa_grid=[2.7])),
+             ("experiment", experiment_config(repeats=True))]
+    for i, (command, obj) in enumerate(cases):
+        cfg = write_json(tmp_path / f"c{i}.json", obj)
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_estimate_bernoulli_quality(tmp_path, capsys):
     errors = []
     for seed in (1, 2, 3):
@@ -190,6 +205,18 @@ def test_experiment_ica_nce_and_mle_exits_0(tmp_path, capsys):
     assert "warnings" not in capsys.readouterr().err
     rows = open(out / "results.csv").read().splitlines()[1:]
     assert len(rows) == 4 and all(",true," in row for row in rows)
+
+
+def test_experiment_counts_warnings_per_kind(tmp_path, capsys):
+    # no flip probability moves the loss 1.3 nats from 2 log 2, and two
+    # iterations are too few: each of the 4 cells warns twice
+    cfg = write_json(tmp_path / "e.json", experiment_config(
+        methods=["cnce"], optimizer={"max_iters": 2},
+        epsilon_schedule={"delta": 1.3}))
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["8 warnings:", "  4\u00d7 epsilon ladder capped",
+                   "  4\u00d7 not converged (max_iters)"]
 
 
 def test_experiment_force_guard(tmp_path, capsys):
@@ -245,6 +272,24 @@ def test_report_schema_mismatch_lists_columns(tmp_path, capsys):
                  str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
     assert "missing columns" in err and "sq_error" in err
+
+
+def test_report_malformed_row_exit_1(tmp_path, capsys):
+    # a short row, a converged flag that is neither true nor false, and a
+    # number that does not parse: each is an error naming the line
+    rec = ErrorRecord(run_id="a", model="ring", method="nce", n=10, kappa=1,
+                      epsilon=None, seed=2, error=0.5, sq_error=0.25,
+                      converged=True, iters=3, wall_ms=0.0)
+    text = records_to_csv([rec, rec])
+    header, first, second = text.splitlines()
+    for i, bad in enumerate((second.rsplit(",", 3)[0],
+                             second.replace(",true,", ",True,"),
+                             second.replace(",0.5,", ",half,"))):
+        csv_path = tmp_path / f"bad{i}.csv"
+        csv_path.write_text("\n".join([header, first, bad]) + "\n")
+        assert main(["report", "--csv", str(csv_path), "--out",
+                     str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith("error: csv line 3:")
 
 
 def test_report_byte_identical(tmp_path):

@@ -26,11 +26,8 @@ from .kernels import (
     BernoulliFlipKernel,
     GaussianPerturbKernel,
     MarginalKernel,
-    NoisePairing,
     fit_marginal,
-    kernel_for_data,
     log_density_marginal,
-    log_ratio,
     sample_conditional,
     sample_marginal,
 )

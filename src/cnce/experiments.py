@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import OptimizationError, ParameterError
-from .kernels import fit_marginal, kernel_for_data, sample_conditional, sample_marginal
+from .kernels import fit_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
     cnce_objective,
@@ -178,9 +178,9 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                         warnings.append("epsilon ladder capped")
                 else:
                     epsilon = float(cfg.epsilon)
-                kernel = kernel_for_data(model.kernel_kind, epsilon, x)
-                pairing = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
-                objective = cnce_objective(model, x, pairing)
+                kernel = model.kernel.for_data(epsilon, x)
+                noise = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
+                objective = cnce_objective(model, x, noise)
             elif method == "nce":
                 marginal = fit_marginal(x)
                 noise = sample_marginal(marginal, kappa * n,
@@ -415,7 +415,7 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
     p = len(theta)
     dim = int(round((np.sqrt(8 * p + 1) - 1) / 2))
     if dim * (dim + 1) // 2 != p:
-        raise ParameterError("theta is not a packed symmetric matrix")
+        raise ParameterError("theta is not a packed upper triangle")
     model = build_model(ModelSpec(GAUSSIAN, dim))
     lam = model.unpack(theta)
 

@@ -1,20 +1,21 @@
 """Conditional noise kernels for CNCE and the moment-matched marginal noise
 used by the NCE baseline.
 
-Each built-in conditional kernel splits its sampler in two: ``draw`` makes
-the noise-scale-free random part from the generator, ``perturb`` turns it
-into noise points at the kernel's scale, and ``sample`` is
-``perturb(x, draw(x, kappa, rng))``.  A scan over noise scales draws once
-and perturbs per scale, getting the same points as ``sample`` with the same
-generator at every scale.
+CNCE's log-odds is G(x, y) = log phi(x)/phi(y) + log pc(y|x)/pc(x|y), and
+its second term vanishes for a kernel with pc(y|x) = pc(x|y).  Both
+conditional kernels here, Gaussian perturbation and bit flip, have that
+property at every scale; a kernel without it does not fit this package.
+So all CNCE takes from a kernel is its noise: an (n, kappa, dim) array
+whose [i, j] entry is the j-th noise point of x_i.  A model names its
+kernel class as ``model.kernel``.
 
-Both built-in conditional kernels are symmetric, so their log-ratio
-log pc(u2|u1) - log pc(u1|u2) is identically zero and is returned as the
-constant 0 rather than computed from two log-densities.  An asymmetric
-kernel sets ``symmetric = False`` and implements ``log_ratio_pairs(x,
-noise)``; antisymmetry is the only structural requirement.  Each kernel
-class states ``epsilon_cap``, the top of its epsilon ladder (None: the
-schedule's own), and builds itself for a data set in ``for_data``.
+Each kernel splits its sampler in two: ``draw`` makes the scale-free random
+part from the generator, and ``perturb`` turns it into noise points at the
+kernel's scale.  ``sample_conditional`` is ``perturb(x, draw(x, kappa,
+rng))``, and a scan over noise scales draws once and perturbs per scale,
+getting at every scale the points ``sample_conditional`` gives with the
+same seed.  Each kernel class builds itself for a data set in ``for_data``
+and states ``epsilon_cap``, the end of its scale's range (None: unbounded).
 """
 
 from __future__ import annotations
@@ -27,28 +28,10 @@ from .errors import DomainError, ParameterError
 from .seeding import rng_from
 
 
-@dataclass(frozen=True)
-class NoisePairing:
-    """kappa conditional noise points per data point plus the cached
-    log-ratio log pc(y_ij|x_i) - log pc(x_i|y_ij)."""
-
-    noise: np.ndarray  # (n, kappa, dim)
-    kappa: int
-    log_ratio: np.ndarray  # (n, kappa)
-
-    def __post_init__(self):
-        if self.noise.ndim != 3 or self.noise.shape[:2] != self.log_ratio.shape:
-            raise ParameterError("noise / log_ratio shapes disagree")
-        if not np.all(np.isfinite(self.log_ratio)):
-            raise ParameterError("non-finite log ratio")
-
-
 class GaussianPerturbKernel:
     """y = x + eps * xi with xi standard normal; eps is a per-dimension
     standard-deviation vector (absolute units)."""
 
-    kind = "gaussian_perturb"
-    symmetric = True
     epsilon_cap = None
 
     def __init__(self, epsilon):
@@ -66,9 +49,6 @@ class GaussianPerturbKernel:
             raise ParameterError("epsilon = 0 is degenerate for sampling")
         return x[:, None, :] + self.epsilon * base
 
-    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
-        return self.perturb(x, self.draw(x, kappa, rng))
-
     @classmethod
     def for_data(cls, epsilon: float, x: np.ndarray):
         """eps in units of each dimension's empirical standard deviation."""
@@ -79,10 +59,8 @@ class GaussianPerturbKernel:
 
 
 class BernoulliFlipKernel:
-    """Bit flip with probability eps, eps in [0, 1]; symmetric for all eps."""
+    """Bit flip with probability eps, eps in [0, 1]; pc(y|x) = pc(x|y) for all eps."""
 
-    kind = "bernoulli_flip"
-    symmetric = True
     epsilon_cap = 1.0  # a flip probability
 
     def __init__(self, epsilon: float):
@@ -100,60 +78,17 @@ class BernoulliFlipKernel:
     def perturb(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
         return np.where(base < self.epsilon, 1.0 - x[:, None, :], x[:, None, :])
 
-    def sample(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
-        return self.perturb(x, self.draw(x, kappa, rng))
-
     @classmethod
     def for_data(cls, epsilon: float, x: np.ndarray):
         return cls(epsilon)
 
 
-_KERNELS = {cls.kind: cls for cls in (GaussianPerturbKernel, BernoulliFlipKernel)}
-
-
-def kernel_class(kind: str):
-    """The conditional kernel class of a kernel kind."""
-    if kind not in _KERNELS:
-        raise ParameterError(f"unknown kernel kind {kind!r}")
-    return _KERNELS[kind]
-
-
-def kernel_for_data(kind: str, epsilon: float, x: np.ndarray):
-    """Build a conditional kernel for a data set from a global noise scale.
-
-    For ``gaussian_perturb`` the global scale is interpreted in units of the
-    per-dimension empirical standard deviation (the data themselves are
-    never rescaled).  For ``bernoulli_flip`` the scale is the flip
-    probability.
-    """
-    return kernel_class(kind).for_data(epsilon, x)
-
-
-def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> NoisePairing:
-    """Draw kappa noise points per data point and cache the log-ratios."""
+def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> np.ndarray:
+    """kappa noise points per data point, as an (n, kappa, dim) array."""
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
     x = np.asarray(x, dtype=float)
-    return pair_noise(kernel, x, kernel.sample(x, kappa, rng_from(rng_seed)))
-
-
-def pair_noise(kernel, x: np.ndarray, noise: np.ndarray) -> NoisePairing:
-    """Pairing of (n, kappa, dim) noise drawn from kernel around x, with the
-    log-ratios cached."""
-    if getattr(kernel, "symmetric", False):
-        ratios = np.zeros(noise.shape[:2])
-    else:
-        ratios = kernel.log_ratio_pairs(x, noise)
-    return NoisePairing(noise=noise, kappa=noise.shape[1], log_ratio=ratios)
-
-
-def log_ratio(kernel, u1, u2) -> float:
-    """log pc(u2|u1) - log pc(u1|u2) for a single pair of points."""
-    if getattr(kernel, "symmetric", False):
-        return 0.0
-    u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-    u2 = np.atleast_1d(np.asarray(u2, dtype=float))
-    return float(kernel.log_ratio_pairs(u1[None, :], u2[None, None, :])[0, 0])
+    return kernel.perturb(x, kernel.draw(x, kappa, rng_from(rng_seed)))
 
 
 @dataclass(frozen=True)
@@ -165,8 +100,6 @@ class MarginalKernel:
     _chol: np.ndarray = field(repr=False, default=None)
     _precision: np.ndarray = field(repr=False, default=None)
     _log_norm: float = field(repr=False, default=0.0)
-
-    kind = "gaussian_moment_matched"
 
 
 def fit_marginal(x: np.ndarray) -> MarginalKernel:

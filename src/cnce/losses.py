@@ -15,7 +15,9 @@ constant into the rows' offset once, and makes one ``value``, one
 ``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
 
 - CNCE: ``model.pair_rows``, one row per (data, noise) pair, G =
-  log phi(x) - log phi(y) plus the kernel's log-ratio.
+  log phi(x) - log phi(y).  The kernel term log pc(y|x)/pc(x|y) of G is
+  zero for every kernel of ``kernels``, so the noise array is all a CNCE
+  loss takes of the kernel.
 - NCE: ``model.rows`` over u = [x; noise], with the offsets
   -log q(u) - log nu evaluated at build time and a +-1 row sign that turns
   the data and noise terms into one softplus.
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UnsupportedModelError
-from .kernels import MarginalKernel, NoisePairing, log_density_marginal, log_ratio
+from .kernels import MarginalKernel, log_density_marginal
 from .models import ICA
 
 TWO_LOG2 = 2.0 * np.log(2.0)
@@ -124,35 +126,33 @@ def _softplus_sigmoid_neg(g: np.ndarray, work=None):
 # CNCE
 # ---------------------------------------------------------------------------
 
-def cnce_G(model, theta, kernel, u1, u2) -> float:
-    """Log-odds statistic log[phi(u1) pc(u2|u1)] - log[phi(u2) pc(u1|u2)];
-    antisymmetric in (u1, u2).  The partition function cancels."""
-    f1 = float(model.log_phi(theta, u1)[0])
-    f2 = float(model.log_phi(theta, u2)[0])
-    return f1 - f2 + log_ratio(kernel, u1, u2)
+def cnce_G(model, theta, u1, u2) -> float:
+    """Log-odds statistic log phi(u1) - log phi(u2), which changes sign with
+    (u1, u2) swapped.  The partition function cancels."""
+    return float(model.log_phi(theta, u1)[0]) - float(model.log_phi(theta, u2)[0])
 
 
-def _flat_pairs(x: np.ndarray, pairing: NoisePairing):
-    n = len(x)
-    if pairing.noise.shape[0] != n:
-        raise ParameterError("pairing was not built from this sample")
-    y = pairing.noise.reshape(n * pairing.kappa, -1)
-    r = pairing.log_ratio.reshape(-1)
-    return y, r
+def _flat_pairs(x: np.ndarray, noise: np.ndarray):
+    """The (n kappa, dim) stack of (n, kappa, dim) noise drawn around x,
+    and kappa."""
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 3 or len(noise) != len(x):
+        raise ParameterError("noise must be (n, kappa, dim), drawn around this sample")
+    return noise.reshape(len(x) * noise.shape[1], -1), noise.shape[1]
 
 
-def cnce_loss(model, theta, x: np.ndarray, pairing: NoisePairing,
+def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray,
               gradient: bool = True) -> LossReport:
     """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))] and,
     unless ``gradient`` is false (then ``gradient`` is None), its gradient in
     natural parameters.  The value does not depend on the flag."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    y, ratios = _flat_pairs(x, pairing)
-    n, kappa = len(x), pairing.kappa
+    y, kappa = _flat_pairs(x, noise)
+    n = len(x)
     m = n * kappa
 
-    g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y) + ratios
+    g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y)
     sp, sig = _softplus_sigmoid_neg(g)
     scale = 2.0 / m
     value = scale * float(np.sum(sp))
@@ -168,15 +168,14 @@ def _require(model, method: str):
         raise UnsupportedModelError(f"{method} unsupported for {model.spec.kind}")
 
 
-def cnce_objective(model, x: np.ndarray, pairing: NoisePairing):
-    """Objective over raw model coordinates, from ``model.pair_rows``:
-    (value, grad, hess) on affine rows, (value, grad, se) otherwise, with
-    se = 2 std(softplus rows) / sqrt(rows)."""
+def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
+    """Objective over raw model coordinates, from ``model.pair_rows`` over x
+    and its (n, kappa, dim) noise: (value, grad, hess) on affine rows,
+    (value, grad, se) otherwise, with se = 2 std(softplus rows) / sqrt(rows)."""
     _require(model, "cnce")
     x = np.asarray(x, dtype=float)
-    y, ratios = _flat_pairs(x, pairing)
-    rows = model.pair_rows(x, y, pairing.kappa)
-    np.add(rows.offset, ratios, out=rows.offset)
+    y, kappa = _flat_pairs(x, noise)
+    rows = model.pair_rows(x, y, kappa)
     m = len(y)
     g = np.empty(m)
     work = _pair_work(m)

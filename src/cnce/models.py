@@ -13,17 +13,17 @@ Bernoulli they are the natural parameters and ``to_raw`` / ``from_raw``
 are the identity; Bernoulli's log phi is linear in its log-weights, so its
 raw coordinates are those, and ``from_raw`` is exp.
 
-Model protocol: each class states once all the maths an estimator needs,
-so no estimator branches on the model kind.  ``methods`` (the estimators it
-supports), ``kernel_kind`` (its CNCE noise kernel) and ``affine`` (whether
-log phi is affine in the raw coordinates) are class attributes;
-``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d theta, serve
-the reference contrastive losses; ``rows(U)`` and ``pair_rows(x, y, kappa)``
-serve the contrastive objectives and the ICA MLE (below); ``grad_u``,
-``laplacian_u`` and ``score_quadratic(x) -> (A, b, c)``, with the
-score-matching loss exactly theta'A theta / 2 + b'theta + c, serve score
-matching; ``mle(x)`` gives the closed-form MLE; and ``error`` is the
-estimation error with the model's ambiguities resolved (Euclidean by
+Model protocol: each class states once all the maths an estimator needs, so
+no estimator branches on the model kind.  ``methods`` (the estimators it
+supports), ``kernel`` (its CNCE noise kernel class, from ``kernels``) and
+``affine`` (whether log phi is affine in the raw coordinates) are class
+attributes; ``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d
+theta, serve the reference contrastive losses; ``rows(U)`` and
+``pair_rows(x, y, kappa)`` serve the contrastive objectives and the ICA MLE
+(below); ``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b,
+c)``, with the score-matching loss exactly theta'A theta / 2 + b'theta + c,
+serve score matching; ``mle(x)`` gives the closed-form MLE; and ``error``
+is the estimation error with the model's ambiguities resolved (Euclidean by
 default).  What a model does not support raises ``UnsupportedModelError``.
 
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, SingularityError, UnsupportedModelError
+from .kernels import BernoulliFlipKernel, GaussianPerturbKernel
 
 GAUSSIAN = "gaussian_precision"
 ICA = "ica_laplace"
@@ -131,7 +132,7 @@ class _Model:
 
     spec: ModelSpec
     methods: tuple
-    kernel_kind = "gaussian_perturb"
+    kernel = GaussianPerturbKernel
     affine = True  # log phi affine in raw: its rows have ``gram``
 
     # --- parametrisation ---------------------------------------------------
@@ -210,10 +211,10 @@ class _Model:
 
 
 class GaussianPrecisionModel(_Model):
-    """Zero-mean Gaussian with free symmetric precision: log phi = -u'Lu/2.
+    """Zero-mean Gaussian with a free precision Lam = Lam': log phi = -u'Lu/2.
 
     Parameters: upper triangle of the precision matrix, row-major, diagonal
-    included; off-diagonal entries parametrise both symmetric positions.
+    included; off-diagonal entries parametrise both mirrored positions.
     """
 
     methods = ("cnce", "nce", "mle", "score_matching")
@@ -223,13 +224,13 @@ class GaussianPrecisionModel(_Model):
         self._iu = np.triu_indices(dim)
         # d log phi / d theta_k = coef_k u_i u_j for packed entry k = (i, j)
         self._coef = np.where(self._iu[0] == self._iu[1], -0.5, -1.0)
-        # Lam = sum_k theta_k E_k, with E_k the symmetric 0/1 matrix of entry k
+        # Lam = sum_k theta_k E_k, with E_k the 0/1 matrix of entry k and its mirror
         self._basis = np.array([self.unpack(e) for e in np.eye(len(self._coef))])
 
     def pack(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         if not np.allclose(lam, lam.T):
-            raise ParameterError("precision matrix must be symmetric")
+            raise ParameterError("precision matrix must equal its transpose")
         return lam[self._iu].copy()
 
     def unpack(self, theta: np.ndarray) -> np.ndarray:
@@ -571,7 +572,7 @@ class BernoulliModel(_Model):
     log phi(1) = log theta2, with theta1, theta2 > 0 (one redundant scale)."""
 
     methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
-    kernel_kind = "bernoulli_flip"
+    kernel = BernoulliFlipKernel
 
     def __init__(self):
         self.spec = ModelSpec(BERNOULLI, 1)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OptimizationError, ParameterError
-from .kernels import kernel_class, kernel_for_data, pair_noise
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from, stable_hash
 
@@ -271,11 +270,15 @@ def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
                   kappa: int, rng_seed: int):
     """Smallest noise scale on the geometric ladder whose empirical loss at
     the starting parameters departs from 2 log 2 by at least delta, for the
-    model's own kernel (``model.kernel_kind``).
+    model's own kernel class (``model.kernel``).
 
-    Returns (epsilon, capped).  ``capped`` is set when no ladder value meets
-    the gap and the ladder top is returned instead; the ladder stops at the
-    kernel class's ``epsilon_cap`` where it has one.  The kernel's scale-free
+    Returns (epsilon, capped).  Where no rung meets the gap, the ladder's
+    top is returned.  The ladder stops at the kernel's ``epsilon_cap``, the
+    end of its scale's range, where that comes before the schedule's
+    ``epsilon_max``; ``capped`` is set only when the ladder ends at
+    ``epsilon_max``, which a larger ``epsilon_max`` would move.  Ending at
+    the kernel's cap is no failure: the loss is still minimised at the
+    truth there (the flip kernel at eps = 1).  The kernel's scale-free
     random part is drawn once, from ``rng_seed``, and every rung perturbs x
     with it, so each rung's noise is the one ``sample_conditional`` gives
     for that scale and seed, and each rung's value is ``cnce_loss`` on it,
@@ -286,14 +289,14 @@ def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
     x = np.asarray(x, dtype=float)
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
-    cap = kernel_class(model.kernel_kind).epsilon_cap
+    cap = model.kernel.epsilon_cap
+    ladder = schedule.ladder(cap)
     base = None
-    for eps in schedule.ladder(cap):
-        kernel = kernel_for_data(model.kernel_kind, eps, x)
+    for eps in ladder:
+        kernel = model.kernel.for_data(eps, x)
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
-        pairing = pair_noise(kernel, x, kernel.perturb(x, base))
-        value = cnce_loss(model, theta, x, pairing, gradient=False).value
+        value = cnce_loss(model, theta, x, kernel.perturb(x, base), gradient=False).value
         if abs(value - TWO_LOG2) >= schedule.delta:
             return eps, False
-    return schedule.ladder(cap)[-1], True
+    return ladder[-1], cap is None or schedule.epsilon_max < cap

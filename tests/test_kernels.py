@@ -1,56 +1,29 @@
-"""Noise kernels: sampling moments, log-ratio structure, marginal fits."""
+"""Noise kernels: sampling moments, the draw/perturb split, marginal fits."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.stats import norm
 
 from cnce import (
     BernoulliFlipKernel,
     GaussianPerturbKernel,
     ParameterError,
     build_model,
+    cnce_loss,
     default_spec,
     fit_marginal,
-    kernel_for_data,
     log_density_marginal,
-    log_ratio,
     sample_conditional,
     sample_marginal,
 )
-from cnce.kernels import NoisePairing, kernel_class
-from cnce.models import RING
+from cnce.losses import cnce_objective
+from cnce.models import GAUSSIAN, RING
 from cnce.seeding import rng_from
 
 
-def pairing_at_data(x: np.ndarray, kappa: int = 1) -> NoisePairing:
-    """Degenerate pairing with y_ij = x_i (the eps = 0 identity check)."""
+def pairing_at_data(x: np.ndarray, kappa: int = 1) -> np.ndarray:
+    """Degenerate noise with y_ij = x_i (the eps = 0 identity check)."""
     x = np.asarray(x, dtype=float)
-    noise = np.repeat(x[:, None, :], kappa, axis=1)
-    return NoisePairing(noise=noise, kappa=kappa, log_ratio=np.zeros((len(x), kappa)))
-
-
-class ShiftedGaussianKernel:
-    """Asymmetric test double: pc(y|x) = N(y; x + delta, eps^2). Exercises
-    the log-ratio path that the symmetric built-ins short-circuit."""
-
-    kind = "shifted_gaussian"
-    symmetric = False
-
-    def __init__(self, delta, eps):
-        self.delta = delta
-        self.eps = eps
-
-    def sample(self, x, kappa, rng):
-        n, dim = x.shape
-        return x[:, None, :] + self.delta + self.eps * rng.standard_normal((n, kappa, dim))
-
-    def log_ratio_pairs(self, x, noise):
-        # log pc(y|x) - log pc(x|y), densities evaluated per coordinate
-        d1 = noise - x[:, None, :] - self.delta
-        d2 = x[:, None, :] - noise - self.delta
-        return (-(d1**2) + d2**2).sum(axis=2) / (2 * self.eps**2)
+    return np.repeat(x[:, None, :], kappa, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +32,24 @@ class ShiftedGaussianKernel:
 
 def test_gaussian_perturb_variance():
     x = rng_from(1).standard_normal((10_000, 5))
-    pairing = sample_conditional(GaussianPerturbKernel(np.full(5, 0.5)), x, 1, 42)
-    diff = pairing.noise[:, 0, :] - x
+    noise = sample_conditional(GaussianPerturbKernel(np.full(5, 0.5)), x, 1, 42)
+    assert noise.shape == (10_000, 1, 5)
+    diff = noise[:, 0, :] - x
     assert np.allclose(diff.var(axis=0), 0.25, rtol=0.03)
-    assert np.array_equal(pairing.log_ratio, np.zeros((10_000, 1)))
 
 
 def test_gaussian_perturb_image_scale_check():
     # mean ||y - x||^2 / D ~ eps^2 for the patch-like noise of the figures
     x = rng_from(2).standard_normal((5_000, 64))
-    pairing = sample_conditional(GaussianPerturbKernel(np.full(64, 0.75)), x, 1, 43)
-    ms = np.mean(np.sum((pairing.noise[:, 0, :] - x) ** 2, axis=1)) / 64
+    noise = sample_conditional(GaussianPerturbKernel(np.full(64, 0.75)), x, 1, 43)
+    ms = np.mean(np.sum((noise[:, 0, :] - x) ** 2, axis=1)) / 64
     assert ms == pytest.approx(0.75**2, rel=0.03)
 
 
 def test_bernoulli_flip_probability():
     x = np.ones((100_000, 1))
-    pairing = sample_conditional(BernoulliFlipKernel(0.2), x, 1, 44)
-    assert np.mean(pairing.noise[:, 0, 0] == 0.0) == pytest.approx(0.2, abs=0.005)
+    noise = sample_conditional(BernoulliFlipKernel(0.2), x, 1, 44)
+    assert np.mean(noise[:, 0, 0] == 0.0) == pytest.approx(0.2, abs=0.005)
 
 
 def test_sample_conditional_deterministic():
@@ -84,9 +57,9 @@ def test_sample_conditional_deterministic():
     k = GaussianPerturbKernel(np.full(5, 0.3))
     a = sample_conditional(k, x, 4, 123)
     b = sample_conditional(k, x, 4, 123)
-    assert np.array_equal(a.noise, b.noise)
+    assert np.array_equal(a, b)
     c = sample_conditional(k, x, 4, 124)
-    assert not np.array_equal(a.noise, c.noise)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_conditional_rejects_degenerate():
@@ -102,61 +75,39 @@ def test_kernel_validation():
         BernoulliFlipKernel(1.5)
     with pytest.raises(ParameterError):
         GaussianPerturbKernel([-0.1])
-    with pytest.raises(ParameterError):
-        kernel_for_data("nope", 0.5, np.zeros((5, 2)))
-    with pytest.raises(ParameterError):
-        kernel_class("nope")
 
 
 def test_kernel_class_states_its_epsilon_cap():
-    assert kernel_class("bernoulli_flip") is BernoulliFlipKernel
     assert BernoulliFlipKernel.epsilon_cap == 1.0  # a flip probability
-    assert kernel_class("gaussian_perturb").epsilon_cap is None
+    assert GaussianPerturbKernel.epsilon_cap is None
+    assert build_model(default_spec("bernoulli")).kernel is BernoulliFlipKernel
+    assert build_model(default_spec(GAUSSIAN)).kernel is GaussianPerturbKernel
 
 
 def test_kernel_for_data_per_dim_scaling():
     rng = rng_from(5)
     x = rng.standard_normal((20_000, 3)) * np.array([1.0, 2.0, 4.0])
-    k = kernel_for_data("gaussian_perturb", 0.5, x)
+    k = GaussianPerturbKernel.for_data(0.5, x)
     assert np.allclose(k.epsilon, 0.5 * x.std(axis=0))
 
 
 def test_pairing_at_data_is_identity():
     x = rng_from(6).standard_normal((30, 4))
-    pairing = pairing_at_data(x, kappa=3)
-    assert np.array_equal(pairing.noise[:, 2, :], x)
+    noise = pairing_at_data(x, kappa=3)
+    assert np.array_equal(noise[:, 2, :], x)
 
 
 def test_pairing_shape_validation():
-    with pytest.raises(ParameterError):
-        NoisePairing(noise=np.zeros((5, 2, 3)), kappa=2, log_ratio=np.zeros((5, 3)))
-
-
-# ---------------------------------------------------------------------------
-# log ratios
-# ---------------------------------------------------------------------------
-
-def test_log_ratio_symmetric_is_exactly_zero():
-    assert log_ratio(GaussianPerturbKernel([0.5]), [1.2], [9.9]) == 0.0
-    assert log_ratio(BernoulliFlipKernel(0.2), [0.0], [1.0]) == 0.0
-
-
-def test_log_ratio_shifted_kernel_against_norm_logpdf():
-    delta, eps, u1, u2 = 0.3, 0.7, 0.2, -0.5
-    kern = ShiftedGaussianKernel(delta, eps)
-    got = log_ratio(kern, [u1], [u2])
-    oracle = norm.logpdf(u2, loc=u1 + delta, scale=eps) - norm.logpdf(
-        u1, loc=u2 + delta, scale=eps)
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(2 * delta * (u2 - u1) / eps**2, rel=1e-12)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 2), st.floats(-1, 1))
-def test_log_ratio_antisymmetry(u1, u2, eps, delta):
-    kern = ShiftedGaussianKernel(delta, eps)
-    assert log_ratio(kern, [u1], [u2]) == pytest.approx(
-        -log_ratio(kern, [u2], [u1]), rel=1e-9, abs=1e-12)
+    """Caller-supplied noise must be (n, kappa, dim) around the n data."""
+    model = build_model(default_spec(GAUSSIAN))
+    x = rng_from(7).standard_normal((5, 5))
+    theta = model.pack(np.eye(5))
+    cnce_loss(model, theta, x, pairing_at_data(x, kappa=2))
+    for bad in (np.zeros((5, 10)), np.zeros((4, 2, 5)), np.zeros((5, 2, 5, 1))):
+        with pytest.raises(ParameterError):
+            cnce_loss(model, theta, x, bad)
+        with pytest.raises(ParameterError):
+            cnce_objective(model, x, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from cnce import (
-    GaussianPerturbKernel,
     ParameterError,
     RingModel,
     TWO_LOG2,
@@ -21,7 +20,6 @@ from cnce import (
     cnce_loss,
     default_spec,
     fit_marginal,
-    kernel_for_data,
     log_density_marginal,
     mle_fit,
     nce_loss,
@@ -50,16 +48,13 @@ from cnce.models import (
 )
 from cnce.seeding import rng_from
 
-from test_kernels import ShiftedGaussianKernel, pairing_at_data
+from test_kernels import pairing_at_data
 from test_models import make, random_points, random_theta, raw_jacobian
 
 
-def make_pairing(model, theta, x, kappa, seed):
-    if model.spec.kind == BERNOULLI:
-        kernel = kernel_for_data("bernoulli_flip", 0.25, x)
-    else:
-        kernel = kernel_for_data("gaussian_perturb", 0.4, x)
-    return sample_conditional(kernel, x, kappa, seed)
+def make_noise(model, theta, x, kappa, seed):
+    eps = 0.25 if model.spec.kind == BERNOULLI else 0.4
+    return sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +65,12 @@ def test_G_zero_for_identical_arguments():
     model = make(GAUSSIAN)
     theta = model.random_params(rng_from(0))
     u = np.full(5, 0.3)
-    kern = GaussianPerturbKernel(np.full(5, 0.5))
-    assert cnce_G(model, theta, kern, u, u) == 0.0
+    assert cnce_G(model, theta, u, u) == 0.0
 
 
 def test_G_frozen_gaussian_1d():
     model = build_model(ModelSpec(GAUSSIAN, 1))
-    kern = GaussianPerturbKernel([0.5])
-    g = cnce_G(model, np.array([1.0]), kern, np.array([1.0]), np.array([1.5]))
+    g = cnce_G(model, np.array([1.0]), np.array([1.0]), np.array([1.5]))
     assert g == pytest.approx(0.625, rel=1e-15)  # -(1 - 2.25)/2
 
 
@@ -87,9 +80,8 @@ def test_G_antisymmetry(seed):
     rng = rng_from(seed, "G")
     model = make(GAUSSIAN)
     theta = model.random_params(rng)
-    kern = GaussianPerturbKernel(np.full(5, 0.7))
     u1, u2 = rng.standard_normal((2, 5))
-    assert cnce_G(model, theta, kern, u1, u2) == -cnce_G(model, theta, kern, u2, u1)
+    assert cnce_G(model, theta, u1, u2) == -cnce_G(model, theta, u2, u1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +91,9 @@ def test_G_antisymmetry(seed):
 def test_cnce_loss_frozen_single_pair():
     model = build_model(ModelSpec(GAUSSIAN, 1))
     x = np.array([[1.0]])
-    pairing = pairing_at_data(x)
-    pairing.noise[0, 0, 0] = 1.5
-    rep = cnce_loss(model, np.array([1.0]), x, pairing)
+    noise = pairing_at_data(x)
+    noise[0, 0, 0] = 1.5
+    rep = cnce_loss(model, np.array([1.0]), x, noise)
     # 2 log(1 + exp(-0.625)), high-precision scalar oracle
     assert rep.value == pytest.approx(0.85740135655303727, rel=1e-14)
     assert rep.n_terms == 1
@@ -122,9 +114,9 @@ def test_cnce_loss_eps0_identity(kind):
 def test_cnce_loss_large_G_limit():
     model = build_model(ModelSpec(GAUSSIAN, 1))
     x = np.array([[0.0]])
-    pairing = pairing_at_data(x)
-    pairing.noise[0, 0, 0] = 60.0  # G = 1800 at lambda = 1: softplus underflows to 0
-    rep = cnce_loss(model, np.array([1.0]), x, pairing)
+    noise = pairing_at_data(x)
+    noise[0, 0, 0] = 60.0  # G = 1800 at lambda = 1: softplus underflows to 0
+    rep = cnce_loss(model, np.array([1.0]), x, noise)
     assert 0.0 <= rep.value < 1e-300
 
 
@@ -133,7 +125,7 @@ def test_cnce_loss_value_positive():
     rng = rng_from(19)
     theta = model.random_params(rng)
     x = model.sample(theta, 200, rng_from(20))
-    rep = cnce_loss(model, theta, x, make_pairing(model, theta, x, 5, 21))
+    rep = cnce_loss(model, theta, x, make_noise(model, theta, x, 5, 21))
     assert rep.value > 0
 
 
@@ -141,19 +133,19 @@ def test_cnce_scale_invariance_bernoulli():
     model = make(BERNOULLI)
     theta = np.array([0.3, 0.7])
     x = model.sample(theta, 5_000, rng_from(23))
-    pairing = make_pairing(model, theta, x, 3, 24)
-    base = cnce_loss(model, theta, x, pairing).value
+    noise = make_noise(model, theta, x, 3, 24)
+    base = cnce_loss(model, theta, x, noise).value
     for c in (0.1, 10.0):
-        scaled = cnce_loss(model, c * theta, x, pairing).value
+        scaled = cnce_loss(model, c * theta, x, noise).value
         assert abs(scaled - base) < 1e-13
 
 
 def test_cnce_loss_shape_mismatch():
     model = make(GAUSSIAN)
     x = rng_from(25).standard_normal((10, 5))
-    pairing = pairing_at_data(x[:5])
+    noise = pairing_at_data(x[:5])
     with pytest.raises(ParameterError):
-        cnce_loss(model, model.pack(np.eye(5)), x, pairing)
+        cnce_loss(model, model.pack(np.eye(5)), x, noise)
 
 
 def test_softplus_sigmoid_neg_matches_logaddexp_and_expit():
@@ -195,14 +187,14 @@ def test_cnce_gradient_finite_differences(kind):
     for rep_i in range(8):
         theta = random_theta(model, rng)
         x = random_points(model, theta, rng, m=40)
-        pairing = make_pairing(model, theta, x, 3, 1000 + rep_i)
+        noise = make_noise(model, theta, x, 3, 1000 + rep_i)
         if kind == ICA:
             b = model.unpack(theta)
-            pts = np.vstack([x, pairing.noise.reshape(-1, model.spec.dim)])
+            pts = np.vstack([x, noise.reshape(-1, model.spec.dim)])
             if np.min(np.abs(pts @ b.T)) < 1e-3:
                 continue
-        rep = cnce_loss(model, theta, x, pairing)
-        assert_grad_matches(lambda t: cnce_loss(model, t, x, pairing).value,
+        rep = cnce_loss(model, theta, x, noise)
+        assert_grad_matches(lambda t: cnce_loss(model, t, x, noise).value,
                             rep.gradient, theta)
 
 
@@ -260,26 +252,11 @@ def test_cnce_objective_matches_reference(kind):
     rng = rng_from(41, kind)
     theta = random_theta(model, rng)
     x = random_points(model, theta, rng, m=50)
-    pairing = make_pairing(model, theta, x, 4, 51)
-    objective = cnce_objective(model, x, pairing)
+    noise = make_noise(model, theta, x, 4, 51)
+    objective = cnce_objective(model, x, noise)
     raw = model.to_raw(theta)
     value, grad_raw = objective(raw)[:2]
-    ref = cnce_loss(model, theta, x, pairing)
-    assert value == pytest.approx(ref.value, rel=1e-12)
-    assert np.allclose(grad_raw, ref.gradient @ raw_jacobian(model, theta),
-                       rtol=1e-10, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", (GAUSSIAN, ICA))
-def test_cnce_objective_folds_an_asymmetric_log_ratio(kind):
-    model = make(kind)
-    rng = rng_from(44, kind)
-    theta = random_theta(model, rng)
-    x = random_points(model, theta, rng, m=50)
-    pairing = sample_conditional(ShiftedGaussianKernel(0.3, 0.6), x, 3, 53)
-    assert np.min(np.abs(pairing.log_ratio)) > 0
-    value, grad_raw = cnce_objective(model, x, pairing)(model.to_raw(theta))[:2]
-    ref = cnce_loss(model, theta, x, pairing)
+    ref = cnce_loss(model, theta, x, noise)
     assert value == pytest.approx(ref.value, rel=1e-12)
     assert np.allclose(grad_raw, ref.gradient @ raw_jacobian(model, theta),
                        rtol=1e-10, atol=1e-12)
@@ -291,9 +268,9 @@ def test_cnce_loss_value_only_is_bit_equal(kind):
     rng = rng_from(42, kind)
     theta = random_theta(model, rng)
     x = random_points(model, theta, rng, m=60)
-    pairing = make_pairing(model, theta, x, 3, 52)
-    full = cnce_loss(model, theta, x, pairing)
-    value_only = cnce_loss(model, theta, x, pairing, gradient=False)
+    noise = make_noise(model, theta, x, 3, 52)
+    full = cnce_loss(model, theta, x, noise)
+    value_only = cnce_loss(model, theta, x, noise, gradient=False)
     assert value_only.value == full.value
     assert value_only.gradient is None and value_only.n_terms == full.n_terms
 
@@ -305,11 +282,10 @@ def test_ica_cnce_objective_standard_error():
     rng = rng_from(47)
     theta = model.random_params(rng)
     x = model.sample(theta, 60, rng_from(48))
-    pairing = make_pairing(model, theta, x, 3, 49)
-    objective = cnce_objective(model, x, pairing)
-    y = pairing.noise.reshape(-1, 4)
-    g = (np.repeat(model.log_phi(theta, x), 3) - model.log_phi(theta, y)
-         + pairing.log_ratio.reshape(-1))
+    noise = make_noise(model, theta, x, 3, 49)
+    objective = cnce_objective(model, x, noise)
+    y = noise.reshape(-1, 4)
+    g = np.repeat(model.log_phi(theta, x), 3) - model.log_phi(theta, y)
     sp = np.logaddexp(0.0, -g)
     value, _, se = objective(model.to_raw(theta))
     assert value == pytest.approx(2.0 * np.mean(sp), rel=1e-12)
@@ -394,7 +370,7 @@ def test_objectives_reject_models_without_a_route():
 
     x = make(RING).sample(np.array([2.0]), 20, rng_from(46))
     with pytest.raises(UnsupportedModelError):
-        cnce_objective(Opaque(), x, make_pairing(make(RING), None, x, 2, 47))
+        cnce_objective(Opaque(), x, make_noise(make(RING), None, x, 2, 47))
     model = make(BERNOULLI)
     x = model.sample(np.array([0.4, 0.6]), 20, rng_from(48))
     marginal = fit_marginal(x)
@@ -444,12 +420,12 @@ class _LaplaceLocation(_Model):
 def test_objectives_take_any_model_that_states_its_rows():
     model = _LaplaceLocation()
     x = 0.4 + rng_from(71).laplace(size=(200, 1))
-    pairing = sample_conditional(kernel_for_data("gaussian_perturb", 0.5, x), x, 3, 72)
+    pairs = sample_conditional(model.kernel.for_data(0.5, x), x, 3, 72)
     marginal = fit_marginal(x)
     noise = sample_marginal(marginal, 400, 73)
     for theta in (np.array([0.1]), np.array([0.7])):
-        value, grad, se = cnce_objective(model, x, pairing)(theta)
-        ref = cnce_loss(model, theta, x, pairing)
+        value, grad, se = cnce_objective(model, x, pairs)(theta)
+        ref = cnce_loss(model, theta, x, pairs)
         assert np.ndim(se) == 0 and se > 0
         assert value == pytest.approx(ref.value, rel=1e-12)
         assert np.allclose(grad, ref.gradient, rtol=1e-12, atol=1e-12)

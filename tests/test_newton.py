@@ -12,7 +12,6 @@ from cnce import (
     OptimizerConfig,
     default_spec,
     fit_marginal,
-    kernel_for_data,
     minimize,
     run_single,
     sample_conditional,
@@ -39,7 +38,7 @@ def build_objective(kind, method, seed=0, n=80):
     x = model.sample(theta, n, rng_from(seed + 1, kind))
     raw = model.to_raw(theta) + 0.2 * rng.standard_normal(len(theta))
     if method == "cnce":
-        kernel = kernel_for_data(model.kernel_kind, 0.3, x)
+        kernel = model.kernel.for_data(0.3, x)
         return cnce_objective(model, x, sample_conditional(kernel, x, 4, seed + 2)), raw
     if method == "nce":
         marginal = fit_marginal(x)

@@ -9,7 +9,9 @@ import pytest
 from scipy.special import expit
 
 from cnce import (
+    BernoulliFlipKernel,
     EpsilonSchedule,
+    GaussianPerturbKernel,
     OptimizerConfig,
     ParameterError,
     TWO_LOG2,
@@ -19,7 +21,6 @@ from cnce import (
     default_spec,
     minimize,
     sample_conditional,
-    kernel_for_data,
 )
 from cnce.errors import OptimizationError
 from cnce.experiments import config_from_json
@@ -122,9 +123,8 @@ def test_minimize_records_traces_and_iters():
 def test_gaussian_1d_cnce_matches_grid_search():
     model = build_model(ModelSpec(GAUSSIAN, 1))
     x = model.sample(np.array([1.0]), 10_000, rng_from(1))
-    kernel = kernel_for_data("gaussian_perturb", 0.4, x)
-    pairing = sample_conditional(kernel, x, 10, 2)
-    objective = cnce_objective(model, x, pairing)
+    noise = sample_conditional(model.kernel.for_data(0.4, x), x, 10, 2)
+    objective = cnce_objective(model, x, noise)
     run = minimize(objective, np.array([0.0]), OptimizerConfig(), 3)
     lam_hat = run.theta[0]
     grid = np.linspace(0.2, 3.0, 700)
@@ -193,7 +193,7 @@ def test_optimizer_config_validation():
 class _FlatModel:
     """Constant log phi: the loss equals 2 log 2 at every scale."""
 
-    kernel_kind = "gaussian_perturb"
+    kernel = GaussianPerturbKernel
 
     def __init__(self):
         self.spec = ModelSpec(GAUSSIAN, 2)
@@ -220,11 +220,8 @@ def test_adapt_epsilon_gaussian_returns_gap():
     eps, capped = adapt_epsilon(model, theta0, x, sched, 5, 10)
     assert not capped
     assert eps in sched.ladder()
-    kernel = kernel_for_data("gaussian_perturb", eps, x)
-    pairing = sample_conditional(kernel, x, 5, 10)
-    from cnce import cnce_loss
-
-    value = cnce_loss(model, model.pack(np.eye(5)), x, pairing).value
+    noise = sample_conditional(model.kernel.for_data(eps, x), x, 5, 10)
+    value = cnce_loss(model, model.pack(np.eye(5)), x, noise).value
     assert abs(value - TWO_LOG2) >= sched.delta
 
 
@@ -252,45 +249,49 @@ LADDER_CASES = [
     (GAUSSIAN, "gaussian_perturb"), (RING, "gaussian_perturb"),
     (LOGNORMAL, "gaussian_perturb"), (BERNOULLI, "bernoulli_flip"),
 ]
+_KERNELS = {"gaussian_perturb": GaussianPerturbKernel, "bernoulli_flip": BernoulliFlipKernel}
 
 
-@pytest.mark.parametrize("kind,kernel_kind", LADDER_CASES)
-def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, monkeypatch):
+@pytest.mark.parametrize("kind,kernel_name", LADDER_CASES)
+def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatch):
     """Oracle: a fresh kernel, sample_conditional and cnce_loss per rung.
     The shared-draw ladder must return the same (eps, capped) and evaluate
-    the same noise, bit for bit, at every rung it visits."""
+    the same noise, bit for bit, at every rung it visits.  ``capped`` means
+    the ladder ended at the schedule's epsilon_max without meeting delta;
+    ending at the flip kernel's own cap, eps = 1, is not capped."""
     import cnce.optimize
 
     model = build_model(default_spec(kind))
-    assert model.kernel_kind == kernel_kind
+    assert model.kernel is _KERNELS[kernel_name]
     rng = rng_from(15, kind)
     theta = model.random_params(rng)
     x = model.sample(theta, 300, rng_from(16, kind))
     raw0 = model.init_raw(rng)
     kappa, seed = 3, 17
-    cap = 1.0 if kernel_kind == "bernoulli_flip" else None
+    cap = 1.0 if kernel_name == "bernoulli_flip" else None
 
     def oracle(sched):
         rungs = []
         for eps in sched.ladder(cap):
-            kernel = kernel_for_data(kernel_kind, eps, x)
-            pairing = sample_conditional(kernel, x, kappa, seed)
-            rungs.append(pairing.noise)
-            value = cnce_loss(model, model.from_raw(raw0), x, pairing).value
+            noise = sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
+            rungs.append(noise)
+            value = cnce_loss(model, model.from_raw(raw0), x, noise).value
             if abs(value - TWO_LOG2) >= sched.delta:
                 return (eps, False), rungs
-        return (sched.ladder(cap)[-1], True), rungs
+        return (sched.ladder(cap)[-1], sched.ladder(cap)[-1] == sched.epsilon_max
+                and cap != sched.epsilon_max), rungs
 
     seen = []
 
-    def recorded(model_, theta_, x_, pairing, **kwargs):
-        seen.append(pairing.noise)
-        return cnce_loss(model_, theta_, x_, pairing, **kwargs)
+    def recorded(model_, theta_, x_, noise, **kwargs):
+        seen.append(noise)
+        return cnce_loss(model_, theta_, x_, noise, **kwargs)
 
     monkeypatch.setattr(cnce.optimize, "cnce_loss", recorded)
     outcomes = set()
-    for delta in (1e-6, 0.02, 0.1, 0.3, 1.3):
-        sched = EpsilonSchedule(delta=delta)
+    for delta, eps_max in ((1e-6, 4.0), (0.02, 4.0), (0.1, 4.0), (0.3, 4.0),
+                           (1.3, 4.0), (1.3, 0.5)):
+        sched = EpsilonSchedule(delta=delta, epsilon_max=eps_max)
         seen.clear()
         expected, rungs = oracle(sched)
         got = adapt_epsilon(model, raw0, x, sched, kappa, seed)
@@ -298,12 +299,11 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_kind, monkeypatc
         assert len(seen) == len(rungs)
         assert all(np.array_equal(a, b) for a, b in zip(seen, rungs))
         outcomes.add(got)
-    assert len(outcomes) >= 2  # the deltas reach more than one rung
+    assert len(outcomes) >= 3  # the deltas reach more than one rung, and the cap
 
-    kernel = kernel_for_data(kernel_kind, 0.3, x)
-    sampled = kernel.sample(x, kappa, rng_from(seed))
+    kernel = model.kernel.for_data(0.3, x)
     assert np.array_equal(kernel.perturb(x, kernel.draw(x, kappa, rng_from(seed))),
-                          sampled)
+                          sample_conditional(kernel, x, kappa, seed))
 
 
 def _load_benchmark_workloads():

@@ -208,11 +208,12 @@ def test_experiment_ica_nce_and_mle_exits_0(tmp_path, capsys):
 
 
 def test_experiment_counts_warnings_per_kind(tmp_path, capsys):
-    # no flip probability moves the loss 1.3 nats from 2 log 2, and two
-    # iterations are too few: each of the 4 cells warns twice
+    # no flip probability up to the schedule's epsilon_max of 0.5 moves the
+    # loss 1.3 nats from 2 log 2, and two iterations are too few: each of
+    # the 4 cells warns twice
     cfg = write_json(tmp_path / "e.json", experiment_config(
         methods=["cnce"], optimizer={"max_iters": 2},
-        epsilon_schedule={"delta": 1.3}))
+        epsilon_schedule={"delta": 1.3, "epsilon_max": 0.5}))
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["8 warnings:", "  4\u00d7 epsilon ladder capped",

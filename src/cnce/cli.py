@@ -4,10 +4,12 @@ Subcommands: ``estimate`` (one synthetic estimation run), ``experiment``
 (a full grid with CSV/JSON/SVG outputs), ``limit-check`` (the small-noise
 expansion table) and ``report`` (render an existing results CSV to SVG).
 
-Exit codes: 0 success, 1 usage or config error, 2 completed with warnings
-(non-convergence or a capped noise-scale ladder).  All outputs are
-deterministic functions of (config, seed): no timing or environment state is
-written.
+Exit codes: 0 success, 1 usage or config error, 2 completed with warnings:
+a run that did not converge, or a noise-scale ladder that reached the
+schedule's ``epsilon_max`` without meeting its gap ``delta`` (raise either
+to act on it).  A ladder that ends at its kernel's own cap, the flip
+kernel at probability 1, is no warning.  All outputs are deterministic
+functions of (config, seed): no timing or environment state is written.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .experiments import (
     summary_to_json,
     _check_keys,
     _integer,
+    _real,
 )
 from .models import GAUSSIAN, build_model, default_spec
 from .svgplot import chart_series_for_model, render_loglog
@@ -162,7 +165,8 @@ def cmd_limit_check(args) -> int:
     _check_keys(obj, _LIMIT_KEYS, "limit-check config")
     if obj.get("schema") != 1:
         raise ParameterError("missing or unsupported 'schema' (expected 1)")
-    eps_grid = [float(e) for e in obj.get("eps_grid", [0.04, 0.02, 0.01])]
+    eps_grid = [_real(e, "eps_grid entry")
+                for e in obj.get("eps_grid", [0.04, 0.02, 0.01])]
     mc_pairs = _integer(obj.get("mc_pairs", 1_000_000), "mc_pairs")
     seed = args.seed if args.seed is not None else _integer(obj.get("seed", 0), "seed")
     if "precision" in obj:

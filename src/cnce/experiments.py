@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -482,6 +483,15 @@ def _integer(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """A finite real number as a float; anything else (a bool, a string,
+    nan) raises instead of being converted."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise ParameterError(f"{what} must be a finite real number, got {value!r}")
+
+
 def optimizer_from_json(obj: dict) -> OptimizerConfig:
     _check_keys(obj, _OPT_KEYS | _OPT_DEPRECATED, "optimizer")
     ignored = sorted(_OPT_DEPRECATED.intersection(obj))
@@ -493,14 +503,20 @@ def optimizer_from_json(obj: dict) -> OptimizerConfig:
     for key in ("max_iters", "restarts"):
         if key in kwargs:
             kwargs[key] = _integer(kwargs[key], key)
+    for key in ("grad_tol", "init_scale", "adam_step"):
+        if key in kwargs:
+            kwargs[key] = _real(kwargs[key], key)
     if "adam_betas" in kwargs:
-        kwargs["adam_betas"] = tuple(kwargs["adam_betas"])
+        if not isinstance(kwargs["adam_betas"], (list, tuple)):
+            raise ParameterError("adam_betas must be a list of two numbers")
+        kwargs["adam_betas"] = tuple(_real(b, "adam_betas entry")
+                                     for b in kwargs["adam_betas"])
     return OptimizerConfig(**kwargs)
 
 
 def schedule_from_json(obj: dict) -> EpsilonSchedule:
     _check_keys(obj, _SCHED_KEYS, "epsilon_schedule")
-    return EpsilonSchedule(**obj)
+    return EpsilonSchedule(**{key: _real(value, key) for key, value in obj.items()})
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -512,7 +528,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             raise ParameterError(f"missing key {key!r} in experiment config")
     model_obj = dict(obj["model"])
     _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
-    ring_mu = float(model_obj.pop("mu", obj.get("ring_mu", 4.0)))
+    ring_mu = _real(model_obj.pop("mu", obj.get("ring_mu", 4.0)), "ring_mu")
     if "dim" in model_obj:
         model_obj["dim"] = _integer(model_obj["dim"], "dim")
     else:
@@ -520,7 +536,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     spec = spec_from_json(model_obj)
     epsilon = obj.get("epsilon", "auto")
     if epsilon != "auto":
-        epsilon = float(epsilon)
+        epsilon = _real(epsilon, "epsilon")
     return ExperimentConfig(
         model=spec,
         methods=tuple(obj["methods"]),

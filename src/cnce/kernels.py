@@ -4,10 +4,10 @@ used by the NCE baseline.
 CNCE's log-odds is G(x, y) = log phi(x)/phi(y) + log pc(y|x)/pc(x|y), and
 its second term vanishes for a kernel with pc(y|x) = pc(x|y).  Both
 conditional kernels here, Gaussian perturbation and bit flip, have that
-property at every scale; a kernel without it does not fit this package.
-So all CNCE takes from a kernel is its noise: an (n, kappa, dim) array
-whose [i, j] entry is the j-th noise point of x_i.  A model names its
-kernel class as ``model.kernel``.
+property at every scale, so all CNCE takes from a kernel is its noise: an
+(n, kappa, dim) array whose [i, j] entry is the j-th noise point of x_i.
+A kernel without the property would need the term back in ``losses``.  A
+model names its kernel class as ``model.kernel``.
 
 Each kernel splits its sampler in two: ``draw`` makes the scale-free random
 part from the generator, and ``perturb`` turns it into noise points at the
@@ -59,7 +59,7 @@ class GaussianPerturbKernel:
 
 
 class BernoulliFlipKernel:
-    """Bit flip with probability eps, eps in [0, 1]; pc(y|x) = pc(x|y) for all eps."""
+    """Bit flip with probability eps in [0, 1], the same from 0 as from 1."""
 
     epsilon_cap = 1.0  # a flip probability
 

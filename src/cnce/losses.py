@@ -413,12 +413,13 @@ def _ica_mle(model, x, rng_seed):
 # ---------------------------------------------------------------------------
 
 def bernoulli_population_loss(theta, theta_true, epsilon: float) -> float:
-    """Population contrastive loss for the Bernoulli model with flip noise,
+    """Population contrastive loss for the Bernoulli model with flip noise
+    of probability epsilon in (0, 1], the flip kernel's whole range,
     enumerated exactly over the four (x, y) configurations."""
     theta = np.asarray(theta, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError("epsilon must lie strictly inside (0, 1)")
+    if not 0.0 < epsilon <= 1.0:
+        raise ParameterError("epsilon must lie in (0, 1]")
     if np.any(theta <= 0) or np.any(theta_true <= 0):
         raise ParameterError("bernoulli weights must be positive")
     p0 = theta_true[0] / theta_true.sum()

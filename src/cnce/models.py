@@ -470,11 +470,25 @@ class RingModel(_Model):
         (gamma,) = self._check_theta(theta)
         if gamma <= 0:
             raise ParameterError("gamma must be positive")
-        # radius ~ N(mu, 1/gamma), resampled on r <= 0; directions uniform
-        r = self.mu + rng.standard_normal(n) / np.sqrt(gamma)
-        while np.any(r <= 0):
-            bad = r <= 0
-            r[bad] = self.mu + rng.standard_normal(int(bad.sum())) / np.sqrt(gamma)
+        # In polar coordinates phi gives the radius the log-density
+        # log p(r) = (d - 1) log r - gamma/2 (r - mu)^2 and a uniform
+        # direction.  log p is concave with curvature <= -gamma, so
+        # N(mode, 1/gamma), scaled to touch p at its mode, lies above p:
+        # draw r from it and keep it where log u <= log p(r) - log p(mode)
+        # + gamma/2 (r - mode)^2, in rounds until n are kept.
+        d, mu = self.spec.dim, self.mu
+        mode = 0.5 * (mu + np.sqrt(mu * mu + 4.0 * (d - 1) / gamma))
+        kept = [np.empty(0)]
+        short = n
+        while short > 0:
+            r = mode + rng.standard_normal(short) / np.sqrt(gamma)
+            log_u = np.log(rng.random(short))
+            r, log_u = r[r > 0], log_u[r > 0]
+            bound = ((d - 1) * np.log(r / mode)
+                     - 0.5 * gamma * ((r - mu) ** 2 - (mode - mu) ** 2 - (r - mode) ** 2))
+            kept.append(r[log_u <= bound])
+            short -= len(kept[-1])
+        r = np.concatenate(kept)
         dirs = rng.standard_normal((n, self.spec.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return dirs * r[:, None]

@@ -192,16 +192,29 @@ def test_config_validation():
     small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(5,))
     # JSON integers are checked, not truncated: [2.7] must not run kappa = 2
     base = config_to_json(small_config())
-    for key, value in (("kappa_grid", [2.7]), ("kappa_grid", [True]),
-                       ("n_grid", [200, 400.5]), ("n_grid", ["200"]),
-                       ("repeats", 1.5), ("repeats", False),
-                       ("master_seed", 7.25), ("master_seed", float("nan")),
-                       ("optimizer", {"max_iters": 2.7}),
-                       ("optimizer", {"restarts": True}),
-                       ("model", {"kind": "gaussian_precision", "dim": 2.5})):
+    # and JSON reals must be numbers: true must not run epsilon = 1.0
+    integer, real = "must be an integer", "must be a finite real number"
+    for key, value, message in (
+            ("kappa_grid", [2.7], integer), ("kappa_grid", [True], integer),
+            ("n_grid", [200, 400.5], integer), ("n_grid", ["200"], integer),
+            ("repeats", 1.5, integer), ("repeats", False, integer),
+            ("master_seed", 7.25, integer), ("master_seed", float("nan"), integer),
+            ("optimizer", {"max_iters": 2.7}, integer),
+            ("optimizer", {"restarts": True}, integer),
+            ("model", {"kind": "gaussian_precision", "dim": 2.5}, integer),
+            ("epsilon", True, real), ("epsilon", "0.5", real),
+            ("epsilon", float("inf"), real),
+            ("ring_mu", True, real),
+            ("model", {"kind": "gaussian_precision", "mu": False}, real),
+            ("epsilon_schedule", {"epsilon_0": True}, real),
+            ("epsilon_schedule", {"delta": "0.1"}, real),
+            ("optimizer", {"grad_tol": True}, real),
+            ("optimizer", {"init_scale": "0.3"}, real),
+            ("optimizer", {"adam_step": False}, real),
+            ("optimizer", {"adam_betas": [0.9, True]}, real)):
         with pytest.raises(ParameterError) as err:
             config_from_json(dict(base, **{key: value}))
-        assert "must be an integer" in str(err.value)
+        assert message in str(err.value)
     exact = config_from_json(dict(base, kappa_grid=[2.0], repeats=2.0))
     assert exact.kappa_grid == (2,) and exact.repeats == 2
     assert isinstance(exact.repeats, int)

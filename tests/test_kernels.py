@@ -52,6 +52,22 @@ def test_bernoulli_flip_probability():
     assert np.mean(noise[:, 0, 0] == 0.0) == pytest.approx(0.2, abs=0.005)
 
 
+def test_builtin_kernels_are_symmetric():
+    """pc(y|x) = pc(x|y), which lets CNCE drop the kernel term of G: the
+    Gaussian step y - x is centred and unskewed wherever x lies, and a bit
+    flips as often from 0 as from 1."""
+    x = np.repeat(np.array([[-3.0, 0.0], [5.0, 1.0]]), 50_000, axis=0)
+    steps = sample_conditional(GaussianPerturbKernel([0.5, 2.0]), x, 2, 45) - x[:, None, :]
+    for half in np.split(steps, 2):
+        z = half.reshape(-1, 2) / np.array([0.5, 2.0])
+        assert np.all(np.abs(z.mean(axis=0)) < 5 / np.sqrt(len(z)))
+        assert np.all(np.abs((z**3).mean(axis=0)) < 5 * np.sqrt(15 / len(z)))
+    bits = np.repeat(np.array([[0.0], [1.0]]), 50_000, axis=0)
+    flipped = sample_conditional(BernoulliFlipKernel(0.3), bits, 2, 46) != bits[:, None, :]
+    from_zero, from_one = (half.mean() for half in np.split(flipped, 2))
+    assert abs(from_zero - from_one) < 5 * np.sqrt(2 * 0.3 * 0.7 / 100_000)
+
+
 def test_sample_conditional_deterministic():
     x = rng_from(3).standard_normal((50, 5))
     k = GaussianPerturbKernel(np.full(5, 0.3))

@@ -691,20 +691,27 @@ def test_population_loss_symmetric_truth():
 
 
 def test_population_loss_grid_oracle():
-    # brute-force grid over normalised theta1, step 1e-4
-    truth = np.array([0.3, 0.7])
-    grid = np.arange(0.01, 0.99 + 1e-12, 1e-4)
-    vals = np.array([
-        bernoulli_population_loss(np.array([t, 1 - t]), truth, 0.2) for t in grid
-    ])
-    assert grid[int(np.argmin(vals))] == pytest.approx(0.3, abs=1e-4)
+    # brute-force grids over normalised theta1, step 1e-2 and then 1e-4
+    # around the coarse minimum: the minimiser is the truth at every flip
+    # probability in (0, 1], the top of the flip kernel's ladder included
+    def argmin(grid, truth, eps):
+        vals = [bernoulli_population_loss(np.array([t, 1 - t]), truth, eps) for t in grid]
+        return grid[int(np.argmin(vals))]
+
+    for truth in (np.array([0.3, 0.7]), np.array([0.85, 0.15])):
+        for eps in (0.2, 0.6, 1.0):
+            coarse = argmin(np.arange(0.01, 0.99 + 1e-12, 1e-2), truth, eps)
+            fine = argmin(np.arange(coarse - 0.02, coarse + 0.02 + 1e-12, 1e-4), truth, eps)
+            assert fine == pytest.approx(truth[0], abs=1e-4)
 
 
 def test_population_loss_epsilon_domain():
-    with pytest.raises(ParameterError):
-        bernoulli_population_loss(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.0)
-    with pytest.raises(ParameterError):
-        bernoulli_population_loss(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1.0)
+    half = np.array([0.5, 0.5])
+    for bad in (0.0, -0.1, 1.0 + 1e-12, float("nan")):
+        with pytest.raises(ParameterError):
+            bernoulli_population_loss(half, half, bad)
+    # at eps = 1 every pair differs: the loss is 2 softplus(0) = 2 log 2 at G = 0
+    assert bernoulli_population_loss(half, half, 1.0) == pytest.approx(TWO_LOG2, rel=1e-15)
 
 
 def test_population_loss_at_truth_value():

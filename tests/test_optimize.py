@@ -249,7 +249,8 @@ LADDER_CASES = [
     (GAUSSIAN, "gaussian_perturb"), (RING, "gaussian_perturb"),
     (LOGNORMAL, "gaussian_perturb"), (BERNOULLI, "bernoulli_flip"),
 ]
-_KERNELS = {"gaussian_perturb": GaussianPerturbKernel, "bernoulli_flip": BernoulliFlipKernel}
+_KERNELS = {"gaussian_perturb": GaussianPerturbKernel,
+            "bernoulli_flip": BernoulliFlipKernel}
 
 
 @pytest.mark.parametrize("kind,kernel_name", LADDER_CASES)
@@ -278,8 +279,8 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
             value = cnce_loss(model, model.from_raw(raw0), x, noise).value
             if abs(value - TWO_LOG2) >= sched.delta:
                 return (eps, False), rungs
-        return (sched.ladder(cap)[-1], sched.ladder(cap)[-1] == sched.epsilon_max
-                and cap != sched.epsilon_max), rungs
+        top = sched.ladder(cap)[-1]
+        return (top, top == sched.epsilon_max and top != cap), rungs
 
     seen = []
 

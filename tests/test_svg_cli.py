@@ -146,17 +146,22 @@ def test_estimate_nonconvergence_exit_2(tmp_path, capsys):
 
 
 def test_non_integral_config_numbers_exit_1(tmp_path, capsys):
-    # "kappa": 2.7 used to run kappa = 2; now it is a config error
-    cases = [("estimate", bernoulli_config(kappa=2.7)),
-             ("estimate", bernoulli_config(n=True)),
-             ("estimate", bernoulli_config(seed=5.5)),
-             ("experiment", experiment_config(kappa_grid=[2.7])),
-             ("experiment", experiment_config(repeats=True))]
-    for i, (command, obj) in enumerate(cases):
+    # "kappa": 2.7 used to run kappa = 2, and "epsilon": true eps = 1.0;
+    # now both are config errors
+    integer, real = "must be an integer", "must be a finite real number"
+    cases = [("estimate", bernoulli_config(kappa=2.7), integer),
+             ("estimate", bernoulli_config(n=True), integer),
+             ("estimate", bernoulli_config(seed=5.5), integer),
+             ("experiment", experiment_config(kappa_grid=[2.7]), integer),
+             ("experiment", experiment_config(repeats=True), integer),
+             ("estimate", bernoulli_config(epsilon=True), real),
+             ("experiment", experiment_config(epsilon_schedule={"epsilon_0": True}), real),
+             ("limit-check", {"schema": 1, "eps_grid": [True, 0.02]}, real)]
+    for i, (command, obj, message) in enumerate(cases):
         cfg = write_json(tmp_path / f"c{i}.json", obj)
         out = tmp_path / f"o{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
-        assert "must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

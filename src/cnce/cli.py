@@ -10,6 +10,10 @@ schedule's ``epsilon_max`` without meeting its gap ``delta`` (raise either
 to act on it).  A ladder that ends at its kernel's own cap, the flip
 kernel at probability 1, is no warning.  All outputs are deterministic
 functions of (config, seed): no timing or environment state is written.
+
+The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
+``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
+field's type, default and range.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .experiments import (
     summarize,
     summary_to_json,
     _check_keys,
-    _integer,
-    _real,
 )
 from .models import GAUSSIAN, build_model, default_spec
 from .svgplot import chart_series_for_model, render_loglog
@@ -73,25 +75,20 @@ def cmd_estimate(args) -> int:
     for key in ("model", "method", "n", "kappa"):
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in estimate config")
-    seed = args.seed if args.seed is not None else _integer(obj.get("seed", 0), "seed")
-    n, kappa = _integer(obj["n"], "n"), _integer(obj["kappa"], "kappa")
     grid = {
         "schema": 1,
         "model": obj["model"],
         "methods": [obj["method"]],
-        "n_grid": [n],
-        "kappa_grid": [kappa],
+        "n_grid": [obj["n"]],
+        "kappa_grid": [obj["kappa"]],
         "repeats": 1,
-        "master_seed": seed,
-        "epsilon": obj.get("epsilon", "auto"),
-        "optimizer": obj.get("optimizer", {}),
-        "epsilon_schedule": obj.get("epsilon_schedule", {}),
+        "master_seed": obj.get("seed", 0) if args.seed is None else args.seed,
     }
-    if "ring_mu" in obj:
-        grid["ring_mu"] = obj["ring_mu"]
+    grid.update((key, obj[key]) for key in
+                ("epsilon", "optimizer", "epsilon_schedule", "ring_mu") if key in obj)
     cfg = config_from_json(grid)
-    record, warnings, trace = run_single(cfg, obj["method"], n, kappa, 0,
-                                         collect_trace=True)
+    record, warnings, trace = run_single(cfg, obj["method"], cfg.n_grid[0],
+                                         cfg.kappa_grid[0], 0, collect_trace=True)
 
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, f"{record.run_id}.json")
@@ -165,16 +162,14 @@ def cmd_limit_check(args) -> int:
     _check_keys(obj, _LIMIT_KEYS, "limit-check config")
     if obj.get("schema") != 1:
         raise ParameterError("missing or unsupported 'schema' (expected 1)")
-    eps_grid = [_real(e, "eps_grid entry")
-                for e in obj.get("eps_grid", [0.04, 0.02, 0.01])]
-    mc_pairs = _integer(obj.get("mc_pairs", 1_000_000), "mc_pairs")
-    seed = args.seed if args.seed is not None else _integer(obj.get("seed", 0), "seed")
     if "precision" in obj:
-        theta = np.asarray(obj["precision"], dtype=float)
+        theta = obj["precision"]
     else:
         model = build_model(default_spec(GAUSSIAN))
         theta = model.pack(np.eye(model.spec.dim))
-    rows = limit_check(theta, eps_grid, mc_pairs, seed)
+    rows = limit_check(theta, obj.get("eps_grid", [0.04, 0.02, 0.01]),
+                       obj.get("mc_pairs", 1_000_000),
+                       obj.get("seed", 0) if args.seed is None else args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "limit_check.json")

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn a
+config value into an int or a float or raise ``ParameterError``."""
+
+import dataclasses
+import math
+import numbers
 
 
 class CnceError(Exception):
@@ -30,3 +35,32 @@ class OptimizationError(CnceError, RuntimeError):
     def __init__(self, message, run=None):
         super().__init__(message)
         self.run = run
+
+
+def _integer(value, what: str) -> int:
+    """An integer or integral float as an int; anything else (2.7, a bool, a
+    string) raises instead of being truncated."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """A finite real number as a float; anything else (a bool, a string,
+    nan) raises instead of being converted."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise ParameterError(f"{what} must be a finite real number, got {value!r}")
+
+
+def convert_fields(obj):
+    """Pass each field of the frozen dataclass ``obj`` annotated ``int`` or
+    ``float`` (a string, under ``from __future__ import annotations``)
+    through ``_integer`` or ``_real``, in place."""
+    for f in dataclasses.fields(obj):
+        convert = {"int": _integer, "float": _real}.get(f.type)
+        if convert is not None:
+            object.__setattr__(obj, f.name, convert(getattr(obj, f.name), f.name))

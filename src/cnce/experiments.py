@@ -17,15 +17,13 @@ import csv
 import io
 import json
 import logging
-import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import OptimizationError, ParameterError
+from .errors import OptimizationError, ParameterError, _integer, _real, convert_fields
 from .kernels import fit_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
@@ -35,7 +33,7 @@ from .losses import (
     nce_objective,
     score_matching_objective,
 )
-from .models import GAUSSIAN, RING, ModelSpec, build_model, default_spec, spec_from_json
+from .models import GAUSSIAN, RING, ModelSpec, build_model, default_spec
 from .optimize import EpsilonSchedule, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
@@ -47,31 +45,50 @@ CSV_HEADER = ("run_id", "model", "method", "n", "kappa", "epsilon", "seed",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A (method, N, kappa) grid of estimation runs, and the schema of a
+    ``cnce experiment`` config, which writes ``schedule`` as
+    ``epsilon_schedule`` and may give ``ring_mu`` as the model's ``mu``.
+    An int takes an integral float (2.0 is 2), a float any finite real,
+    and neither a bool or a string.
+
+    - ``model`` (``ModelSpec``) and ``methods`` (a non-empty tuple of the
+      model's ``methods``): required.
+    - ``n_grid``, ``kappa_grid`` (tuples of int, required): non-empty,
+      strictly ascending, >= 1; with ``"nce"``, every n >= dim + 1.
+    - ``repeats`` (int, 20, >= 1), ``master_seed`` (int, 0) and ``ring_mu``
+      (float, 4.0, the ring model's known shell radius).
+    - ``epsilon``: ``"auto"`` (default), which ``adapt_epsilon`` picks on
+      ``schedule`` per run, or CNCE's fixed noise scale, a float > 0.
+    - ``optimizer``, ``schedule``: an ``OptimizerConfig`` and an
+      ``EpsilonSchedule``, their defaults by default.
+    """
+
     model: ModelSpec
     methods: tuple
     n_grid: tuple
     kappa_grid: tuple
     repeats: int = 20
     master_seed: int = 0
-    epsilon: object = "auto"  # "auto" or a fixed global scale
+    epsilon: object = "auto"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
     ring_mu: float = 4.0
 
     def __post_init__(self):
+        convert_fields(self)
+        object.__setattr__(self, "methods", tuple(self.methods))
+        for name in ("n_grid", "kappa_grid"):
+            grid = tuple(_integer(v, f"{name} entry") for v in getattr(self, name))
+            if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
+                raise ParameterError(
+                    f"{name} must be non-empty, strictly ascending, integers >= 1")
+            object.__setattr__(self, name, grid)
+        if self.epsilon != "auto":
+            object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon"))
+            if self.epsilon <= 0:
+                raise ParameterError("epsilon must be 'auto' or > 0")
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
-        if not self.n_grid:
-            raise ParameterError("n_grid must be non-empty")
-        if list(self.n_grid) != sorted(set(self.n_grid)):
-            raise ParameterError("n_grid must be strictly ascending")
-        if any(n < 1 for n in self.n_grid):
-            raise ParameterError("n_grid entries must be >= 1")
-        if not self.kappa_grid or not all(
-                isinstance(k, numbers.Integral) and k >= 1 for k in self.kappa_grid):
-            raise ParameterError("kappa_grid must be non-empty, integers >= 1")
-        if list(self.kappa_grid) != sorted(set(self.kappa_grid)):
-            raise ParameterError("kappa_grid must be strictly ascending")
         if not self.methods:
             raise ParameterError("methods must be non-empty")
         supported = self.build_model().methods
@@ -83,8 +100,6 @@ class ExperimentConfig:
         if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
             # the moment-matched noise needs a covariance fit
             raise ParameterError("nce needs every n >= dim + 1")
-        if self.epsilon != "auto" and float(self.epsilon) <= 0:
-            raise ParameterError("epsilon must be 'auto' or > 0")
 
     def build_model(self):
         if self.model.kind == RING:
@@ -165,7 +180,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     run = None
     try:
         if method == "mle":
-            res = mle_fit(model, x, rng_seed=stable_hash(seed, "mle"))
+            res = mle_fit(model, x, cfg.optimizer, rng_seed=stable_hash(seed, "mle"))
             theta_hat, iters = res.theta_hat, res.iters
             converged, stop = res.converged, res.stop
         else:
@@ -178,7 +193,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                     if capped:
                         warnings.append("epsilon ladder capped")
                 else:
-                    epsilon = float(cfg.epsilon)
+                    epsilon = cfg.epsilon
                 kernel = model.kernel.for_data(epsilon, x)
                 noise = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
                 objective = cnce_objective(model, x, noise)
@@ -413,6 +428,10 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
     flagged as unresolved.
     """
     theta = np.asarray(theta, dtype=float)
+    eps_grid = [_real(eps, "eps_grid entry") for eps in eps_grid]
+    mc_pairs, rng_seed = _integer(mc_pairs, "mc_pairs"), _integer(rng_seed, "seed")
+    if mc_pairs < 1:
+        raise ParameterError("mc_pairs must be >= 1")
     p = len(theta)
     dim = int(round((np.sqrt(8 * p + 1) - 1) / 2))
     if dim * (dim + 1) // 2 != p:
@@ -430,7 +449,6 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 
     rows = []
     for eps in eps_grid:
-        eps = float(eps)
         up = np.logaddexp(0.0, -(fx - model.log_phi(theta, x + eps * xi)))
         dn = np.logaddexp(0.0, -(fx - model.log_phi(theta, x - eps * xi)))
         per_pair = up + dn - TWO_LOG2 - 0.5 * eps**2 * proj
@@ -473,25 +491,6 @@ def _check_keys(obj: dict, allowed: set, where: str):
             raise ParameterError(f"unknown key {key!r} in {where}")
 
 
-def _integer(value, what: str) -> int:
-    """An integer or integral float as an int; anything else (2.7, a bool, a
-    string) raises instead of being truncated."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ParameterError(f"{what} must be an integer, got {value!r}")
-
-
-def _real(value, what: str) -> float:
-    """A finite real number as a float; anything else (a bool, a string,
-    nan) raises instead of being converted."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
-        return float(value)
-    raise ParameterError(f"{what} must be a finite real number, got {value!r}")
-
-
 def optimizer_from_json(obj: dict) -> OptimizerConfig:
     _check_keys(obj, _OPT_KEYS | _OPT_DEPRECATED, "optimizer")
     ignored = sorted(_OPT_DEPRECATED.intersection(obj))
@@ -499,24 +498,12 @@ def optimizer_from_json(obj: dict) -> OptimizerConfig:
         logging.getLogger(__name__).warning(
             "optimizer keys %s are deprecated and ignored: the first-order "
             "route now stops on the loss's sampling error", ", ".join(ignored))
-    kwargs = {k: v for k, v in obj.items() if k in _OPT_KEYS}
-    for key in ("max_iters", "restarts"):
-        if key in kwargs:
-            kwargs[key] = _integer(kwargs[key], key)
-    for key in ("grad_tol", "init_scale", "adam_step"):
-        if key in kwargs:
-            kwargs[key] = _real(kwargs[key], key)
-    if "adam_betas" in kwargs:
-        if not isinstance(kwargs["adam_betas"], (list, tuple)):
-            raise ParameterError("adam_betas must be a list of two numbers")
-        kwargs["adam_betas"] = tuple(_real(b, "adam_betas entry")
-                                     for b in kwargs["adam_betas"])
-    return OptimizerConfig(**kwargs)
+    return OptimizerConfig(**{k: v for k, v in obj.items() if k in _OPT_KEYS})
 
 
 def schedule_from_json(obj: dict) -> EpsilonSchedule:
     _check_keys(obj, _SCHED_KEYS, "epsilon_schedule")
-    return EpsilonSchedule(**{key: _real(value, key) for key, value in obj.items()})
+    return EpsilonSchedule(**obj)
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -528,26 +515,17 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             raise ParameterError(f"missing key {key!r} in experiment config")
     model_obj = dict(obj["model"])
     _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
-    ring_mu = _real(model_obj.pop("mu", obj.get("ring_mu", 4.0)), "ring_mu")
-    if "dim" in model_obj:
-        model_obj["dim"] = _integer(model_obj["dim"], "dim")
-    else:
+    rest = {k: v for k, v in obj.items()
+            if k not in ("schema", "model", "optimizer", "epsilon_schedule")}
+    if "mu" in model_obj:  # the model's mu wins over a top-level ring_mu
+        rest["ring_mu"] = model_obj.pop("mu")
+    if "dim" not in model_obj:
         model_obj["dim"] = default_spec(model_obj["kind"]).dim
-    spec = spec_from_json(model_obj)
-    epsilon = obj.get("epsilon", "auto")
-    if epsilon != "auto":
-        epsilon = _real(epsilon, "epsilon")
     return ExperimentConfig(
-        model=spec,
-        methods=tuple(obj["methods"]),
-        n_grid=tuple(_integer(n, "n_grid entry") for n in obj["n_grid"]),
-        kappa_grid=tuple(_integer(k, "kappa_grid entry") for k in obj["kappa_grid"]),
-        repeats=_integer(obj.get("repeats", 20), "repeats"),
-        master_seed=_integer(obj.get("master_seed", 0), "master_seed"),
-        epsilon=epsilon,
+        model=ModelSpec(**model_obj),
         optimizer=optimizer_from_json(obj.get("optimizer", {})),
         schedule=schedule_from_json(obj.get("epsilon_schedule", {})),
-        ring_mu=ring_mu,
+        **rest,
     )
 
 

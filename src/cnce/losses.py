@@ -340,13 +340,14 @@ class MleResult:
     stop: str | None = None  # the optimiser's stop reason; None for closed forms
 
 
-def mle_fit(model, x: np.ndarray, rng_seed: int = 0) -> MleResult:
+def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0) -> MleResult:
     """Maximum likelihood under the normalised model: the model's closed
-    form (``model.mle``), or gradient ascent for ICA.  Models without
+    form (``model.mle``), or gradient ascent for ICA under ``optimizer``
+    (an ``OptimizerConfig``, its defaults when None).  Models without
     either raise ``UnsupportedModelError``."""
     x = np.asarray(x, dtype=float)
     if model.spec.kind == ICA:
-        return _ica_mle(model, x, rng_seed)
+        return _ica_mle(model, x, optimizer, rng_seed)
     return MleResult(model.mle(x), "closed_form", True)
 
 
@@ -383,7 +384,7 @@ def ica_mle_objective(model, x: np.ndarray):
     return objective
 
 
-def _ica_mle(model, x, rng_seed):
+def _ica_mle(model, x, optimizer, rng_seed):
     """Adam on the whitened problem.  With C = x'x/n, the data x C^{-1/2}
     have identity second moment, and B~ = B C^{1/2} gives the same sources
     B~ (C^{-1/2} x) = B x, so the loss changes by the constant
@@ -402,7 +403,7 @@ def _ica_mle(model, x, rng_seed):
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
     b0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init"))).reshape(d, d)
     run = minimize(ica_mle_objective(model, x @ c_inv_half),
-                   (b0 @ c_half).reshape(-1), OptimizerConfig(),
+                   (b0 @ c_half).reshape(-1), optimizer or OptimizerConfig(),
                    stable_hash(rng_seed, "ica_mle"))
     theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
     return MleResult(theta, "gradient_ascent", run.converged, run.iters, run.stop)

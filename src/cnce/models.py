@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, SingularityError, UnsupportedModelError
+from .errors import (DomainError, ParameterError, SingularityError,
+                     UnsupportedModelError, convert_fields)
 from .kernels import BernoulliFlipKernel, GaussianPerturbKernel
 
 GAUSSIAN = "gaussian_precision"
@@ -69,6 +70,7 @@ class ModelSpec:
     dim: int
 
     def __post_init__(self):
+        convert_fields(self)
         if self.kind not in KINDS:
             raise ParameterError(f"unknown model kind {self.kind!r}")
         if self.dim < 1:
@@ -90,11 +92,7 @@ class ModelSpec:
 
 
 def default_spec(kind: str) -> ModelSpec:
-    return ModelSpec(kind, _DEFAULT_DIM[kind])
-
-
-def spec_from_json(obj: dict) -> ModelSpec:
-    return ModelSpec(str(obj["kind"]), int(obj["dim"]))
+    return ModelSpec(kind, _DEFAULT_DIM.get(kind, 1))  # ModelSpec rejects unknown kinds
 
 
 _GRAM_ROWS = 4096  # row block of _weighted_gram
@@ -509,8 +507,8 @@ class LogNormalExtModel(_Model):
 
     methods = ("cnce", "nce", "mle", "score_matching")
 
-    def __init__(self):
-        self.spec = ModelSpec(LOGNORMAL, 1)
+    def __init__(self, dim: int = 1):
+        self.spec = ModelSpec(LOGNORMAL, dim)
 
     def init_raw(self, rng, scale=0.3):
         return np.array([1.0, -5.0])  # C starts low: its optimum is -inf
@@ -588,8 +586,8 @@ class BernoulliModel(_Model):
     methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
     kernel = BernoulliFlipKernel
 
-    def __init__(self):
-        self.spec = ModelSpec(BERNOULLI, 1)
+    def __init__(self, dim: int = 1):
+        self.spec = ModelSpec(BERNOULLI, dim)
 
     def to_raw(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -659,7 +657,4 @@ _CLASSES = {
 
 def build_model(spec: ModelSpec, **kwargs):
     """Instantiate the model class for a spec (ring accepts mu=...)."""
-    cls = _CLASSES[spec.kind]
-    if spec.kind in (LOGNORMAL, BERNOULLI):
-        return cls(**kwargs)
-    return cls(dim=spec.dim, **kwargs)
+    return _CLASSES[spec.kind](dim=spec.dim, **kwargs)

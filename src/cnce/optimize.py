@@ -32,13 +32,12 @@ are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OptimizationError, ParameterError
+from .errors import OptimizationError, ParameterError, _real, convert_fields
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from, stable_hash
 
@@ -64,35 +63,45 @@ class OptimizerConfig:
     adam_betas: tuple = (0.9, 0.999)
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ParameterError("grad_tol must be finite and > 0")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ParameterError("init_scale must be finite and > 0")
-        if self.restarts < 1:
-            raise ParameterError("restarts must be >= 1")
-        if not (math.isfinite(self.adam_step) and self.adam_step > 0):
-            raise ParameterError("adam_step must be finite and > 0")
+        convert_fields(self)
+        if not isinstance(self.adam_betas, (list, tuple)):
+            raise ParameterError("adam_betas must be a list of two numbers")
+        object.__setattr__(self, "adam_betas", tuple(
+            _real(b, "adam_betas entry") for b in self.adam_betas))
+        for name in ("max_iters", "restarts"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        for name in ("grad_tol", "init_scale", "adam_step"):
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be finite and > 0")
         if len(self.adam_betas) != 2 or not all(0 <= b < 1 for b in self.adam_betas):
             raise ParameterError("adam_betas must be two values in [0, 1)")
 
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
+    """The geometric ladder of noise scales that ``adapt_epsilon`` scans,
+    the ``epsilon_schedule`` of a ``cnce experiment`` config.  Each field
+    is a finite real, not a bool or a string: ``epsilon_0`` (0.05, > 0),
+    the first rung; ``growth`` (2.0, > 1), the ratio of rungs; ``delta``
+    (0.05, in (0, 2 log 2)), the gap from the degenerate loss value 2 log 2
+    that a rung must reach; ``epsilon_max`` (4.0, > 0), the last rung,
+    unless the kernel's ``epsilon_cap`` comes first."""
+
     epsilon_0: float = 0.05
     growth: float = 2.0
-    delta: float = 0.05  # required gap from the degenerate loss value 2 log 2
+    delta: float = 0.05
     epsilon_max: float = 4.0
 
     def __post_init__(self):
+        convert_fields(self)
         if self.epsilon_0 <= 0:
             raise ParameterError("epsilon_0 must be > 0")
         if self.growth <= 1:
             raise ParameterError("growth must be > 1")
         if not 0 < self.delta < TWO_LOG2:
             raise ParameterError("delta must lie in (0, 2 log 2)")
-        if not (math.isfinite(self.epsilon_max) and self.epsilon_max > 0):
+        if self.epsilon_max <= 0:
             raise ParameterError("epsilon_max must be finite and > 0")
 
     def ladder(self, cap: float | None = None) -> list:
@@ -110,7 +119,6 @@ class EpsilonSchedule:
 class EstimationRun:
     """One optimiser trajectory; ``stop`` is why it ended (module docstring)."""
 
-    theta0: np.ndarray
     theta: np.ndarray
     loss_trace: list = field(default_factory=list)
     grad_norm_trace: list = field(default_factory=list)
@@ -234,8 +242,8 @@ def _newton_phase(loss_fn, z, first, cfg, run):
 
 
 def _single_start(loss_fn, z0, cfg):
-    run = EstimationRun(theta0=np.array(z0, dtype=float), theta=np.array(z0, dtype=float))
     z = np.array(z0, dtype=float)
+    run = EstimationRun(theta=z)
     first = loss_fn(z)
     phase = _newton_phase if len(first) == 3 and np.ndim(first[2]) == 2 else _adam_phase
     run.theta, value = phase(loss_fn, z, first, cfg, run)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnce import (
+    EpsilonSchedule,
     ExperimentConfig,
     OptimizerConfig,
     ParameterError,
@@ -190,13 +191,25 @@ def test_config_validation():
     small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(6,),
                  kappa_grid=(1, np.int64(3)))
     small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(5,))
-    # JSON integers are checked, not truncated: [2.7] must not run kappa = 2
+    # integers are checked, not truncated: [2.7] must not run kappa = 2
     base = config_to_json(small_config())
-    # and JSON reals must be numbers: true must not run epsilon = 1.0
+    # and reals must be numbers: true must not run epsilon = 1.0
     integer, real = "must be an integer", "must be a finite real number"
+    owners = {"optimizer": OptimizerConfig, "epsilon_schedule": EpsilonSchedule,
+              "model": ModelSpec}
+
+    def construct(key, value):
+        """The direct constructor call that owns the JSON key."""
+        if key == "model" and "mu" in value:
+            return small_config(ring_mu=value["mu"])
+        if key in owners:
+            return owners[key](**value)
+        return small_config(**{key: value})
+
     for key, value, message in (
             ("kappa_grid", [2.7], integer), ("kappa_grid", [True], integer),
             ("n_grid", [200, 400.5], integer), ("n_grid", ["200"], integer),
+            ("n_grid", [100.5], integer),
             ("repeats", 1.5, integer), ("repeats", False, integer),
             ("master_seed", 7.25, integer), ("master_seed", float("nan"), integer),
             ("optimizer", {"max_iters": 2.7}, integer),
@@ -208,16 +221,20 @@ def test_config_validation():
             ("model", {"kind": "gaussian_precision", "mu": False}, real),
             ("epsilon_schedule", {"epsilon_0": True}, real),
             ("epsilon_schedule", {"delta": "0.1"}, real),
+            ("epsilon_schedule", {"growth": float("nan")}, real),
             ("optimizer", {"grad_tol": True}, real),
             ("optimizer", {"init_scale": "0.3"}, real),
             ("optimizer", {"adam_step": False}, real),
             ("optimizer", {"adam_betas": [0.9, True]}, real)):
-        with pytest.raises(ParameterError) as err:
-            config_from_json(dict(base, **{key: value}))
-        assert message in str(err.value)
-    exact = config_from_json(dict(base, kappa_grid=[2.0], repeats=2.0))
-    assert exact.kappa_grid == (2,) and exact.repeats == 2
-    assert isinstance(exact.repeats, int)
+        for build in (lambda: config_from_json(dict(base, **{key: value})),
+                      lambda: construct(key, value)):
+            with pytest.raises(ParameterError) as err:
+                build()
+            assert message in str(err.value), (key, value)
+    for exact in (config_from_json(dict(base, kappa_grid=[2.0], repeats=2.0)),
+                  small_config(kappa_grid=(2.0,), repeats=2.0)):
+        assert exact.kappa_grid == (2,) and exact.repeats == 2
+        assert type(exact.kappa_grid[0]) is int and type(exact.repeats) is int
 
 
 def test_run_grid_cardinality_and_order():
@@ -360,6 +377,16 @@ def test_run_single_ica_cells_stop_on_the_sampling_error():
         assert record.iters < 2000
 
 
+def test_run_single_ica_mle_follows_the_grid_optimizer():
+    # the ICA MLE once ran the default optimiser whatever the grid set:
+    # 852 iterations in this cell, where max_iters is 50
+    cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
+                       master_seed=3, optimizer=OptimizerConfig(max_iters=50))
+    record, warnings, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
+    assert record.iters == 50 and trace["stop"] == "max_iters"
+    assert "not converged (max_iters)" in warnings
+
+
 def test_run_single_mle_has_no_epsilon():
     cfg = small_config(kind=GAUSSIAN, methods=("mle",), n_grid=(300,))
     record, _ = run_single(cfg, "mle", 300, 2, 0)
@@ -473,6 +500,11 @@ def test_config_json_unknown_key():
     with pytest.raises(ParameterError) as err:
         config_from_json(obj)
     assert "typo_key" in str(err.value)
+    # a model without dim takes its kind's default dim, once the kind is known
+    del obj["typo_key"]
+    obj["model"] = {"kind": "typo_kind"}
+    with pytest.raises(ParameterError, match="unknown model kind 'typo_kind'"):
+        config_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -557,3 +589,6 @@ def test_limit_check_flags_unresolvable():
 def test_limit_check_rejects_bad_packing():
     with pytest.raises(ParameterError):
         limit_check(np.ones(7), [0.1], 100, 0)
+    # no pairs used to give NaN rows with numpy RuntimeWarnings
+    with pytest.raises(ParameterError, match="mc_pairs must be >= 1"):
+        limit_check(np.ones(1), [0.1], 0, 0)

@@ -33,7 +33,6 @@ from .kernels import (
 )
 from .losses import (
     LossReport,
-    MleResult,
     TWO_LOG2,
     bernoulli_population_loss,
     cnce_G,

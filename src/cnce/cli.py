@@ -33,14 +33,9 @@ from .experiments import (
     config_to_json,
     limit_check,
     load_records,
-    optimizer_from_json,
     persist,
-    records_to_csv,
     run_grid,
     run_single,
-    schedule_from_json,
-    summarize,
-    summary_to_json,
     _check_keys,
 )
 from .models import GAUSSIAN, build_model, default_spec
@@ -174,14 +169,8 @@ def cmd_limit_check(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "limit_check.json")
     _guard_outputs([path], args.force)
-    payload = [
-        {"epsilon": r.epsilon, "mc_loss": r.mc_loss,
-         "sm_prediction": r.sm_prediction, "residual": r.residual,
-         "flagged": r.flagged}
-        for r in rows
-    ]
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump([dataclasses.asdict(r) for r in rows], fh, sort_keys=True, indent=2)
         fh.write("\n")
 
     print(f"{'epsilon':>10} {'mc_loss':>16} {'sm_prediction':>16} "

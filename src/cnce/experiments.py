@@ -6,9 +6,11 @@ Determinism contract: every run derives its generator from
 ``stable_hash(master_seed, model kind, method, n, kappa, repeat)`` and
 sub-streams from named child hashes, so results are independent of execution
 order and worker count, and re-running a config reproduces the output files
-byte for byte.  Wall-clock time is deliberately not persisted (the wall_ms
-column is written as 0) to keep that guarantee; timings live on the in-memory
-optimiser traces.
+byte for byte, for one numpy/OpenBLAS build and allocation pattern: OpenBLAS
+can round a product of the same array differently at another memory
+alignment, which moves an error in its last digits.  Wall-clock time is
+deliberately not persisted (the wall_ms column is written as 0) to keep that
+guarantee; timings live on the in-memory optimiser traces.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from .optimize import EpsilonSchedule, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
 METHODS = ("cnce", "nce", "mle", "score_matching")
-
-CSV_HEADER = ("run_id", "model", "method", "n", "kappa", "epsilon", "seed",
-              "error", "sq_error", "converged", "iters", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,9 @@ class ErrorRecord:
     wall_ms: float
 
 
+CSV_HEADER = tuple(f.name for f in fields(ErrorRecord))
+
+
 @dataclass(frozen=True)
 class QuantileSummary:
     method: str
@@ -174,15 +176,12 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
 
     warnings: list[str] = []
     epsilon = None
-    iters = 0
-    converged = True
-    stop = None
     run = None
+    failed = False
     try:
         if method == "mle":
-            res = mle_fit(model, x, cfg.optimizer, rng_seed=stable_hash(seed, "mle"))
-            theta_hat, iters = res.theta_hat, res.iters
-            converged, stop = res.converged, res.stop
+            run = mle_fit(model, x, cfg.optimizer, rng_seed=stable_hash(seed, "mle"))
+            theta_hat = run.theta
         else:
             raw0 = theta0
             if method == "cnce":
@@ -215,27 +214,28 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 objective = score_matching_objective(model, x)
             else:
                 raise ParameterError(f"unknown method {method!r}")
-            run = minimize(objective, raw0, cfg.optimizer, stable_hash(seed, "opt"))
+            run = minimize(objective, raw0, cfg.optimizer)
             theta_hat = model.from_raw(run.theta[:model.spec.param_count])
-            iters, converged, stop = run.iters, run.converged, run.stop
         error = estimation_error(model, theta_hat, theta_true)
     except OptimizationError as exc:
-        converged = False
+        failed = True
         warnings.append(f"optimiser failure: {exc}")
         theta_hat = np.full(model.spec.param_count, np.nan)
         error = float("inf")
-        if exc.run is not None:
-            iters, stop = exc.run.iters, exc.run.stop
-            candidate = model.from_raw(exc.run.theta[:model.spec.param_count])
+        run = exc.run
+        if run is not None:
+            candidate = model.from_raw(run.theta[:model.spec.param_count])
             if np.all(np.isfinite(candidate)):
                 theta_hat = candidate
                 error = estimation_error(model, theta_hat, theta_true)
     except Exception as exc:  # a cell's failure must not end the grid
-        converged = False
+        failed = True
         warnings.append(f"cell failed: {type(exc).__name__}: {exc}")
         theta_hat = np.full(model.spec.param_count, np.nan)
         error = float("inf")
 
+    converged = not failed and run.converged
+    iters, stop = (0, None) if run is None else (run.iters, run.stop)
     if not converged:
         warnings.append(f"not converged ({stop})" if stop else "not converged")
     record = ErrorRecord(
@@ -370,14 +370,7 @@ def records_from_csv(text: str) -> list:
 
 
 def summary_to_json(cfg_json: dict, summaries) -> str:
-    payload = {
-        "config": cfg_json,
-        "summaries": [
-            {"method": s.method, "n": s.n, "kappa": s.kappa,
-             "median": s.median, "q10": s.q10, "q90": s.q90}
-            for s in summaries
-        ],
-    }
+    payload = {"config": cfg_json, "summaries": [asdict(s) for s in summaries]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -479,9 +472,11 @@ _CONFIG_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"schedule"}
                 | {"schema", "epsilon_schedule"})
 _MODEL_KEYS = {f.name for f in fields(ModelSpec)}
 _OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
-# schema-1 keys of the removed polish, plateau and backtracking phases:
-# accepted and ignored, so that existing configs keep running
-_OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol"}
+# schema-1 keys of the removed polish, plateau and backtracking phases and
+# of the removed multi-start loop: accepted and ignored, so that existing
+# configs keep running
+_OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol",
+                   "restarts"}
 _SCHED_KEYS = {f.name for f in fields(EpsilonSchedule)}
 
 
@@ -496,8 +491,8 @@ def optimizer_from_json(obj: dict) -> OptimizerConfig:
     ignored = sorted(_OPT_DEPRECATED.intersection(obj))
     if ignored:
         logging.getLogger(__name__).warning(
-            "optimizer keys %s are deprecated and ignored: the first-order "
-            "route now stops on the loss's sampling error", ", ".join(ignored))
+            "optimizer keys %s are deprecated and ignored: the options they "
+            "set were removed", ", ".join(ignored))
     return OptimizerConfig(**{k: v for k, v in obj.items() if k in _OPT_KEYS})
 
 
@@ -513,8 +508,12 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     for key in ("model", "methods", "n_grid", "kappa_grid"):
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in experiment config")
+    if not isinstance(obj["model"], dict):
+        raise ParameterError("model must be an object")
     model_obj = dict(obj["model"])
     _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
+    if "kind" not in model_obj:
+        raise ParameterError("missing key 'kind' in model")
     rest = {k: v for k, v in obj.items()
             if k not in ("schema", "model", "optimizer", "epsilon_schedule")}
     if "mu" in model_obj:  # the model's mu wins over a top-level ring_mu

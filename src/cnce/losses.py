@@ -331,24 +331,19 @@ def score_matching_objective(model, x: np.ndarray):
 # MLE baselines
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MleResult:
-    theta_hat: np.ndarray
-    method: str  # closed_form | gradient_ascent
-    converged: bool
-    iters: int = 0  # optimiser iterations; 0 for the closed forms
-    stop: str | None = None  # the optimiser's stop reason; None for closed forms
-
-
-def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0) -> MleResult:
-    """Maximum likelihood under the normalised model: the model's closed
-    form (``model.mle``), or gradient ascent for ICA under ``optimizer``
-    (an ``OptimizerConfig``, its defaults when None).  Models without
-    either raise ``UnsupportedModelError``."""
+def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0):
+    """Maximum likelihood under the normalised model, as an
+    ``EstimationRun`` in natural parameters: the model's closed form
+    (``model.mle``), with stop ``"closed_form"`` and an empty trace, or for
+    ICA the run of Adam under ``optimizer`` (an ``OptimizerConfig``, its
+    defaults when None) from a start drawn from ``rng_seed``.  Models
+    without either raise ``UnsupportedModelError``."""
     x = np.asarray(x, dtype=float)
     if model.spec.kind == ICA:
         return _ica_mle(model, x, optimizer, rng_seed)
-    return MleResult(model.mle(x), "closed_form", True)
+    from .optimize import EstimationRun  # here: ``optimize`` imports this module
+
+    return EstimationRun(theta=model.mle(x), stop="closed_form")
 
 
 def ica_mle_objective(model, x: np.ndarray):
@@ -397,16 +392,17 @@ def _ica_mle(model, x, optimizer, rng_seed):
     from .optimize import OptimizerConfig, minimize
     from .seeding import rng_from, stable_hash
 
+    optimizer = optimizer or OptimizerConfig()
     n, d = x.shape
     evals, evecs = np.linalg.eigh(x.T @ x / n)
     c_half = (evecs * np.sqrt(evals)) @ evecs.T
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
-    b0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init"))).reshape(d, d)
+    b0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init")),
+                        optimizer.init_scale).reshape(d, d)
     run = minimize(ica_mle_objective(model, x @ c_inv_half),
-                   (b0 @ c_half).reshape(-1), optimizer or OptimizerConfig(),
-                   stable_hash(rng_seed, "ica_mle"))
-    theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
-    return MleResult(theta, "gradient_ascent", run.converged, run.iters, run.stop)
+                   (b0 @ c_half).reshape(-1), optimizer)
+    run.theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
+    return run
 
 
 # ---------------------------------------------------------------------------

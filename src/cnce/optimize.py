@@ -16,6 +16,7 @@ start point:
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
 acceptable Newton step) and ``nonfinite`` (raised as ``OptimizationError``).
+``mle_fit`` adds ``closed_form``, a converged run with an empty trace.
 
 The statistical stop.  The ICA objectives have |.| kinks, where Adam's
 gradient norm stalls far above any useful ``grad_tol``.  Their third slot
@@ -26,8 +27,8 @@ Nocedal 2018, SIAM Review 60(2), sections 3-4), so Adam stops with
 ``STAT_FRACTION`` standard errors over the last ``STAT_WINDOW`` trace
 entries.  Without a third slot it stops on ``grad_tol`` or ``max_iters``.
 
-Everything is a pure function of (objective, start, config, seed): traces
-are bit-reproducible.
+Everything is a pure function of (objective, start, config): traces are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import OptimizationError, ParameterError, _real, convert_fields
 from .losses import TWO_LOG2, cnce_loss
-from .seeding import rng_from, stable_hash
+from .seeding import rng_from
 
 STAT_WINDOW = 200  # trace entries the best loss must improve over
 STAT_FRACTION = 0.01  # ... by more than this many standard errors
@@ -51,14 +52,15 @@ _FLAT_ULPS = 16  # a change this many ulps of |f| is rounding, not decrease
 class OptimizerConfig:
     """Settings of ``minimize``'s two routes, damped Newton and Adam.
     ``max_iters`` caps the trace length and ``grad_tol`` is the gradient
-    stop on both; ``adam_*`` apply to Adam only.  Adam's statistical stop
-    has constants, not options: it ends a run once progress falls below
-    the loss's own sampling error, which no setting should trade away."""
+    stop on both; ``adam_*`` apply to Adam only.  ``init_scale`` is the
+    spread of the random start that ``model.init_raw`` draws for a fit.
+    Adam's statistical stop has constants, not options: it ends a run once
+    progress falls below the loss's own sampling error, which no setting
+    should trade away."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-7  # infinity norm
     init_scale: float = 0.3
-    restarts: int = 1
     adam_step: float = 0.05
     adam_betas: tuple = (0.9, 0.999)
 
@@ -68,9 +70,8 @@ class OptimizerConfig:
             raise ParameterError("adam_betas must be a list of two numbers")
         object.__setattr__(self, "adam_betas", tuple(
             _real(b, "adam_betas entry") for b in self.adam_betas))
-        for name in ("max_iters", "restarts"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+        if self.max_iters < 1:
+            raise ParameterError("max_iters must be >= 1")
         for name in ("grad_tol", "init_scale", "adam_step"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be finite and > 0")
@@ -117,15 +118,22 @@ class EpsilonSchedule:
 
 @dataclass
 class EstimationRun:
-    """One optimiser trajectory; ``stop`` is why it ended (module docstring)."""
+    """One fit: the optimiser's trajectory, or a closed form's empty one;
+    ``stop`` is why it ended (module docstring)."""
 
     theta: np.ndarray
     loss_trace: list = field(default_factory=list)
     grad_norm_trace: list = field(default_factory=list)
-    converged: bool = False
-    iters: int = 0
     wall_ms: float = 0.0
     stop: str | None = None
+
+    @property
+    def iters(self) -> int:
+        return len(self.loss_trace)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("grad_tol", "stat_tol", "closed_form")
 
 
 def _nonfinite(run, what):
@@ -136,17 +144,11 @@ def _nonfinite(run, what):
 def _record(run, value, grad):
     run.loss_trace.append(float(value))
     run.grad_norm_trace.append(float(np.max(np.abs(grad))))
-    run.iters += 1
-
-
-def _stopped(run, reason):
-    run.stop = reason
-    run.converged = reason in ("grad_tol", "stat_tol")
 
 
 def _adam_phase(loss_fn, z, first, cfg, run):
-    """Adam from z; returns the best point visited and its loss, or the
-    point that met ``grad_tol``."""
+    """Adam from z; returns the best point visited, or the point that met
+    ``grad_tol``."""
     tol = STAT_FRACTION * float(first[2]) if len(first) == 3 else np.nan
     b1, b2 = cfg.adam_betas
     m = np.zeros_like(z)
@@ -162,18 +164,18 @@ def _adam_phase(loss_fn, z, first, cfg, run):
             z_best, v_best = z, value
         best.append(v_best)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            _stopped(run, "grad_tol")
-            return z, value
+            run.stop = "grad_tol"
+            return z
         if t > STAT_WINDOW and best[-STAT_WINDOW - 1] - v_best <= tol:
-            _stopped(run, "stat_tol")
-            return z_best, v_best
+            run.stop = "stat_tol"
+            return z_best
         m = b1 * m + (1 - b1) * grad
         v = b2 * v + (1 - b2) * grad * grad
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
         z = z - cfg.adam_step * mhat / (np.sqrt(vhat) + 1e-8)
-    _stopped(run, "max_iters")
-    return z_best, v_best  # the trace oscillates; hand the best visited point on
+    run.stop = "max_iters"
+    return z_best  # the trace oscillates; hand the best visited point on
 
 
 def _newton_direction(hess, grad) -> np.ndarray:
@@ -218,11 +220,11 @@ def _newton_phase(loss_fn, z, first, cfg, run):
     while True:
         _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            _stopped(run, "grad_tol")
-            return z, value
+            run.stop = "grad_tol"
+            return z
         if run.iters >= cfg.max_iters:
-            _stopped(run, "max_iters")
-            return z, value
+            run.stop = "max_iters"
+            return z
         direction = _newton_direction(hess, grad)
         slope = float(grad @ direction)
         step = 1.0
@@ -236,42 +238,28 @@ def _newton_phase(loss_fn, z, first, cfg, run):
                 break
             step *= 0.5
             if step < 1e-14:
-                _stopped(run, "step_collapse")
-                return z, value
+                run.stop = "step_collapse"
+                return z
         z, (value, grad, hess) = z_new, out
 
 
-def _single_start(loss_fn, z0, cfg):
-    z = np.array(z0, dtype=float)
-    run = EstimationRun(theta=z)
-    first = loss_fn(z)
-    phase = _newton_phase if len(first) == 3 and np.ndim(first[2]) == 2 else _adam_phase
-    run.theta, value = phase(loss_fn, z, first, cfg, run)
-    return run, value
-
-
-def minimize(loss_fn, theta0, cfg: OptimizerConfig, rng_seed: int = 0) -> EstimationRun:
+def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     """Minimise a differentiable objective from theta0 (unconstrained
-    coordinates).  With restarts > 1 the extra starts are drawn N(0,
-    init_scale^2) from the seeded generator and the lowest loss at the
-    returned point wins.
+    coordinates).
 
     ``loss_fn(z)`` returns ``(value, grad)``, ``(value, grad, hess)`` or
     ``(value, grad, se)``.  The first call, at the start point, picks the
     route (module docstring); Adam reads ``se`` from that call alone.
-    ``run.iters == len(run.loss_trace) <= cfg.max_iters``.
+    ``run.iters <= cfg.max_iters``.
     """
-    theta0 = np.asarray(theta0, dtype=float)
     started = time.perf_counter()
-    rng = rng_from(stable_hash(rng_seed, "restarts"))
-    best = None
-    for r in range(cfg.restarts):
-        z0 = theta0 if r == 0 else cfg.init_scale * rng.standard_normal(len(theta0))
-        run, value = _single_start(loss_fn, z0, cfg)
-        if best is None or value < best_value:
-            best, best_value = run, value
-    best.wall_ms = (time.perf_counter() - started) * 1e3
-    return best
+    z = np.array(theta0, dtype=float)
+    run = EstimationRun(theta=z)
+    first = loss_fn(z)
+    phase = _newton_phase if len(first) == 3 and np.ndim(first[2]) == 2 else _adam_phase
+    run.theta = phase(loss_fn, z, first, cfg, run)
+    run.wall_ms = (time.perf_counter() - started) * 1e3
+    return run
 
 
 def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,

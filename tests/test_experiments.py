@@ -213,7 +213,6 @@ def test_config_validation():
             ("repeats", 1.5, integer), ("repeats", False, integer),
             ("master_seed", 7.25, integer), ("master_seed", float("nan"), integer),
             ("optimizer", {"max_iters": 2.7}, integer),
-            ("optimizer", {"restarts": True}, integer),
             ("model", {"kind": "gaussian_precision", "dim": 2.5}, integer),
             ("epsilon", True, real), ("epsilon", "0.5", real),
             ("epsilon", float("inf"), real),
@@ -327,9 +326,9 @@ def test_run_single_starts_nce_c_at_its_log_normaliser_where_newton_runs(
         seen["args"] = (model, noise, marginal)
         return build(model, x, noise, marginal)
 
-    def recorded_minimize(objective, raw0, cfg, seed):
+    def recorded_minimize(objective, raw0, cfg):
         seen["raw0"] = raw0
-        return minimize(objective, raw0, cfg, seed)
+        return minimize(objective, raw0, cfg)
 
     monkeypatch.setattr(cnce.experiments, "nce_objective", recorded_build)
     monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
@@ -385,6 +384,19 @@ def test_run_single_ica_mle_follows_the_grid_optimizer():
     record, warnings, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
     assert record.iters == 50 and trace["stop"] == "max_iters"
     assert "not converged (max_iters)" in warnings
+
+
+def test_run_single_ica_mle_starts_at_the_grid_init_scale():
+    # the ICA MLE once drew its start at init_raw's default scale whatever
+    # the grid set.  One Adam entry hands the start back, mapped out of the
+    # whitened coordinates, and init_raw's draw is linear in its scale
+    def start(scale):
+        cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
+                           optimizer=OptimizerConfig(max_iters=1, init_scale=scale))
+        _, _, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
+        return np.array(trace["theta_hat"])
+
+    assert np.allclose(start(1.0), start(0.3) / 0.3, rtol=1e-10, atol=0)
 
 
 def test_run_single_mle_has_no_epsilon():
@@ -483,15 +495,16 @@ def test_config_json_roundtrip():
 def test_config_json_accepts_and_drops_the_removed_optimizer_keys(caplog):
     obj = config_to_json(small_config())
     assert not {"step_rule", "polish_iters", "plateau_window",
-                "plateau_rtol"} & set(obj["optimizer"])
+                "plateau_rtol", "restarts"} & set(obj["optimizer"])
     old = dict(obj, optimizer={**obj["optimizer"], "step_rule": "adaptive_moment",
                                "polish_iters": 20, "plateau_window": 20,
-                               "plateau_rtol": 1e-12})
+                               "plateau_rtol": 1e-12, "restarts": 3})
     with caplog.at_level("WARNING", logger="cnce.experiments"):
         assert config_from_json(old) == config_from_json(obj)
     assert len(caplog.records) == 1
     message = caplog.records[0].getMessage()
     assert "deprecated" in message and "polish_iters" in message
+    assert "restarts" in message
 
 
 def test_config_json_unknown_key():
@@ -505,6 +518,14 @@ def test_config_json_unknown_key():
     obj["model"] = {"kind": "typo_kind"}
     with pytest.raises(ParameterError, match="unknown model kind 'typo_kind'"):
         config_from_json(obj)
+    # the model must be an object that names its kind
+    for model, message in (({"dim": 2}, "missing key 'kind' in model"),
+                           ({}, "missing key 'kind' in model"),
+                           ("ring", "model must be an object"),
+                           ([["kind", "ring"]], "model must be an object")):
+        obj["model"] = model
+        with pytest.raises(ParameterError, match=message):
+            config_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_score_matching_newton_lands_on_the_quadratic_minimiser(kind):
     x = model.sample(model.random_params(rng), 300, rng_from(18, kind))
     a, b, _ = model.score_quadratic(x)
     raw0 = model.init_raw(rng)
-    run = minimize(score_matching_objective(model, x), raw0, OptimizerConfig(), 0)
+    run = minimize(score_matching_objective(model, x), raw0, OptimizerConfig())
     assert (run.stop, run.converged) == ("grad_tol", True)
     assert run.iters <= 2
     seen = np.diag(a) > 0
@@ -99,8 +99,8 @@ def test_newton_route_survives_wrapping(kind, method):
     # passes the result through leaves the route and the run unchanged
     objective, raw = build_objective(kind, method, seed=5, n=200)
     cfg = OptimizerConfig()
-    direct = minimize(objective, raw, cfg, 9)
-    wrapped = minimize(lambda r: objective(r), raw, cfg, 9)
+    direct = minimize(objective, raw, cfg)
+    wrapped = minimize(lambda r: objective(r), raw, cfg)
     assert direct.converged and direct.iters < 50
     assert np.array_equal(direct.theta, wrapped.theta)
     assert direct.loss_trace == wrapped.loss_trace
@@ -109,23 +109,17 @@ def test_newton_route_survives_wrapping(kind, method):
         wrapped.iters, wrapped.converged, wrapped.stop)
 
 
-def test_newton_honours_max_iters_grad_tol_and_restarts():
+def test_newton_honours_max_iters_and_grad_tol():
     objective, raw = build_objective(GAUSSIAN, "cnce", seed=7, n=200)
-    capped = minimize(objective, raw, OptimizerConfig(max_iters=2), 0)
+    capped = minimize(objective, raw, OptimizerConfig(max_iters=2))
     assert capped.iters == len(capped.loss_trace) == len(capped.grad_norm_trace) == 2
     assert not capped.converged
 
-    full = minimize(objective, raw, OptimizerConfig(), 0)
+    full = minimize(objective, raw, OptimizerConfig())
     assert full.converged
     assert full.iters == len(full.loss_trace)
     assert full.grad_norm_trace[-1] <= 1e-7 < full.grad_norm_trace[-2]
     assert np.all(np.diff(full.loss_trace) <= 0)
-
-    cfg = OptimizerConfig(restarts=3)
-    best = minimize(objective, raw, cfg, 4)
-    again = minimize(objective, raw, cfg, 4)
-    assert best.loss_trace[-1] <= full.loss_trace[-1] + 1e-12
-    assert np.array_equal(best.theta, again.theta)
 
 
 def test_newton_line_search_collapse_is_reported_without_warnings():
@@ -138,7 +132,7 @@ def test_newton_line_search_collapse_is_reported_without_warnings():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        run = minimize(objective, np.array([-40.0]), OptimizerConfig(), 0)
+        run = minimize(objective, np.array([-40.0]), OptimizerConfig())
     assert not run.converged
     assert run.stop == "step_collapse"
     assert run.iters == len(run.loss_trace) == 1
@@ -150,7 +144,7 @@ def test_newton_nonfinite_start_raises():
         return 0.5 * float(z @ z), z, np.full((1, 1), np.nan)
 
     with pytest.raises(OptimizationError) as err:
-        minimize(objective, np.zeros(1), OptimizerConfig(), 0)
+        minimize(objective, np.zeros(1), OptimizerConfig())
     assert err.value.run is not None and err.value.run.iters == 0
     assert err.value.run.stop == "nonfinite"
 
@@ -173,7 +167,7 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
     z0 = x.mean(axis=0) + 1.5e-7
     f0, g0, _ = objective(z0)
     assert abs(objective(z0 - g0)[0] - f0) <= 16 * np.spacing(f0)
-    run = minimize(objective, z0, OptimizerConfig(), 0)
+    run = minimize(objective, z0, OptimizerConfig())
     assert (run.stop, run.iters) == ("grad_tol", 2)
     assert run.grad_norm_trace[-1] < 1e-12
 

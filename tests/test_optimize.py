@@ -40,16 +40,16 @@ def quadratic_bowl(a):
 def test_minimize_quadratic_bowl():
     for seed in range(3):
         a = rng_from(seed, "bowl").standard_normal(6) * 3
-        run = minimize(quadratic_bowl(a), np.zeros(6), OptimizerConfig(), seed)
+        run = minimize(quadratic_bowl(a), np.zeros(6), OptimizerConfig())
         assert np.allclose(run.theta, a, atol=1e-6)
         assert run.converged
 
 
 def test_minimize_deterministic():
     a = np.array([1.0, 2.0])
-    cfg = OptimizerConfig(restarts=3)
-    r1 = minimize(quadratic_bowl(a), np.zeros(2), cfg, 99)
-    r2 = minimize(quadratic_bowl(a), np.zeros(2), cfg, 99)
+    cfg = OptimizerConfig()
+    r1 = minimize(quadratic_bowl(a), np.zeros(2), cfg)
+    r2 = minimize(quadratic_bowl(a), np.zeros(2), cfg)
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.loss_trace == r2.loss_trace
 
@@ -61,7 +61,7 @@ def test_minimize_nonfinite_raises_with_trace():
         return float(z[0]), np.array([1.0])
 
     with pytest.raises(OptimizationError) as err:
-        minimize(bad, np.array([0.0]), OptimizerConfig(max_iters=100), 0)
+        minimize(bad, np.array([0.0]), OptimizerConfig(max_iters=100))
     assert err.value.run is not None
     assert len(err.value.run.loss_trace) >= 1
     assert err.value.run.stop == "nonfinite" and not err.value.run.converged
@@ -69,10 +69,10 @@ def test_minimize_nonfinite_raises_with_trace():
 
 def test_minimize_stop_reasons_grad_tol_and_max_iters():
     a = np.array([1.0, -2.0])
-    done = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(), 0)
+    done = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig())
     assert (done.stop, done.converged) == ("grad_tol", True)
     assert done.grad_norm_trace[-1] <= 1e-7
-    capped = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(max_iters=5), 0)
+    capped = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(max_iters=5))
     assert (capped.stop, capped.converged, capped.iters) == ("max_iters", False, 5)
 
 
@@ -95,7 +95,7 @@ def l1_location(n=401, seed=0, with_se=True):
 
 def test_minimize_stat_stop_on_noisy_first_order_objective():
     fn, median = l1_location()
-    run = minimize(fn, np.zeros(2), OptimizerConfig(), 0)
+    run = minimize(fn, np.zeros(2), OptimizerConfig())
     assert (run.stop, run.converged) == ("stat_tol", True)
     assert min(run.grad_norm_trace) > 1e-7  # grad_tol alone never stops it
     assert run.iters < 2000
@@ -110,12 +110,12 @@ def test_minimize_stat_stop_on_noisy_first_order_objective():
 
 def test_minimize_without_standard_error_never_stops_on_stat_tol():
     fn, _ = l1_location(with_se=False)
-    run = minimize(fn, np.zeros(2), OptimizerConfig(), 0)
+    run = minimize(fn, np.zeros(2), OptimizerConfig())
     assert (run.stop, run.converged, run.iters) == ("max_iters", False, 2000)
 
 
 def test_minimize_records_traces_and_iters():
-    run = minimize(quadratic_bowl(np.ones(2)), np.zeros(2), OptimizerConfig(), 0)
+    run = minimize(quadratic_bowl(np.ones(2)), np.zeros(2), OptimizerConfig())
     assert run.iters == len(run.loss_trace) == len(run.grad_norm_trace)
     assert run.wall_ms >= 0.0
 
@@ -125,7 +125,7 @@ def test_gaussian_1d_cnce_matches_grid_search():
     x = model.sample(np.array([1.0]), 10_000, rng_from(1))
     noise = sample_conditional(model.kernel.for_data(0.4, x), x, 10, 2)
     objective = cnce_objective(model, x, noise)
-    run = minimize(objective, np.array([0.0]), OptimizerConfig(), 3)
+    run = minimize(objective, np.array([0.0]), OptimizerConfig())
     lam_hat = run.theta[0]
     grid = np.linspace(0.2, 3.0, 700)
     vals = [objective(np.array([g]))[0] for g in grid]
@@ -156,7 +156,7 @@ def test_bernoulli_population_minimize_from_random_starts():
     rng = rng_from(5)
     for _ in range(5):
         z0 = 0.5 * rng.standard_normal(2)
-        run = minimize(objective, z0, OptimizerConfig(), 6)
+        run = minimize(objective, z0, OptimizerConfig())
         theta = np.exp(run.theta)
         theta /= theta.sum()
         assert np.linalg.norm(theta - truth) < 1e-6
@@ -167,8 +167,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ParameterError):
         OptimizerConfig(grad_tol=0.0)
-    with pytest.raises(ParameterError):
-        OptimizerConfig(restarts=0)
     for bad in ({"grad_tol": float("nan")}, {"grad_tol": float("inf")},
                 {"init_scale": float("nan")}, {"init_scale": float("inf")},
                 {"init_scale": -0.3},

@@ -5,7 +5,6 @@ harness."""
 from .errors import (
     CnceError,
     DomainError,
-    OptimizationError,
     ParameterError,
     SingularityError,
     UnsupportedModelError,

@@ -7,9 +7,11 @@ expansion table) and ``report`` (render an existing results CSV to SVG).
 Exit codes: 0 success, 1 usage or config error, 2 completed with warnings:
 a run that did not converge, or a noise-scale ladder that reached the
 schedule's ``epsilon_max`` without meeting its gap ``delta`` (raise either
-to act on it).  A ladder that ends at its kernel's own cap, the flip
-kernel at probability 1, is no warning.  All outputs are deterministic
-functions of (config, seed): no timing or environment state is written.
+to act on it).  A run whose loss turned non-finite is one that did not
+converge, with the warning "not converged (nonfinite)".  A ladder that ends
+at its kernel's own cap, the flip kernel at probability 1, is no warning.
+All outputs are deterministic functions of (config, seed): no timing or
+environment state is written.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each

@@ -28,15 +28,6 @@ class UnsupportedModelError(CnceError, ValueError):
     """The operation is not defined for this model kind."""
 
 
-class OptimizationError(CnceError, RuntimeError):
-    """Non-finite loss or gradient at an accepted iterate.  Carries the
-    partial trajectory for diagnosis."""
-
-    def __init__(self, message, run=None):
-        super().__init__(message)
-        self.run = run
-
-
 def _integer(value, what: str) -> int:
     """An integer or integral float as an int; anything else (2.7, a bool, a
     string) raises instead of being truncated."""

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import OptimizationError, ParameterError, _integer, _real, convert_fields
+from .errors import ParameterError, _integer, _real, convert_fields
 from .kernels import fit_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
@@ -36,7 +36,7 @@ from .losses import (
     score_matching_objective,
 )
 from .models import GAUSSIAN, RING, ModelSpec, build_model, default_spec
-from .optimize import EpsilonSchedule, OptimizerConfig, adapt_epsilon, minimize
+from .optimize import EpsilonSchedule, EstimationRun, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
 METHODS = ("cnce", "nce", "mle", "score_matching")
@@ -96,6 +96,8 @@ class ExperimentConfig:
                 raise ParameterError(
                     f"method {m!r} unsupported for {self.model.kind}"
                 )
+        if len(set(self.methods)) < len(self.methods):
+            raise ParameterError(f"methods must not repeat: {list(self.methods)}")
         if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
             # the moment-matched noise needs a covariance fit
             raise ParameterError("nce needs every n >= dim + 1")
@@ -160,13 +162,14 @@ def _run_id(model_kind, method, n, kappa, repeat) -> str:
 def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                repeat: int, collect_trace: bool = False):
     """One (method, n, kappa, repeat) cell.  Returns (ErrorRecord, warnings)
-    or, with collect_trace, (ErrorRecord, warnings, trace dict).  Optimiser
-    blow-ups are recorded as non-converged runs, never raised.  Any other
-    exception from the estimation fails the cell alone: error = inf, not
-    converged, and a warning naming the exception class, so that a grid
-    keeps its other cells.  A cell that does not converge warns "not
-    converged (<stop>)" with the optimiser's stop reason, which the trace
-    dict also carries as ``stop``."""
+    or, with collect_trace, (ErrorRecord, warnings, trace dict).  A cell
+    that does not converge warns "not converged (<stop>)" with the
+    optimiser's stop reason, which the trace dict also carries as ``stop``;
+    a run that meets a non-finite loss is one of them, "not converged
+    (nonfinite)", with the error of the point it returned.  An exception
+    from the estimation fails the cell alone: error = inf, not converged,
+    no stop reason, and a warning naming the exception class, so that a
+    grid keeps its other cells."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
     model = cfg.build_model()
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
@@ -176,8 +179,6 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
 
     warnings: list[str] = []
     epsilon = None
-    run = None
-    failed = False
     try:
         if method == "mle":
             run = mle_fit(model, x, cfg.optimizer, rng_seed=stable_hash(seed, "mle"))
@@ -217,27 +218,14 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             run = minimize(objective, raw0, cfg.optimizer)
             theta_hat = model.from_raw(run.theta[:model.spec.param_count])
         error = estimation_error(model, theta_hat, theta_true)
-    except OptimizationError as exc:
-        failed = True
-        warnings.append(f"optimiser failure: {exc}")
-        theta_hat = np.full(model.spec.param_count, np.nan)
-        error = float("inf")
-        run = exc.run
-        if run is not None:
-            candidate = model.from_raw(run.theta[:model.spec.param_count])
-            if np.all(np.isfinite(candidate)):
-                theta_hat = candidate
-                error = estimation_error(model, theta_hat, theta_true)
     except Exception as exc:  # a cell's failure must not end the grid
-        failed = True
         warnings.append(f"cell failed: {type(exc).__name__}: {exc}")
-        theta_hat = np.full(model.spec.param_count, np.nan)
+        run = EstimationRun(theta=np.full(model.spec.param_count, np.nan))
+        theta_hat = run.theta
         error = float("inf")
 
-    converged = not failed and run.converged
-    iters, stop = (0, None) if run is None else (run.iters, run.stop)
-    if not converged:
-        warnings.append(f"not converged ({stop})" if stop else "not converged")
+    if not run.converged:
+        warnings.append(f"not converged ({run.stop})" if run.stop else "not converged")
     record = ErrorRecord(
         run_id=_run_id(cfg.model.kind, method, n, kappa, repeat),
         model=cfg.model.kind,
@@ -248,8 +236,8 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         seed=seed,
         error=error,
         sq_error=error * error,
-        converged=converged,
-        iters=iters,
+        converged=run.converged,
+        iters=run.iters,
         wall_ms=0.0,
     )
     if not collect_trace:
@@ -260,12 +248,11 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         "theta_hat": [float(v) for v in theta_hat],
         "error": error,
         "epsilon": epsilon,
-        "converged": converged,
-        "stop": stop,
-        "iters": iters,
-        "loss_trace": [] if run is None else [float(v) for v in run.loss_trace],
-        "grad_norm_trace": [] if run is None else
-                           [float(v) for v in run.grad_norm_trace],
+        "converged": run.converged,
+        "stop": run.stop,
+        "iters": run.iters,
+        "loss_trace": [float(v) for v in run.loss_trace],
+        "grad_norm_trace": [float(v) for v in run.grad_norm_trace],
     }
     return record, warnings, trace
 
@@ -327,17 +314,30 @@ def summarize(records) -> list:
 # persistence
 # ---------------------------------------------------------------------------
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+# (encode, decode) of a CSV cell, by ErrorRecord annotation
+_CSV_CODECS = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": (lambda v: repr(float(v)), float),
+    "float | None": (lambda v: "" if v is None else repr(float(v)),
+                     lambda text: None if text == "" else float(text)),
+    "bool": (lambda v: "true" if v else "false", _parse_bool),
+}
+_CSV_FIELDS = [(f.name, *_CSV_CODECS[f.type]) for f in fields(ErrorRecord)]
+
+
 def records_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow([
-            r.run_id, r.model, r.method, r.n, r.kappa,
-            "" if r.epsilon is None else repr(float(r.epsilon)),
-            r.seed, repr(float(r.error)), repr(float(r.sq_error)),
-            "true" if r.converged else "false", r.iters, repr(float(r.wall_ms)),
-        ])
+        writer.writerow([encode(getattr(r, name)) for name, encode, _ in _CSV_FIELDS])
     return buf.getvalue()
 
 
@@ -354,16 +354,13 @@ def records_from_csv(text: str) -> list:
         try:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{len(row)} fields, expected {len(CSV_HEADER)}")
-            if row[9] not in ("true", "false"):
-                raise ValueError(f"converged must be true or false, got {row[9]!r}")
-            out.append(ErrorRecord(
-                run_id=row[0], model=row[1], method=row[2], n=int(row[3]),
-                kappa=int(row[4]),
-                epsilon=None if row[5] == "" else float(row[5]),
-                seed=int(row[6]), error=float(row[7]), sq_error=float(row[8]),
-                converged=row[9] == "true", iters=int(row[10]),
-                wall_ms=float(row[11]),
-            ))
+            values = {}
+            for (name, _, decode), cell in zip(_CSV_FIELDS, row):
+                try:
+                    values[name] = decode(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+            out.append(ErrorRecord(**values))
         except ValueError as exc:
             raise ParameterError(f"csv line {reader.line_num}: {exc}") from None
     return out
@@ -481,6 +478,8 @@ _SCHED_KEYS = {f.name for f in fields(EpsilonSchedule)}
 
 
 def _check_keys(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{where} must be a JSON object")
     for key in obj:
         if key not in allowed:
             raise ParameterError(f"unknown key {key!r} in {where}")
@@ -508,10 +507,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     for key in ("model", "methods", "n_grid", "kappa_grid"):
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in experiment config")
-    if not isinstance(obj["model"], dict):
-        raise ParameterError("model must be an object")
+    _check_keys(obj["model"], _MODEL_KEYS | {"mu"}, "model")
     model_obj = dict(obj["model"])
-    _check_keys(model_obj, _MODEL_KEYS | {"mu"}, "model")
     if "kind" not in model_obj:
         raise ParameterError("missing key 'kind' in model")
     rest = {k: v for k, v in obj.items()

@@ -36,8 +36,8 @@ class GaussianPerturbKernel:
 
     def __init__(self, epsilon):
         eps = np.atleast_1d(np.asarray(epsilon, dtype=float))
-        if np.any(eps < 0) or not np.all(np.isfinite(eps)):
-            raise ParameterError("epsilon components must be finite and >= 0")
+        if not np.all(np.isfinite(eps) & (eps > 0)):
+            raise ParameterError("epsilon components must be finite and > 0")
         self.epsilon = eps
 
     def draw(self, x: np.ndarray, kappa: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,8 +45,6 @@ class GaussianPerturbKernel:
         return rng.standard_normal((len(x), kappa, x.shape[1]))
 
     def perturb(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-        if np.any(self.epsilon == 0):
-            raise ParameterError("epsilon = 0 is degenerate for sampling")
         return x[:, None, :] + self.epsilon * base
 
     @classmethod

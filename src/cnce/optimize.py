@@ -15,8 +15,11 @@ start point:
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
-acceptable Newton step) and ``nonfinite`` (raised as ``OptimizationError``).
-``mle_fit`` adds ``closed_form``, a converged run with an empty trace.
+acceptable Newton step) and ``nonfinite`` (a non-finite loss, gradient or
+Hessian: Adam hands on the best finite point it visited, Newton, whose line
+search accepts finite points only, stops at a non-finite start).
+``minimize`` never raises for a non-finite value.  ``mle_fit`` adds
+``closed_form``, a converged run with an empty trace.
 
 The statistical stop.  The ICA objectives have |.| kinks, where Adam's
 gradient norm stalls far above any useful ``grad_tol``.  Their third slot
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OptimizationError, ParameterError, _real, convert_fields
+from .errors import ParameterError, _real, convert_fields
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from
 
@@ -136,19 +139,14 @@ class EstimationRun:
         return self.stop in ("grad_tol", "stat_tol", "closed_form")
 
 
-def _nonfinite(run, what):
-    run.stop = "nonfinite"
-    return OptimizationError(f"non-finite {what}", run=run)
-
-
 def _record(run, value, grad):
     run.loss_trace.append(float(value))
     run.grad_norm_trace.append(float(np.max(np.abs(grad))))
 
 
 def _adam_phase(loss_fn, z, first, cfg, run):
-    """Adam from z; returns the best point visited, or the point that met
-    ``grad_tol``."""
+    """Adam from z; returns the best finite point visited, or the point that
+    met ``grad_tol``."""
     tol = STAT_FRACTION * float(first[2]) if len(first) == 3 else np.nan
     b1, b2 = cfg.adam_betas
     m = np.zeros_like(z)
@@ -158,7 +156,8 @@ def _adam_phase(loss_fn, z, first, cfg, run):
     for t in range(1, cfg.max_iters + 1):
         value, grad = (first if t == 1 else loss_fn(z))[:2]
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            raise _nonfinite(run, "loss or gradient")
+            run.stop = "nonfinite"
+            return z_best
         _record(run, value, grad)
         if value < v_best:
             z_best, v_best = z, value
@@ -215,7 +214,8 @@ def _accept(value, out, step, slope, direction) -> bool:
 
 def _newton_phase(loss_fn, z, first, cfg, run):
     if not _all_finite(first):
-        raise _nonfinite(run, "loss, gradient or Hessian")
+        run.stop = "nonfinite"
+        return z
     value, grad, hess = first
     while True:
         _record(run, value, grad)

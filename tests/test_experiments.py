@@ -224,7 +224,9 @@ def test_config_validation():
             ("optimizer", {"grad_tol": True}, real),
             ("optimizer", {"init_scale": "0.3"}, real),
             ("optimizer", {"adam_step": False}, real),
-            ("optimizer", {"adam_betas": [0.9, True]}, real)):
+            ("optimizer", {"adam_betas": [0.9, True]}, real),
+            # a repeated method would run every cell twice
+            ("methods", ["mle", "mle"], "methods must not repeat")):
         for build in (lambda: config_from_json(dict(base, **{key: value})),
                       lambda: construct(key, value)):
             with pytest.raises(ParameterError) as err:
@@ -311,6 +313,73 @@ def test_run_grid_keeps_a_nonfinite_nce_cell(monkeypatch):
     nce = records[1]
     assert not nce.converged and np.isfinite(nce.error)
     assert "not converged (nonfinite)" in warnings
+
+
+def test_run_single_records_the_best_point_of_a_run_that_turns_nonfinite(
+        monkeypatch):
+    # ICA NCE runs Adam; its loss turns NaN after 300 calls, well before the
+    # statistical stop.  The cell records the error of the best point Adam
+    # visited, not that of the start
+    import cnce.experiments
+
+    build, minimize = cnce.experiments.nce_objective, cnce.experiments.minimize
+    runs = []
+
+    def poisoned(model, x, noise, marginal):
+        objective, calls = build(model, x, noise, marginal), []
+
+        def fn(raw):
+            calls.append(raw)
+            out = objective(raw)
+            return out if len(calls) <= 300 else (np.nan,) + tuple(out[1:])
+
+        return fn
+
+    def recorded_minimize(objective, raw0, cfg):
+        runs.append((raw0, minimize(objective, raw0, cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", poisoned)
+    monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
+    cfg = small_config(kind=ICA, methods=("nce",), n_grid=(500,), kappa_grid=(5,),
+                       master_seed=3, optimizer=OptimizerConfig())
+    record, warnings, trace = run_single(cfg, "nce", 500, 5, 0, collect_trace=True)
+    ((raw0, run),) = runs
+    assert (run.stop, run.iters) == ("nonfinite", 300)
+    assert not record.converged and "not converged (nonfinite)" in warnings
+    model = cfg.build_model()
+    p = model.spec.param_count
+    theta_hat = model.from_raw(run.theta[:p])
+    assert trace["theta_hat"] == list(theta_hat)
+    assert record.error == estimation_error(model, theta_hat, trace["theta_true"])
+    start_error = estimation_error(model, model.from_raw(raw0[:p]), trace["theta_true"])
+    assert record.error < start_error
+
+
+def test_run_single_ica_mle_maps_a_nonfinite_run_back_from_whitening(monkeypatch):
+    # non-finite at the start: the run hands on its start, which the MLE
+    # must map out of the whitened coordinates to the drawn B0
+    import cnce.losses
+
+    objective = cnce.losses.ica_mle_objective
+
+    def poisoned(model, x):
+        fn = objective(model, x)
+        return lambda raw: (np.nan,) + tuple(fn(raw)[1:])
+
+    monkeypatch.setattr(cnce.losses, "ica_mle_objective", poisoned)
+    cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
+                       master_seed=3)
+    record, warnings, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
+    assert (trace["stop"], trace["iters"]) == ("nonfinite", 0)
+    assert not record.converged and "not converged (nonfinite)" in warnings
+    seed = stable_hash(3, ICA, "mle", 500, 5, 0)
+    b0 = cfg.build_model().init_raw(
+        rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")),
+        cfg.optimizer.init_scale)
+    assert np.allclose(trace["theta_hat"], b0, rtol=1e-12, atol=1e-14)
+    assert record.error == estimation_error(cfg.build_model(), trace["theta_hat"],
+                                            trace["theta_true"])
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, RING, LOGNORMAL, ICA])
@@ -521,8 +590,8 @@ def test_config_json_unknown_key():
     # the model must be an object that names its kind
     for model, message in (({"dim": 2}, "missing key 'kind' in model"),
                            ({}, "missing key 'kind' in model"),
-                           ("ring", "model must be an object"),
-                           ([["kind", "ring"]], "model must be an object")):
+                           ("ring", "model must be a JSON object"),
+                           ([["kind", "ring"]], "model must be a JSON object")):
         obj["model"] = model
         with pytest.raises(ParameterError, match=message):
             config_from_json(obj)

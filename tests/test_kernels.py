@@ -89,8 +89,10 @@ def test_sample_conditional_rejects_degenerate():
 def test_kernel_validation():
     with pytest.raises(ParameterError):
         BernoulliFlipKernel(1.5)
-    with pytest.raises(ParameterError):
-        GaussianPerturbKernel([-0.1])
+    # a zero scale is rejected once, when the kernel is built
+    for eps in ([-0.1], [0.5, 0.0], [np.nan]):
+        with pytest.raises(ParameterError):
+            GaussianPerturbKernel(eps)
 
 
 def test_kernel_class_states_its_epsilon_cap():

@@ -17,7 +17,6 @@ from cnce import (
     sample_conditional,
     sample_marginal,
 )
-from cnce.errors import OptimizationError
 from cnce.losses import cnce_objective, nce_objective, score_matching_objective
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
 from cnce.seeding import rng_from
@@ -139,14 +138,13 @@ def test_newton_line_search_collapse_is_reported_without_warnings():
     assert np.array_equal(run.theta, [-40.0])
 
 
-def test_newton_nonfinite_start_raises():
+def test_newton_nonfinite_start_stops_there():
     def objective(z):
         return 0.5 * float(z @ z), z, np.full((1, 1), np.nan)
 
-    with pytest.raises(OptimizationError) as err:
-        minimize(objective, np.zeros(1), OptimizerConfig())
-    assert err.value.run is not None and err.value.run.iters == 0
-    assert err.value.run.stop == "nonfinite"
+    run = minimize(objective, np.full(1, 2.0), OptimizerConfig())
+    assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 0)
+    assert np.array_equal(run.theta, [2.0])
 
 
 def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():

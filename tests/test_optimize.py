@@ -22,7 +22,6 @@ from cnce import (
     minimize,
     sample_conditional,
 )
-from cnce.errors import OptimizationError
 from cnce.experiments import config_from_json
 from cnce.losses import cnce_objective
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
@@ -54,17 +53,26 @@ def test_minimize_deterministic():
     assert r1.loss_trace == r2.loss_trace
 
 
-def test_minimize_nonfinite_raises_with_trace():
-    def bad(z):
-        if z[0] < -0.5:
-            return np.nan, np.array([np.nan])
-        return float(z[0]), np.array([1.0])
+def test_minimize_nonfinite_hands_on_the_best_finite_point():
+    # Adam into a bowl whose loss turns NaN after 30 calls: the run stops
+    # there without raising and hands on the lowest point it visited
+    bowl = quadratic_bowl(np.array([3.0, -1.0]))
+    visited = []
 
-    with pytest.raises(OptimizationError) as err:
-        minimize(bad, np.array([0.0]), OptimizerConfig(max_iters=100))
-    assert err.value.run is not None
-    assert len(err.value.run.loss_trace) >= 1
-    assert err.value.run.stop == "nonfinite" and not err.value.run.converged
+    def poisoned(z):
+        visited.append(z)
+        value, grad = bowl(z)
+        return (np.nan if len(visited) > 30 else value), grad
+
+    run = minimize(poisoned, np.zeros(2), OptimizerConfig())
+    assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 30)
+    best = int(np.argmin(run.loss_trace))
+    assert np.array_equal(run.theta, visited[best])
+    assert run.loss_trace[best] < run.loss_trace[0]
+    # non-finite at the start: the start comes back, with an empty trace
+    run = minimize(lambda z: (np.nan, z), np.ones(2), OptimizerConfig())
+    assert (run.stop, run.iters) == ("nonfinite", 0)
+    assert np.array_equal(run.theta, np.ones(2))
 
 
 def test_minimize_stop_reasons_grad_tol_and_max_iters():

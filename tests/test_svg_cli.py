@@ -165,6 +165,26 @@ def test_non_integral_config_numbers_exit_1(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_config_shape_errors_exit_1(tmp_path, capsys):
+    # a config section that is not a JSON object, and a repeated method
+    cases = [("experiment", [], "experiment config must be a JSON object"),
+             ("estimate", [], "estimate config must be a JSON object"),
+             ("limit-check", [], "limit-check config must be a JSON object"),
+             ("experiment", experiment_config(model=[]), "model must be a JSON object"),
+             ("estimate", bernoulli_config(optimizer=[]),
+              "optimizer must be a JSON object"),
+             ("experiment", experiment_config(epsilon_schedule=[]),
+              "epsilon_schedule must be a JSON object"),
+             ("experiment", experiment_config(methods=["mle", "mle"]),
+              "methods must not repeat")]
+    for i, (command, obj, message) in enumerate(cases):
+        cfg = write_json(tmp_path / f"c{i}.json", obj)
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_estimate_bernoulli_quality(tmp_path, capsys):
     errors = []
     for seed in (1, 2, 3):

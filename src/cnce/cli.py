@@ -107,27 +107,20 @@ def cmd_estimate(args) -> int:
     return 2 if warnings else 0
 
 
-def _write_report_svgs(records, out_dir: str, force: bool) -> list:
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec.model, []).append(rec)
-    paths = []
-    if not groups:
-        path = os.path.join(out_dir, "report.svg")
-        _guard_outputs([path], force)
+def _svg_paths(models, out_dir: str) -> dict:
+    """The chart path of each model, or of an empty report for none."""
+    if not models:
+        return {None: os.path.join(out_dir, "report.svg")}
+    return {model: os.path.join(out_dir, f"{model}.svg") for model in sorted(models)}
+
+
+def _write_report_svgs(records, paths: dict) -> list:
+    for model, path in paths.items():
+        series = chart_series_for_model([r for r in records if r.model == model])
+        title = "estimation error" if model is None else f"{model}: estimation error"
         with open(path, "w") as fh:
-            fh.write(render_loglog([], "estimation error", "sample size N",
-                                   "squared error"))
-        return [path]
-    for model in sorted(groups):
-        path = os.path.join(out_dir, f"{model}.svg")
-        _guard_outputs([path], force)
-        series = chart_series_for_model(groups[model])
-        with open(path, "w") as fh:
-            fh.write(render_loglog(series, f"{model}: estimation error",
-                                   "sample size N", "squared error"))
-        paths.append(path)
-    return paths
+            fh.write(render_loglog(series, title, "sample size N", "squared error"))
+    return list(paths.values())
 
 
 def cmd_experiment(args) -> int:
@@ -135,12 +128,14 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
+    svgs = _svg_paths([cfg.model.kind], args.out)
     _guard_outputs([os.path.join(args.out, "results.csv"),
-                    os.path.join(args.out, "summary.json")], args.force)
+                    os.path.join(args.out, "summary.json"), *svgs.values()],
+                   args.force)
     records, summaries, warnings = run_grid(cfg, jobs=args.jobs)
     paths = persist(records, summaries, config_to_json(cfg), args.out,
                     force=args.force)
-    paths += _write_report_svgs(records, args.out, args.force)
+    paths += _write_report_svgs(records, svgs)
     for s in summaries:
         print(f"{s.method} n={s.n} kappa={s.kappa}: "
               f"median {s.median:.6g} [q10 {s.q10:.6g}, q90 {s.q90:.6g}]")
@@ -187,8 +182,9 @@ def cmd_limit_check(args) -> int:
 def cmd_report(args) -> int:
     records = load_records(args.csv)
     os.makedirs(args.out, exist_ok=True)
-    paths = _write_report_svgs(records, args.out, args.force)
-    for p in paths:
+    svgs = _svg_paths({r.model for r in records}, args.out)
+    _guard_outputs(svgs.values(), args.force)
+    for p in _write_report_svgs(records, svgs):
         print(f"wrote {p}")
     return 0
 

@@ -57,7 +57,9 @@ class ExperimentConfig:
     - ``repeats`` (int, 20, >= 1), ``master_seed`` (int, 0) and ``ring_mu``
       (float, 4.0, the ring model's known shell radius).
     - ``epsilon``: ``"auto"`` (default), which ``adapt_epsilon`` picks on
-      ``schedule`` per run, or CNCE's fixed noise scale, a float > 0.
+      ``schedule`` per run, or CNCE's fixed noise scale, a float > 0 and,
+      with ``"cnce"``, at most the model kernel's ``epsilon_cap`` (1 for
+      Bernoulli's flip probability).
     - ``optimizer``, ``schedule``: an ``OptimizerConfig`` and an
       ``EpsilonSchedule``, their defaults by default.
     """
@@ -90,9 +92,9 @@ class ExperimentConfig:
             raise ParameterError("repeats must be >= 1")
         if not self.methods:
             raise ParameterError("methods must be non-empty")
-        supported = self.build_model().methods
+        model = self.build_model()
         for m in self.methods:
-            if m not in supported:
+            if m not in model.methods:
                 raise ParameterError(
                     f"method {m!r} unsupported for {self.model.kind}"
                 )
@@ -101,6 +103,11 @@ class ExperimentConfig:
         if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
             # the moment-matched noise needs a covariance fit
             raise ParameterError("nce needs every n >= dim + 1")
+        cap = model.kernel.epsilon_cap
+        if ("cnce" in self.methods and self.epsilon != "auto" and cap is not None
+                and self.epsilon > cap):
+            raise ParameterError(
+                f"epsilon must be <= {cap}, the cap of the {self.model.kind} kernel")
 
     def build_model(self):
         if self.model.kind == RING:
@@ -168,14 +175,14 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     a run that meets a non-finite loss is one of them, "not converged
     (nonfinite)", with the error of the point it returned.  An exception
     from the estimation fails the cell alone: error = inf, not converged,
-    no stop reason, and a warning naming the exception class, so that a
+    no stop reason, and one warning, naming the exception class, so that a
     grid keeps its other cells."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
     model = cfg.build_model()
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
     x = model.sample(theta_true, n, rng_from(stable_hash(seed, "data")))
-    theta0 = model.init_raw(rng_from(stable_hash(seed, "init")),
-                            cfg.optimizer.init_scale)
+    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")),
+                              cfg.optimizer.init_scale)
 
     warnings: list[str] = []
     epsilon = None
@@ -184,7 +191,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             run = mle_fit(model, x, cfg.optimizer, rng_seed=stable_hash(seed, "mle"))
             theta_hat = run.theta
         else:
-            raw0 = theta0
+            start = theta0
             if method == "cnce":
                 if cfg.epsilon == "auto":
                     epsilon, capped = adapt_epsilon(
@@ -208,24 +215,24 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 # backtracks.  Adam (Laplace ICA) keeps c = 0: there this
                 # start cut iterations by 14% but raised the error geometric
                 # mean by 5% (ica_grid seeds 1-24)
-                c0 = (nce_log_normaliser(model, model.from_raw(theta0), noise, marginal)
+                c0 = (nce_log_normaliser(model, theta0, noise, marginal)
                       if model.affine else 0.0)
-                raw0 = np.concatenate([theta0, [c0]])
+                start = np.concatenate([theta0, [c0]])
             elif method == "score_matching":
                 objective = score_matching_objective(model, x)
             else:
                 raise ParameterError(f"unknown method {method!r}")
-            run = minimize(objective, raw0, cfg.optimizer)
-            theta_hat = model.from_raw(run.theta[:model.spec.param_count])
+            run = minimize(objective, start, cfg.optimizer)
+            theta_hat = run.theta[:model.spec.param_count]
         error = estimation_error(model, theta_hat, theta_true)
     except Exception as exc:  # a cell's failure must not end the grid
         warnings.append(f"cell failed: {type(exc).__name__}: {exc}")
         run = EstimationRun(theta=np.full(model.spec.param_count, np.nan))
         theta_hat = run.theta
         error = float("inf")
-
-    if not run.converged:
-        warnings.append(f"not converged ({run.stop})" if run.stop else "not converged")
+    else:
+        if not run.converged:
+            warnings.append(f"not converged ({run.stop})")
     record = ErrorRecord(
         run_id=_run_id(cfg.model.kind, method, n, kappa, repeat),
         model=cfg.model.kind,

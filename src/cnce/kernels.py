@@ -91,13 +91,31 @@ def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> np.n
 
 @dataclass(frozen=True)
 class MarginalKernel:
-    """Moment-matched Gaussian marginal noise for the NCE baseline."""
+    """Moment-matched Gaussian marginal noise for the NCE baseline: a
+    Gaussian of the given mean and covariance.  A covariance without a
+    Cholesky factor raises ``ParameterError``."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    _chol: np.ndarray = field(repr=False, default=None)
-    _precision: np.ndarray = field(repr=False, default=None)
-    _log_norm: float = field(repr=False, default=0.0)
+    _chol: np.ndarray = field(init=False, repr=False)
+    _precision: np.ndarray = field(init=False, repr=False)
+    _log_norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        cov = np.asarray(self.covariance, dtype=float)
+        dim = len(mean)
+        if mean.ndim != 1 or cov.shape != (dim, dim):
+            raise ParameterError("need a mean vector and a covariance of its size")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError("covariance is not positive definite") from exc
+        log_norm = -0.5 * (dim * np.log(2 * np.pi) + 2 * np.sum(np.log(np.diag(chol))))
+        derived = {"mean": mean, "covariance": cov, "_chol": chol,
+                   "_precision": np.linalg.inv(cov), "_log_norm": log_norm}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def fit_marginal(x: np.ndarray) -> MarginalKernel:
@@ -107,20 +125,8 @@ def fit_marginal(x: np.ndarray) -> MarginalKernel:
     n, dim = x.shape
     if n < dim + 1:
         raise ParameterError("need at least dim + 1 points for a covariance fit")
-    mean = x.mean(axis=0)
     cov = np.cov(x.T, bias=True).reshape(dim, dim) + 1e-9 * np.eye(dim)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError("covariance singular after jitter") from exc
-    log_norm = -0.5 * (dim * np.log(2 * np.pi) + 2 * np.sum(np.log(np.diag(chol))))
-    return MarginalKernel(
-        mean=mean,
-        covariance=cov,
-        _chol=chol,
-        _precision=np.linalg.inv(cov),
-        _log_norm=log_norm,
-    )
+    return MarginalKernel(mean=x.mean(axis=0), covariance=cov)
 
 
 def sample_marginal(kernel: MarginalKernel, m: int, rng_seed: int) -> np.ndarray:

@@ -4,15 +4,15 @@ closed-form MLE baselines, and the exact enumeration of the Bernoulli
 population loss.
 
 Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
-``nce_loss`` are the reference implementations in natural parameters, built
-on ``model.log_phi`` and the dense ``model.grad_theta``; the
-``*_objective`` builders produce callables in the model's raw
-coordinates.  Both contrastive losses are logistic, and the model enters
-them only through log phi on a fixed set of points: the partition function
-cancels in CNCE and is learned as c in NCE.  So each builder has one body,
-takes the model's rows over those points (``models`` docstring), folds every
-constant into the rows' offset once, and makes one ``value``, one
-``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
+``nce_loss`` are the reference implementations, built on ``model.log_phi``
+and the dense ``model.grad_theta``; the ``*_objective`` builders produce
+the callables the optimiser minimises.  Both contrastive losses are
+logistic, and the model enters them only through log phi on a fixed set of
+points: the partition function cancels in CNCE and is learned as c in NCE.
+So each builder has one body, takes the model's rows over those points
+(``models`` docstring), folds every constant into the rows' offset once,
+and makes one ``value``, one ``_softplus_sigmoid_neg`` pass and one
+``vjp`` per call:
 
 - CNCE: ``model.pair_rows``, one row per (data, noise) pair, G =
   log phi(x) - log phi(y).  The kernel term log pc(y|x)/pc(x|y) of G is
@@ -37,13 +37,12 @@ model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
 The reference value of ``score_matching_loss`` comes from ``grad_u`` and
 ``laplacian_u`` instead, which share no code with (A, b, c).
 
-Objective contract: ``objective(raw)`` returns ``(value, grad, hess)``,
-``(value, grad, se)`` or ``(value, grad)``, all in the model's raw
-coordinates, those in which log phi is affine (``models`` docstring).  The
-exact Hessian comes with score matching and with the contrastive objectives
-on affine rows: logistic losses of affine rows have a Gram-matrix Hessian,
-and score matching the matrix A, so every Hessian returned is positive
-semi-definite.  The others (on non-affine rows, and ``ica_mle_objective``)
+Objective contract: ``objective(theta)`` returns ``(value, grad, hess)``,
+``(value, grad, se)`` or ``(value, grad)``, in the model's parameters
+(NCE's with c appended).  The exact Hessian comes with score matching and
+with the contrastive objectives on affine rows: logistic losses of affine
+rows have a Gram-matrix Hessian, and score matching the matrix A, so every
+Hessian returned is positive semi-definite.  The others (on non-affine rows, and ``ica_mle_objective``)
 return instead the loss's sampling standard error, std over sqrt(count) of
 the per-row terms they already hold, scaled as the loss scales them; it is
 computed at the first point an objective is called at, the optimiser's
@@ -76,8 +75,7 @@ TWO_LOG2 = 2.0 * np.log(2.0)
 @dataclass
 class LossReport:
     value: float
-    gradient: np.ndarray | None  # natural parameters (+ trailing slot for NCE's c)
-    n_terms: int
+    gradient: np.ndarray | None  # trailing slot for NCE's c
 
 
 def _softplus(v: np.ndarray) -> np.ndarray:
@@ -144,8 +142,8 @@ def _flat_pairs(x: np.ndarray, noise: np.ndarray):
 def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray,
               gradient: bool = True) -> LossReport:
     """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))] and,
-    unless ``gradient`` is false (then ``gradient`` is None), its gradient in
-    natural parameters.  The value does not depend on the flag."""
+    unless ``gradient`` is false (then ``gradient`` is None), its gradient.
+    The value does not depend on the flag."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     y, kappa = _flat_pairs(x, noise)
@@ -157,10 +155,10 @@ def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray,
     scale = 2.0 / m
     value = scale * float(np.sum(sp))
     if not gradient:
-        return LossReport(value=value, gradient=None, n_terms=m)
+        return LossReport(value=value, gradient=None)
     wx = -sig.reshape(n, kappa).sum(axis=1)  # data-side weights
     grad = sig @ model.grad_theta(theta, y) + wx @ model.grad_theta(theta, x)
-    return LossReport(value=value, gradient=scale * grad, n_terms=m)
+    return LossReport(value=value, gradient=scale * grad)
 
 
 def _require(model, method: str):
@@ -169,7 +167,7 @@ def _require(model, method: str):
 
 
 def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
-    """Objective over raw model coordinates, from ``model.pair_rows`` over x
+    """Objective over theta, from ``model.pair_rows`` over x
     and its (n, kappa, dim) noise: (value, grad, hess) on affine rows,
     (value, grad, se) otherwise, with se = 2 std(softplus rows) / sqrt(rows)."""
     _require(model, "cnce")
@@ -181,9 +179,9 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
     work = _pair_work(m)
     se = None
 
-    def objective(raw):
+    def objective(theta):
         nonlocal se
-        rows.value(raw, g)
+        rows.value(theta, g)
         np.add(g, rows.offset, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
@@ -224,9 +222,7 @@ def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
     g_theta = (wx @ model.grad_theta(theta, x)
                + wy @ model.grad_theta(theta, noise)) / n
     g_c = (wx.sum() + wy.sum()) / n
-    return LossReport(value=float(value),
-                      gradient=np.concatenate([g_theta, [g_c]]),
-                      n_terms=len(x) + len(noise))
+    return LossReport(value=float(value), gradient=np.concatenate([g_theta, [g_c]]))
 
 
 def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel) -> float:
@@ -240,7 +236,7 @@ def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel
 
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
-    """Objective over (raw model coordinates, c), from ``model.rows`` over
+    """Objective over (theta, c), from ``model.rows`` over
     u = [x; noise]: (value, grad, hess) on affine rows, (value, grad, se)
     otherwise, with se = (rows / n) std(softplus rows) / sqrt(rows).  The
     noise log-densities are evaluated once, here.
@@ -264,11 +260,11 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
     work = _pair_work(len(u))
     se = None
 
-    def objective(raw):
+    def objective(theta_c):
         nonlocal se
-        rows.value(raw[:-1], h)
+        rows.value(theta_c[:-1], h)
         np.add(h, rows.offset, out=h)
-        np.add(h, raw[-1], out=h)
+        np.add(h, theta_c[-1], out=h)
         np.negative(h[n:], out=h[n:])
         sp, sig = _softplus_sigmoid_neg(h, work)
         value = float(np.sum(sp)) / n
@@ -306,22 +302,21 @@ def score_matching_loss(model, theta, x: np.ndarray) -> LossReport:
     lap = model.laplacian_u(theta, x)
     value = float(np.mean(lap + 0.5 * np.sum(grad_u**2, axis=1)))
     a, b, _ = model.score_quadratic(x)
-    return LossReport(value=value, gradient=a @ theta + b, n_terms=len(x))
+    return LossReport(value=value, gradient=a @ theta + b)
 
 
 def score_matching_objective(model, x: np.ndarray):
-    """(value, grad, hess) callable over raw coordinates, which for every
-    smooth model are its natural ones.
+    """(value, grad, hess) callable over theta.
 
-    The loss is raw'A raw / 2 + b'raw + c, with (A, b, c) built once from
-    the data, so each call is O(p^2) and the Hessian is A itself: Newton's
+    The loss is theta'A theta / 2 + b'theta + c, with (A, b, c) built once
+    from the data, so each call is O(p^2) and the Hessian is A itself: Newton's
     first step lands on the minimiser.
     """
     a, b, c = model.score_quadratic(np.asarray(x, dtype=float))
 
-    def objective(raw):
-        grad = a @ raw + b
-        value = 0.5 * float(raw @ (grad + b)) + c
+    def objective(theta):
+        grad = a @ theta + b
+        value = 0.5 * float(theta @ (grad + b)) + c
         return value, grad, a
 
     return objective
@@ -333,7 +328,7 @@ def score_matching_objective(model, x: np.ndarray):
 
 def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0):
     """Maximum likelihood under the normalised model, as an
-    ``EstimationRun`` in natural parameters: the model's closed form
+    ``EstimationRun``: the model's closed form
     (``model.mle``), with stop ``"closed_form"`` and an empty trace, or for
     ICA the run of Adam under ``optimizer`` (an ``OptimizerConfig``, its
     defaults when None) from a start drawn from ``rng_seed``.  Models
@@ -362,13 +357,13 @@ def ica_mle_objective(model, x: np.ndarray):
     w = np.full(n, 1.0 / n)
     se = None
 
-    def objective(raw):
+    def objective(theta):
         nonlocal se
-        b = raw.reshape(d, d)
+        b = theta.reshape(d, d)
         sign, logdet = np.linalg.slogdet(b)
         if sign == 0:
             return np.inf, np.zeros(d * d), np.nan
-        rows.value(raw, log_phi)
+        rows.value(theta, log_phi)
         np.add(log_phi, rows.offset, out=log_phi)
         if se is None:
             se = _std_error(log_phi)
@@ -397,8 +392,8 @@ def _ica_mle(model, x, optimizer, rng_seed):
     evals, evecs = np.linalg.eigh(x.T @ x / n)
     c_half = (evecs * np.sqrt(evals)) @ evecs.T
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
-    b0 = model.init_raw(rng_from(stable_hash(rng_seed, "ica_mle_init")),
-                        optimizer.init_scale).reshape(d, d)
+    b0 = model.init_theta(rng_from(stable_hash(rng_seed, "ica_mle_init")),
+                          optimizer.init_scale).reshape(d, d)
     run = minimize(ica_mle_objective(model, x @ c_inv_half),
                    (b0 @ c_half).reshape(-1), optimizer)
     run.theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
@@ -410,17 +405,16 @@ def _ica_mle(model, x, optimizer, rng_seed):
 # ---------------------------------------------------------------------------
 
 def bernoulli_population_loss(theta, theta_true, epsilon: float) -> float:
-    """Population contrastive loss for the Bernoulli model with flip noise
-    of probability epsilon in (0, 1], the flip kernel's whole range,
+    """Population contrastive loss for the Bernoulli model, at log-weights
+    theta under data from log-weights theta_true, with flip noise of
+    probability epsilon in (0, 1], the flip kernel's whole range,
     enumerated exactly over the four (x, y) configurations."""
     theta = np.asarray(theta, dtype=float)
-    theta_true = np.asarray(theta_true, dtype=float)
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError("epsilon must lie in (0, 1]")
-    if np.any(theta <= 0) or np.any(theta_true <= 0):
-        raise ParameterError("bernoulli weights must be positive")
-    p0 = theta_true[0] / theta_true.sum()
-    g = np.log(theta[0]) - np.log(theta[1])  # G(x=0, y=1); flips sign for (1, 0)
+    w_true = np.exp(np.asarray(theta_true, dtype=float))
+    p0 = w_true[0] / w_true.sum()
+    g = theta[0] - theta[1]  # G(x=0, y=1); flips sign for (1, 0)
     return float(
         2.0 * (1.0 - epsilon) * np.log(2.0)
         + 2.0 * epsilon * (p0 * _softplus(-g) + (1.0 - p0) * _softplus(g))

@@ -7,20 +7,18 @@ are packed into flat vectors; the layout is documented in each model's
 docstring.  All operations are pure functions of their arguments; random
 state is always passed in explicitly.
 
-The optimiser's raw coordinates are those in which log phi is affine, so
-CNCE, NCE and score matching are convex in them.  For every model but
-Bernoulli they are the natural parameters and ``to_raw`` / ``from_raw``
-are the identity; Bernoulli's log phi is linear in its log-weights, so its
-raw coordinates are those, and ``from_raw`` is exp.
+Every model but Laplace ICA is parametrised so that log phi is affine in
+theta, which makes CNCE, NCE and score matching convex in it; the
+optimiser moves theta itself.
 
 Model protocol: each class states once all the maths an estimator needs, so
 no estimator branches on the model kind.  ``methods`` (the estimators it
 supports), ``kernel`` (its CNCE noise kernel class, from ``kernels``) and
-``affine`` (whether log phi is affine in the raw coordinates) are class
-attributes; ``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d
-theta, serve the reference contrastive losses; ``rows(U)`` and
-``pair_rows(x, y, kappa)`` serve the contrastive objectives and the ICA MLE
-(below); ``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b,
+``affine`` (whether log phi is affine in theta) are class attributes;
+``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d theta, serve
+the reference contrastive losses; ``rows(U)`` and ``pair_rows(x, y,
+kappa)`` serve the contrastive objectives and the ICA MLE (below);
+``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b,
 c)``, with the score-matching loss exactly theta'A theta / 2 + b'theta + c,
 serve score matching; ``mle(x)`` gives the closed-form MLE; and ``error``
 is the estimation error with the model's ambiguities resolved (Euclidean by
@@ -29,13 +27,13 @@ default).  What a model does not support raises ``UnsupportedModelError``.
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
 object with ``offset``, the (m,) part no parameter moves, a fresh array a
-loss may fold its own constants into; ``value(raw, out)``, which writes the
-rest; and ``vjp(w)``, sum_r w_r d row_r / d raw at the last ``value``.
-Affine rows, Phi @ raw + offset, add the exact curvature ``gram(c)`` =
-Phi' diag(c) Phi.  ``_Model`` builds them from ``features(U)`` = (Phi,
-offset) in raw coordinates, which the affine models state (Bernoulli as its
-log-weight indicators); Laplace ICA builds non-affine rows from the sources
-B U' instead.
+loss may fold its own constants into; ``value(theta, out)``, which writes
+the rest; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last
+``value``.  Affine rows, Phi @ theta + offset, add the exact curvature
+``gram(c)`` = Phi' diag(c) Phi.  ``_Model`` builds them from
+``features(U)`` = (Phi, offset), which the affine models state (Bernoulli
+as its log-weight indicators); Laplace ICA builds non-affine rows from the
+sources B U' instead.
 """
 
 from __future__ import annotations
@@ -109,14 +107,14 @@ def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _AffineRows:
-    """Rows Phi @ raw + offset."""
+    """Rows Phi @ theta + offset."""
 
     def __init__(self, phi, offset):
         self.phi, self.offset = phi, offset
 
-    def value(self, raw, out):
+    def value(self, theta, out):
         # np.dot, not matmul: same bits, and 6-8x faster for one column
-        np.dot(self.phi, raw, out=out)
+        np.dot(self.phi, theta, out=out)
 
     def vjp(self, w):
         return w @ self.phi
@@ -131,17 +129,11 @@ class _Model:
     spec: ModelSpec
     methods: tuple
     kernel = GaussianPerturbKernel
-    affine = True  # log phi affine in raw: its rows have ``gram``
+    affine = True  # log phi affine in theta: its rows have ``gram``
 
     # --- parametrisation ---------------------------------------------------
-    def to_raw(self, theta: np.ndarray) -> np.ndarray:
-        return np.array(theta, dtype=float)
-
-    def from_raw(self, raw: np.ndarray) -> np.ndarray:
-        return np.array(raw, dtype=float)
-
-    def init_raw(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
-        """Random optimiser start: N(0, scale^2) in every raw coordinate.
+    def init_theta(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
+        """Random optimiser start: N(0, scale^2) in every coordinate.
         Bernoulli needs the jitter: equal weights make log phi constant,
         which degenerates the noise-scale heuristic."""
         return scale * rng.standard_normal(self.spec.param_count)
@@ -169,8 +161,8 @@ class _Model:
 
     # --- defaults ----------------------------------------------------------
     def features(self, U):
-        """(Phi, offset) with log phi(U) == Phi @ raw + offset, for a model
-        whose log phi is affine in its raw coordinates."""
+        """(Phi, offset) with log phi(U) == Phi @ theta + offset, for a
+        model whose log phi is affine in theta."""
         raise UnsupportedModelError(
             f"log phi of {self.spec.kind} is not affine in its parameters")
 
@@ -184,7 +176,7 @@ class _Model:
         return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
 
     def grad_theta(self, theta, U):
-        """(m, p) rows d log phi / d theta: the features, where raw = theta."""
+        """(m, p) rows d log phi / d theta: the features."""
         self._check_theta(theta)
         return self.features(U)[0]
 
@@ -197,7 +189,7 @@ class _Model:
     def score_quadratic(self, x):
         """(A, b, c) with the score-matching loss
         mean(laplacian_u + |grad_u|^2 / 2) over x equal to
-        theta'A theta / 2 + b'theta + c in natural parameters."""
+        theta'A theta / 2 + b'theta + c."""
         raise UnsupportedModelError(f"score matching unsupported for {self.spec.kind}")
 
     def mle(self, x) -> np.ndarray:
@@ -311,9 +303,9 @@ class _IcaSources:
         self.s = np.empty(self.ut.shape)
         self.a = np.empty(self.ut.shape)
 
-    def l1(self, raw, out):
+    def l1(self, theta, out):
         d = len(self.ut)
-        np.matmul(raw.reshape(d, d), self.ut, out=self.s)
+        np.matmul(theta.reshape(d, d), self.ut, out=self.s)
         np.abs(self.s, out=self.a)
         return np.sum(self.a, axis=0, out=out)
 
@@ -324,14 +316,14 @@ class _IcaSources:
 
 
 class _IcaRows(_IcaSources):
-    """log phi = -sqrt(2) sum_j |S_j|: not affine, and raw = theta."""
+    """log phi = -sqrt(2) sum_j |S_j|: not affine."""
 
     def __init__(self, u):
         super().__init__(u)
         self.offset = np.zeros(len(u))
 
-    def value(self, raw, out):
-        np.multiply(self.l1(raw, out), -_SQRT2, out=out)
+    def value(self, theta, out):
+        np.multiply(self.l1(theta, out), -_SQRT2, out=out)
 
     def vjp(self, w):
         return -_SQRT2 * self.pull(w)
@@ -345,9 +337,9 @@ class _IcaPairRows:
         self.fx = np.empty(len(x))  # per data point: l1, then summed weights
         self.offset = np.zeros(len(y))
 
-    def value(self, raw, out):
-        pairs = self.y.l1(raw, out).reshape(-1, self.kappa)
-        np.subtract(pairs, self.x.l1(raw, self.fx)[:, None], out=pairs)
+    def value(self, theta, out):
+        pairs = self.y.l1(theta, out).reshape(-1, self.kappa)
+        np.subtract(pairs, self.x.l1(theta, self.fx)[:, None], out=pairs)
         np.multiply(out, _SQRT2, out=out)
 
     def vjp(self, w):
@@ -427,7 +419,7 @@ class RingModel(_Model):
         self.spec = ModelSpec(RING, dim)
         self.mu = float(mu)
 
-    def init_raw(self, rng, scale=0.3):
+    def init_theta(self, rng, scale=0.3):
         return np.array([1.0])  # unit precision
 
     def log_phi(self, theta, U):
@@ -510,7 +502,7 @@ class LogNormalExtModel(_Model):
     def __init__(self, dim: int = 1):
         self.spec = ModelSpec(LOGNORMAL, dim)
 
-    def init_raw(self, rng, scale=0.3):
+    def init_theta(self, rng, scale=0.3):
         return np.array([1.0, -5.0])  # C starts low: its optimum is -inf
 
     def _split(self, U):
@@ -580,23 +572,15 @@ class LogNormalExtModel(_Model):
 
 
 class BernoulliModel(_Model):
-    """Unnormalised two-weight Bernoulli: log phi(0) = log theta1,
-    log phi(1) = log theta2, with theta1, theta2 > 0 (one redundant scale)."""
+    """Unnormalised two-weight Bernoulli in its log-weights:
+    log phi(0) = theta1, log phi(1) = theta2.  The weights' redundant scale
+    is an added offset of theta, which cancels in CNCE's log-odds."""
 
     methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
     kernel = BernoulliFlipKernel
 
     def __init__(self, dim: int = 1):
         self.spec = ModelSpec(BERNOULLI, dim)
-
-    def to_raw(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta <= 0):
-            raise ParameterError("bernoulli weights must be positive")
-        return np.log(theta)
-
-    def from_raw(self, raw):
-        return np.exp(np.asarray(raw, dtype=float))
 
     def _bits(self, U):
         u = self._as_batch(U)[:, 0]
@@ -607,43 +591,32 @@ class BernoulliModel(_Model):
 
     def log_phi(self, theta, U):
         t1, t2 = self._check_theta(theta)
-        if t1 <= 0 or t2 <= 0:
-            raise ParameterError("bernoulli weights must be positive")
-        return np.where(self._bits(U), np.log(t2), np.log(t1))
+        return np.where(self._bits(U), t2, t1)
 
     def features(self, U):
-        # log phi is linear in the log-weights
         ones = self._bits(U)
         phi = np.zeros((len(ones), 2))
         phi[~ones, 0] = 1.0
         phi[ones, 1] = 1.0
         return phi, np.zeros(len(ones))
 
-    def grad_theta(self, theta, U):
-        t1, t2 = self._check_theta(theta)
-        ones = self._bits(U)
-        g = np.zeros((len(ones), 2))
-        g[~ones, 0] = 1.0 / t1
-        g[ones, 1] = 1.0 / t2
-        return g
-
     def sample(self, theta, n, rng):
-        t1, t2 = self._check_theta(theta)
-        if t1 <= 0 or t2 <= 0:
-            raise ParameterError("bernoulli weights must be positive")
-        return (rng.random(n) < t2 / (t1 + t2)).astype(float)[:, None]
+        w1, w2 = np.exp(self._check_theta(theta))
+        return (rng.random(n) < w2 / (w1 + w2)).astype(float)[:, None]
 
     def mle(self, x):
         ones = float(np.mean(self._as_batch(x)[:, 0]))  # frequencies
-        return np.array([1.0 - ones, ones])
+        with np.errstate(divide="ignore"):  # a value the data never take: -inf
+            return np.log([1.0 - ones, ones])
 
     def error(self, theta_hat, theta_true):
-        # the weights carry one redundant scale
-        return float(np.linalg.norm(theta_hat / theta_hat.sum() - theta_true))
+        # distance between the normalised weights, which no offset moves
+        w_hat, w_true = np.exp(theta_hat), np.exp(theta_true)
+        return float(np.linalg.norm(w_hat / w_hat.sum() - w_true / w_true.sum()))
 
     def random_params(self, rng):
         t1 = rng.uniform(0.1, 0.9)
-        return np.array([t1, 1.0 - t1])
+        return np.log([t1, 1.0 - t1])
 
 
 _CLASSES = {

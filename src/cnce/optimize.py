@@ -56,7 +56,7 @@ class OptimizerConfig:
     """Settings of ``minimize``'s two routes, damped Newton and Adam.
     ``max_iters`` caps the trace length and ``grad_tol`` is the gradient
     stop on both; ``adam_*`` apply to Adam only.  ``init_scale`` is the
-    spread of the random start that ``model.init_raw`` draws for a fit.
+    spread of the random start that ``model.init_theta`` draws for a fit.
     Adam's statistical stop has constants, not options: it ends a run once
     progress falls below the loss's own sampling error, which no setting
     should trade away."""
@@ -183,7 +183,7 @@ def _newton_direction(hess, grad) -> np.ndarray:
     Every Hessian ``minimize`` gets from this package is positive
     semi-definite (``losses`` docstring), so lam is a floor of 1e-12 s, s
     the largest diagonal magnitude of H, that keeps a rank-deficient H (the
-    Bernoulli scale, a vanishing log-normal C) from amplifying rounding
+    Bernoulli offset, a vanishing log-normal C) from amplifying rounding
     along its null space.  Where H + lam I still has no Cholesky factor, lam
     doubles until it has one.
     """
@@ -262,7 +262,7 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     return run
 
 
-def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
+def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
                   kappa: int, rng_seed: int):
     """Smallest noise scale on the geometric ladder whose empirical loss at
     the starting parameters departs from 2 log 2 by at least delta, for the
@@ -281,7 +281,6 @@ def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
     evaluated without the gradient it does not need.  With shared draws the
     scan is monotone in the scale.
     """
-    theta = model.from_raw(np.asarray(theta0_raw, dtype=float))
     x = np.asarray(x, dtype=float)
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
@@ -292,7 +291,7 @@ def adapt_epsilon(model, theta0_raw, x, schedule: EpsilonSchedule,
         kernel = model.kernel.for_data(eps, x)
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
-        value = cnce_loss(model, theta, x, kernel.perturb(x, base), gradient=False).value
+        value = cnce_loss(model, theta0, x, kernel.perturb(x, base), gradient=False).value
         if abs(value - TWO_LOG2) >= schedule.delta:
             return eps, False
     return ladder[-1], cap is None or schedule.epsilon_max < cap

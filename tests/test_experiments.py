@@ -98,14 +98,16 @@ def test_error_ica_matches_bruteforce_384():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(0.05, 20.0), st.integers(0, 2**31 - 1))
+@given(st.floats(-3.0, 3.0), st.integers(0, 2**31 - 1))
 def test_error_bernoulli_scale_invariant(c, seed):
+    # the weights' redundant scale is an offset added to the log-weights
     model = make(BERNOULLI)
     rng = rng_from(seed, "bern")
     truth = model.random_params(rng)
-    hat = np.abs(rng.standard_normal(2)) + 0.05
-    assert estimation_error(model, c * hat, truth) == pytest.approx(
-        estimation_error(model, hat, truth), rel=1e-12)
+    hat = rng.standard_normal(2)
+    base = estimation_error(model, hat, truth)
+    for shifted in ((hat + c, truth), (hat, truth + c)):
+        assert estimation_error(model, *shifted) == pytest.approx(base, rel=1e-12)
 
 
 def test_error_lognormal_ignores_constant():
@@ -226,12 +228,18 @@ def test_config_validation():
             ("optimizer", {"adam_step": False}, real),
             ("optimizer", {"adam_betas": [0.9, True]}, real),
             # a repeated method would run every cell twice
-            ("methods", ["mle", "mle"], "methods must not repeat")):
+            ("methods", ["mle", "mle"], "methods must not repeat"),
+            # a flip probability above 1 would fail every CNCE cell
+            ("epsilon", 1.5, "epsilon must be <= 1.0")):
         for build in (lambda: config_from_json(dict(base, **{key: value})),
                       lambda: construct(key, value)):
             with pytest.raises(ParameterError) as err:
                 build()
             assert message in str(err.value), (key, value)
+    # the cap binds CNCE's fixed noise scale only
+    small_config(epsilon=1.0)
+    small_config(methods=("mle",), epsilon=1.5)
+    small_config(kind=GAUSSIAN, epsilon=1.5)
     for exact in (config_from_json(dict(base, kappa_grid=[2.0], repeats=2.0)),
                   small_config(kappa_grid=(2.0,), repeats=2.0)):
         assert exact.kappa_grid == (2,) and exact.repeats == 2
@@ -288,7 +296,8 @@ def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
     assert failed.n == 400 and kept == clean[0]
     assert failed.error == float("inf") and failed.sq_error == float("inf")
     assert not failed.converged
-    assert any("ValueError" in w for w in warnings)
+    # one warning for the failed cell, none for the clean one
+    assert warnings == ["cell failed: ValueError: injected"]
     text = records_to_csv(records)
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     assert records_from_csv(text) == records
@@ -349,10 +358,10 @@ def test_run_single_records_the_best_point_of_a_run_that_turns_nonfinite(
     assert not record.converged and "not converged (nonfinite)" in warnings
     model = cfg.build_model()
     p = model.spec.param_count
-    theta_hat = model.from_raw(run.theta[:p])
+    theta_hat = run.theta[:p]
     assert trace["theta_hat"] == list(theta_hat)
     assert record.error == estimation_error(model, theta_hat, trace["theta_true"])
-    start_error = estimation_error(model, model.from_raw(raw0[:p]), trace["theta_true"])
+    start_error = estimation_error(model, raw0[:p], trace["theta_true"])
     assert record.error < start_error
 
 
@@ -374,7 +383,7 @@ def test_run_single_ica_mle_maps_a_nonfinite_run_back_from_whitening(monkeypatch
     assert (trace["stop"], trace["iters"]) == ("nonfinite", 0)
     assert not record.converged and "not converged (nonfinite)" in warnings
     seed = stable_hash(3, ICA, "mle", 500, 5, 0)
-    b0 = cfg.build_model().init_raw(
+    b0 = cfg.build_model().init_theta(
         rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")),
         cfg.optimizer.init_scale)
     assert np.allclose(trace["theta_hat"], b0, rtol=1e-12, atol=1e-14)
@@ -456,9 +465,9 @@ def test_run_single_ica_mle_follows_the_grid_optimizer():
 
 
 def test_run_single_ica_mle_starts_at_the_grid_init_scale():
-    # the ICA MLE once drew its start at init_raw's default scale whatever
+    # the ICA MLE once drew its start at init_theta's default scale whatever
     # the grid set.  One Adam entry hands the start back, mapped out of the
-    # whitened coordinates, and init_raw's draw is linear in its scale
+    # whitened coordinates, and init_theta's draw is linear in its scale
     def start(scale):
         cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
                            optimizer=OptimizerConfig(max_iters=1, init_scale=scale))

@@ -6,6 +6,7 @@ import pytest
 from cnce import (
     BernoulliFlipKernel,
     GaussianPerturbKernel,
+    MarginalKernel,
     ParameterError,
     build_model,
     cnce_loss,
@@ -160,6 +161,24 @@ def test_marginal_log_density_bits_do_not_depend_on_memory_layout():
     u = sample_marginal(k, 257, 14)
     assert np.array_equal(log_density_marginal(k, np.ascontiguousarray(u)),
                           log_density_marginal(k, np.asfortranarray(u)))
+
+
+def test_marginal_kernel_built_from_its_moments_matches_the_fit():
+    # the public constructor derives the factors that fit_marginal's kernel
+    # uses: the same noise and densities, bit for bit
+    x = rng_from(15).standard_normal((300, 3)) @ rng_from(16).standard_normal((3, 3))
+    fit = fit_marginal(x)
+    direct = MarginalKernel(mean=fit.mean.copy(), covariance=fit.covariance.copy())
+    noise = sample_marginal(direct, 100, 17)
+    assert np.array_equal(noise, sample_marginal(fit, 100, 17))
+    assert np.array_equal(log_density_marginal(direct, noise),
+                          log_density_marginal(fit, noise))
+    plain = MarginalKernel(mean=np.zeros(2), covariance=np.eye(2))
+    assert log_density_marginal(plain, np.zeros(2))[0] == pytest.approx(-np.log(2 * np.pi))
+    assert sample_marginal(plain, 5, 18).shape == (5, 2)
+    for cov in (np.diag([1.0, -1.0]), np.eye(3)):
+        with pytest.raises(ParameterError):
+            MarginalKernel(mean=np.zeros(2), covariance=cov)
 
 
 def test_fit_marginal_needs_enough_points():

@@ -37,15 +37,6 @@ def random_theta(model, rng):
     return model.random_params(rng)
 
 
-def raw_jacobian(model, theta):
-    """d theta / d raw, written out: Bernoulli's raw coordinates are its
-    log-weights, every other model's are its natural ones.  A raw gradient
-    is the natural one times this."""
-    if model.spec.kind == BERNOULLI:
-        return np.diag(theta)
-    return np.eye(len(theta))
-
-
 def random_points(model, theta, rng, m=6):
     kind = model.spec.kind
     if kind == BERNOULLI:
@@ -108,7 +99,7 @@ def test_log_phi_ica_identity_mixing():
 
 def test_log_phi_bernoulli_table():
     model = make(BERNOULLI)
-    theta = np.array([0.3, 0.7])
+    theta = np.log([0.3, 0.7])
     assert model.log_phi(theta, np.array([1.0]))[0] == np.log(0.7)
     assert model.log_phi(theta, np.array([0.0]))[0] == np.log(0.3)
 
@@ -169,8 +160,6 @@ def test_grad_theta_matches_finite_differences(kind):
         if kind == ICA:
             if np.min(np.abs(u @ model.unpack(theta).T)) < 1e-3:
                 continue  # stay away from subgradient kinks
-        if kind == BERNOULLI and np.any(theta < 2e-6):
-            continue
         analytic = model.grad_theta(theta, u)[0]
         numeric = fd_grad_theta(model, theta, u[0])
         denom = max(1.0, float(np.linalg.norm(analytic)))
@@ -188,12 +177,11 @@ def test_ica_grad_rows_are_signed_inputs():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_match_log_phi_and_its_gradient(kind):
-    # value + offset is log phi (or its pair difference); vjp is the raw
+    # value + offset is log phi (or its pair difference); vjp is the
     # gradient of sum_r w_r row_r
     model = make(kind)
     rng = rng_from(63, kind)
     theta = random_theta(model, rng)
-    raw = model.to_raw(theta)
     x = random_points(model, theta, rng, m=12)
     y = random_points(model, theta, rng, m=36)
     cases = [(model.rows(y), model.log_phi(theta, y), [y], [1.0]),
@@ -202,14 +190,13 @@ def test_rows_match_log_phi_and_its_gradient(kind):
               [np.repeat(x, 3, axis=0), y], [1.0, -1.0])]
     for rows, expected, stacks, signs in cases:
         out = np.empty(len(y))
-        rows.value(raw, out)
+        rows.value(theta, out)
         assert np.allclose(out + rows.offset, expected, rtol=1e-12, atol=1e-12)
         w = rng.standard_normal(len(y))
         got = rows.vjp(w)
-        natural = sum(sign * (w @ model.grad_theta(theta, u))
-                      for u, sign in zip(stacks, signs))
-        assert np.allclose(got, natural @ raw_jacobian(model, theta),
-                           rtol=1e-10, atol=1e-12)
+        grad = sum(sign * (w @ model.grad_theta(theta, u))
+                   for u, sign in zip(stacks, signs))
+        assert np.allclose(got, grad, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +368,7 @@ def test_ring_sampler_positive_radius():
 
 def test_bernoulli_sampler_frequency():
     model = make(BERNOULLI)
-    x = model.sample(np.array([0.3, 0.7]), 100_000, rng_from(9))
+    x = model.sample(np.log([0.3, 0.7]), 100_000, rng_from(9))
     assert set(np.unique(x)) <= {0.0, 1.0}
     assert abs(x.mean() - 0.7) < 0.01
 
@@ -423,8 +410,8 @@ def test_generate_true_params_invariants():
     assert all(1.0 <= g <= 10.0 for g in gammas)
     bern = make(BERNOULLI)
     for _ in range(20):
-        t1, t2 = bern.random_params(rng)
-        assert 0.1 <= t1 <= 0.9 and t2 == pytest.approx(1.0 - t1)
+        w1, w2 = np.exp(bern.random_params(rng))
+        assert 0.1 <= w1 <= 0.9 and w2 == pytest.approx(1.0 - w1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +454,3 @@ def test_ring_rotation_invariance(seed):
     assert np.allclose(model.log_phi(theta, u), model.log_phi(theta, u @ q.T),
                        rtol=1e-10, atol=1e-10)
 
-
-def test_raw_transform_roundtrip():
-    for kind in KINDS:
-        model = make(kind)
-        theta = model.random_params(rng_from(31, kind))
-        assert np.allclose(model.from_raw(model.to_raw(theta)), theta,
-                           rtol=1e-15, atol=0)

@@ -29,21 +29,21 @@ AFFINE_CASES = [(kind, method) for kind in (GAUSSIAN, RING, LOGNORMAL)
 
 
 def build_objective(kind, method, seed=0, n=80):
-    """(objective, raw start) at a perturbed truth, so that the gradient is
+    """(objective, start) at a perturbed truth, so that the gradient is
     non-zero."""
     model = make(kind)
     rng = rng_from(seed, kind, method)
     theta = model.random_params(rng)
     x = model.sample(theta, n, rng_from(seed + 1, kind))
-    raw = model.to_raw(theta) + 0.2 * rng.standard_normal(len(theta))
+    start = theta + 0.2 * rng.standard_normal(len(theta))
     if method == "cnce":
         kernel = model.kernel.for_data(0.3, x)
-        return cnce_objective(model, x, sample_conditional(kernel, x, 4, seed + 2)), raw
+        return cnce_objective(model, x, sample_conditional(kernel, x, 4, seed + 2)), start
     if method == "nce":
         marginal = fit_marginal(x)
         noise = sample_marginal(marginal, 2 * n, seed + 3)
-        return nce_objective(model, x, noise, marginal), np.append(raw, 0.2)
-    return score_matching_objective(model, x), raw
+        return nce_objective(model, x, noise, marginal), np.append(start, 0.2)
+    return score_matching_objective(model, x), start
 
 
 @pytest.mark.parametrize("kind,method", AFFINE_CASES)
@@ -62,7 +62,7 @@ def test_hessian_matches_gradient_finite_differences(kind, method):
 
 @pytest.mark.parametrize("kind,method", AFFINE_CASES)
 def test_hessian_is_positive_semidefinite_around_the_start(kind, method):
-    # log phi is affine in the raw coordinates, so the contrastive losses
+    # log phi is affine in theta, so the contrastive losses
     # and score matching are convex there: no Newton step needs more than
     # the damping floor, however far the start is from the optimum
     objective, raw = build_objective(kind, method)
@@ -82,7 +82,7 @@ def test_score_matching_newton_lands_on_the_quadratic_minimiser(kind):
     rng = rng_from(17, kind)
     x = model.sample(model.random_params(rng), 300, rng_from(18, kind))
     a, b, _ = model.score_quadratic(x)
-    raw0 = model.init_raw(rng)
+    raw0 = model.init_theta(rng)
     run = minimize(score_matching_objective(model, x), raw0, OptimizerConfig())
     assert (run.stop, run.converged) == ("grad_tol", True)
     assert run.iters <= 2

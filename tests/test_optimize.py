@@ -143,9 +143,9 @@ def test_gaussian_1d_cnce_matches_grid_search():
 
 
 def bernoulli_population_objective(theta_true, epsilon: float):
-    """(value, grad) in log-weights of ``bernoulli_population_loss``."""
-    theta_true = np.asarray(theta_true, dtype=float)
-    p0 = theta_true[0] / theta_true.sum()
+    """(value, grad) of ``bernoulli_population_loss``, in log-weights."""
+    w_true = np.exp(theta_true)
+    p0 = w_true[0] / w_true.sum()
 
     def objective(raw):
         g = raw[0] - raw[1]
@@ -159,15 +159,13 @@ def bernoulli_population_objective(theta_true, epsilon: float):
 
 
 def test_bernoulli_population_minimize_from_random_starts():
-    truth = np.array([0.3, 0.7])
-    objective = bernoulli_population_objective(truth, 0.2)
+    objective = bernoulli_population_objective(np.log([0.3, 0.7]), 0.2)
     rng = rng_from(5)
     for _ in range(5):
         z0 = 0.5 * rng.standard_normal(2)
         run = minimize(objective, z0, OptimizerConfig())
-        theta = np.exp(run.theta)
-        theta /= theta.sum()
-        assert np.linalg.norm(theta - truth) < 1e-6
+        w = np.exp(run.theta)
+        assert np.linalg.norm(w / w.sum() - [0.3, 0.7]) < 1e-6
 
 
 def test_optimizer_config_validation():
@@ -204,9 +202,6 @@ class _FlatModel:
     def __init__(self):
         self.spec = ModelSpec(GAUSSIAN, 2)
 
-    def from_raw(self, raw):
-        return raw
-
     def log_phi(self, theta, U):
         return np.zeros(len(np.atleast_2d(U)))
 
@@ -221,7 +216,7 @@ def test_adapt_epsilon_flat_model_hits_cap():
 def test_adapt_epsilon_gaussian_returns_gap():
     model = build_model(default_spec(GAUSSIAN))
     x = model.sample(model.pack(np.eye(5)), 4_000, rng_from(9))
-    theta0 = model.to_raw(model.pack(np.eye(5)))
+    theta0 = model.pack(np.eye(5))
     sched = EpsilonSchedule()
     eps, capped = adapt_epsilon(model, theta0, x, sched, 5, 10)
     assert not capped
@@ -235,14 +230,14 @@ def test_adapt_epsilon_tiny_delta_returns_floor():
     model = build_model(default_spec(GAUSSIAN))
     x = model.sample(model.pack(np.eye(5)), 2_000, rng_from(11))
     sched = EpsilonSchedule(delta=1e-9)
-    eps, capped = adapt_epsilon(model, model.to_raw(model.pack(np.eye(5))), x,
+    eps, capped = adapt_epsilon(model, model.pack(np.eye(5)), x,
                                 sched, 3, 12)
     assert eps == sched.epsilon_0 and not capped
 
 
 def test_adapt_epsilon_deterministic_and_on_ladder():
     model = build_model(default_spec(BERNOULLI))
-    x = model.sample(np.array([0.4, 0.6]), 3_000, rng_from(13))
+    x = model.sample(np.log([0.4, 0.6]), 3_000, rng_from(13))
     sched = EpsilonSchedule()
     out1 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
     out2 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
@@ -273,7 +268,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
     rng = rng_from(15, kind)
     theta = model.random_params(rng)
     x = model.sample(theta, 300, rng_from(16, kind))
-    raw0 = model.init_raw(rng)
+    theta0 = model.init_theta(rng)
     kappa, seed = 3, 17
     cap = 1.0 if kernel_name == "bernoulli_flip" else None
 
@@ -282,7 +277,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
         for eps in sched.ladder(cap):
             noise = sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
             rungs.append(noise)
-            value = cnce_loss(model, model.from_raw(raw0), x, noise).value
+            value = cnce_loss(model, theta0, x, noise).value
             if abs(value - TWO_LOG2) >= sched.delta:
                 return (eps, False), rungs
         top = sched.ladder(cap)[-1]
@@ -301,7 +296,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
         sched = EpsilonSchedule(delta=delta, epsilon_max=eps_max)
         seen.clear()
         expected, rungs = oracle(sched)
-        got = adapt_epsilon(model, raw0, x, sched, kappa, seed)
+        got = adapt_epsilon(model, theta0, x, sched, kappa, seed)
         assert got == expected
         assert len(seen) == len(rungs)
         assert all(np.array_equal(a, b) for a, b in zip(seen, rungs))
@@ -347,9 +342,9 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
                 cell = stable_hash(cfg.master_seed, cfg.model.kind, "cnce", n, kappa, 0)
                 theta = model.random_params(rng_from(stable_hash(cell, "params")))
                 x = model.sample(theta, n, rng_from(stable_hash(cell, "data")))
-                raw0 = model.init_raw(rng_from(stable_hash(cell, "init")),
-                                      cfg.optimizer.init_scale)
-                args = (model, raw0, x, cfg.schedule, kappa,
+                theta0 = model.init_theta(rng_from(stable_hash(cell, "init")),
+                                          cfg.optimizer.init_scale)
+                args = (model, theta0, x, cfg.schedule, kappa,
                         stable_hash(cell, "epsilon"))
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
                 value_only = adapt_epsilon(*args)

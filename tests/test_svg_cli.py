@@ -256,6 +256,33 @@ def test_experiment_force_guard(tmp_path, capsys):
                  "--force"]) in (0, 2)
 
 
+def test_stale_chart_stops_experiment_and_report_before_any_output(tmp_path, capsys):
+    # a stale chart must stop the grid before it runs: written results would
+    # block the rerun.  report checks every chart before it writes the first
+    cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "bernoulli.svg").write_text("stale")
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
+    assert "bernoulli.svg exists" in capsys.readouterr().err
+    assert os.listdir(out) == ["bernoulli.svg"]
+
+    recs = [ErrorRecord(run_id=f"{model}-r", model=model, method="cnce", n=10,
+                        kappa=1, epsilon=0.1, seed=2, error=0.5, sq_error=0.25,
+                        converged=True, iters=3, wall_ms=0.0)
+            for model in ("bernoulli", "ring")]
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(records_to_csv(recs))
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    (rep / "ring.svg").write_text("stale")
+    assert main(["report", "--csv", str(csv_path), "--out", str(rep)]) == 1
+    assert "ring.svg exists" in capsys.readouterr().err
+    assert os.listdir(rep) == ["ring.svg"]
+    assert main(["report", "--csv", str(csv_path), "--out", str(rep), "--force"]) == 0
+    assert sorted(os.listdir(rep)) == ["bernoulli.svg", "ring.svg"]
+
+
 def test_experiment_seed_override_changes_results(tmp_path):
     cfg = write_json(tmp_path / "e.json", experiment_config(
         repeats=1, ring_mu=3.5, epsilon_schedule={"epsilon_0": 0.07, "delta": 0.1}))

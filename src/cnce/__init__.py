@@ -30,16 +30,7 @@ from .kernels import (
     sample_conditional,
     sample_marginal,
 )
-from .losses import (
-    LossReport,
-    TWO_LOG2,
-    bernoulli_population_loss,
-    cnce_G,
-    cnce_loss,
-    mle_fit,
-    nce_loss,
-    score_matching_loss,
-)
+from .losses import TWO_LOG2, cnce_loss, mle_fit
 from .models import (
     BernoulliModel,
     GaussianPrecisionModel,

@@ -10,8 +10,9 @@ schedule's ``epsilon_max`` without meeting its gap ``delta`` (raise either
 to act on it).  A run whose loss turned non-finite is one that did not
 converge, with the warning "not converged (nonfinite)".  A ladder that ends
 at its kernel's own cap, the flip kernel at probability 1, is no warning.
-All outputs are deterministic functions of (config, seed): no timing or
-environment state is written.
+All outputs are deterministic functions of (config, seed) for one
+numpy/OpenBLAS build and BLAS thread count (``OPENBLAS_NUM_THREADS``): no
+timing or environment state is written.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
@@ -52,8 +53,6 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ParameterError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config is not valid JSON: {exc}")
 
@@ -234,8 +233,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (CnceError, FileExistsError, FileNotFoundError, KeyError,
-            TypeError, ValueError) as exc:
+    except (CnceError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

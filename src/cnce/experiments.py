@@ -6,11 +6,14 @@ Determinism contract: every run derives its generator from
 ``stable_hash(master_seed, model kind, method, n, kappa, repeat)`` and
 sub-streams from named child hashes, so results are independent of execution
 order and worker count, and re-running a config reproduces the output files
-byte for byte, for one numpy/OpenBLAS build and allocation pattern: OpenBLAS
-can round a product of the same array differently at another memory
-alignment, which moves an error in its last digits.  Wall-clock time is
-deliberately not persisted (the wall_ms column is written as 0) to keep that
-guarantee; timings live on the in-memory optimiser traces.
+byte for byte, for one numpy/OpenBLAS build, BLAS thread count and
+allocation pattern: OpenBLAS can round a product of the same array
+differently at another memory alignment, or split a long dot product
+differently across another number of threads (``OPENBLAS_NUM_THREADS``,
+read when numpy is imported), which moves an error in its last digits.
+Wall-clock time is deliberately not persisted (the wall_ms column is
+written as 0) to keep that guarantee; timings live on the in-memory
+optimiser traces.
 """
 
 from __future__ import annotations
@@ -352,7 +355,9 @@ def records_from_csv(text: str) -> list:
     """Records of a results CSV; a malformed row raises ``ParameterError``
     naming its line."""
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
+    if not header:
+        raise ParameterError("csv has no header line")
     if header != CSV_HEADER:
         missing = [c for c in CSV_HEADER if c not in header]
         raise ParameterError(f"csv schema mismatch; missing columns: {missing}")

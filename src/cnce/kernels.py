@@ -89,11 +89,12 @@ def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> np.n
     return kernel.perturb(x, kernel.draw(x, kappa, rng_from(rng_seed)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalKernel:
     """Moment-matched Gaussian marginal noise for the NCE baseline: a
     Gaussian of the given mean and covariance.  A covariance without a
-    Cholesky factor raises ``ParameterError``."""
+    Cholesky factor raises ``ParameterError``.  Kernels compare and hash by
+    identity: their fields are arrays."""
 
     mean: np.ndarray
     covariance: np.ndarray

@@ -1,18 +1,13 @@
-"""Loss functions and gradients: the conditional-noise contrastive loss, the
-NCE baseline with learned log-normaliser, the score-matching objective,
-closed-form MLE baselines, and the exact enumeration of the Bernoulli
-population loss.
+"""Loss functions: the conditional-noise contrastive objective, the NCE
+baseline with learned log-normaliser, the score-matching objective and the
+MLE baselines.
 
-Two evaluation routes exist for the contrastive losses.  ``cnce_loss`` /
-``nce_loss`` are the reference implementations, built on ``model.log_phi``
-and the dense ``model.grad_theta``; the ``*_objective`` builders produce
-the callables the optimiser minimises.  Both contrastive losses are
-logistic, and the model enters them only through log phi on a fixed set of
-points: the partition function cancels in CNCE and is learned as c in NCE.
-So each builder has one body, takes the model's rows over those points
-(``models`` docstring), folds every constant into the rows' offset once,
-and makes one ``value``, one ``_softplus_sigmoid_neg`` pass and one
-``vjp`` per call:
+Both contrastive losses are logistic, and the model enters them only
+through log phi on a fixed set of points: the partition function cancels
+in CNCE and is learned as c in NCE.  So each ``*_objective`` builder has
+one body, takes the model's rows over those points (``models`` docstring),
+folds every constant into the rows' offset once, and makes one ``value``,
+one ``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
 
 - CNCE: ``model.pair_rows``, one row per (data, noise) pair, G =
   log phi(x) - log phi(y).  The kernel term log pc(y|x)/pc(x|y) of G is
@@ -23,19 +18,18 @@ and makes one ``value``, one ``_softplus_sigmoid_neg`` pass and one
   the data and noise terms into one softplus.
 
 A method missing from ``model.methods``, or a model without rows, raises
-``UnsupportedModelError``.  The two routes agree to float precision and are
-tested against each other.
+``UnsupportedModelError``.  ``cnce_loss`` is the CNCE loss value alone,
+from ``model.log_phi``: the noise-scale ladder of ``optimize`` reads it at
+the start point on each rung, where no rows are built.
 
 The ICA MLE sees the model through the same rows: ``ica_mle_objective``
 is -mean log phi over ``model.rows(x)`` plus the Laplace ICA log-normaliser
 -log|det B| + (d/2) log 2, so the source product B x' is stated once, in
 ``models``.  The other MLE baselines are the models' closed forms.
 
-Score matching has one route: log phi is affine in theta for every smooth
-model, so the loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR
-6), with (A, b, c) = ``model.score_quadratic(x)`` built once per objective.
-The reference value of ``score_matching_loss`` comes from ``grad_u`` and
-``laplacian_u`` instead, which share no code with (A, b, c).
+Score matching: log phi is affine in theta for every smooth model, so the
+loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR 6), with
+(A, b, c) = ``model.score_quadratic(x)`` built once per objective.
 
 Objective contract: ``objective(theta)`` returns ``(value, grad, hess)``,
 ``(value, grad, se)`` or ``(value, grad)``, in the model's parameters
@@ -53,15 +47,13 @@ survive any wrapper that passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg``; |G| beyond 700 overflows a
-naive exp.  The references use logaddexp(0, -G), and ``nce_loss`` its
-logistic weights sigmoid(h) = exp(-logaddexp(0, -h)), which share no code
-with that pass.  The package runs on numpy alone: importing SciPy would
-double the start-up of every process, pool workers included.
+naive exp.  The tests check every loss here against a restatement in
+``tests/oracles.py`` that uses logaddexp and shares no code with that
+pass.  The package runs on numpy alone: importing SciPy would double the
+start-up of every process, pool workers included.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +62,6 @@ from .kernels import MarginalKernel, log_density_marginal
 from .models import ICA
 
 TWO_LOG2 = 2.0 * np.log(2.0)
-
-
-@dataclass
-class LossReport:
-    value: float
-    gradient: np.ndarray | None  # trailing slot for NCE's c
-
-
-def _softplus(v: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, v)
 
 
 def _pair_work(m: int):
@@ -124,12 +106,6 @@ def _softplus_sigmoid_neg(g: np.ndarray, work=None):
 # CNCE
 # ---------------------------------------------------------------------------
 
-def cnce_G(model, theta, u1, u2) -> float:
-    """Log-odds statistic log phi(u1) - log phi(u2), which changes sign with
-    (u1, u2) swapped.  The partition function cancels."""
-    return float(model.log_phi(theta, u1)[0]) - float(model.log_phi(theta, u2)[0])
-
-
 def _flat_pairs(x: np.ndarray, noise: np.ndarray):
     """The (n kappa, dim) stack of (n, kappa, dim) noise drawn around x,
     and kappa."""
@@ -139,26 +115,14 @@ def _flat_pairs(x: np.ndarray, noise: np.ndarray):
     return noise.reshape(len(x) * noise.shape[1], -1), noise.shape[1]
 
 
-def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray,
-              gradient: bool = True) -> LossReport:
-    """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))] and,
-    unless ``gradient`` is false (then ``gradient`` is None), its gradient.
-    The value does not depend on the flag."""
+def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray) -> float:
+    """Empirical loss (2 / kappa N) sum_ij log[1 + exp(-G(x_i, y_ij))]."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     y, kappa = _flat_pairs(x, noise)
-    n = len(x)
-    m = n * kappa
-
     g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y)
-    sp, sig = _softplus_sigmoid_neg(g)
-    scale = 2.0 / m
-    value = scale * float(np.sum(sp))
-    if not gradient:
-        return LossReport(value=value, gradient=None)
-    wx = -sig.reshape(n, kappa).sum(axis=1)  # data-side weights
-    grad = sig @ model.grad_theta(theta, y) + wx @ model.grad_theta(theta, x)
-    return LossReport(value=value, gradient=scale * grad)
+    sp, _ = _softplus_sigmoid_neg(g)
+    return 2.0 / len(y) * float(np.sum(sp))
 
 
 def _require(model, method: str):
@@ -201,29 +165,6 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
 # ---------------------------------------------------------------------------
 # NCE baseline
 # ---------------------------------------------------------------------------
-
-def nce_loss(model, theta_with_c, x: np.ndarray, noise: np.ndarray,
-             marginal: MarginalKernel) -> LossReport:
-    """Logistic data-vs-noise loss with learned log-normaliser c (final slot
-    of the parameter vector); noise count must be an integer multiple of N."""
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if len(noise) % len(x):
-        raise ParameterError("noise count must be a multiple of the data count")
-    theta_with_c = np.asarray(theta_with_c, dtype=float)
-    theta, c = theta_with_c[:-1], theta_with_c[-1]
-    n = len(x)
-    log_nu = np.log(len(noise) // n)
-    hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
-    hy = model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise) - log_nu
-    value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
-    wx = -np.exp(-_softplus(hx))  # -sigmoid(-hx)
-    wy = np.exp(-_softplus(-hy))  # sigmoid(hy)
-    g_theta = (wx @ model.grad_theta(theta, x)
-               + wy @ model.grad_theta(theta, noise)) / n
-    g_c = (wx.sum() + wy.sum()) / n
-    return LossReport(value=float(value), gradient=np.concatenate([g_theta, [g_c]]))
-
 
 def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel) -> float:
     """-log mean_j phi(y_j; theta) / q(y_j) over noise y drawn from q: the
@@ -291,19 +232,6 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
 # ---------------------------------------------------------------------------
 # Score matching
 # ---------------------------------------------------------------------------
-
-def score_matching_loss(model, theta, x: np.ndarray) -> LossReport:
-    """Empirical mean of sum_i d^2 f/dx_i^2 + ||grad_x f||^2 / 2 from the
-    model's grad_u and laplacian_u (smooth models only), with the gradient
-    A theta + b of its score quadratic."""
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    grad_u = model.grad_u(theta, x)  # raises for non-smooth models
-    lap = model.laplacian_u(theta, x)
-    value = float(np.mean(lap + 0.5 * np.sum(grad_u**2, axis=1)))
-    a, b, _ = model.score_quadratic(x)
-    return LossReport(value=value, gradient=a @ theta + b)
-
 
 def score_matching_objective(model, x: np.ndarray):
     """(value, grad, hess) callable over theta.
@@ -398,24 +326,3 @@ def _ica_mle(model, x, optimizer, rng_seed):
                    (b0 @ c_half).reshape(-1), optimizer)
     run.theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)
     return run
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli population loss (exact enumeration)
-# ---------------------------------------------------------------------------
-
-def bernoulli_population_loss(theta, theta_true, epsilon: float) -> float:
-    """Population contrastive loss for the Bernoulli model, at log-weights
-    theta under data from log-weights theta_true, with flip noise of
-    probability epsilon in (0, 1], the flip kernel's whole range,
-    enumerated exactly over the four (x, y) configurations."""
-    theta = np.asarray(theta, dtype=float)
-    if not 0.0 < epsilon <= 1.0:
-        raise ParameterError("epsilon must lie in (0, 1]")
-    w_true = np.exp(np.asarray(theta_true, dtype=float))
-    p0 = w_true[0] / w_true.sum()
-    g = theta[0] - theta[1]  # G(x=0, y=1); flips sign for (1, 0)
-    return float(
-        2.0 * (1.0 - epsilon) * np.log(2.0)
-        + 2.0 * epsilon * (p0 * _softplus(-g) + (1.0 - p0) * _softplus(g))
-    )

@@ -15,14 +15,14 @@ Model protocol: each class states once all the maths an estimator needs, so
 no estimator branches on the model kind.  ``methods`` (the estimators it
 supports), ``kernel`` (its CNCE noise kernel class, from ``kernels``) and
 ``affine`` (whether log phi is affine in theta) are class attributes;
-``log_phi`` and ``grad_theta``, the (m, p) rows d log phi / d theta, serve
-the reference contrastive losses; ``rows(U)`` and ``pair_rows(x, y,
-kappa)`` serve the contrastive objectives and the ICA MLE (below);
-``grad_u``, ``laplacian_u`` and ``score_quadratic(x) -> (A, b,
-c)``, with the score-matching loss exactly theta'A theta / 2 + b'theta + c,
-serve score matching; ``mle(x)`` gives the closed-form MLE; and ``error``
-is the estimation error with the model's ambiguities resolved (Euclidean by
-default).  What a model does not support raises ``UnsupportedModelError``.
+``log_phi`` serves the noise-scale ladder, NCE's start value of c and,
+with ``grad_u`` (d log phi / du), the small-noise limit check; ``rows(U)``
+and ``pair_rows(x, y, kappa)`` serve the contrastive objectives and the ICA
+MLE (below); ``score_quadratic(x) -> (A, b, c)``, with the score-matching
+loss exactly theta'A theta / 2 + b'theta + c, serves score matching;
+``mle(x)`` gives the closed-form MLE; and ``error`` is the estimation error
+with the model's ambiguities resolved (Euclidean by default).  What a model
+does not support raises ``UnsupportedModelError``.
 
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
@@ -175,20 +175,12 @@ class _Model:
         i = np.arange(len(y)) // kappa
         return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
 
-    def grad_theta(self, theta, U):
-        """(m, p) rows d log phi / d theta: the features."""
-        self._check_theta(theta)
-        return self.features(U)[0]
-
     def grad_u(self, theta, U):
         raise UnsupportedModelError(f"grad_u unsupported for {self.spec.kind}")
 
-    def laplacian_u(self, theta, U):
-        raise UnsupportedModelError(f"laplacian_u unsupported for {self.spec.kind}")
-
     def score_quadratic(self, x):
-        """(A, b, c) with the score-matching loss
-        mean(laplacian_u + |grad_u|^2 / 2) over x equal to
+        """(A, b, c) with the score-matching loss, the mean over x of the
+        Laplacian of log phi in u plus |grad_u|^2 / 2, equal to
         theta'A theta / 2 + b'theta + c."""
         raise UnsupportedModelError(f"score matching unsupported for {self.spec.kind}")
 
@@ -251,11 +243,6 @@ class GaussianPrecisionModel(_Model):
         lam = self.unpack(theta)
         return -np.dot(self._as_batch(U), lam)  # matmul is slow at dim 1
 
-    def laplacian_u(self, theta, U):
-        lam = self.unpack(theta)
-        U = self._as_batch(U)
-        return np.full(len(U), -np.trace(lam))
-
     def score_quadratic(self, x):
         # mean(-tr Lam + |Lam u|^2 / 2) = -tr Lam + tr(Lam S Lam) / 2, S = x'x / n
         x = self._as_batch(x)
@@ -289,7 +276,7 @@ class _IcaSources:
     ``l1`` computes S once per call and writes the per-point sum_j |S_j|
     to ``out``; ``pull`` reuses that S to pull per-point weights w back to
     (sign(S) w) U, the B-gradient of sum_r w_r sum_j |S_jr| (sign(0) = 0 at
-    kinks, as in ``grad_theta``).
+    kinks).
 
     Points are stored transposed, (d, m) and contiguous, so every row-wise
     step runs over contiguous rows of length m: numpy's per-point loops
@@ -371,12 +358,6 @@ class IcaLaplaceModel(_Model):
         U = self._as_batch(U)
         return -_SQRT2 * np.abs(U @ b.T).sum(axis=1)
 
-    def grad_theta(self, theta, U):
-        b = self.unpack(theta)
-        U = self._as_batch(U)
-        s = np.sign(U @ b.T)  # (m, dim) source signs; sign(0) = 0 at kinks
-        return (-_SQRT2 * s[:, :, None] * U[:, None, :]).reshape(len(U), -1)
-
     def rows(self, U):
         return _IcaRows(self._as_batch(U))
 
@@ -438,14 +419,6 @@ class RingModel(_Model):
         if np.any(r == 0):
             raise SingularityError("ring gradient undefined at the origin")
         return -gamma * ((r - self.mu) / r)[:, None] * U
-
-    def laplacian_u(self, theta, U):
-        (gamma,) = self._check_theta(theta)
-        U = self._as_batch(U)
-        r = np.linalg.norm(U, axis=1)
-        if np.any(r == 0):
-            raise SingularityError("ring laplacian undefined at the origin")
-        return -gamma * (1.0 + (self.spec.dim - 1) * (r - self.mu) / r)
 
     def score_quadratic(self, x):
         # |grad_u|^2 = gamma^2 (r - mu)^2; the laplacian is linear in gamma
@@ -533,13 +506,6 @@ class LogNormalExtModel(_Model):
         if not np.all(pos):
             raise DomainError("grad_u defined only on the positive axis")
         return (-(theta_p * np.log(u) + 1.0) / u)[:, None]
-
-    def laplacian_u(self, theta, U):
-        theta_p, _ = self._check_theta(theta)
-        u, pos = self._split(U)
-        if not np.all(pos):
-            raise DomainError("laplacian_u defined only on the positive axis")
-        return (theta_p * np.log(u) - theta_p + 1.0) / u**2
 
     def score_quadratic(self, x):
         # laplacian + |grad|^2 / 2 = [theta^2 lu^2 / 2 + theta (2 lu - 1) + 3/2] / u^2;

@@ -277,9 +277,8 @@ def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
     truth there (the flip kernel at eps = 1).  The kernel's scale-free
     random part is drawn once, from ``rng_seed``, and every rung perturbs x
     with it, so each rung's noise is the one ``sample_conditional`` gives
-    for that scale and seed, and each rung's value is ``cnce_loss`` on it,
-    evaluated without the gradient it does not need.  With shared draws the
-    scan is monotone in the scale.
+    for that scale and seed, and each rung's value is ``cnce_loss`` on it.
+    With shared draws the scan is monotone in the scale.
     """
     x = np.asarray(x, dtype=float)
     if kappa < 1:
@@ -291,7 +290,7 @@ def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
         kernel = model.kernel.for_data(eps, x)
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
-        value = cnce_loss(model, theta0, x, kernel.perturb(x, base), gradient=False).value
+        value = cnce_loss(model, theta0, x, kernel.perturb(x, base))
         if abs(value - TWO_LOG2) >= schedule.delta:
             return eps, False
     return ladder[-1], cap is None or schedule.epsilon_max < cap

@@ -181,6 +181,13 @@ def test_marginal_kernel_built_from_its_moments_matches_the_fit():
             MarginalKernel(mean=np.zeros(2), covariance=cov)
 
 
+def test_marginal_kernels_compare_by_identity():
+    a = MarginalKernel(mean=np.zeros(2), covariance=np.eye(2))
+    b = MarginalKernel(mean=np.zeros(2), covariance=np.eye(2))
+    assert a != b and a == a
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 def test_fit_marginal_needs_enough_points():
     with pytest.raises(ParameterError):
         fit_marginal(np.zeros((3, 5)))

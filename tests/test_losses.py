@@ -1,6 +1,7 @@
 """Loss functions: frozen scalar oracles, finite-difference gradients, the
-eps = 0 identity, scale invariance, baselines, and the exact Bernoulli
-population loss against a brute-force grid."""
+eps = 0 identity, scale invariance, baselines, the objectives against the
+restated losses of ``oracles``, and the exact Bernoulli population loss
+against a brute-force grid."""
 
 import numpy as np
 import pytest
@@ -14,19 +15,15 @@ from cnce import (
     RingModel,
     TWO_LOG2,
     UnsupportedModelError,
-    bernoulli_population_loss,
     build_model,
-    cnce_G,
     cnce_loss,
     default_spec,
     estimation_error,
     fit_marginal,
     log_density_marginal,
     mle_fit,
-    nce_loss,
     sample_conditional,
     sample_marginal,
-    score_matching_loss,
 )
 from cnce.losses import (
     _softplus_sigmoid_neg,
@@ -49,6 +46,8 @@ from cnce.models import (
 )
 from cnce.seeding import rng_from
 
+import oracles
+from oracles import bernoulli_population_loss, cnce_G, nce_loss, score_matching_loss
 from test_kernels import pairing_at_data
 from test_models import make, random_points, random_theta
 
@@ -94,9 +93,9 @@ def test_cnce_loss_frozen_single_pair():
     x = np.array([[1.0]])
     noise = pairing_at_data(x)
     noise[0, 0, 0] = 1.5
-    rep = cnce_loss(model, np.array([1.0]), x, noise)
+    value = cnce_loss(model, np.array([1.0]), x, noise)
     # 2 log(1 + exp(-0.625)), high-precision scalar oracle
-    assert rep.value == pytest.approx(0.85740135655303727, rel=1e-14)
+    assert value == pytest.approx(0.85740135655303727, rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -106,9 +105,11 @@ def test_cnce_loss_eps0_identity(kind):
     for _ in range(10):
         theta = random_theta(model, rng)
         x = random_points(model, theta, rng, m=64)
-        rep = cnce_loss(model, theta, x, pairing_at_data(x, kappa=3))
-        assert abs(rep.value - TWO_LOG2) < 1e-12
-        assert np.allclose(rep.gradient, 0.0, atol=1e-12)
+        noise = pairing_at_data(x, kappa=3)
+        assert abs(cnce_loss(model, theta, x, noise) - TWO_LOG2) < 1e-12
+        value, grad = cnce_objective(model, x, noise)(theta)[:2]
+        assert abs(value - TWO_LOG2) < 1e-12
+        assert np.allclose(grad, 0.0, atol=1e-12)
 
 
 def test_cnce_loss_large_G_limit():
@@ -116,8 +117,7 @@ def test_cnce_loss_large_G_limit():
     x = np.array([[0.0]])
     noise = pairing_at_data(x)
     noise[0, 0, 0] = 60.0  # G = 1800 at lambda = 1: softplus underflows to 0
-    rep = cnce_loss(model, np.array([1.0]), x, noise)
-    assert 0.0 <= rep.value < 1e-300
+    assert 0.0 <= cnce_loss(model, np.array([1.0]), x, noise) < 1e-300
 
 
 def test_cnce_loss_value_positive():
@@ -125,8 +125,7 @@ def test_cnce_loss_value_positive():
     rng = rng_from(19)
     theta = model.random_params(rng)
     x = model.sample(theta, 200, rng_from(20))
-    rep = cnce_loss(model, theta, x, make_noise(model, theta, x, 5, 21))
-    assert rep.value > 0
+    assert cnce_loss(model, theta, x, make_noise(model, theta, x, 5, 21)) > 0
 
 
 def test_cnce_scale_invariance_bernoulli():
@@ -135,9 +134,9 @@ def test_cnce_scale_invariance_bernoulli():
     theta = np.log([0.3, 0.7])
     x = model.sample(theta, 5_000, rng_from(23))
     noise = make_noise(model, theta, x, 3, 24)
-    base = cnce_loss(model, theta, x, noise).value
+    base = cnce_loss(model, theta, x, noise)
     for c in (np.log(0.1), np.log(10.0)):
-        shifted = cnce_loss(model, theta + c, x, noise).value
+        shifted = cnce_loss(model, theta + c, x, noise)
         assert abs(shifted - base) < 1e-13
 
 
@@ -181,6 +180,13 @@ def assert_grad_matches(fn_value, analytic, theta, tol=1e-6):
     assert np.linalg.norm(analytic - numeric) / denom < tol
 
 
+def assert_oracle_and_objective_grads_match(oracle, objective, theta):
+    """The gradients of an oracle loss and of an objective each against
+    central finite differences of their own values."""
+    assert_grad_matches(lambda t: oracle(t)[0], oracle(theta)[1], theta)
+    assert_grad_matches(lambda t: objective(t)[0], objective(theta)[1], theta)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_cnce_gradient_finite_differences(kind):
     model = make(kind)
@@ -194,9 +200,9 @@ def test_cnce_gradient_finite_differences(kind):
             pts = np.vstack([x, noise.reshape(-1, model.spec.dim)])
             if np.min(np.abs(pts @ b.T)) < 1e-3:
                 continue
-        rep = cnce_loss(model, theta, x, noise)
-        assert_grad_matches(lambda t: cnce_loss(model, t, x, noise).value,
-                            rep.gradient, theta)
+        assert_oracle_and_objective_grads_match(
+            lambda t: oracles.cnce_loss(model, t, x, noise),
+            cnce_objective(model, x, noise), theta)
 
 
 @pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
@@ -206,9 +212,9 @@ def test_score_matching_gradient_finite_differences(kind):
     for _ in range(8):
         theta = random_theta(model, rng)
         x = model.sample(theta, 60, rng_from(int(rng.integers(2**31))))
-        rep = score_matching_loss(model, theta, x)
-        assert_grad_matches(lambda t: score_matching_loss(model, t, x).value,
-                            rep.gradient, theta)
+        assert_oracle_and_objective_grads_match(
+            lambda t: score_matching_loss(model, t, x),
+            score_matching_objective(model, x), theta)
 
 
 @pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
@@ -220,9 +226,9 @@ def test_score_matching_objective_matches_reference(kind):
     for _ in range(4):
         theta = random_theta(model, rng)
         value, grad, _ = objective(theta)
-        rep = score_matching_loss(model, theta, x)
-        assert value == pytest.approx(rep.value, rel=1e-10, abs=1e-12)
-        assert np.allclose(grad, rep.gradient, rtol=1e-12, atol=1e-12)
+        ref_value, ref_grad = score_matching_loss(model, theta, x)
+        assert value == pytest.approx(ref_value, rel=1e-10, abs=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
 
 
 def test_nce_gradient_finite_differences():
@@ -234,15 +240,14 @@ def test_nce_gradient_finite_differences():
             x = model.sample(theta, 50, rng_from(int(rng.integers(2**31))))
             marginal = fit_marginal(x)
             noise = sample_marginal(marginal, 100, int(rng.integers(2**31)))
-            full = np.concatenate([theta, [0.2]])
-            rep = nce_loss(model, full, x, noise, marginal)
-            assert_grad_matches(
-                lambda t: nce_loss(model, t, x, noise, marginal).value,
-                rep.gradient, full)
+            assert_oracle_and_objective_grads_match(
+                lambda t: nce_loss(model, t, x, noise, marginal),
+                nce_objective(model, x, noise, marginal),
+                np.concatenate([theta, [0.2]]))
 
 
 # ---------------------------------------------------------------------------
-# objective builders agree with the reference implementations
+# objective builders agree with the oracles
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -254,22 +259,22 @@ def test_cnce_objective_matches_reference(kind):
     noise = make_noise(model, theta, x, 4, 51)
     objective = cnce_objective(model, x, noise)
     value, grad = objective(theta)[:2]
-    ref = cnce_loss(model, theta, x, noise)
-    assert value == pytest.approx(ref.value, rel=1e-12)
-    assert np.allclose(grad, ref.gradient, rtol=1e-10, atol=1e-12)
+    ref_value, ref_grad = oracles.cnce_loss(model, theta, x, noise)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_cnce_loss_value_only_is_bit_equal(kind):
+def test_cnce_loss_matches_oracle_value(kind):
+    # the value the noise-scale ladder reads on each rung
     model = make(kind)
     rng = rng_from(42, kind)
     theta = random_theta(model, rng)
     x = random_points(model, theta, rng, m=60)
     noise = make_noise(model, theta, x, 3, 52)
-    full = cnce_loss(model, theta, x, noise)
-    value_only = cnce_loss(model, theta, x, noise, gradient=False)
-    assert value_only.value == full.value
-    assert value_only.gradient is None
+    value = cnce_loss(model, theta, x, noise)
+    assert type(value) is float
+    assert value == pytest.approx(oracles.cnce_loss(model, theta, x, noise)[0], rel=1e-13)
 
 
 def test_ica_cnce_objective_standard_error():
@@ -333,9 +338,9 @@ def test_nce_objective_matches_reference(kind):
     objective = nce_objective(model, x, noise, marginal)
     theta_c = np.concatenate([theta, [0.3]])
     value, grad = objective(theta_c)[:2]
-    ref = nce_loss(model, theta_c, x, noise, marginal)
-    assert value == pytest.approx(ref.value, rel=1e-12)
-    assert np.allclose(grad, ref.gradient, rtol=1e-10, atol=1e-12)
+    ref_value, ref_grad = nce_loss(model, theta_c, x, noise, marginal)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", NCE_KINDS)
@@ -395,14 +400,16 @@ class _LocationRows:
 
 class _LaplaceLocation(_Model):
     """1-d Laplace location model, log phi = -|u - theta|: not affine, and
-    stated only through the model protocol."""
+    stated only through the model protocol, with its own d log phi / d theta
+    for the oracles."""
 
     methods = ("cnce", "nce")
 
     def log_phi(self, theta, U):
         return -np.abs(np.asarray(U, dtype=float).reshape(-1) - theta[0])
 
-    def grad_theta(self, theta, U):
+    @staticmethod
+    def grad_theta(model, theta, U):
         return np.sign(np.asarray(U, dtype=float).reshape(-1) - theta[0])[:, None]
 
     def rows(self, U):
@@ -420,16 +427,16 @@ def test_objectives_take_any_model_that_states_its_rows():
     noise = sample_marginal(marginal, 400, 73)
     for theta in (np.array([0.1]), np.array([0.7])):
         value, grad, se = cnce_objective(model, x, pairs)(theta)
-        ref = cnce_loss(model, theta, x, pairs)
+        ref_value, ref_grad = oracles.cnce_loss(model, theta, x, pairs, model.grad_theta)
         assert np.ndim(se) == 0 and se > 0
-        assert value == pytest.approx(ref.value, rel=1e-12)
-        assert np.allclose(grad, ref.gradient, rtol=1e-12, atol=1e-12)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
         full = np.append(theta, 0.3)
         value, grad, se = nce_objective(model, x, noise, marginal)(full)
-        ref = nce_loss(model, full, x, noise, marginal)
+        ref_value, ref_grad = nce_loss(model, full, x, noise, marginal, model.grad_theta)
         assert np.ndim(se) == 0 and se > 0
-        assert value == pytest.approx(ref.value, rel=1e-12)
-        assert np.allclose(grad, ref.gradient, rtol=1e-12, atol=1e-12)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +454,9 @@ class _MarginalAsModel:
     def log_phi(self, theta, U):
         return log_density_marginal(self.marginal, U)
 
-    def grad_theta(self, theta, U):
-        return np.zeros((len(U), self.spec.param_count))
+    @staticmethod
+    def grad_theta(model, theta, U):
+        return np.zeros((len(U), model.spec.param_count))
 
 
 def test_nce_indifferent_classifier_value():
@@ -456,8 +464,8 @@ def test_nce_indifferent_classifier_value():
     marginal = fit_marginal(x)
     noise = sample_marginal(marginal, 500, 48)  # nu = 1
     model = _MarginalAsModel(marginal, 3)
-    rep = nce_loss(model, np.zeros(7), x, noise, marginal)
-    assert rep.value == pytest.approx(TWO_LOG2, rel=1e-14)
+    value, _ = nce_loss(model, np.zeros(7), x, noise, marginal, model.grad_theta)
+    assert value == pytest.approx(TWO_LOG2, rel=1e-14)
 
 
 def test_nce_prefers_truth_at_scale():
@@ -468,11 +476,10 @@ def test_nce_prefers_truth_at_scale():
     noise = sample_marginal(marginal, 20_000, 50)
     # true log-normaliser of exp(-u'Lu/2): log[(2 pi)^{d/2} det(L)^{-1/2}]
     c_true = -(0.5 * 5 * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(2 * np.eye(5))[1])
-    at_truth = nce_loss(model, np.concatenate([theta, [c_true]]), x, noise, marginal)
-    perturbed = theta + 0.3
-    at_perturbed = nce_loss(model, np.concatenate([perturbed, [c_true]]), x, noise,
-                            marginal)
-    assert at_truth.value < at_perturbed.value
+    objective = nce_objective(model, x, noise, marginal)
+    at_truth = objective(np.concatenate([theta, [c_true]]))[0]
+    at_perturbed = objective(np.concatenate([theta + 0.3, [c_true]]))[0]
+    assert at_truth < at_perturbed
 
 
 def test_nce_noise_count_multiple():
@@ -480,7 +487,7 @@ def test_nce_noise_count_multiple():
     x = rng_from(51).standard_normal((10, 5))
     marginal = fit_marginal(x)
     with pytest.raises(ParameterError):
-        nce_loss(model, np.zeros(16), x, np.zeros((15, 5)), marginal)
+        nce_objective(model, x, np.zeros((15, 5)), marginal)
 
 
 @pytest.mark.parametrize("spread", [1.0, 1.5])
@@ -528,15 +535,15 @@ def test_nce_log_normaliser_shifts_before_exp():
 def test_score_matching_gaussian_1d_formula():
     model = build_model(ModelSpec(GAUSSIAN, 1))
     x = rng_from(53).standard_normal((100_000, 1))
-    rep = score_matching_loss(model, np.array([1.0]), x)
-    assert rep.value == pytest.approx(-1.0 + 0.5 * np.mean(x**2), rel=1e-12)
-    assert rep.value == pytest.approx(-0.5, abs=0.01)
+    value = score_matching_objective(model, x)(np.array([1.0]))[0]
+    assert value == pytest.approx(-1.0 + 0.5 * np.mean(x**2), rel=1e-12)
+    assert value == pytest.approx(-0.5, abs=0.01)
 
 
 def test_score_matching_single_point_identity():
     model = make(GAUSSIAN)
-    rep = score_matching_loss(model, model.pack(np.eye(5)), np.zeros((1, 5)))
-    assert rep.value == -5.0
+    objective = score_matching_objective(model, np.zeros((1, 5)))
+    assert objective(model.pack(np.eye(5)))[0] == -5.0
 
 
 def test_score_matching_1d_minimiser():
@@ -545,14 +552,14 @@ def test_score_matching_1d_minimiser():
     m2 = float(np.mean(x**2))
     lam_star = 1.0 / m2  # solves d/dlambda [-lambda + lambda^2 m2 / 2] = 0
     grid = np.linspace(0.1, 3.0, 2_000)
-    vals = [score_matching_loss(model, np.array([g]), x).value for g in grid]
+    objective = score_matching_objective(model, x)
+    vals = [objective(np.array([g]))[0] for g in grid]
     assert grid[int(np.argmin(vals))] == pytest.approx(lam_star, abs=2e-3)
 
 
 def test_score_matching_unsupported():
     with pytest.raises(UnsupportedModelError):
-        score_matching_loss(make(ICA), make(ICA).random_params(rng_from(0)),
-                            np.ones((3, 4)))
+        score_matching_objective(make(ICA), np.ones((3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +693,15 @@ def test_mle_ring_unsupported():
 def test_population_loss_scale_invariant():
     # an offset added to the log-weights, dyadic so that G is exact
     t, truth = np.array([-0.875, 0.125]), np.log([0.3, 0.7])
-    base = bernoulli_population_loss(t, truth, 0.2)
-    assert bernoulli_population_loss(t + 0.5, truth, 0.2) == base
-    assert bernoulli_population_loss(t, truth + 3.0, 0.2) == pytest.approx(base, rel=1e-15)
+    base = bernoulli_population_loss(t, truth, 0.2)[0]
+    assert bernoulli_population_loss(t + 0.5, truth, 0.2)[0] == base
+    assert bernoulli_population_loss(t, truth + 3.0, 0.2)[0] == pytest.approx(base, rel=1e-15)
 
 
 def test_population_loss_symmetric_truth():
     # equal true weights: grid minimum sits at the symmetric point
     grid = np.linspace(0.01, 0.99, 981)
-    vals = [bernoulli_population_loss(np.log([t, 1 - t]), np.zeros(2), 0.3)
+    vals = [bernoulli_population_loss(np.log([t, 1 - t]), np.zeros(2), 0.3)[0]
             for t in grid]
     assert grid[int(np.argmin(vals))] == pytest.approx(0.5, abs=1e-6)
 
@@ -704,7 +711,7 @@ def test_population_loss_grid_oracle():
     # around the coarse minimum: the minimiser is the truth at every flip
     # probability in (0, 1], the top of the flip kernel's ladder included
     def argmin(grid, truth, eps):
-        vals = [bernoulli_population_loss(np.log([p, 1 - p]), truth, eps) for p in grid]
+        vals = [bernoulli_population_loss(np.log([p, 1 - p]), truth, eps)[0] for p in grid]
         return grid[int(np.argmin(vals))]
 
     for p_true in (0.3, 0.85):
@@ -721,14 +728,29 @@ def test_population_loss_epsilon_domain():
         with pytest.raises(ParameterError):
             bernoulli_population_loss(equal, equal, bad)
     # at eps = 1 every pair differs: the loss is 2 softplus(0) = 2 log 2 at G = 0
-    assert bernoulli_population_loss(equal, equal, 1.0) == pytest.approx(TWO_LOG2, rel=1e-15)
+    assert bernoulli_population_loss(equal, equal, 1.0)[0] == pytest.approx(TWO_LOG2, rel=1e-15)
+
+
+def test_bernoulli_cnce_objective_tends_to_the_population_loss():
+    # 40 000 draws: the empirical loss and its gradient lie within a few
+    # sampling standard errors (~0.003) of the exact population ones
+    model = make(BERNOULLI)
+    truth = np.log([0.3, 0.7])
+    x = model.sample(truth, 40_000, rng_from(81))
+    noise = sample_conditional(model.kernel.for_data(0.3, x), x, 5, 82)
+    objective = cnce_objective(model, x, noise)
+    for theta in (truth, np.array([0.2, -0.4])):
+        value, grad = objective(theta)[:2]
+        pop_value, pop_grad = bernoulli_population_loss(theta, truth, 0.3)
+        assert value == pytest.approx(pop_value, abs=0.01)
+        assert np.allclose(grad, pop_grad, rtol=0, atol=0.01)
 
 
 def test_population_loss_at_truth_value():
     # at G = theta1 - theta2, the four-term sum reduces to the stated closed form
     truth = np.log([0.3, 0.7])
     eps = 0.2
-    val = bernoulli_population_loss(truth, truth, eps)
+    val = bernoulli_population_loss(truth, truth, eps)[0]
     g = np.log(0.3) - np.log(0.7)
     expect = 2 * (1 - eps) * np.log(2) + 2 * eps * (
         0.3 * np.log1p(np.exp(-g)) + 0.7 * np.log1p(np.exp(g)))

@@ -6,7 +6,6 @@ import os
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from cnce import (
     BernoulliFlipKernel,
@@ -26,6 +25,8 @@ from cnce.experiments import config_from_json
 from cnce.losses import cnce_objective
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
 from cnce.seeding import rng_from, stable_hash
+
+import oracles
 
 
 def quadratic_bowl(a):
@@ -136,30 +137,18 @@ def test_gaussian_1d_cnce_matches_grid_search():
     run = minimize(objective, np.array([0.0]), OptimizerConfig())
     lam_hat = run.theta[0]
     grid = np.linspace(0.2, 3.0, 700)
-    vals = [objective(np.array([g]))[0] for g in grid]
+    vals = [cnce_loss(model, np.array([g]), x, noise) for g in grid]
     lam_grid = grid[int(np.argmin(vals))]
     assert abs(lam_hat - lam_grid) < 0.1
     assert abs(lam_hat - 1.0) < 0.15
 
 
-def bernoulli_population_objective(theta_true, epsilon: float):
-    """(value, grad) of ``bernoulli_population_loss``, in log-weights."""
-    w_true = np.exp(theta_true)
-    p0 = w_true[0] / w_true.sum()
-
-    def objective(raw):
-        g = raw[0] - raw[1]
-        value = (2.0 * (1.0 - epsilon) * np.log(2.0)
-                 + 2.0 * epsilon * (p0 * np.logaddexp(0.0, -g)
-                                    + (1.0 - p0) * np.logaddexp(0.0, g)))
-        dg = 2.0 * epsilon * (-p0 * expit(-g) + (1.0 - p0) * expit(g))
-        return float(value), np.array([dg, -dg])
-
-    return objective
-
-
 def test_bernoulli_population_minimize_from_random_starts():
-    objective = bernoulli_population_objective(np.log([0.3, 0.7]), 0.2)
+    truth = np.log([0.3, 0.7])
+
+    def objective(theta):
+        return oracles.bernoulli_population_loss(theta, truth, 0.2)
+
     rng = rng_from(5)
     for _ in range(5):
         z0 = 0.5 * rng.standard_normal(2)
@@ -222,7 +211,7 @@ def test_adapt_epsilon_gaussian_returns_gap():
     assert not capped
     assert eps in sched.ladder()
     noise = sample_conditional(model.kernel.for_data(eps, x), x, 5, 10)
-    value = cnce_loss(model, model.pack(np.eye(5)), x, noise).value
+    value = cnce_loss(model, model.pack(np.eye(5)), x, noise)
     assert abs(value - TWO_LOG2) >= sched.delta
 
 
@@ -277,7 +266,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
         for eps in sched.ladder(cap):
             noise = sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
             rungs.append(noise)
-            value = cnce_loss(model, theta0, x, noise).value
+            value = cnce_loss(model, theta0, x, noise)
             if abs(value - TWO_LOG2) >= sched.delta:
                 return (eps, False), rungs
         top = sched.ladder(cap)[-1]
@@ -285,9 +274,9 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
 
     seen = []
 
-    def recorded(model_, theta_, x_, noise, **kwargs):
+    def recorded(model_, theta_, x_, noise):
         seen.append(noise)
-        return cnce_loss(model_, theta_, x_, noise, **kwargs)
+        return cnce_loss(model_, theta_, x_, noise)
 
     monkeypatch.setattr(cnce.optimize, "cnce_loss", recorded)
     outcomes = set()
@@ -318,18 +307,18 @@ def _load_benchmark_workloads():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
-    """The ladder evaluates its rungs without the gradient; on every CNCE
+    """The ladder reads each rung's value from ``cnce_loss``; on every CNCE
     cell of the benchmark's affine_grid workload it must choose the same
-    scale as a ladder of full cnce_loss calls.  The cell inputs are derived
-    as run_single derives them."""
+    scale as a ladder that reads the value of the logaddexp oracle.  The
+    cell inputs are derived as run_single derives them."""
     import cnce.optimize
 
     workloads = _load_benchmark_workloads()
-    full_calls = []
+    oracle_calls = []
 
-    def full(*args, **kwargs):
-        full_calls.append(kwargs)
-        return cnce_loss(*args)
+    def oracle_value(model, theta, x, noise):
+        oracle_calls.append(len(x))
+        return oracles.cnce_loss(model, theta, x, noise)[0]
 
     cells = 0
     for obj in workloads.build("affine_grid", seed)["configs"]:
@@ -347,12 +336,12 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
                 args = (model, theta0, x, cfg.schedule, kappa,
                         stable_hash(cell, "epsilon"))
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
-                value_only = adapt_epsilon(*args)
-                monkeypatch.setattr(cnce.optimize, "cnce_loss", full)
-                assert adapt_epsilon(*args) == value_only
+                picked = adapt_epsilon(*args)
+                monkeypatch.setattr(cnce.optimize, "cnce_loss", oracle_value)
+                assert adapt_epsilon(*args) == picked
                 cells += 1
     assert cells == 8
-    assert full_calls and all(kw == {"gradient": False} for kw in full_calls)
+    assert oracle_calls
 
 
 def test_epsilon_ladder_shape():

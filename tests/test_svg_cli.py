@@ -345,6 +345,25 @@ def test_report_malformed_row_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: csv line 3:")
 
 
+def test_unreadable_csv_or_config_exit_1(tmp_path, capsys):
+    # an empty CSV has no header line, a directory is no file and a missing
+    # file is none: each is an error line and exit 1, not a traceback
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = str(tmp_path / "rep")
+    for argv in (["report", "--csv", str(empty), "--out", out],
+                 ["report", "--csv", str(folder), "--out", out],
+                 ["experiment", "--config", str(folder), "--out", out],
+                 ["estimate", "--config", str(folder), "--out", out],
+                 ["estimate", "--config", str(tmp_path / "missing.json"), "--out", out]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "report.svg"))
+
+
 def test_report_byte_identical(tmp_path):
     cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
     out = tmp_path / "out"

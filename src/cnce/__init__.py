@@ -36,10 +36,7 @@ from .models import (
     GaussianPrecisionModel,
     IcaLaplaceModel,
     LogNormalExtModel,
-    ModelSpec,
     RingModel,
-    build_model,
-    default_spec,
 )
 from .optimize import EpsilonSchedule, EstimationRun, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import stable_hash

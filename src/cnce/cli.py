@@ -16,7 +16,8 @@ timing or environment state is written.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
-field's type, default and range.
+field's type, default and range; those of its ``model`` are ``kind`` and
+the fields of the model class named by ``kind`` (``models``).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .experiments import (
     run_single,
     _check_keys,
 )
-from .models import GAUSSIAN, build_model, default_spec
+from .models import GaussianPrecisionModel
 from .svgplot import chart_series_for_model, render_loglog
 
 _ESTIMATE_KEYS = {"schema", "model", "method", "n", "kappa", "epsilon", "seed",
-                  "optimizer", "epsilon_schedule", "ring_mu"}
+                  "optimizer", "epsilon_schedule"}
 _LIMIT_KEYS = {"schema", "eps_grid", "mc_pairs", "seed", "precision"}
 
 
@@ -81,7 +82,7 @@ def cmd_estimate(args) -> int:
         "master_seed": obj.get("seed", 0) if args.seed is None else args.seed,
     }
     grid.update((key, obj[key]) for key in
-                ("epsilon", "optimizer", "epsilon_schedule", "ring_mu") if key in obj)
+                ("epsilon", "optimizer", "epsilon_schedule") if key in obj)
     cfg = config_from_json(grid)
     record, warnings, trace = run_single(cfg, obj["method"], cfg.n_grid[0],
                                          cfg.kappa_grid[0], 0, collect_trace=True)
@@ -156,8 +157,8 @@ def cmd_limit_check(args) -> int:
     if "precision" in obj:
         theta = obj["precision"]
     else:
-        model = build_model(default_spec(GAUSSIAN))
-        theta = model.pack(np.eye(model.spec.dim))
+        model = GaussianPrecisionModel()
+        theta = model.pack(np.eye(model.dim))
     rows = limit_check(theta, obj.get("eps_grid", [0.04, 0.02, 0.01]),
                        obj.get("mc_pairs", 1_000_000),
                        obj.get("seed", 0) if args.seed is None else args.seed)

@@ -38,7 +38,7 @@ from .losses import (
     nce_objective,
     score_matching_objective,
 )
-from .models import GAUSSIAN, RING, ModelSpec, build_model, default_spec
+from .models import _CLASSES, KINDS, GaussianPrecisionModel
 from .optimize import EpsilonSchedule, EstimationRun, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
@@ -49,16 +49,16 @@ METHODS = ("cnce", "nce", "mle", "score_matching")
 class ExperimentConfig:
     """A (method, N, kappa) grid of estimation runs, and the schema of a
     ``cnce experiment`` config, which writes ``schedule`` as
-    ``epsilon_schedule`` and may give ``ring_mu`` as the model's ``mu``.
-    An int takes an integral float (2.0 is 2), a float any finite real,
-    and neither a bool or a string.
+    ``epsilon_schedule`` and the model as an object of its ``kind`` and
+    its class's fields (``models``), each optional: ``{"kind": "ring",
+    "dim": 2, "mu": 3.0}``.  An int takes an integral float (2.0 is 2), a
+    float any finite real, and neither a bool or a string.
 
-    - ``model`` (``ModelSpec``) and ``methods`` (a non-empty tuple of the
-      model's ``methods``): required.
+    - ``model`` (an instance of a ``models`` class) and ``methods`` (a
+      non-empty tuple of the model's ``methods``): required.
     - ``n_grid``, ``kappa_grid`` (tuples of int, required): non-empty,
       strictly ascending, >= 1; with ``"nce"``, every n >= dim + 1.
-    - ``repeats`` (int, 20, >= 1), ``master_seed`` (int, 0) and ``ring_mu``
-      (float, 4.0, the ring model's known shell radius).
+    - ``repeats`` (int, 20, >= 1) and ``master_seed`` (int, 0).
     - ``epsilon``: ``"auto"`` (default), which ``adapt_epsilon`` picks on
       ``schedule`` per run, or CNCE's fixed noise scale, a float > 0 and,
       with ``"cnce"``, at most the model kernel's ``epsilon_cap`` (1 for
@@ -67,7 +67,7 @@ class ExperimentConfig:
       ``EpsilonSchedule``, their defaults by default.
     """
 
-    model: ModelSpec
+    model: object
     methods: tuple
     n_grid: tuple
     kappa_grid: tuple
@@ -76,7 +76,6 @@ class ExperimentConfig:
     epsilon: object = "auto"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
-    ring_mu: float = 4.0
 
     def __post_init__(self):
         convert_fields(self)
@@ -95,9 +94,8 @@ class ExperimentConfig:
             raise ParameterError("repeats must be >= 1")
         if not self.methods:
             raise ParameterError("methods must be non-empty")
-        model = self.build_model()
         for m in self.methods:
-            if m not in model.methods:
+            if m not in self.model.methods:
                 raise ParameterError(
                     f"method {m!r} unsupported for {self.model.kind}"
                 )
@@ -106,16 +104,11 @@ class ExperimentConfig:
         if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
             # the moment-matched noise needs a covariance fit
             raise ParameterError("nce needs every n >= dim + 1")
-        cap = model.kernel.epsilon_cap
+        cap = self.model.kernel.epsilon_cap
         if ("cnce" in self.methods and self.epsilon != "auto" and cap is not None
                 and self.epsilon > cap):
             raise ParameterError(
                 f"epsilon must be <= {cap}, the cap of the {self.model.kind} kernel")
-
-    def build_model(self):
-        if self.model.kind == RING:
-            return build_model(self.model, mu=self.ring_mu)
-        return build_model(self.model)
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ def estimation_error(model, theta_hat, theta_true) -> float:
     paper-specific disambiguations (``model.error``)."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
-    if theta_hat.shape != theta_true.shape or theta_hat.shape != (model.spec.param_count,):
+    if theta_hat.shape != theta_true.shape or theta_hat.shape != (model.param_count,):
         raise ParameterError("parameter vectors disagree in shape")
     return model.error(theta_hat, theta_true)
 
@@ -181,7 +174,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     no stop reason, and one warning, naming the exception class, so that a
     grid keeps its other cells."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
-    model = cfg.build_model()
+    model = cfg.model
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
     x = model.sample(theta_true, n, rng_from(stable_hash(seed, "data")))
     theta0 = model.init_theta(rng_from(stable_hash(seed, "init")),
@@ -226,11 +219,11 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             else:
                 raise ParameterError(f"unknown method {method!r}")
             run = minimize(objective, start, cfg.optimizer)
-            theta_hat = run.theta[:model.spec.param_count]
+            theta_hat = run.theta[:model.param_count]
         error = estimation_error(model, theta_hat, theta_true)
     except Exception as exc:  # a cell's failure must not end the grid
         warnings.append(f"cell failed: {type(exc).__name__}: {exc}")
-        run = EstimationRun(theta=np.full(model.spec.param_count, np.nan))
+        run = EstimationRun(theta=np.full(model.param_count, np.nan))
         theta_hat = run.theta
         error = float("inf")
     else:
@@ -438,7 +431,7 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
     dim = int(round((np.sqrt(8 * p + 1) - 1) / 2))
     if dim * (dim + 1) // 2 != p:
         raise ParameterError("theta is not a packed upper triangle")
-    model = build_model(ModelSpec(GAUSSIAN, dim))
+    model = GaussianPrecisionModel(dim)
     lam = model.unpack(theta)
 
     x = model.sample(theta, mc_pairs, rng_from(stable_hash(rng_seed, "x")))
@@ -479,7 +472,6 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # ``epsilon_schedule``, plus the schema version
 _CONFIG_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"schedule"}
                 | {"schema", "epsilon_schedule"})
-_MODEL_KEYS = {f.name for f in fields(ModelSpec)}
 _OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 # schema-1 keys of the removed polish, plateau and backtracking phases and
 # of the removed multi-start loop: accepted and ignored, so that existing
@@ -512,6 +504,20 @@ def schedule_from_json(obj: dict) -> EpsilonSchedule:
     return EpsilonSchedule(**obj)
 
 
+def model_from_json(obj: dict):
+    """The model of class ``_CLASSES[obj["kind"]]`` with the rest of obj as
+    its fields, each at its class default when absent."""
+    if not isinstance(obj, dict):
+        raise ParameterError("model must be a JSON object")
+    if "kind" not in obj:
+        raise ParameterError("missing key 'kind' in model")
+    if obj["kind"] not in KINDS:
+        raise ParameterError(f"unknown model kind {obj['kind']!r}")
+    cls = _CLASSES[obj["kind"]]
+    _check_keys(obj, {"kind"} | {f.name for f in fields(cls)}, "model")
+    return cls(**{k: v for k, v in obj.items() if k != "kind"})
+
+
 def config_from_json(obj: dict) -> ExperimentConfig:
     _check_keys(obj, _CONFIG_KEYS, "experiment config")
     if obj.get("schema") != 1:
@@ -519,18 +525,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     for key in ("model", "methods", "n_grid", "kappa_grid"):
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in experiment config")
-    _check_keys(obj["model"], _MODEL_KEYS | {"mu"}, "model")
-    model_obj = dict(obj["model"])
-    if "kind" not in model_obj:
-        raise ParameterError("missing key 'kind' in model")
     rest = {k: v for k, v in obj.items()
             if k not in ("schema", "model", "optimizer", "epsilon_schedule")}
-    if "mu" in model_obj:  # the model's mu wins over a top-level ring_mu
-        rest["ring_mu"] = model_obj.pop("mu")
-    if "dim" not in model_obj:
-        model_obj["dim"] = default_spec(model_obj["kind"]).dim
     return ExperimentConfig(
-        model=ModelSpec(**model_obj),
+        model=model_from_json(obj["model"]),
         optimizer=optimizer_from_json(obj.get("optimizer", {})),
         schedule=schedule_from_json(obj.get("epsilon_schedule", {})),
         **rest,
@@ -539,5 +537,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
     obj = asdict(cfg)
+    obj["model"] = {"kind": cfg.model.kind, **obj["model"]}
     obj["epsilon_schedule"] = obj.pop("schedule")
     return {"schema": 1, **obj}

@@ -127,12 +127,12 @@ def cnce_loss(model, theta, x: np.ndarray, noise: np.ndarray) -> float:
 
 def _require(model, method: str):
     if method not in model.methods:
-        raise UnsupportedModelError(f"{method} unsupported for {model.spec.kind}")
+        raise UnsupportedModelError(f"{method} unsupported for {model.kind}")
 
 
 def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
     """Objective over theta, from ``model.pair_rows`` over x
-    and its (n, kappa, dim) noise: (value, grad, hess) on affine rows,
+    and its (n, kappa, dim) noise: (value, grad, hess) where ``model.affine``,
     (value, grad, se) otherwise, with se = 2 std(softplus rows) / sqrt(rows)."""
     _require(model, "cnce")
     x = np.asarray(x, dtype=float)
@@ -141,6 +141,7 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
     m = len(y)
     g = np.empty(m)
     work = _pair_work(m)
+    affine = model.affine
     se = None
 
     def objective(theta):
@@ -150,7 +151,7 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
         sp, sig = _softplus_sigmoid_neg(g, work)
         value = 2.0 / m * float(np.sum(sp))
         grad = -2.0 / m * rows.vjp(sig)
-        if not hasattr(rows, "gram"):
+        if not affine:
             if se is None:
                 se = 2.0 * _std_error(sp)
             return value, grad, se
@@ -178,9 +179,9 @@ def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel
 
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
     """Objective over (theta, c), from ``model.rows`` over
-    u = [x; noise]: (value, grad, hess) on affine rows, (value, grad, se)
-    otherwise, with se = (rows / n) std(softplus rows) / sqrt(rows).  The
-    noise log-densities are evaluated once, here.
+    u = [x; noise]: (value, grad, hess) where ``model.affine``, (value,
+    grad, se) otherwise, with se = (rows / n) std(softplus rows) /
+    sqrt(rows).  The noise log-densities are evaluated once, here.
 
     With h = log phi(u) + c - log q(u) - log nu and the row sign s = +1 on
     data and -1 on noise, the data terms softplus(-h) and the noise terms
@@ -199,6 +200,7 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
            out=rows.offset)
     h, w = np.empty(len(u)), np.empty(len(u))
     work = _pair_work(len(u))
+    affine = model.affine
     se = None
 
     def objective(theta_c):
@@ -213,7 +215,7 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
         np.negative(w[n:], out=w[n:])
         g_theta = -rows.vjp(w) / n
         g_c = -float(np.sum(w)) / n
-        if not hasattr(rows, "gram"):
+        if not affine:
             if se is None:
                 se = len(sp) / n * _std_error(sp)
             return value, np.append(g_theta, g_c), se
@@ -262,7 +264,7 @@ def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0):
     defaults when None) from a start drawn from ``rng_seed``.  Models
     without either raise ``UnsupportedModelError``."""
     x = np.asarray(x, dtype=float)
-    if model.spec.kind == ICA:
+    if model.kind == ICA:
         return _ica_mle(model, x, optimizer, rng_seed)
     from .optimize import EstimationRun  # here: ``optimize`` imports this module
 

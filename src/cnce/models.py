@@ -12,17 +12,21 @@ theta, which makes CNCE, NCE and score matching convex in it; the
 optimiser moves theta itself.
 
 Model protocol: each class states once all the maths an estimator needs, so
-no estimator branches on the model kind.  ``methods`` (the estimators it
-supports), ``kernel`` (its CNCE noise kernel class, from ``kernels``) and
-``affine`` (whether log phi is affine in theta) are class attributes;
-``log_phi`` serves the noise-scale ladder, NCE's start value of c and,
-with ``grad_u`` (d log phi / du), the small-noise limit check; ``rows(U)``
-and ``pair_rows(x, y, kappa)`` serve the contrastive objectives and the ICA
-MLE (below); ``score_quadratic(x) -> (A, b, c)``, with the score-matching
-loss exactly theta'A theta / 2 + b'theta + c, serves score matching;
-``mle(x)`` gives the closed-form MLE; and ``error`` is the estimation error
-with the model's ambiguities resolved (Euclidean by default).  What a model
-does not support raises ``UnsupportedModelError``.
+no estimator branches on the model kind.  A model is a frozen dataclass
+whose fields are its config: ``dim``, the ambient dimension, within the
+class's ``min_dim`` and ``max_dim``, and on the ring ``mu``.  ``kind`` (the
+model's name in a config), ``param_count`` (the length of theta),
+``methods`` (the estimators it supports), ``kernel`` (its CNCE noise kernel
+class, from ``kernels``) and ``affine`` (whether log phi is affine in
+theta) belong to the class.  ``log_phi`` serves the noise-scale ladder,
+NCE's start value of c and, with the Gaussian's ``grad_u`` (d log phi /
+du), the small-noise limit check; ``rows(U)`` and ``pair_rows(x, y,
+kappa)`` serve the contrastive objectives and the ICA MLE (below);
+``score_quadratic(x) -> (A, b, c)``, with the score-matching loss exactly
+theta'A theta / 2 + b'theta + c, serves score matching; ``mle(x)`` gives
+the closed-form MLE; and ``error`` is the estimation error with the
+model's ambiguities resolved (Euclidean by default).  What a model does
+not support raises ``UnsupportedModelError``.
 
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
@@ -55,42 +59,7 @@ BERNOULLI = "bernoulli"
 
 KINDS = (GAUSSIAN, ICA, RING, LOGNORMAL, BERNOULLI)
 
-_DEFAULT_DIM = {GAUSSIAN: 5, ICA: 4, RING: 5, LOGNORMAL: 1, BERNOULLI: 1}
-
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which model, in which ambient dimension."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        convert_fields(self)
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown model kind {self.kind!r}")
-        if self.dim < 1:
-            raise ParameterError("dim must be >= 1")
-        if self.kind in (LOGNORMAL, BERNOULLI) and self.dim != 1:
-            raise ParameterError(f"{self.kind} is univariate")
-        if self.kind == RING and self.dim < 2:
-            raise ParameterError("ring model needs dim >= 2")
-
-    @property
-    def param_count(self) -> int:
-        return {
-            GAUSSIAN: self.dim * (self.dim + 1) // 2,
-            ICA: self.dim * self.dim,
-            RING: 1,
-            LOGNORMAL: 2,
-            BERNOULLI: 2,
-        }[self.kind]
-
-
-def default_spec(kind: str) -> ModelSpec:
-    return ModelSpec(kind, _DEFAULT_DIM.get(kind, 1))  # ModelSpec rejects unknown kinds
 
 
 _GRAM_ROWS = 4096  # row block of _weighted_gram
@@ -126,17 +95,24 @@ class _AffineRows:
 class _Model:
     """Shared plumbing.  Subclasses fill in the maths."""
 
-    spec: ModelSpec
-    methods: tuple
     kernel = GaussianPerturbKernel
     affine = True  # log phi affine in theta: its rows have ``gram``
+    min_dim = 1
+    max_dim = None  # no upper bound
+
+    def __post_init__(self):
+        convert_fields(self)
+        if self.dim < self.min_dim:
+            raise ParameterError(f"{self.kind} model needs dim >= {self.min_dim}")
+        if self.max_dim is not None and self.dim > self.max_dim:
+            raise ParameterError(f"{self.kind} model needs dim <= {self.max_dim}")
 
     # --- parametrisation ---------------------------------------------------
     def init_theta(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
         """Random optimiser start: N(0, scale^2) in every coordinate.
         Bernoulli needs the jitter: equal weights make log phi constant,
         which degenerates the noise-scale heuristic."""
-        return scale * rng.standard_normal(self.spec.param_count)
+        return scale * rng.standard_normal(self.param_count)
 
     # --- point handling ----------------------------------------------------
     def _as_batch(self, U) -> np.ndarray:
@@ -144,18 +120,18 @@ class _Model:
         if U.ndim == 0:
             U = U.reshape(1, 1)
         elif U.ndim == 1:
-            U = U[:, None] if self.spec.dim == 1 else U[None, :]
-        if U.ndim != 2 or U.shape[1] != self.spec.dim:
-            raise DomainError(f"points must have dimension {self.spec.dim}")
+            U = U[:, None] if self.dim == 1 else U[None, :]
+        if U.ndim != 2 or U.shape[1] != self.dim:
+            raise DomainError(f"points must have dimension {self.dim}")
         if not np.all(np.isfinite(U)):
             raise DomainError("non-finite point")
         return U
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.spec.param_count,):
+        if theta.shape != (self.param_count,):
             raise ParameterError(
-                f"theta must have {self.spec.param_count} entries, got {theta.shape}"
+                f"theta must have {self.param_count} entries, got {theta.shape}"
             )
         return theta
 
@@ -164,7 +140,7 @@ class _Model:
         """(Phi, offset) with log phi(U) == Phi @ theta + offset, for a
         model whose log phi is affine in theta."""
         raise UnsupportedModelError(
-            f"log phi of {self.spec.kind} is not affine in its parameters")
+            f"log phi of {self.kind} is not affine in its parameters")
 
     def rows(self, U):
         return _AffineRows(*self.features(U))
@@ -175,23 +151,21 @@ class _Model:
         i = np.arange(len(y)) // kappa
         return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
 
-    def grad_u(self, theta, U):
-        raise UnsupportedModelError(f"grad_u unsupported for {self.spec.kind}")
-
     def score_quadratic(self, x):
         """(A, b, c) with the score-matching loss, the mean over x of the
         Laplacian of log phi in u plus |grad_u|^2 / 2, equal to
         theta'A theta / 2 + b'theta + c."""
-        raise UnsupportedModelError(f"score matching unsupported for {self.spec.kind}")
+        raise UnsupportedModelError(f"score matching unsupported for {self.kind}")
 
     def mle(self, x) -> np.ndarray:
         """Closed-form maximum-likelihood estimate under the normalised model."""
-        raise UnsupportedModelError(f"mle unsupported for {self.spec.kind}")
+        raise UnsupportedModelError(f"mle unsupported for {self.kind}")
 
     def error(self, theta_hat, theta_true) -> float:
         return float(np.linalg.norm(theta_hat - theta_true))
 
 
+@dataclass(frozen=True)
 class GaussianPrecisionModel(_Model):
     """Zero-mean Gaussian with a free precision Lam = Lam': log phi = -u'Lu/2.
 
@@ -199,15 +173,24 @@ class GaussianPrecisionModel(_Model):
     included; off-diagonal entries parametrise both mirrored positions.
     """
 
+    dim: int = 5
+
+    kind = GAUSSIAN
     methods = ("cnce", "nce", "mle", "score_matching")
 
-    def __init__(self, dim: int = 5):
-        self.spec = ModelSpec(GAUSSIAN, dim)
-        self._iu = np.triu_indices(dim)
+    def __post_init__(self):
+        super().__post_init__()
+        iu = np.triu_indices(self.dim)
         # d log phi / d theta_k = coef_k u_i u_j for packed entry k = (i, j)
-        self._coef = np.where(self._iu[0] == self._iu[1], -0.5, -1.0)
+        object.__setattr__(self, "_iu", iu)
+        object.__setattr__(self, "_coef", np.where(iu[0] == iu[1], -0.5, -1.0))
         # Lam = sum_k theta_k E_k, with E_k the 0/1 matrix of entry k and its mirror
-        self._basis = np.array([self.unpack(e) for e in np.eye(len(self._coef))])
+        object.__setattr__(self, "_basis", np.array(
+            [self.unpack(e) for e in np.eye(self.param_count)]))
+
+    @property
+    def param_count(self) -> int:
+        return self.dim * (self.dim + 1) // 2
 
     def pack(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -217,7 +200,7 @@ class GaussianPrecisionModel(_Model):
 
     def unpack(self, theta: np.ndarray) -> np.ndarray:
         theta = self._check_theta(theta)
-        lam = np.zeros((self.spec.dim, self.spec.dim))
+        lam = np.zeros((self.dim, self.dim))
         lam[self._iu] = theta
         return lam + np.triu(lam, 1).T
 
@@ -233,7 +216,7 @@ class GaussianPrecisionModel(_Model):
         # a column-major (m, p) view: the products with phi in the loss
         # routes run up to 2x faster on that layout than on row-major
         ut = U.T.copy()
-        phi_t = np.empty((len(self._coef), len(U)))
+        phi_t = np.empty((self.param_count, len(U)))
         for k, (i, j) in enumerate(zip(*self._iu)):
             np.multiply(ut[i], self._coef[k], out=phi_t[k])
             np.multiply(phi_t[k], ut[j], out=phi_t[k])
@@ -262,12 +245,12 @@ class GaussianPrecisionModel(_Model):
         except np.linalg.LinAlgError as exc:
             raise ParameterError("precision matrix is not positive definite") from exc
         # x = L^{-T} z has covariance (L L')^{-1} = Lam^{-1}
-        z = rng.standard_normal((n, self.spec.dim))
+        z = rng.standard_normal((n, self.dim))
         return np.linalg.solve(chol.T, z.T).T
 
     def random_params(self, rng):
-        a = rng.standard_normal((self.spec.dim, self.spec.dim))
-        return self.pack(a.T @ a + 0.5 * np.eye(self.spec.dim))
+        a = rng.standard_normal((self.dim, self.dim))
+        return self.pack(a.T @ a + 0.5 * np.eye(self.dim))
 
 
 class _IcaSources:
@@ -334,6 +317,7 @@ class _IcaPairRows:
         return _SQRT2 * (self.y.pull(w) - self.x.pull(self.fx))
 
 
+@dataclass(frozen=True)
 class IcaLaplaceModel(_Model):
     """Laplace-source ICA: log phi = -sqrt(2) sum_j |b_j . u|.
 
@@ -341,14 +325,18 @@ class IcaLaplaceModel(_Model):
     (b_j . u == 0) the subgradient sign(0) = 0 is used.
     """
 
+    dim: int = 4
+
+    kind = ICA
     methods = ("cnce", "nce", "mle")  # not smooth: no score matching
     affine = False
 
-    def __init__(self, dim: int = 4):
-        self.spec = ModelSpec(ICA, dim)
+    @property
+    def param_count(self) -> int:
+        return self.dim * self.dim
 
     def unpack(self, theta: np.ndarray) -> np.ndarray:
-        return self._check_theta(theta).reshape(self.spec.dim, self.spec.dim)
+        return self._check_theta(theta).reshape(self.dim, self.dim)
 
     def pack(self, b: np.ndarray) -> np.ndarray:
         return np.asarray(b, dtype=float).reshape(-1).copy()
@@ -380,25 +368,28 @@ class IcaLaplaceModel(_Model):
         if abs(np.linalg.det(b)) < 1e-12:
             raise ParameterError("demixing matrix is singular")
         # unit-variance Laplace sources, x = B^{-1} s
-        s = rng.laplace(0.0, 1.0 / _SQRT2, size=(n, self.spec.dim))
+        s = rng.laplace(0.0, 1.0 / _SQRT2, size=(n, self.dim))
         return np.linalg.solve(b, s.T).T
 
     def random_params(self, rng):
         while True:
-            b = rng.standard_normal((self.spec.dim, self.spec.dim))
+            b = rng.standard_normal((self.dim, self.dim))
             if np.linalg.svd(b, compute_uv=False)[-1] > 0.1:
                 return self.pack(b)
 
 
+@dataclass(frozen=True)
 class RingModel(_Model):
     """Shell-concentrated model: log phi = -(gamma/2)(||u|| - mu)^2 with the
     shell radius mu treated as known (estimation targets gamma only)."""
 
-    methods = ("cnce", "nce", "score_matching")  # no MLE baseline
+    dim: int = 5
+    mu: float = 4.0
 
-    def __init__(self, dim: int = 5, mu: float = 4.0):
-        self.spec = ModelSpec(RING, dim)
-        self.mu = float(mu)
+    kind = RING
+    methods = ("cnce", "nce", "score_matching")  # no MLE baseline
+    param_count = 1
+    min_dim = 2
 
     def init_theta(self, rng, scale=0.3):
         return np.array([1.0])  # unit precision
@@ -412,21 +403,13 @@ class RingModel(_Model):
         r = np.linalg.norm(self._as_batch(U), axis=1)
         return (-0.5 * (r - self.mu) ** 2)[:, None], np.zeros(len(r))
 
-    def grad_u(self, theta, U):
-        (gamma,) = self._check_theta(theta)
-        U = self._as_batch(U)
-        r = np.linalg.norm(U, axis=1)
-        if np.any(r == 0):
-            raise SingularityError("ring gradient undefined at the origin")
-        return -gamma * ((r - self.mu) / r)[:, None] * U
-
     def score_quadratic(self, x):
         # |grad_u|^2 = gamma^2 (r - mu)^2; the laplacian is linear in gamma
         r = np.linalg.norm(self._as_batch(x), axis=1)
         if np.any(r == 0):
             raise SingularityError("ring score undefined at the origin")
         dr = r - self.mu
-        b = -np.mean(1.0 + (self.spec.dim - 1) * dr / r)
+        b = -np.mean(1.0 + (self.dim - 1) * dr / r)
         return np.array([[np.mean(dr**2)]]), np.array([b]), 0.0
 
     def sample(self, theta, n, rng):
@@ -439,7 +422,7 @@ class RingModel(_Model):
         # N(mode, 1/gamma), scaled to touch p at its mode, lies above p:
         # draw r from it and keep it where log u <= log p(r) - log p(mode)
         # + gamma/2 (r - mode)^2, in rounds until n are kept.
-        d, mu = self.spec.dim, self.mu
+        d, mu = self.dim, self.mu
         mode = 0.5 * (mu + np.sqrt(mu * mu + 4.0 * (d - 1) / gamma))
         kept = [np.empty(0)]
         short = n
@@ -452,7 +435,7 @@ class RingModel(_Model):
             kept.append(r[log_u <= bound])
             short -= len(kept[-1])
         r = np.concatenate(kept)
-        dirs = rng.standard_normal((n, self.spec.dim))
+        dirs = rng.standard_normal((n, self.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         return dirs * r[:, None]
 
@@ -460,6 +443,7 @@ class RingModel(_Model):
         return np.array([rng.uniform(1.0, 10.0)])
 
 
+@dataclass(frozen=True)
 class LogNormalExtModel(_Model):
     """Log-normal on the positive axis, constant C elsewhere:
 
@@ -470,10 +454,12 @@ class LogNormalExtModel(_Model):
     conditional noise (which crosses zero) stays inside the model domain.
     """
 
-    methods = ("cnce", "nce", "mle", "score_matching")
+    dim: int = 1
 
-    def __init__(self, dim: int = 1):
-        self.spec = ModelSpec(LOGNORMAL, dim)
+    kind = LOGNORMAL
+    methods = ("cnce", "nce", "mle", "score_matching")
+    param_count = 2
+    max_dim = 1
 
     def init_theta(self, rng, scale=0.3):
         return np.array([1.0, -5.0])  # C starts low: its optimum is -inf
@@ -499,13 +485,6 @@ class LogNormalExtModel(_Model):
         phi[~pos, 1] = 1.0
         offset[pos] = -lu
         return phi, offset
-
-    def grad_u(self, theta, U):
-        theta_p, _ = self._check_theta(theta)
-        u, pos = self._split(U)
-        if not np.all(pos):
-            raise DomainError("grad_u defined only on the positive axis")
-        return (-(theta_p * np.log(u) + 1.0) / u)[:, None]
 
     def score_quadratic(self, x):
         # laplacian + |grad|^2 / 2 = [theta^2 lu^2 / 2 + theta (2 lu - 1) + 3/2] / u^2;
@@ -537,16 +516,19 @@ class LogNormalExtModel(_Model):
         return np.array([rng.uniform(0.5, 2.0), -5.0])
 
 
+@dataclass(frozen=True)
 class BernoulliModel(_Model):
     """Unnormalised two-weight Bernoulli in its log-weights:
     log phi(0) = theta1, log phi(1) = theta2.  The weights' redundant scale
     is an added offset of theta, which cancels in CNCE's log-odds."""
 
+    dim: int = 1
+
+    kind = BERNOULLI
     methods = ("cnce", "mle")  # NCE needs continuous moment-matched noise
     kernel = BernoulliFlipKernel
-
-    def __init__(self, dim: int = 1):
-        self.spec = ModelSpec(BERNOULLI, dim)
+    param_count = 2
+    max_dim = 1
 
     def _bits(self, U):
         u = self._as_batch(U)[:, 0]
@@ -585,15 +567,5 @@ class BernoulliModel(_Model):
         return np.log([t1, 1.0 - t1])
 
 
-_CLASSES = {
-    GAUSSIAN: GaussianPrecisionModel,
-    ICA: IcaLaplaceModel,
-    RING: RingModel,
-    LOGNORMAL: LogNormalExtModel,
-    BERNOULLI: BernoulliModel,
-}
-
-
-def build_model(spec: ModelSpec, **kwargs):
-    """Instantiate the model class for a spec (ring accepts mu=...)."""
-    return _CLASSES[spec.kind](dim=spec.dim, **kwargs)
+_CLASSES = {cls.kind: cls for cls in (GaussianPrecisionModel, IcaLaplaceModel,
+                                       RingModel, LogNormalExtModel, BernoulliModel)}

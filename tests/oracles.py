@@ -28,16 +28,17 @@ def _sigmoid(v):
 
 
 # ---------------------------------------------------------------------------
-# d log phi / d theta and the Laplacian of log phi in u, per model kind
+# d log phi / d theta, and the gradient and Laplacian of log phi in u, per
+# model kind
 # ---------------------------------------------------------------------------
 
 def grad_theta(model, theta, U):
     """(m, p) rows d log phi / d theta at the points U."""
     u = model._as_batch(U)
-    kind = model.spec.kind
+    kind = model.kind
     if kind == GAUSSIAN:
         # log phi = -u'Lam u / 2: -u_i^2 / 2 on the diagonal, -u_i u_j off it
-        i, j = np.triu_indices(model.spec.dim)
+        i, j = np.triu_indices(model.dim)
         return np.where(i == j, -0.5, -1.0) * u[:, i] * u[:, j]
     if kind == ICA:
         # log phi = -sqrt(2) sum_j |b_j . u|, with sign(0) = 0 at kinks
@@ -55,15 +56,31 @@ def grad_theta(model, theta, U):
     raise KeyError(kind)
 
 
+def grad_u(model, theta, U):
+    """(m, dim) rows d log phi / du at the points U, for the smooth kinds."""
+    u = model._as_batch(U)
+    kind = model.kind
+    if kind == GAUSSIAN:
+        return -u @ model.unpack(theta)
+    if kind == RING:
+        # log phi = -(gamma/2)(r - mu)^2, with dr/du = u / r
+        r = np.linalg.norm(u, axis=1)
+        return (-theta[0] * (r - model.mu) / r)[:, None] * u
+    if kind == LOGNORMAL:
+        # log phi = -theta (log u)^2 / 2 - log u on u > 0
+        return (-(theta[0] * np.log(u[:, 0]) + 1.0) / u[:, 0])[:, None]
+    raise KeyError(f"{kind} is not smooth")
+
+
 def laplacian_u(model, theta, U):
     """sum_i d^2 log phi / du_i^2 at the points U, for the smooth kinds."""
     u = model._as_batch(U)
-    kind = model.spec.kind
+    kind = model.kind
     if kind == GAUSSIAN:
         return np.full(len(u), -np.trace(model.unpack(theta)))
     if kind == RING:
         r = np.linalg.norm(u, axis=1)
-        return -theta[0] * (1.0 + (model.spec.dim - 1) * (r - model.mu) / r)
+        return -theta[0] * (1.0 + (model.dim - 1) * (r - model.mu) / r)
     if kind == LOGNORMAL:
         lu = np.log(u[:, 0])
         return (theta[0] * lu - theta[0] + 1.0) / u[:, 0] ** 2
@@ -117,12 +134,12 @@ def score_matching_loss(model, theta, x):
     log phi is, so their theta-derivatives are the differences between
     their values at the unit vector e_k and at 0."""
     theta = np.asarray(theta, dtype=float)
-    score = model.grad_u(theta, x)
+    score = grad_u(model, theta, x)
     value = float(np.mean(laplacian_u(model, theta, x) + 0.5 * np.sum(score**2, axis=1)))
     zero = np.zeros(len(theta))
-    lap0, score0 = laplacian_u(model, zero, x), model.grad_u(zero, x)
+    lap0, score0 = laplacian_u(model, zero, x), grad_u(model, zero, x)
     grad = [np.mean(laplacian_u(model, e, x) - lap0
-                    + np.sum((model.grad_u(e, x) - score0) * score, axis=1))
+                    + np.sum((grad_u(model, e, x) - score0) * score, axis=1))
             for e in np.eye(len(theta))]
     return value, np.array(grad)
 

@@ -16,8 +16,7 @@ from cnce import (
     ExperimentConfig,
     OptimizerConfig,
     ParameterError,
-    build_model,
-    default_spec,
+    RingModel,
     estimation_error,
     limit_check,
     persist,
@@ -36,7 +35,7 @@ from cnce.experiments import (
     records_from_csv,
     records_to_csv,
 )
-from cnce.models import BERNOULLI, GAUSSIAN, ICA, KINDS, LOGNORMAL, RING, ModelSpec
+from cnce.models import BERNOULLI, GAUSSIAN, ICA, KINDS, LOGNORMAL, RING
 from cnce.seeding import rng_from
 
 from test_models import make
@@ -44,7 +43,7 @@ from test_models import make
 
 def small_config(kind=BERNOULLI, methods=("cnce",), repeats=2, **kw):
     defaults = dict(
-        model=default_spec(kind),
+        model=make(kind),
         methods=methods,
         n_grid=(200, 400),
         kappa_grid=(2,),
@@ -197,13 +196,12 @@ def test_config_validation():
     base = config_to_json(small_config())
     # and reals must be numbers: true must not run epsilon = 1.0
     integer, real = "must be an integer", "must be a finite real number"
-    owners = {"optimizer": OptimizerConfig, "epsilon_schedule": EpsilonSchedule,
-              "model": ModelSpec}
+    owners = {"optimizer": OptimizerConfig, "epsilon_schedule": EpsilonSchedule}
 
     def construct(key, value):
         """The direct constructor call that owns the JSON key."""
-        if key == "model" and "mu" in value:
-            return small_config(ring_mu=value["mu"])
+        if key == "model":
+            return make(**value)
         if key in owners:
             return owners[key](**value)
         return small_config(**{key: value})
@@ -218,8 +216,8 @@ def test_config_validation():
             ("model", {"kind": "gaussian_precision", "dim": 2.5}, integer),
             ("epsilon", True, real), ("epsilon", "0.5", real),
             ("epsilon", float("inf"), real),
-            ("ring_mu", True, real),
-            ("model", {"kind": "gaussian_precision", "mu": False}, real),
+            ("model", {"kind": "ring", "mu": False}, real),
+            ("model", {"kind": "ring", "dim": 2, "mu": "3.0"}, real),
             ("epsilon_schedule", {"epsilon_0": True}, real),
             ("epsilon_schedule", {"delta": "0.1"}, real),
             ("epsilon_schedule", {"growth": float("nan")}, real),
@@ -356,8 +354,8 @@ def test_run_single_records_the_best_point_of_a_run_that_turns_nonfinite(
     ((raw0, run),) = runs
     assert (run.stop, run.iters) == ("nonfinite", 300)
     assert not record.converged and "not converged (nonfinite)" in warnings
-    model = cfg.build_model()
-    p = model.spec.param_count
+    model = cfg.model
+    p = model.param_count
     theta_hat = run.theta[:p]
     assert trace["theta_hat"] == list(theta_hat)
     assert record.error == estimation_error(model, theta_hat, trace["theta_true"])
@@ -383,11 +381,11 @@ def test_run_single_ica_mle_maps_a_nonfinite_run_back_from_whitening(monkeypatch
     assert (trace["stop"], trace["iters"]) == ("nonfinite", 0)
     assert not record.converged and "not converged (nonfinite)" in warnings
     seed = stable_hash(3, ICA, "mle", 500, 5, 0)
-    b0 = cfg.build_model().init_theta(
+    b0 = cfg.model.init_theta(
         rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")),
         cfg.optimizer.init_scale)
     assert np.allclose(trace["theta_hat"], b0, rtol=1e-12, atol=1e-14)
-    assert record.error == estimation_error(cfg.build_model(), trace["theta_hat"],
+    assert record.error == estimation_error(cfg.model, trace["theta_hat"],
                                             trace["theta_true"])
 
 
@@ -568,6 +566,14 @@ def test_config_json_roundtrip():
     cfg = small_config(kind=RING, methods=("cnce", "nce"), epsilon=1.25)
     again = config_from_json(config_to_json(cfg))
     assert again == cfg
+    # the ring's mu is a field of the model, and is written there alone
+    cfg = small_config(model=RingModel(dim=3, mu=2.5), methods=("cnce", "nce"))
+    obj = config_to_json(cfg)
+    assert obj["model"] == {"kind": RING, "dim": 3, "mu": 2.5}
+    assert not {"ring_mu", "mu"} & set(obj)
+    again = config_from_json(obj)
+    assert again == cfg and again.model.mu == 2.5
+    assert again != small_config(kind=RING, methods=("cnce", "nce"))
 
 
 def test_config_json_accepts_and_drops_the_removed_optimizer_keys(caplog):
@@ -591,8 +597,19 @@ def test_config_json_unknown_key():
     with pytest.raises(ParameterError) as err:
         config_from_json(obj)
     assert "typo_key" in str(err.value)
-    # a model without dim takes its kind's default dim, once the kind is known
+    # a model takes its class's defaults for the fields it leaves out
     del obj["typo_key"]
+    obj["model"] = {"kind": RING}
+    assert config_from_json(obj).model == RingModel(dim=5, mu=4.0)
+    # a model takes only its own class's fields: mu is the ring's alone, and
+    # there is no top-level ring_mu
+    for key, value, message in (
+            ("model", {"kind": GAUSSIAN, "dim": 2, "mu": 2.5}, "unknown key 'mu' in model"),
+            ("model", {"kind": BERNOULLI, "mu": 3.0}, "unknown key 'mu' in model"),
+            ("ring_mu", 7.0, "unknown key 'ring_mu' in experiment config")):
+        with pytest.raises(ParameterError, match=message):
+            config_from_json(dict(obj, **{key: value}))
+    # and it must name a known kind
     obj["model"] = {"kind": "typo_kind"}
     with pytest.raises(ParameterError, match="unknown model kind 'typo_kind'"):
         config_from_json(obj)
@@ -662,7 +679,7 @@ def test_summary_quantiles_with_failures_follow_a_huge_stand_in(errors):
 # ---------------------------------------------------------------------------
 
 def test_limit_check_zero_eps_row_exact():
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     rows = limit_check(model.pack(np.eye(5)), [0.0], 5_000, 3)
     (row,) = rows
     assert row.mc_loss == pytest.approx(2 * np.log(2), rel=1e-15)
@@ -671,7 +688,7 @@ def test_limit_check_zero_eps_row_exact():
 
 
 def test_limit_check_residual_decay():
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     rows = limit_check(model.pack(np.eye(5)), [0.08, 0.04], 200_000, 5)
     assert abs(rows[0].residual) / abs(rows[1].residual) >= 6.0
     for row in rows:
@@ -680,7 +697,7 @@ def test_limit_check_residual_decay():
 
 
 def test_limit_check_flags_unresolvable():
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     rows = limit_check(model.pack(np.eye(5)), [1e-5], 2_000, 7)
     assert rows[0].flagged
 

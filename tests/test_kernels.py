@@ -8,9 +8,7 @@ from cnce import (
     GaussianPerturbKernel,
     MarginalKernel,
     ParameterError,
-    build_model,
     cnce_loss,
-    default_spec,
     fit_marginal,
     log_density_marginal,
     sample_conditional,
@@ -19,6 +17,8 @@ from cnce import (
 from cnce.losses import cnce_objective
 from cnce.models import GAUSSIAN, RING
 from cnce.seeding import rng_from
+
+from test_models import make
 
 
 def pairing_at_data(x: np.ndarray, kappa: int = 1) -> np.ndarray:
@@ -99,8 +99,8 @@ def test_kernel_validation():
 def test_kernel_class_states_its_epsilon_cap():
     assert BernoulliFlipKernel.epsilon_cap == 1.0  # a flip probability
     assert GaussianPerturbKernel.epsilon_cap is None
-    assert build_model(default_spec("bernoulli")).kernel is BernoulliFlipKernel
-    assert build_model(default_spec(GAUSSIAN)).kernel is GaussianPerturbKernel
+    assert make("bernoulli").kernel is BernoulliFlipKernel
+    assert make(GAUSSIAN).kernel is GaussianPerturbKernel
 
 
 def test_kernel_for_data_per_dim_scaling():
@@ -118,7 +118,7 @@ def test_pairing_at_data_is_identity():
 
 def test_pairing_shape_validation():
     """Caller-supplied noise must be (n, kappa, dim) around the n data."""
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     x = rng_from(7).standard_normal((5, 5))
     theta = model.pack(np.eye(5))
     cnce_loss(model, theta, x, pairing_at_data(x, kappa=2))
@@ -195,7 +195,7 @@ def test_fit_marginal_needs_enough_points():
 
 def test_ring_marginal_concentrates_inside_shell():
     # manifold data: the moment-matched noise oversamples the shell interior
-    model = build_model(default_spec(RING))
+    model = make(RING)
     gamma = 25.0
     x = model.sample(np.array([gamma]), 20_000, rng_from(11))
     k = fit_marginal(x)

@@ -15,9 +15,7 @@ from cnce import (
     RingModel,
     TWO_LOG2,
     UnsupportedModelError,
-    build_model,
     cnce_loss,
-    default_spec,
     estimation_error,
     fit_marginal,
     log_density_marginal,
@@ -42,7 +40,6 @@ from cnce.models import (
     LOGNORMAL,
     RING,
     GaussianPrecisionModel,
-    ModelSpec,
 )
 from cnce.seeding import rng_from
 
@@ -53,7 +50,7 @@ from test_models import make, random_points, random_theta
 
 
 def make_noise(model, theta, x, kappa, seed):
-    eps = 0.25 if model.spec.kind == BERNOULLI else 0.4
+    eps = 0.25 if model.kind == BERNOULLI else 0.4
     return sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
 
 
@@ -69,7 +66,7 @@ def test_G_zero_for_identical_arguments():
 
 
 def test_G_frozen_gaussian_1d():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     g = cnce_G(model, np.array([1.0]), np.array([1.0]), np.array([1.5]))
     assert g == pytest.approx(0.625, rel=1e-15)  # -(1 - 2.25)/2
 
@@ -89,7 +86,7 @@ def test_G_antisymmetry(seed):
 # ---------------------------------------------------------------------------
 
 def test_cnce_loss_frozen_single_pair():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     x = np.array([[1.0]])
     noise = pairing_at_data(x)
     noise[0, 0, 0] = 1.5
@@ -113,7 +110,7 @@ def test_cnce_loss_eps0_identity(kind):
 
 
 def test_cnce_loss_large_G_limit():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     x = np.array([[0.0]])
     noise = pairing_at_data(x)
     noise[0, 0, 0] = 60.0  # G = 1800 at lambda = 1: softplus underflows to 0
@@ -197,7 +194,7 @@ def test_cnce_gradient_finite_differences(kind):
         noise = make_noise(model, theta, x, 3, 1000 + rep_i)
         if kind == ICA:
             b = model.unpack(theta)
-            pts = np.vstack([x, noise.reshape(-1, model.spec.dim)])
+            pts = np.vstack([x, noise.reshape(-1, model.dim)])
             if np.min(np.abs(pts @ b.T)) < 1e-3:
                 continue
         assert_oracle_and_objective_grads_match(
@@ -404,6 +401,7 @@ class _LaplaceLocation(_Model):
     for the oracles."""
 
     methods = ("cnce", "nce")
+    affine = False
 
     def log_phi(self, theta, U):
         return -np.abs(np.asarray(U, dtype=float).reshape(-1) - theta[0])
@@ -449,14 +447,14 @@ class _MarginalAsModel:
 
     def __init__(self, marginal, dim):
         self.marginal = marginal
-        self.spec = ModelSpec(GAUSSIAN, dim)
+        self.param_count = dim * (dim + 1) // 2  # a Gaussian's
 
     def log_phi(self, theta, U):
         return log_density_marginal(self.marginal, U)
 
     @staticmethod
     def grad_theta(model, theta, U):
-        return np.zeros((len(U), model.spec.param_count))
+        return np.zeros((len(U), model.param_count))
 
 
 def test_nce_indifferent_classifier_value():
@@ -533,7 +531,7 @@ def test_nce_log_normaliser_shifts_before_exp():
 # ---------------------------------------------------------------------------
 
 def test_score_matching_gaussian_1d_formula():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     x = rng_from(53).standard_normal((100_000, 1))
     value = score_matching_objective(model, x)(np.array([1.0]))[0]
     assert value == pytest.approx(-1.0 + 0.5 * np.mean(x**2), rel=1e-12)
@@ -548,7 +546,7 @@ def test_score_matching_single_point_identity():
 
 def test_score_matching_1d_minimiser():
     x = rng_from(54).standard_normal((50_000, 1)) * 1.7
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     m2 = float(np.mean(x**2))
     lam_star = 1.0 / m2  # solves d/dlambda [-lambda + lambda^2 m2 / 2] = 0
     grid = np.linspace(0.1, 3.0, 2_000)
@@ -635,7 +633,7 @@ def test_ica_mle_objective_oracle_value_and_finite_differences():
     from scipy.stats import laplace
 
     model = make(ICA)
-    d = model.spec.dim
+    d = model.dim
     x = model.sample(model.random_params(rng_from(69)), 400, rng_from(70))
     objective = ica_mle_objective(model, x)
     for seed in (71, 72):
@@ -659,7 +657,7 @@ def test_ica_mle_objective_whitening_invariance():
     # and the gradients map as G = G~ C^{1/2}; both checked against central
     # finite differences of loss_x
     model = make(ICA)
-    d = model.spec.dim
+    d = model.dim
     theta = model.random_params(rng_from(66))
     x = model.sample(theta, 500, rng_from(67))
     evals, evecs = np.linalg.eigh(x.T @ x / len(x))

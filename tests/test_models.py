@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cnce import (
+    BernoulliModel,
     DomainError,
-    ModelSpec,
+    GaussianPrecisionModel,
+    IcaLaplaceModel,
+    LogNormalExtModel,
     ParameterError,
+    RingModel,
     SingularityError,
     UnsupportedModelError,
-    build_model,
-    default_spec,
 )
 from cnce.models import (
+    _CLASSES,
     BERNOULLI,
     GAUSSIAN,
     ICA,
@@ -26,13 +29,13 @@ from cnce.models import (
 )
 from cnce.seeding import rng_from
 
-from oracles import grad_theta, laplacian_u
+from oracles import grad_theta, grad_u, laplacian_u
 
 SMOOTH = (GAUSSIAN, RING, LOGNORMAL)
 
 
-def make(kind, **kw):
-    return build_model(default_spec(kind), **kw)
+def make(kind, **fields):
+    return _CLASSES[kind](**fields)
 
 
 def random_theta(model, rng):
@@ -40,33 +43,45 @@ def random_theta(model, rng):
 
 
 def random_points(model, theta, rng, m=6):
-    kind = model.spec.kind
+    kind = model.kind
     if kind == BERNOULLI:
         return (rng.random(m) < 0.5).astype(float)[:, None]
     if kind == LOGNORMAL:
         return np.exp(rng.standard_normal(m))[:, None]
-    return rng.standard_normal((m, model.spec.dim)) + 0.5
+    return rng.standard_normal((m, model.dim)) + 0.5
 
 
 # ---------------------------------------------------------------------------
-# spec / packing
+# config fields / packing
 # ---------------------------------------------------------------------------
 
 def test_param_counts():
-    assert ModelSpec(GAUSSIAN, 5).param_count == 15
-    assert ModelSpec(ICA, 4).param_count == 16
-    assert ModelSpec(RING, 5).param_count == 1
-    assert ModelSpec(LOGNORMAL, 1).param_count == 2
-    assert ModelSpec(BERNOULLI, 1).param_count == 2
+    assert GaussianPrecisionModel(5).param_count == 15
+    assert IcaLaplaceModel(4).param_count == 16
+    assert RingModel(5).param_count == 1
+    assert LogNormalExtModel(1).param_count == 2
+    assert BernoulliModel(1).param_count == 2
+    # each class states its kind, and the class defaults are the paper's
+    assert [(kind, cls.kind, cls().dim) for kind, cls in _CLASSES.items()] == [
+        (GAUSSIAN, GAUSSIAN, 5), (ICA, ICA, 4), (RING, RING, 5),
+        (LOGNORMAL, LOGNORMAL, 1), (BERNOULLI, BERNOULLI, 1)]
+    assert list(_CLASSES) == list(KINDS)
 
 
 def test_spec_validation():
-    with pytest.raises(ParameterError):
-        ModelSpec("nope", 3)
-    with pytest.raises(ParameterError):
-        ModelSpec(GAUSSIAN, 0)
-    with pytest.raises(ParameterError):
-        ModelSpec(BERNOULLI, 2)
+    # a model is its own spec: its fields are checked when it is built
+    for cls, dim in ((GaussianPrecisionModel, 0), (IcaLaplaceModel, 0),
+                     (RingModel, 1), (LogNormalExtModel, 2), (BernoulliModel, 2)):
+        with pytest.raises(ParameterError, match="model needs dim"):
+            cls(dim)
+    with pytest.raises(ParameterError, match="dim must be an integer"):
+        GaussianPrecisionModel(2.5)
+    with pytest.raises(ParameterError, match="mu must be a finite real number"):
+        RingModel(mu="4")
+    assert RingModel(2, 3) == RingModel(dim=2.0, mu=3) != RingModel(2, 3.5)
+    assert type(RingModel(2, 3).mu) is float and type(RingModel(2.0).dim) is int
+    with pytest.raises(AttributeError):
+        RingModel().mu = 1.0  # frozen
 
 
 def test_gaussian_pack_roundtrip():
@@ -87,7 +102,7 @@ def test_log_phi_gaussian_identity_at_origin():
 
 
 def test_log_phi_ring_on_shell():
-    model = build_model(ModelSpec(RING, 5), mu=2.0)
+    model = make(RING, dim=5, mu=2.0)
     u = np.array([2.0, 0, 0, 0, 0])
     assert model.log_phi(np.array([3.0]), u)[0] == 0.0
 
@@ -131,7 +146,7 @@ def test_domain_errors():
 # ---------------------------------------------------------------------------
 
 def test_grad_theta_gaussian_1d():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     g = grad_theta(model, np.array([1.0]), np.array([[2.0]]))
     assert g[0, 0] == -2.0  # d/dlambda of -u^2 lambda / 2
 
@@ -143,7 +158,7 @@ def test_grad_theta_ring_zero_on_shell():
 
 
 def fd_grad_theta(model, theta, u, h=1e-6):
-    g = np.zeros(model.spec.param_count)
+    g = np.zeros(model.param_count)
     for k in range(len(g)):
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
@@ -211,18 +226,19 @@ def test_grad_u_gaussian_identity():
     theta = model.pack(np.eye(5))
     u = np.array([1.0, 0, 0, 0, 0])
     assert np.array_equal(model.grad_u(theta, u)[0], -u)
+    assert np.array_equal(grad_u(model, theta, u)[0], -u)
     assert laplacian_u(model, theta, u)[0] == -5.0
 
 
 def test_grad_u_ring_2d():
-    model = build_model(ModelSpec(RING, 2), mu=1.0)
-    g = model.grad_u(np.array([1.0]), np.array([2.0, 0.0]))[0]
+    model = make(RING, dim=2, mu=1.0)
+    g = grad_u(model, np.array([1.0]), np.array([2.0, 0.0]))[0]
     assert g == pytest.approx([-1.0, 0.0], abs=1e-12)
 
 
 def test_grad_u_lognormal_at_one():
     model = make(LOGNORMAL)
-    g = model.grad_u(np.array([1.0, -5.0]), np.array([1.0]))[0, 0]
+    g = grad_u(model, np.array([1.0, -5.0]), np.array([1.0]))[0, 0]
     assert g == -1.0
 
 
@@ -236,7 +252,10 @@ def test_grad_u_and_laplacian_match_finite_differences(kind):
         u = random_points(model, theta, rng, m=1)[0]
         if kind == LOGNORMAL:
             u = np.abs(u) + 0.3
-        grad = model.grad_u(theta, u[None, :])[0]
+        grad = grad_u(model, theta, u[None, :])[0]
+        if kind == GAUSSIAN:  # the one model that keeps grad_u, for limit_check
+            assert np.allclose(model.grad_u(theta, u[None, :])[0], grad,
+                               rtol=1e-14, atol=1e-14)
         lap = laplacian_u(model, theta, u[None, :])[0]
         fd = np.zeros_like(u)
         fd2 = 0.0
@@ -255,21 +274,35 @@ def test_grad_u_and_laplacian_match_finite_differences(kind):
 
 @pytest.mark.parametrize("kind", SMOOTH)
 def test_score_quadratic_matches_grad_u_and_laplacian(kind):
-    # grad_u and the oracle's laplacian_u are checked against log_phi above
+    # the oracle's grad_u and laplacian_u are checked against log_phi above
     # and share no code with score_quadratic
     model = make(kind)
     rng = rng_from(17, kind)
     x = model.sample(random_theta(model, rng), 300, rng_from(18, kind))
     a, b, c = model.score_quadratic(x)
-    p = model.spec.param_count
+    p = model.param_count
     assert a.shape == (p, p) and b.shape == (p,)
     assert np.array_equal(a, a.T)
     for _ in range(6):
         theta = random_theta(model, rng) * rng.uniform(0.2, 3.0, p)
-        grad_u = model.grad_u(theta, x)
-        loss = np.mean(laplacian_u(model, theta, x) + 0.5 * np.sum(grad_u**2, axis=1))
+        score = grad_u(model, theta, x)
+        loss = np.mean(laplacian_u(model, theta, x) + 0.5 * np.sum(score**2, axis=1))
         quad = 0.5 * theta @ a @ theta + b @ theta + c
         assert quad == pytest.approx(loss, rel=1e-10, abs=1e-12)
+
+
+def test_grad_u_unsupported_and_singular():
+    # only the Gaussian states grad_u, for limit_check, and it has no
+    # singular point; the oracle states it for the smooth kinds alone
+    for kind in (ICA, RING, LOGNORMAL, BERNOULLI):
+        assert not hasattr(make(kind), "grad_u")
+    model = make(GAUSSIAN)
+    assert np.array_equal(model.grad_u(model.pack(np.eye(5)), np.zeros(5)),
+                          np.zeros((1, 5)))
+    for kind in (ICA, BERNOULLI):
+        model = make(kind)
+        with pytest.raises(KeyError, match="not smooth"):
+            grad_u(model, model.random_params(rng_from(0)), np.ones(model.dim))
 
 
 def test_score_quadratic_unsupported_and_singular():
@@ -281,17 +314,6 @@ def test_score_quadratic_unsupported_and_singular():
         make(RING).score_quadratic(np.vstack([np.ones(5), np.zeros(5)]))
     with pytest.raises(DomainError):
         make(LOGNORMAL).score_quadratic(np.array([[1.0], [0.0]]))
-
-
-def test_grad_u_unsupported_and_singular():
-    with pytest.raises(UnsupportedModelError):
-        make(ICA).grad_u(make(ICA).random_params(rng_from(0)), np.ones(4))
-    with pytest.raises(UnsupportedModelError):
-        make(BERNOULLI).grad_u(np.array([0.5, 0.5]), np.array([1.0]))
-    with pytest.raises(SingularityError):
-        make(RING).grad_u(np.array([1.0]), np.zeros(5))
-    with pytest.raises(DomainError):
-        make(LOGNORMAL).grad_u(np.array([1.0, -5.0]), np.array([-1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +386,7 @@ def test_sampler_recovers_theta_by_score_matching(kind, param):
 
 
 def test_ring_sampler_positive_radius():
-    model = build_model(ModelSpec(RING, 3), mu=1.0)
+    model = make(RING, dim=3, mu=1.0)
     x = model.sample(np.array([1.0]), 20_000, rng_from(8))
     assert np.all(np.linalg.norm(x, axis=1) > 0)
 

@@ -10,7 +10,6 @@ import pytest
 from cnce import (
     ExperimentConfig,
     OptimizerConfig,
-    default_spec,
     fit_marginal,
     minimize,
     run_single,
@@ -173,7 +172,7 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
 def test_lognormal_nce_overflowing_trials_leak_no_warnings():
     # with the precision in log-space, this seed's first Newton trial
     # overflowed exp; the cell must converge without a RuntimeWarning
-    cfg = ExperimentConfig(model=default_spec(LOGNORMAL), methods=("nce",),
+    cfg = ExperimentConfig(model=make(LOGNORMAL), methods=("nce",),
                            n_grid=(4000,), kappa_grid=(10,), repeats=1,
                            master_seed=124981826)
     with warnings.catch_warnings():

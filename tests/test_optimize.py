@@ -15,18 +15,17 @@ from cnce import (
     ParameterError,
     TWO_LOG2,
     adapt_epsilon,
-    build_model,
     cnce_loss,
-    default_spec,
     minimize,
     sample_conditional,
 )
 from cnce.experiments import config_from_json
 from cnce.losses import cnce_objective
-from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING, ModelSpec
+from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
 from cnce.seeding import rng_from, stable_hash
 
 import oracles
+from test_models import make
 
 
 def quadratic_bowl(a):
@@ -130,7 +129,7 @@ def test_minimize_records_traces_and_iters():
 
 
 def test_gaussian_1d_cnce_matches_grid_search():
-    model = build_model(ModelSpec(GAUSSIAN, 1))
+    model = make(GAUSSIAN, dim=1)
     x = model.sample(np.array([1.0]), 10_000, rng_from(1))
     noise = sample_conditional(model.kernel.for_data(0.4, x), x, 10, 2)
     objective = cnce_objective(model, x, noise)
@@ -188,9 +187,6 @@ class _FlatModel:
 
     kernel = GaussianPerturbKernel
 
-    def __init__(self):
-        self.spec = ModelSpec(GAUSSIAN, 2)
-
     def log_phi(self, theta, U):
         return np.zeros(len(np.atleast_2d(U)))
 
@@ -203,7 +199,7 @@ def test_adapt_epsilon_flat_model_hits_cap():
 
 
 def test_adapt_epsilon_gaussian_returns_gap():
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     x = model.sample(model.pack(np.eye(5)), 4_000, rng_from(9))
     theta0 = model.pack(np.eye(5))
     sched = EpsilonSchedule()
@@ -216,7 +212,7 @@ def test_adapt_epsilon_gaussian_returns_gap():
 
 
 def test_adapt_epsilon_tiny_delta_returns_floor():
-    model = build_model(default_spec(GAUSSIAN))
+    model = make(GAUSSIAN)
     x = model.sample(model.pack(np.eye(5)), 2_000, rng_from(11))
     sched = EpsilonSchedule(delta=1e-9)
     eps, capped = adapt_epsilon(model, model.pack(np.eye(5)), x,
@@ -225,7 +221,7 @@ def test_adapt_epsilon_tiny_delta_returns_floor():
 
 
 def test_adapt_epsilon_deterministic_and_on_ladder():
-    model = build_model(default_spec(BERNOULLI))
+    model = make(BERNOULLI)
     x = model.sample(np.log([0.4, 0.6]), 3_000, rng_from(13))
     sched = EpsilonSchedule()
     out1 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
@@ -252,7 +248,7 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
     ending at the flip kernel's own cap, eps = 1, is not capped."""
     import cnce.optimize
 
-    model = build_model(default_spec(kind))
+    model = make(kind)
     assert model.kernel is _KERNELS[kernel_name]
     rng = rng_from(15, kind)
     theta = model.random_params(rng)
@@ -325,7 +321,7 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
         cfg = config_from_json(obj)
         if "cnce" not in cfg.methods:
             continue
-        model = cfg.build_model()
+        model = cfg.model
         for n in cfg.n_grid:
             for kappa in cfg.kappa_grid:
                 cell = stable_hash(cfg.master_seed, cfg.model.kind, "cnce", n, kappa, 0)

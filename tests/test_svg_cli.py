@@ -285,7 +285,8 @@ def test_stale_chart_stops_experiment_and_report_before_any_output(tmp_path, cap
 
 def test_experiment_seed_override_changes_results(tmp_path):
     cfg = write_json(tmp_path / "e.json", experiment_config(
-        repeats=1, ring_mu=3.5, epsilon_schedule={"epsilon_0": 0.07, "delta": 0.1}))
+        model={"kind": "ring", "dim": 2, "mu": 3.5}, methods=["cnce"], repeats=1,
+        epsilon_schedule={"epsilon_0": 0.07, "delta": 0.1}))
     main(["experiment", "--config", cfg, "--out", str(tmp_path / "a")])
     main(["experiment", "--config", cfg, "--out", str(tmp_path / "b"),
           "--seed", "999"])
@@ -296,7 +297,8 @@ def test_experiment_seed_override_changes_results(tmp_path):
     kept = json.load(open(tmp_path / "a" / "summary.json"))["config"]
     got = json.load(open(tmp_path / "b" / "summary.json"))["config"]
     assert (kept["master_seed"], got["master_seed"]) == (11, 999)
-    assert got["ring_mu"] == 3.5
+    assert got["model"] == {"kind": "ring", "dim": 2, "mu": 3.5}
+    assert "ring_mu" not in got
     assert got["optimizer"]["max_iters"] == 120
     assert got["optimizer"]["adam_step"] == 0.05
     assert "plateau_window" not in got["optimizer"]  # deprecated, not written
@@ -402,13 +404,12 @@ def test_usage_error_exit_1(capsys):
 _ONE_CELL_PER_METHOD = """
 import sys, cnce, cnce.cli
 from cnce.experiments import ExperimentConfig, run_single
-from cnce.models import KINDS, build_model, default_spec
+from cnce.models import _CLASSES
 from cnce.optimize import OptimizerConfig
 
-for kind in KINDS:
-    spec = default_spec(kind)
-    methods = build_model(spec).methods
-    cfg = ExperimentConfig(model=spec, methods=methods, n_grid=(40,),
+for cls in _CLASSES.values():
+    methods = cls.methods
+    cfg = ExperimentConfig(model=cls(), methods=methods, n_grid=(40,),
                            kappa_grid=(2,), repeats=1,
                            optimizer=OptimizerConfig(max_iters=20))
     for method in methods:

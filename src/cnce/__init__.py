@@ -2,6 +2,16 @@
 NCE, score-matching and MLE baselines and a deterministic experiment
 harness."""
 
+import os
+
+# One BLAS thread unless the user chose a count: the package's products
+# have at most a few dozen columns, where a second OpenBLAS thread buys no
+# wall time and costs CPU.  numpy reads the count when it is first
+# imported, so this default holds only when cnce is imported before numpy;
+# worker processes inherit it through the environment.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     CnceError,
     DomainError,

@@ -11,8 +11,11 @@ to act on it).  A run whose loss turned non-finite is one that did not
 converge, with the warning "not converged (nonfinite)".  A ladder that ends
 at its kernel's own cap, the flip kernel at probability 1, is no warning.
 All outputs are deterministic functions of (config, seed) for one
-numpy/OpenBLAS build and BLAS thread count (``OPENBLAS_NUM_THREADS``): no
-timing or environment state is written.
+numpy/OpenBLAS build and allocation pattern: no timing or environment state
+is written.  The command runs at one BLAS thread unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set,
+and its outputs do not depend on that count at the shapes checked; the
+determinism contract in ``experiments`` gives them and their limits.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each

@@ -6,14 +6,20 @@ Determinism contract: every run derives its generator from
 ``stable_hash(master_seed, model kind, method, n, kappa, repeat)`` and
 sub-streams from named child hashes, so results are independent of execution
 order and worker count, and re-running a config reproduces the output files
-byte for byte, for one numpy/OpenBLAS build, BLAS thread count and
-allocation pattern: OpenBLAS can round a product of the same array
-differently at another memory alignment, or split a long dot product
-differently across another number of threads (``OPENBLAS_NUM_THREADS``,
-read when numpy is imported), which moves an error in its last digits.
-Wall-clock time is deliberately not persisted (the wall_ms column is
-written as 0) to keep that guarantee; timings live on the in-memory
-optimiser traces.
+byte for byte, for one numpy/OpenBLAS build and allocation pattern: OpenBLAS
+can round a product of the same array differently at another memory
+alignment, which moves an error in its last digits.  The bytes do not depend
+on the BLAS thread count at the shapes checked, every model at its default
+dim with N up to 8000 and kappa 10: the one product OpenBLAS splits across
+threads there, a one-column ``vjp``, sums in numpy instead.  Wider
+products can still split at other shapes; the Gaussian at dim 4 or 6 with
+N = 8000, kappa = 10 moves in its last digits between 1 and 2 threads.
+``import cnce`` sets one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
+numpy reads the count when it is first imported, so the default holds only
+when ``cnce`` is imported before numpy.  Wall-clock time is deliberately
+not persisted (the wall_ms column is written as 0) to keep that guarantee;
+timings live on the in-memory optimiser traces.
 """
 
 from __future__ import annotations

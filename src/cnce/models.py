@@ -86,6 +86,10 @@ class _AffineRows:
         np.dot(self.phi, theta, out=out)
 
     def vjp(self, w):
+        if self.phi.shape[1] == 1:
+            # OpenBLAS splits a one-column product's sum across its threads,
+            # so its bits would depend on the thread count; einsum's do not
+            return np.einsum("i,ij->j", w, self.phi)
         return w @ self.phi
 
     def gram(self, c):
@@ -184,9 +188,6 @@ class GaussianPrecisionModel(_Model):
         # d log phi / d theta_k = coef_k u_i u_j for packed entry k = (i, j)
         object.__setattr__(self, "_iu", iu)
         object.__setattr__(self, "_coef", np.where(iu[0] == iu[1], -0.5, -1.0))
-        # Lam = sum_k theta_k E_k, with E_k the 0/1 matrix of entry k and its mirror
-        object.__setattr__(self, "_basis", np.array(
-            [self.unpack(e) for e in np.eye(self.param_count)]))
 
     @property
     def param_count(self) -> int:
@@ -230,7 +231,10 @@ class GaussianPrecisionModel(_Model):
         # mean(-tr Lam + |Lam u|^2 / 2) = -tr Lam + tr(Lam S Lam) / 2, S = x'x / n
         x = self._as_batch(x)
         s = x.T @ x / len(x)
-        a = np.einsum("kab,lba->kl", self._basis @ s, self._basis)
+        # Lam = sum_k theta_k E_k, with E_k the 0/1 matrix of entry k and its
+        # mirror: a (p, d, d) stack, O(d^4), so built only here
+        basis = np.array([self.unpack(e) for e in np.eye(self.param_count)])
+        a = np.einsum("kab,lba->kl", basis @ s, basis)
         b = np.where(self._iu[0] == self._iu[1], -1.0, 0.0)
         return 0.5 * (a + a.T), b, 0.0
 

@@ -263,10 +263,14 @@ def test_run_grid_bit_identical_reruns():
 
 
 def test_run_grid_jobs_agree():
-    cfg = small_config(methods=("cnce", "mle"), repeats=2)
-    serial = run_grid(cfg, jobs=1)[0]
-    parallel = run_grid(cfg, jobs=4)[0]
-    assert records_to_csv(serial) == records_to_csv(parallel)
+    for cfg in (small_config(methods=("cnce", "mle"), repeats=2),
+                # the ring's long one-column products: 40 000 CNCE pairs and
+                # 44 000 NCE rows
+                small_config(kind=RING, methods=("cnce", "nce"), n_grid=(4000,),
+                             kappa_grid=(10,), repeats=1)):
+        serial = run_grid(cfg, jobs=1)[0]
+        parallel = run_grid(cfg, jobs=4)[0]
+        assert records_to_csv(serial) == records_to_csv(parallel)
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

@@ -84,6 +84,16 @@ def test_spec_validation():
         RingModel().mu = 1.0  # frozen
 
 
+def test_large_gaussian_builds_in_quadratic_memory():
+    # a config is validated by building its model: no (p, d, d) stack, p =
+    # d(d + 1)/2, which at dim 200 would ask ~6.4 GB
+    dim = 200
+    model = GaussianPrecisionModel(dim)
+    for value in vars(model).values():
+        for array in (value if isinstance(value, tuple) else (value,)):
+            assert np.size(array) <= dim * dim
+
+
 def test_gaussian_pack_roundtrip():
     model = make(GAUSSIAN)
     rng = rng_from(1)

@@ -15,7 +15,11 @@ numpy/OpenBLAS build and allocation pattern: no timing or environment state
 is written.  The command runs at one BLAS thread unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set,
 and its outputs do not depend on that count at the shapes checked; the
-determinism contract in ``experiments`` gives them and their limits.
+determinism contract in ``experiments`` gives them, and the wider shapes
+(a Gaussian at dim 7 or 8, say) whose outputs do.  Each output file is
+written whole to a temporary file and then moved into place, and a JSON
+output writes a non-finite number, such as a failed cell's error, as
+``null``.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
@@ -28,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from collections import Counter
 
@@ -36,6 +39,8 @@ import numpy as np
 
 from .errors import CnceError, ParameterError
 from .experiments import (
+    check_config,
+    check_outputs,
     config_from_json,
     config_to_json,
     limit_check,
@@ -43,14 +48,15 @@ from .experiments import (
     persist,
     run_grid,
     run_single,
-    _check_keys,
+    summarize,
+    write_outputs,
 )
 from .models import GaussianPrecisionModel
 from .svgplot import chart_series_for_model, render_loglog
 
-_ESTIMATE_KEYS = {"schema", "model", "method", "n", "kappa", "epsilon", "seed",
-                  "optimizer", "epsilon_schedule"}
-_LIMIT_KEYS = {"schema", "eps_grid", "mc_pairs", "seed", "precision"}
+_ESTIMATE_KEYS = {"model", "method", "n", "kappa", "epsilon", "seed", "optimizer",
+                  "epsilon_schedule"}
+_LIMIT_KEYS = {"eps_grid", "mc_pairs", "seed", "precision"}
 
 
 def _load_config(path: str) -> dict:
@@ -61,20 +67,10 @@ def _load_config(path: str) -> dict:
         raise ParameterError(f"config is not valid JSON: {exc}")
 
 
-def _guard_outputs(paths, force: bool):
-    for path in paths:
-        if os.path.exists(path) and not force:
-            raise FileExistsError(f"{path} exists (pass --force to overwrite)")
-
-
 def cmd_estimate(args) -> int:
     obj = _load_config(args.config)
-    _check_keys(obj, _ESTIMATE_KEYS, "estimate config")
-    if obj.get("schema") != 1:
-        raise ParameterError("missing or unsupported 'schema' (expected 1)")
-    for key in ("model", "method", "n", "kappa"):
-        if key not in obj:
-            raise ParameterError(f"missing key {key!r} in estimate config")
+    check_config(obj, _ESTIMATE_KEYS, ("model", "method", "n", "kappa"),
+                 "estimate config")
     grid = {
         "schema": 1,
         "model": obj["model"],
@@ -89,13 +85,8 @@ def cmd_estimate(args) -> int:
     cfg = config_from_json(grid)
     record, warnings, trace = run_single(cfg, obj["method"], cfg.n_grid[0],
                                          cfg.kappa_grid[0], 0, collect_trace=True)
-
-    os.makedirs(args.out, exist_ok=True)
-    trace_path = os.path.join(args.out, f"{record.run_id}.json")
-    _guard_outputs([trace_path], args.force)
-    with open(trace_path, "w") as fh:
-        json.dump(trace, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (trace_path,) = write_outputs(args.out, {f"{record.run_id}.json": trace},
+                                  args.force)
 
     print(f"run_id:    {record.run_id}")
     print(f"theta_hat: {np.array2string(np.asarray(trace['theta_hat']), precision=6)}")
@@ -110,35 +101,23 @@ def cmd_estimate(args) -> int:
     return 2 if warnings else 0
 
 
-def _svg_paths(models, out_dir: str) -> dict:
-    """The chart path of each model, or of an empty report for none."""
-    if not models:
-        return {None: os.path.join(out_dir, "report.svg")}
-    return {model: os.path.join(out_dir, f"{model}.svg") for model in sorted(models)}
-
-
-def _write_report_svgs(records, paths: dict) -> list:
-    for model, path in paths.items():
-        series = chart_series_for_model([r for r in records if r.model == model])
-        title = "estimation error" if model is None else f"{model}: estimation error"
-        with open(path, "w") as fh:
-            fh.write(render_loglog(series, title, "sample size N", "squared error"))
-    return list(paths.values())
+def _chart(title: str, summaries) -> str:
+    return render_loglog(chart_series_for_model(summaries), title,
+                         "sample size N", "squared error")
 
 
 def cmd_experiment(args) -> int:
     cfg = config_from_json(_load_config(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    svgs = _svg_paths([cfg.model.kind], args.out)
-    _guard_outputs([os.path.join(args.out, "results.csv"),
-                    os.path.join(args.out, "summary.json"), *svgs.values()],
-                   args.force)
+    kind = cfg.model.kind
+    check_outputs(args.out, ["results.csv", "summary.json", f"{kind}.svg"],
+                  args.force)
     records, summaries, warnings = run_grid(cfg, jobs=args.jobs)
     paths = persist(records, summaries, config_to_json(cfg), args.out,
                     force=args.force)
-    paths += _write_report_svgs(records, svgs)
+    paths += write_outputs(args.out, {
+        f"{kind}.svg": _chart(f"{kind}: estimation error", summaries)}, args.force)
     for s in summaries:
         print(f"{s.method} n={s.n} kappa={s.kappa}: "
               f"median {s.median:.6g} [q10 {s.q10:.6g}, q90 {s.q90:.6g}]")
@@ -154,9 +133,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_limit_check(args) -> int:
     obj = _load_config(args.config)
-    _check_keys(obj, _LIMIT_KEYS, "limit-check config")
-    if obj.get("schema") != 1:
-        raise ParameterError("missing or unsupported 'schema' (expected 1)")
+    check_config(obj, _LIMIT_KEYS, (), "limit-check config")
     if "precision" in obj:
         theta = obj["precision"]
     else:
@@ -165,13 +142,8 @@ def cmd_limit_check(args) -> int:
     rows = limit_check(theta, obj.get("eps_grid", [0.04, 0.02, 0.01]),
                        obj.get("mc_pairs", 1_000_000),
                        obj.get("seed", 0) if args.seed is None else args.seed)
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "limit_check.json")
-    _guard_outputs([path], args.force)
-    with open(path, "w") as fh:
-        json.dump([dataclasses.asdict(r) for r in rows], fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (path,) = write_outputs(args.out, {
+        "limit_check.json": [dataclasses.asdict(r) for r in rows]}, args.force)
 
     print(f"{'epsilon':>10} {'mc_loss':>16} {'sm_prediction':>16} "
           f"{'residual':>14} flagged")
@@ -184,10 +156,12 @@ def cmd_limit_check(args) -> int:
 
 def cmd_report(args) -> int:
     records = load_records(args.csv)
-    os.makedirs(args.out, exist_ok=True)
-    svgs = _svg_paths({r.model for r in records}, args.out)
-    _guard_outputs(svgs.values(), args.force)
-    for p in _write_report_svgs(records, svgs):
+    charts = {f"{model}.svg": _chart(f"{model}: estimation error",
+                                     summarize([r for r in records if r.model == model]))
+              for model in sorted({r.model for r in records})}
+    if not charts:  # a CSV of no records still gets its empty chart
+        charts = {"report.svg": _chart("estimation error", [])}
+    for p in write_outputs(args.out, charts, args.force):
         print(f"wrote {p}")
     return 0
 

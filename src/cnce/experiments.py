@@ -12,8 +12,14 @@ alignment, which moves an error in its last digits.  The bytes do not depend
 on the BLAS thread count at the shapes checked, every model at its default
 dim with N up to 8000 and kappa 10: the one product OpenBLAS splits across
 threads there, a one-column ``vjp``, sums in numpy instead.  Wider
-products can still split at other shapes; the Gaussian at dim 4 or 6 with
-N = 8000, kappa = 10 moves in its last digits between 1 and 2 threads.
+products still split at other shapes, so there the bytes move between 1
+and 2 threads: the Gaussian at dim 4 or 6 with N = 8000, kappa = 10 in its
+last digits, and a Gaussian ``cnce`` + ``nce`` grid at dim 7 or 8 (N
+1000/4000, kappa 10, master seed 1) in every row.  Products that split
+include ``w @ phi`` over 40 000 rows at 28 columns or more, the weighted
+Gram ``blk.T @ (blk * w)`` of ``models._weighted_gram`` from about 33
+columns in blocks of 1024 rows or more, and a one-column ``x.T @ x`` or
+``np.cov`` over 40 000 rows.
 ``import cnce`` sets one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
 numpy reads the count when it is first imported, so the default holds only
@@ -24,10 +30,12 @@ timings live on the in-memory optimiser traces.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -274,7 +282,9 @@ def _run_task(args):
 def run_grid(cfg: ExperimentConfig, jobs: int = 1):
     """All (method, n, kappa, repeat) cells; returns (records, summaries,
     warnings).  Records come back sorted by run_id whatever the worker
-    count."""
+    count, which must be >= 1."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (method, n, kappa, r)
         for method in cfg.methods
@@ -377,26 +387,63 @@ def records_from_csv(text: str) -> list:
     return out
 
 
-def summary_to_json(cfg_json: dict, summaries) -> str:
-    payload = {"config": cfg_json, "summaries": [asdict(s) for s in summaries]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def check_outputs(out_dir: str, names, force: bool = False):
+    """Create out_dir, and refuse to overwrite any of its files ``names``
+    unless force is set: what ``write_outputs`` checks before it writes."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path) and not force:
+            raise FileExistsError(f"{path} exists (pass --force to overwrite)")
+
+
+def _json_ready(value):
+    """value with each non-finite float, such as a failed cell's error,
+    as None: JSON has no Infinity or NaN."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return value
+
+
+def write_outputs(out_dir: str, files: dict, force: bool = False) -> list:
+    """Write each ``{file name: content}`` of files under out_dir, after
+    ``check_outputs`` has passed every name, and return the paths.  A str is
+    written as it is, any other content as sorted, indented JSON with each
+    non-finite float as null.  Each file goes to a temporary file in out_dir
+    that then replaces it, so an error part-way leaves the old file whole."""
+    check_outputs(out_dir, files, force)
+    texts = {name: content if isinstance(content, str) else
+             json.dumps(_json_ready(content), sort_keys=True, indent=2,
+                        allow_nan=False) + "\n"
+             for name, content in files.items()}
+    paths = []
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+        paths.append(path)
+    return paths
 
 
 def persist(records, summaries, cfg_json: dict, out_dir: str,
             force: bool = False) -> list:
-    """Write results.csv and summary.json under out_dir; refuses to clobber
-    existing files unless force is set.  Returns the paths written."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
-    json_path = os.path.join(out_dir, "summary.json")
-    for path in (csv_path, json_path):
-        if os.path.exists(path) and not force:
-            raise FileExistsError(f"{path} exists (use force to overwrite)")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(records_to_csv(records))
-    with open(json_path, "w") as fh:
-        fh.write(summary_to_json(cfg_json, summaries))
-    return [csv_path, json_path]
+    """Write results.csv and summary.json under out_dir through
+    ``write_outputs``, which refuses to clobber either unless force is set.
+    Returns the paths written."""
+    summary = {"config": cfg_json, "summaries": [asdict(s) for s in summaries]}
+    return write_outputs(out_dir, {"results.csv": records_to_csv(records),
+                                   "summary.json": summary}, force)
 
 
 def load_records(csv_path: str) -> list:
@@ -475,9 +522,9 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 # the JSON keys are the dataclass fields, ``schedule`` written as
-# ``epsilon_schedule``, plus the schema version
+# ``epsilon_schedule``
 _CONFIG_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"schedule"}
-                | {"schema", "epsilon_schedule"})
+                | {"epsilon_schedule"})
 _OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 # schema-1 keys of the removed polish, plateau and backtracking phases and
 # of the removed multi-start loop: accepted and ignored, so that existing
@@ -493,6 +540,17 @@ def _check_keys(obj: dict, allowed: set, where: str):
     for key in obj:
         if key not in allowed:
             raise ParameterError(f"unknown key {key!r} in {where}")
+
+
+def check_config(obj, keys: set, required, where: str):
+    """The checks of every ``cnce`` config file: a JSON object of ``schema``
+    1, with no key outside ``keys`` and every key of ``required``."""
+    _check_keys(obj, keys | {"schema"}, where)
+    if obj.get("schema") != 1:
+        raise ParameterError("missing or unsupported 'schema' (expected 1)")
+    for key in required:
+        if key not in obj:
+            raise ParameterError(f"missing key {key!r} in {where}")
 
 
 def optimizer_from_json(obj: dict) -> OptimizerConfig:
@@ -525,12 +583,8 @@ def model_from_json(obj: dict):
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    _check_keys(obj, _CONFIG_KEYS, "experiment config")
-    if obj.get("schema") != 1:
-        raise ParameterError("missing or unsupported 'schema' (expected 1)")
-    for key in ("model", "methods", "n_grid", "kappa_grid"):
-        if key not in obj:
-            raise ParameterError(f"missing key {key!r} in experiment config")
+    check_config(obj, _CONFIG_KEYS, ("model", "methods", "n_grid", "kappa_grid"),
+                 "experiment config")
     rest = {k: v for k, v in obj.items()
             if k not in ("schema", "model", "optimizer", "epsilon_schedule")}
     return ExperimentConfig(

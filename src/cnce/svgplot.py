@@ -165,13 +165,12 @@ def _esc(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def chart_series_for_model(records) -> list:
-    """Series for one model's records: per (method, kappa) a solid median
-    line plus dashed 0.1/0.9 quantile lines of the squared error against N."""
-    from .experiments import summarize
-
+def chart_series_for_model(summaries) -> list:
+    """Series for one model's quantile summaries: per (method, kappa) a solid
+    median line plus dashed 0.1/0.9 quantile lines of the squared error
+    against N."""
     cells = {}
-    for s in summarize(records):
+    for s in summaries:
         cells.setdefault((s.method, s.kappa), []).append(s)
     series = []
     for idx, key in enumerate(sorted(cells)):

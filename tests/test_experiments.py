@@ -2,7 +2,9 @@
 determinism, persistence round-trips, and the small-noise expansion table."""
 
 import itertools
+import json
 import multiprocessing
+import os
 import struct
 import warnings
 
@@ -34,6 +36,7 @@ from cnce.experiments import (
     config_to_json,
     records_from_csv,
     records_to_csv,
+    write_outputs,
 )
 from cnce.models import BERNOULLI, GAUSSIAN, ICA, KINDS, LOGNORMAL, RING
 from cnce.seeding import rng_from
@@ -305,6 +308,58 @@ def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
     assert records_from_csv(text) == records
 
 
+def test_run_grid_rejects_fewer_than_one_job():
+    for jobs in (0, -4):
+        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+            run_grid(small_config(repeats=1), jobs=jobs)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_failed_cell_writes_valid_json(tmp_path, monkeypatch):
+    # a failed cell's error is inf and its estimate NaN: JSON has neither,
+    # so they are written as null
+    import cnce.experiments
+
+    cfg = small_config(kind=GAUSSIAN, methods=("nce",), repeats=1)
+    build = cnce.experiments.nce_objective
+
+    def flaky(model, x, noise, marginal):
+        if len(x) == 400:
+            raise ValueError("injected")
+        return build(model, x, noise, marginal)
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", flaky)
+    records, summaries, _ = run_grid(cfg)
+    _, json_path = persist(records, summaries, config_to_json(cfg), str(tmp_path))
+    text = open(json_path).read()
+    failed = json.loads(text, parse_constant=_reject_constant)["summaries"][1]
+    assert failed["n"] == 400 and failed["median"] is None
+    trace = run_single(cfg, "nce", 400, 2, 0, collect_trace=True)[2]
+    (trace_path,) = write_outputs(str(tmp_path), {"trace.json": trace})
+    got = json.loads(open(trace_path).read(), parse_constant=_reject_constant)
+    assert got["error"] is None and set(got["theta_hat"]) == {None}
+
+
+def test_write_outputs_keeps_the_old_file_when_a_write_fails(tmp_path, monkeypatch):
+    write_outputs(str(tmp_path), {"a.csv": "old\n", "b.json": {"x": 1.5}})
+    assert open(tmp_path / "b.json").read() == '{\n  "x": 1.5\n}\n'
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails part-way
+        write_outputs(str(tmp_path), {"a.csv": "new\n" * 10_000 + "\ud800"},
+                      force=True)
+
+    def failing_replace(src, dst):
+        raise OSError("injected")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        write_outputs(str(tmp_path), {"a.csv": "new\n"}, force=True)
+    assert open(tmp_path / "a.csv").read() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.json"]
+
+
 def test_run_grid_keeps_a_nonfinite_nce_cell(monkeypatch):
     # the failed run's theta carries NCE's trailing c; the cell must still
     # be recorded, not end the grid
@@ -561,7 +616,7 @@ def test_persist_roundtrip_and_force(tmp_path):
     out = tmp_path / "exp"
     paths = persist(records, summaries, config_to_json(cfg), str(out))
     assert load_records(paths[0]) == records
-    with pytest.raises(FileExistsError):
+    with pytest.raises(FileExistsError, match="exists"):
         persist(records, summaries, config_to_json(cfg), str(out))
     persist(records, summaries, config_to_json(cfg), str(out), force=True)
 

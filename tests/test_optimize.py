@@ -21,6 +21,7 @@ from cnce import (
 )
 from cnce.experiments import config_from_json
 from cnce.losses import cnce_objective
+from cnce.optimize import _newton_direction
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
 from cnce.seeding import rng_from, stable_hash
 
@@ -154,6 +155,18 @@ def test_bernoulli_population_minimize_from_random_starts():
         run = minimize(objective, z0, OptimizerConfig())
         w = np.exp(run.theta)
         assert np.linalg.norm(w / w.sum() - [0.3, 0.7]) < 1e-6
+
+
+def test_newton_direction_doubles_the_damping_of_an_indefinite_hessian():
+    # H has eigenvalues 3 and -1: no Cholesky factor at the 1e-12 floor, so
+    # the damping doubles until H + lam I is positive definite, lam in (1, 2]
+    hess = np.array([[1.0, 2.0], [2.0, 1.0]])
+    grad = np.array([1.0, 0.5])
+    d = _newton_direction(hess, grad)
+    assert np.all(np.isfinite(d))
+    lam = float((-grad - hess @ d) @ d / (d @ d))
+    assert 1.0 < lam <= 2.0
+    np.testing.assert_allclose((hess + lam * np.eye(2)) @ d, -grad, atol=1e-12)
 
 
 def test_optimizer_config_validation():

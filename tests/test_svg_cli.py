@@ -11,7 +11,7 @@ import pytest
 
 from cnce.cli import main
 from cnce.svgplot import Series, chart_series_for_model, render_loglog
-from cnce.experiments import ErrorRecord, records_to_csv
+from cnce.experiments import ErrorRecord, records_to_csv, summarize
 
 
 def write_json(path, obj):
@@ -89,7 +89,7 @@ def test_chart_series_layout():
             run_id=f"g-cnce-n{n:09d}-k{2:05d}-r{i:04d}", model="g",
             method="cnce", n=n, kappa=2, epsilon=0.1, seed=0, error=err,
             sq_error=err**2, converged=True, iters=1, wall_ms=0.0))
-    series = chart_series_for_model(records)
+    series = chart_series_for_model(summarize(records))
     assert len(series) == 3  # solid median + dashed q10 + dashed q90
     assert sum(s.in_legend for s in series) == 1
     assert sum(s.dashed for s in series) == 2
@@ -182,6 +182,33 @@ def test_config_shape_errors_exit_1(tmp_path, capsys):
         out = tmp_path / f"o{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+_READERS = {"experiment": (experiment_config(), "n_grid"),
+            "estimate": (bernoulli_config(), "kappa"),
+            "limit-check": ({"schema": 1, "mc_pairs": 100}, None)}
+
+
+@pytest.mark.parametrize("command", sorted(_READERS))
+def test_config_reader_errors_exit_1(command, tmp_path, capsys):
+    # every command's config goes through the same checks, in the same order
+    valid, required = _READERS[command]
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"schema": 1,')
+    cases = [(str(bad_json), "error: config is not valid JSON"),
+             (write_json(tmp_path / "s.json", dict(valid, schema=2)),
+              "error: missing or unsupported 'schema' (expected 1)"),
+             (write_json(tmp_path / "u.json", dict(valid, schema=2, extra=1)),
+              f"error: unknown key 'extra' in {command} config")]
+    if required is not None:
+        missing = {k: v for k, v in valid.items() if k != required}
+        cases.append((write_json(tmp_path / "m.json", missing),
+                      f"error: missing key {required!r} in {command} config"))
+    out = tmp_path / "out"
+    for path, message in cases:
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not os.path.exists(out)
 
 
@@ -394,6 +421,33 @@ def test_limit_check_cli(tmp_path, capsys):
     assert rows[0]["residual"] == 0.0
     assert not rows[1]["flagged"]
     assert "mc_loss" in capsys.readouterr().out
+
+
+def test_limit_check_precision_key(tmp_path, capsys):
+    # the default precision is the 5 x 5 identity; another one, here 2 x 2,
+    # moves every loss
+    base = {"schema": 1, "eps_grid": [0.04], "mc_pairs": 2000, "seed": 3}
+    identity = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+    texts = []
+    for i, extra in enumerate(({}, {"precision": identity},
+                               {"precision": [2.0, 0.5, 1.0]})):
+        cfg = write_json(tmp_path / f"l{i}.json", dict(base, **extra))
+        assert main(["limit-check", "--config", cfg, "--out",
+                     str(tmp_path / f"o{i}")]) in (0, 2)
+        texts.append(open(tmp_path / f"o{i}" / "limit_check.json").read())
+    capsys.readouterr()
+    assert texts[0] == texts[1] != texts[2]
+    assert json.loads(texts[2])[0]["mc_loss"] != json.loads(texts[0])[0]["mc_loss"]
+
+
+def test_experiment_jobs_below_one_exit_1(tmp_path, capsys):
+    cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
+    for jobs in ("0", "-4"):
+        out = tmp_path / f"o{jobs}"
+        assert main(["experiment", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+        assert not list(out.glob("*"))  # nothing written
 
 
 def test_usage_error_exit_1(capsys):

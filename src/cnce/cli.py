@@ -16,10 +16,11 @@ is written.  The command runs at one BLAS thread unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set,
 and its outputs do not depend on that count at the shapes checked; the
 determinism contract in ``experiments`` gives them, and the wider shapes
-(a Gaussian at dim 7 or 8, say) whose outputs do.  Each output file is
-written whole to a temporary file and then moved into place, and a JSON
-output writes a non-finite number, such as a failed cell's error, as
-``null``.
+(a Gaussian at dim 7 or 8, say) whose outputs do.  The ``--out``
+directory is created only when the command writes, so a command that fails
+before then leaves none behind.  Each output file is written whole to a
+temporary file and then moved into place, and a JSON output writes a
+non-finite number, such as a failed cell's error, as ``null``.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each

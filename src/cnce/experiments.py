@@ -38,7 +38,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .losses import (
     nce_objective,
     score_matching_objective,
 )
-from .models import _CLASSES, KINDS, GaussianPrecisionModel
+from .models import _CLASSES, GaussianPrecisionModel
 from .optimize import EpsilonSchedule, EstimationRun, OptimizerConfig, adapt_epsilon, minimize
 from .seeding import rng_from, stable_hash
 
@@ -62,11 +62,11 @@ METHODS = ("cnce", "nce", "mle", "score_matching")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A (method, N, kappa) grid of estimation runs, and the schema of a
-    ``cnce experiment`` config, which writes ``schedule`` as
-    ``epsilon_schedule`` and the model as an object of its ``kind`` and
-    its class's fields (``models``), each optional: ``{"kind": "ring",
-    "dim": 2, "mu": 3.0}``.  An int takes an integral float (2.0 is 2), a
-    float any finite real, and neither a bool or a string.
+    ``cnce experiment`` config, which writes the model as an object of its
+    ``kind`` and its class's fields (``models``), each optional:
+    ``{"kind": "ring", "dim": 2, "mu": 3.0}``.  An int takes an integral
+    float (2.0 is 2), a float any finite real, and neither a bool or a
+    string.
 
     - ``model`` (an instance of a ``models`` class) and ``methods`` (a
       non-empty tuple of the model's ``methods``): required.
@@ -74,10 +74,10 @@ class ExperimentConfig:
       strictly ascending, >= 1; with ``"nce"``, every n >= dim + 1.
     - ``repeats`` (int, 20, >= 1) and ``master_seed`` (int, 0).
     - ``epsilon``: ``"auto"`` (default), which ``adapt_epsilon`` picks on
-      ``schedule`` per run, or CNCE's fixed noise scale, a float > 0 and,
-      with ``"cnce"``, at most the model kernel's ``epsilon_cap`` (1 for
-      Bernoulli's flip probability).
-    - ``optimizer``, ``schedule``: an ``OptimizerConfig`` and an
+      ``epsilon_schedule`` per run, or CNCE's fixed noise scale, a float
+      > 0 and, with ``"cnce"``, at most the model kernel's ``epsilon_cap``
+      (1 for Bernoulli's flip probability).
+    - ``optimizer``, ``epsilon_schedule``: an ``OptimizerConfig`` and an
       ``EpsilonSchedule``, their defaults by default.
     """
 
@@ -89,7 +89,7 @@ class ExperimentConfig:
     master_seed: int = 0
     epsilon: object = "auto"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon_schedule: EpsilonSchedule = field(default_factory=EpsilonSchedule)
 
     def __post_init__(self):
         convert_fields(self)
@@ -205,7 +205,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             if method == "cnce":
                 if cfg.epsilon == "auto":
                     epsilon, capped = adapt_epsilon(
-                        model, theta0, x, cfg.schedule, kappa,
+                        model, theta0, x, cfg.epsilon_schedule, kappa,
                         stable_hash(seed, "epsilon"))
                     if capped:
                         warnings.append("epsilon ladder capped")
@@ -388,9 +388,15 @@ def records_from_csv(text: str) -> list:
 
 
 def check_outputs(out_dir: str, names, force: bool = False):
-    """Create out_dir, and refuse to overwrite any of its files ``names``
-    unless force is set: what ``write_outputs`` checks before it writes."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Refuse an out_dir whose nearest existing path (out_dir itself or an
+    ancestor) is not a directory, and any of its files ``names`` that exists
+    unless force is set: what ``write_outputs`` checks before it creates
+    out_dir and writes.  Creates nothing."""
+    base = out_dir
+    while not os.path.exists(base):
+        base = os.path.dirname(base) or "."
+    if not os.path.isdir(base):
+        raise NotADirectoryError(f"{base} is not a directory")
     for name in names:
         path = os.path.join(out_dir, name)
         if os.path.exists(path) and not force:
@@ -410,12 +416,14 @@ def _json_ready(value):
 
 
 def write_outputs(out_dir: str, files: dict, force: bool = False) -> list:
-    """Write each ``{file name: content}`` of files under out_dir, after
-    ``check_outputs`` has passed every name, and return the paths.  A str is
-    written as it is, any other content as sorted, indented JSON with each
-    non-finite float as null.  Each file goes to a temporary file in out_dir
-    that then replaces it, so an error part-way leaves the old file whole."""
+    """Write each ``{file name: content}`` of files under out_dir, which it
+    creates after ``check_outputs`` has passed every name, and return the
+    paths.  A str is written as it is, any other content as sorted, indented
+    JSON with each non-finite float as null.  Each file goes to a temporary
+    file in out_dir that then replaces it, so an error part-way leaves the
+    old file whole."""
     check_outputs(out_dir, files, force)
+    os.makedirs(out_dir, exist_ok=True)
     texts = {name: content if isinstance(content, str) else
              json.dumps(_json_ready(content), sort_keys=True, indent=2,
                         allow_nan=False) + "\n"
@@ -521,82 +529,70 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # config (de)serialisation
 # ---------------------------------------------------------------------------
 
-# the JSON keys are the dataclass fields, ``schedule`` written as
-# ``epsilon_schedule``
-_CONFIG_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"schedule"}
-                | {"epsilon_schedule"})
-_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 # schema-1 keys of the removed polish, plateau and backtracking phases and
 # of the removed multi-start loop: accepted and ignored, so that existing
 # configs keep running
 _OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol",
                    "restarts"}
-_SCHED_KEYS = {f.name for f in fields(EpsilonSchedule)}
 
 
-def _check_keys(obj: dict, allowed: set, where: str):
+def check_config(obj, keys: set, required, where: str, schema: bool = True):
+    """The checks of every ``cnce`` config object: a JSON object with no key
+    outside ``keys`` and every key of ``required``; a whole config file
+    (``schema``) also holds ``"schema": 1``."""
     if not isinstance(obj, dict):
         raise ParameterError(f"{where} must be a JSON object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys and not (schema and key == "schema"):
             raise ParameterError(f"unknown key {key!r} in {where}")
-
-
-def check_config(obj, keys: set, required, where: str):
-    """The checks of every ``cnce`` config file: a JSON object of ``schema``
-    1, with no key outside ``keys`` and every key of ``required``."""
-    _check_keys(obj, keys | {"schema"}, where)
-    if obj.get("schema") != 1:
+    if schema and obj.get("schema") != 1:
         raise ParameterError("missing or unsupported 'schema' (expected 1)")
     for key in required:
         if key not in obj:
             raise ParameterError(f"missing key {key!r} in {where}")
 
 
-def optimizer_from_json(obj: dict) -> OptimizerConfig:
-    _check_keys(obj, _OPT_KEYS | _OPT_DEPRECATED, "optimizer")
-    ignored = sorted(_OPT_DEPRECATED.intersection(obj))
-    if ignored:
+def _from_json(cls, obj, where: str, schema: bool = False,
+               deprecated: set = frozenset(), **readers):
+    """The config dataclass cls from the JSON object obj, whose keys are its
+    fields: an unknown key is refused, a field with no default is required,
+    each key of ``readers`` is read by its function, and a ``deprecated``
+    key is dropped with a warning."""
+    names = {f.name for f in fields(cls)}
+    check_config(obj, names | deprecated,
+                 [f.name for f in fields(cls)
+                  if f.default is MISSING and f.default_factory is MISSING],
+                 where, schema)
+    dropped = sorted(deprecated.intersection(obj))
+    if dropped:
         logging.getLogger(__name__).warning(
-            "optimizer keys %s are deprecated and ignored: the options they "
-            "set were removed", ", ".join(ignored))
-    return OptimizerConfig(**{k: v for k, v in obj.items() if k in _OPT_KEYS})
+            "%s keys %s are deprecated and ignored: the options they set were "
+            "removed", where, ", ".join(dropped))
+    args = {k: v for k, v in obj.items() if k in names}
+    args.update((k, read(obj[k])) for k, read in readers.items() if k in obj)
+    return cls(**args)
 
 
-def schedule_from_json(obj: dict) -> EpsilonSchedule:
-    _check_keys(obj, _SCHED_KEYS, "epsilon_schedule")
-    return EpsilonSchedule(**obj)
-
-
-def model_from_json(obj: dict):
-    """The model of class ``_CLASSES[obj["kind"]]`` with the rest of obj as
-    its fields, each at its class default when absent."""
-    if not isinstance(obj, dict):
-        raise ParameterError("model must be a JSON object")
-    if "kind" not in obj:
-        raise ParameterError("missing key 'kind' in model")
-    if obj["kind"] not in KINDS:
-        raise ParameterError(f"unknown model kind {obj['kind']!r}")
-    cls = _CLASSES[obj["kind"]]
-    _check_keys(obj, {"kind"} | {f.name for f in fields(cls)}, "model")
-    return cls(**{k: v for k, v in obj.items() if k != "kind"})
+def _model_from_json(obj):
+    """The model of class ``_CLASSES[obj["kind"]]`` with the rest of obj."""
+    check_config(obj, obj, ["kind"], "model", schema=False)  # kind's class checks keys
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _CLASSES:
+        raise ParameterError(f"unknown model kind {kind!r}")
+    return _from_json(_CLASSES[kind], {k: v for k, v in obj.items() if k != "kind"},
+                      "model")
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    check_config(obj, _CONFIG_KEYS, ("model", "methods", "n_grid", "kappa_grid"),
-                 "experiment config")
-    rest = {k: v for k, v in obj.items()
-            if k not in ("schema", "model", "optimizer", "epsilon_schedule")}
-    return ExperimentConfig(
-        model=model_from_json(obj["model"]),
-        optimizer=optimizer_from_json(obj.get("optimizer", {})),
-        schedule=schedule_from_json(obj.get("epsilon_schedule", {})),
-        **rest,
-    )
+    return _from_json(
+        ExperimentConfig, obj, "experiment config", schema=True,
+        model=_model_from_json,
+        optimizer=lambda o: _from_json(OptimizerConfig, o, "optimizer",
+                                       deprecated=_OPT_DEPRECATED),
+        epsilon_schedule=lambda o: _from_json(EpsilonSchedule, o, "epsilon_schedule"))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
     obj = asdict(cfg)
     obj["model"] = {"kind": cfg.model.kind, **obj["model"]}
-    obj["epsilon_schedule"] = obj.pop("schedule")
     return {"schema": 1, **obj}

@@ -57,8 +57,6 @@ RING = "ring"
 LOGNORMAL = "lognormal_ext"
 BERNOULLI = "bernoulli"
 
-KINDS = (GAUSSIAN, ICA, RING, LOGNORMAL, BERNOULLI)
-
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -573,3 +571,4 @@ class BernoulliModel(_Model):
 
 _CLASSES = {cls.kind: cls for cls in (GaussianPrecisionModel, IcaLaplaceModel,
                                        RingModel, LogNormalExtModel, BernoulliModel)}
+KINDS = tuple(_CLASSES)

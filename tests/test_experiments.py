@@ -155,8 +155,9 @@ def test_stable_hash_sensitivity():
 
 
 def test_stable_hash_rejects_floats():
-    with pytest.raises(TypeError):
-        stable_hash(1.5)
+    for part in (1.5, True):  # a bool is an int subclass, refused as ambiguous
+        with pytest.raises(TypeError):
+            stable_hash(part)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +220,21 @@ def test_config_validation():
             ("model", {"kind": "gaussian_precision", "dim": 2.5}, integer),
             ("epsilon", True, real), ("epsilon", "0.5", real),
             ("epsilon", float("inf"), real),
+            ("epsilon", 0.0, "epsilon must be 'auto' or > 0"),
+            ("epsilon", -0.5, "epsilon must be 'auto' or > 0"),
+            ("methods", [], "methods must be non-empty"),
             ("model", {"kind": "ring", "mu": False}, real),
             ("model", {"kind": "ring", "dim": 2, "mu": "3.0"}, real),
             ("epsilon_schedule", {"epsilon_0": True}, real),
             ("epsilon_schedule", {"delta": "0.1"}, real),
             ("epsilon_schedule", {"growth": float("nan")}, real),
+            ("epsilon_schedule", {"epsilon_0": 0.0}, "epsilon_0 must be > 0"),
+            ("epsilon_schedule", {"growth": 1.0}, "growth must be > 1"),
             ("optimizer", {"grad_tol": True}, real),
             ("optimizer", {"init_scale": "0.3"}, real),
             ("optimizer", {"adam_step": False}, real),
             ("optimizer", {"adam_betas": [0.9, True]}, real),
+            ("optimizer", {"adam_betas": 0.9}, "adam_betas must be a list of two numbers"),
             # a repeated method would run every cell twice
             ("methods", ["mle", "mle"], "methods must not repeat"),
             # a flip probability above 1 would fail every CNCE cell
@@ -532,6 +539,27 @@ def test_run_single_ica_mle_starts_at_the_grid_init_scale():
         return np.array(trace["theta_hat"])
 
     assert np.allclose(start(1.0), start(0.3) / 0.3, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
+def test_run_single_score_matching_lands_on_the_quadratic_minimiser(kind):
+    # the cell's data, drawn as run_single draws them, give the exact
+    # quadratic theta'A theta / 2 + b'theta + c; the log-normal C, which A
+    # does not see, is left out
+    cfg = small_config(kind=kind, methods=("score_matching",), n_grid=(300,))
+    record, warnings, trace = run_single(cfg, "score_matching", 300, 2, 0,
+                                         collect_trace=True)
+    assert (trace["stop"], record.converged, warnings) == ("grad_tol", True, [])
+    assert record.epsilon is None
+    model = cfg.model
+    seed = stable_hash(7, kind, "score_matching", 300, 2, 0)
+    theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
+    a, b, _ = model.score_quadratic(
+        model.sample(theta_true, 300, rng_from(stable_hash(seed, "data"))))
+    seen = np.diag(a) > 0
+    expected = np.linalg.solve(a[np.ix_(seen, seen)], -b[seen])
+    np.testing.assert_allclose(np.array(trace["theta_hat"])[seen], expected,
+                               rtol=1e-10, atol=0)
 
 
 def test_run_single_mle_has_no_epsilon():

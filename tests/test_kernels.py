@@ -5,6 +5,7 @@ import pytest
 
 from cnce import (
     BernoulliFlipKernel,
+    DomainError,
     GaussianPerturbKernel,
     MarginalKernel,
     ParameterError,
@@ -85,6 +86,11 @@ def test_sample_conditional_rejects_degenerate():
         sample_conditional(GaussianPerturbKernel(np.zeros(2)), x, 1, 0)
     with pytest.raises(ParameterError):
         sample_conditional(GaussianPerturbKernel(np.ones(2)), x, 0, 0)
+    # a constant data column gives the per-dimension scale nothing to scale by
+    with pytest.raises(ParameterError, match="zero std"):
+        GaussianPerturbKernel.for_data(0.5, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(DomainError, match="flip kernel needs"):
+        sample_conditional(BernoulliFlipKernel(0.2), np.array([[0.0], [0.5]]), 1, 0)
 
 
 def test_kernel_validation():

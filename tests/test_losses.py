@@ -11,6 +11,7 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from cnce import (
+    OptimizerConfig,
     ParameterError,
     RingModel,
     TWO_LOG2,
@@ -19,6 +20,7 @@ from cnce import (
     estimation_error,
     fit_marginal,
     log_density_marginal,
+    minimize,
     mle_fit,
     sample_conditional,
     sample_marginal,
@@ -624,6 +626,19 @@ def test_ica_mle_objective_standard_error():
     _, _, se = objective(theta)
     assert se == pytest.approx(np.sqrt(2.0) * np.std(l1) / np.sqrt(len(x)), rel=1e-12)
     assert objective(theta + 0.1)[2] == se
+
+
+def test_ica_mle_objective_is_infinite_at_a_singular_demixing_matrix():
+    # log|det B| is -inf at a singular B: the value is inf, and a fit that
+    # starts there stops at once and hands its start back
+    model = make(ICA)
+    x = model.sample(model.random_params(rng_from(73)), 100, rng_from(74))
+    objective = ica_mle_objective(model, x)
+    singular = np.ones(model.param_count)  # every row of B the same
+    assert objective(singular)[0] == np.inf
+    run = minimize(objective, singular, OptimizerConfig())
+    assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 0)
+    assert np.array_equal(run.theta, singular)
 
 
 def test_ica_mle_objective_oracle_value_and_finite_differences():

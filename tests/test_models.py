@@ -100,6 +100,10 @@ def test_gaussian_pack_roundtrip():
     lam = model.unpack(model.random_params(rng))
     assert np.allclose(lam, lam.T)
     assert np.array_equal(model.unpack(model.pack(lam)), lam)
+    with pytest.raises(ParameterError, match="must equal its transpose"):
+        model.pack(np.triu(lam))
+    with pytest.raises(ParameterError, match="theta must have 15 entries"):
+        model.unpack(np.ones(14))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,12 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         make(GAUSSIAN).log_phi(make(GAUSSIAN).pack(np.eye(5)),
                                np.array([np.nan, 0, 0, 0, 0]))
+    # a bare number is one point of a one-dimensional model, and of no other
+    lognormal = make(LOGNORMAL)
+    assert lognormal.log_phi([1.3, -2.0], 1.7) == lognormal.log_phi([1.3, -2.0], [[1.7]])
+    for U in (1.7, np.ones(4), np.ones((2, 6))):
+        with pytest.raises(DomainError, match="points must have dimension 5"):
+            make(GAUSSIAN).log_phi(make(GAUSSIAN).pack(np.eye(5)), U)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +359,15 @@ def test_gaussian_sampler_rejects_non_pd():
     model = make(GAUSSIAN)
     with pytest.raises(ParameterError):
         model.sample(model.pack(-np.eye(5)), 10, rng_from(0))
+
+
+@pytest.mark.parametrize("kind,theta,message", [
+    (RING, [0.0], "gamma must be positive"), (RING, [-2.0], "gamma must be positive"),
+    (LOGNORMAL, [0.0, -5.0], "theta must be positive"),
+    (LOGNORMAL, [-1.0, -5.0], "theta must be positive")])
+def test_samplers_reject_parameters_outside_their_domain(kind, theta, message):
+    with pytest.raises(ParameterError, match=message):
+        make(kind).sample(np.array(theta), 10, rng_from(0))
 
 
 def test_ring_sampler_radius_moments():

@@ -240,6 +240,9 @@ def test_adapt_epsilon_deterministic_and_on_ladder():
     out1 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
     out2 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
     assert out1 == out2
+    for kappa in (0, -1):
+        with pytest.raises(ParameterError, match="kappa must be >= 1"):
+            adapt_epsilon(model, np.zeros(2), x, sched, kappa, 14)
     assert out1[0] in sched.ladder(cap=1.0)
     assert out1[0] <= 1.0  # flip probability stays a probability
 
@@ -342,7 +345,7 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
                 x = model.sample(theta, n, rng_from(stable_hash(cell, "data")))
                 theta0 = model.init_theta(rng_from(stable_hash(cell, "init")),
                                           cfg.optimizer.init_scale)
-                args = (model, theta0, x, cfg.schedule, kappa,
+                args = (model, theta0, x, cfg.epsilon_schedule, kappa,
                         stable_hash(cell, "epsilon"))
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
                 picked = adapt_epsilon(*args)

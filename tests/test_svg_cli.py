@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import cnce.experiments
 from cnce.cli import main
 from cnce.svgplot import Series, chart_series_for_model, render_loglog
 from cnce.experiments import ErrorRecord, records_to_csv, summarize
@@ -447,7 +448,23 @@ def test_experiment_jobs_below_one_exit_1(tmp_path, capsys):
         assert main(["experiment", "--config", cfg, "--out", str(out),
                      "--jobs", jobs]) == 1
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
-        assert not list(out.glob("*"))  # nothing written
+        assert not out.exists()  # --out is created only when a file is written
+
+
+def test_experiment_out_at_a_regular_file_exits_1_before_any_cell(
+        tmp_path, capsys, monkeypatch):
+    cfg = write_json(tmp_path / "e.json", experiment_config(repeats=1))
+    (tmp_path / "file").write_text("kept")
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cnce.experiments, "run_single", no_cell)
+    for out in ("file", os.path.join("file", "sub")):
+        assert main(["experiment", "--config", cfg, "--out",
+                     str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'file'} is not a directory\n"
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_usage_error_exit_1(capsys):

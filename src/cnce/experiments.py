@@ -9,17 +9,19 @@ order and worker count, and re-running a config reproduces the output files
 byte for byte, for one numpy/OpenBLAS build and allocation pattern: OpenBLAS
 can round a product of the same array differently at another memory
 alignment, which moves an error in its last digits.  The bytes do not depend
-on the BLAS thread count at the shapes checked, every model at its default
-dim with N up to 8000 and kappa 10: the one product OpenBLAS splits across
-threads there, a one-column ``vjp``, sums in numpy instead.  Wider
-products still split at other shapes, so there the bytes move between 1
-and 2 threads: the Gaussian at dim 4 or 6 with N = 8000, kappa = 10 in its
-last digits, and a Gaussian ``cnce`` + ``nce`` grid at dim 7 or 8 (N
-1000/4000, kappa 10, master seed 1) in every row.  Products that split
-include ``w @ phi`` over 40 000 rows at 28 columns or more, the weighted
-Gram ``blk.T @ (blk * w)`` of ``models._weighted_gram`` from about 33
-columns in blocks of 1024 rows or more, and a one-column ``x.T @ x`` or
-``np.cov`` over 40 000 rows.
+on the BLAS thread count at the shapes checked: every model at its default
+dim with every method it has, N 1000/4000/8000, kappa 10 and master seed 1.
+The one product OpenBLAS splits across threads there, a one-column
+``vjp``, sums in numpy instead.  Other products split at other shapes, so
+there the error moves in its last digits between 1 and 2 threads: in a
+Gaussian ``cnce`` + ``nce`` grid with those settings, at dim 4 the NCE row
+at N = 8000, and at dim 6, 7 or 8 most rows; dim 3 does not move.  On the
+column-major rows of ``models``, products that split include ``w @ phi``
+at 9-14, 17-22, 25-30 and 33-38 columns over 80 000 rows (and from 11
+columns over 44 000, from 25 over 20 000), the weighted Gram
+``blk.T @ (blk * w)`` of ``models._weighted_gram`` from 33 columns over
+20 000 rows or more (from 19 over 11 000, whose last block is short), and
+a one-column ``x.T @ x`` or ``np.cov`` over 40 000 rows.
 ``import cnce`` sets one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
 numpy reads the count when it is first imported, so the default holds only
@@ -43,7 +45,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, _integer, _real, convert_fields
-from .kernels import fit_marginal, sample_conditional, sample_marginal
+from .kernels import fit_marginal, log_density_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
     cnce_objective,
@@ -218,14 +220,17 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 marginal = fit_marginal(x)
                 noise = sample_marginal(marginal, kappa * n,
                                         stable_hash(seed, "nce_noise"))
-                objective = nce_objective(model, x, noise, marginal)
+                # log q at every point once, shared by the offsets and c0
+                log_q_noise = log_density_marginal(marginal, noise)
+                log_q = np.concatenate([log_density_marginal(marginal, x), log_q_noise])
+                objective = nce_objective(model, x, noise, log_q)
                 # where log phi is affine (Newton), the trailing log-normaliser
                 # c starts at its optimum for theta0: from c = 0, 8-10 nats
                 # off, the noise terms saturate and the line search
                 # backtracks.  Adam (Laplace ICA) keeps c = 0: there this
                 # start cut iterations by 14% but raised the error geometric
                 # mean by 5% (ica_grid seeds 1-24)
-                c0 = (nce_log_normaliser(model, theta0, noise, marginal)
+                c0 = (nce_log_normaliser(model, theta0, noise, log_q_noise)
                       if model.affine else 0.0)
                 start = np.concatenate([theta0, [c0]])
             elif method == "score_matching":

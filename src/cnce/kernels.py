@@ -45,7 +45,9 @@ class GaussianPerturbKernel:
         return rng.standard_normal((len(x), kappa, x.shape[1]))
 
     def perturb(self, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-        return x[:, None, :] + self.epsilon * base
+        y = self.epsilon * base
+        y += x[:, None, :]  # in place: no second full-size array, same bits
+        return y
 
     @classmethod
     def for_data(cls, epsilon: float, x: np.ndarray):
@@ -133,7 +135,9 @@ def fit_marginal(x: np.ndarray) -> MarginalKernel:
 def sample_marginal(kernel: MarginalKernel, m: int, rng_seed: int) -> np.ndarray:
     rng = rng_from(rng_seed)
     z = rng.standard_normal((m, len(kernel.mean)))
-    return kernel.mean + z @ kernel._chol.T
+    y = z @ kernel._chol.T
+    y += kernel.mean  # in place: no second full-size array, same bits
+    return y
 
 
 def log_density_marginal(kernel: MarginalKernel, U) -> np.ndarray:

@@ -14,8 +14,9 @@ one ``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
   zero for every kernel of ``kernels``, so the noise array is all a CNCE
   loss takes of the kernel.
 - NCE: ``model.rows`` over u = [x; noise], with the offsets
-  -log q(u) - log nu evaluated at build time and a +-1 row sign that turns
-  the data and noise terms into one softplus.
+  -log q(u) - log nu folded in at build time from the noise log-densities
+  the caller evaluated, and a +-1 row sign that turns the data and noise
+  terms into one softplus.
 
 A method missing from ``model.methods``, or a model without rows, raises
 ``UnsupportedModelError``.  ``cnce_loss`` is the CNCE loss value alone,
@@ -36,14 +37,20 @@ Objective contract: ``objective(theta)`` returns ``(value, grad, hess)``,
 (NCE's with c appended).  The exact Hessian comes with score matching and
 with the contrastive objectives on affine rows: logistic losses of affine
 rows have a Gram-matrix Hessian, and score matching the matrix A, so every
-Hessian returned is positive semi-definite.  The others (on non-affine rows, and ``ica_mle_objective``)
-return instead the loss's sampling standard error, std over sqrt(count) of
-the per-row terms they already hold, scaled as the loss scales them; it is
-computed at the first point an objective is called at, the optimiser's
-start, and returned unchanged after.  ``minimize`` picks Newton for a
-matrix third slot and otherwise stops Adam on that standard error.  Both
-travel in the return value, not as attributes of the callable, so they
-survive any wrapper that passes the result through.
+Hessian returned is positive semi-definite.  It comes as a zero-argument
+callable, so that ``minimize`` pays for it only where it takes a Newton
+step, not at rejected line-search trials or at the final point.  The
+contrastive objectives' callable builds the Gram matrix from the scratch
+arrays of its call: it is valid until the next call of the same objective,
+and raises ``RuntimeError`` after one.  The others (on non-affine rows,
+and ``ica_mle_objective``) return instead the loss's sampling standard
+error, std over sqrt(count) of the per-row terms they already hold, scaled
+as the loss scales them; it is computed at the first point an objective is
+called at, the optimiser's start, and returned unchanged after.
+``minimize`` picks Newton for a callable or matrix third slot and
+otherwise stops Adam on that standard error.  Both travel in the return
+value, not as attributes of the callable, so they survive any wrapper that
+passes the result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg``; |G| beyond 700 overflows a
@@ -58,10 +65,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, UnsupportedModelError
-from .kernels import MarginalKernel, log_density_marginal
 from .models import ICA
 
 TWO_LOG2 = 2.0 * np.log(2.0)
+_STALE = "a Hessian callable is valid only until the next call of its objective"
 
 
 def _pair_work(m: int):
@@ -143,9 +150,12 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
     work = _pair_work(m)
     affine = model.affine
     se = None
+    calls = 0
 
     def objective(theta):
-        nonlocal se
+        nonlocal se, calls
+        calls += 1
+        call = calls
         rows.value(theta, g)
         np.add(g, rows.offset, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
@@ -155,9 +165,14 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
             if se is None:
                 se = 2.0 * _std_error(sp)
             return value, grad, se
-        np.subtract(1.0, sig, out=g)
-        np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
-        hess = 2.0 / m * rows.gram(g)
+
+        def hess():
+            if call != calls:
+                raise RuntimeError(_STALE)
+            np.subtract(1.0, sig, out=g)
+            np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
+            return 2.0 / m * rows.gram(g)
+
         return value, grad, hess
 
     return objective
@@ -167,21 +182,21 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
 # NCE baseline
 # ---------------------------------------------------------------------------
 
-def nce_log_normaliser(model, theta, noise: np.ndarray, marginal: MarginalKernel) -> float:
-    """-log mean_j phi(y_j; theta) / q(y_j) over noise y drawn from q: the
-    importance-sampling estimate of -log Z(theta), NCE's optimal c at theta.
-    The log-weights are shifted by their maximum before exp, so that neither
-    a tiny nor a huge Z over- or underflows."""
-    a = model.log_phi(theta, noise) - log_density_marginal(marginal, noise)
+def nce_log_normaliser(model, theta, noise: np.ndarray, log_q: np.ndarray) -> float:
+    """-log mean_j phi(y_j; theta) / q(y_j) over noise y drawn from q, with
+    log_q = log q(y): the importance-sampling estimate of -log Z(theta),
+    NCE's optimal c at theta.  The log-weights are shifted by their maximum
+    before exp, so that neither a tiny nor a huge Z over- or underflows."""
+    a = model.log_phi(theta, noise) - log_q
     top = float(np.max(a))
     return -(top + float(np.log(np.mean(np.exp(a - top)))))
 
 
-def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKernel):
+def nce_objective(model, x: np.ndarray, noise: np.ndarray, log_q: np.ndarray):
     """Objective over (theta, c), from ``model.rows`` over
-    u = [x; noise]: (value, grad, hess) where ``model.affine``, (value,
-    grad, se) otherwise, with se = (rows / n) std(softplus rows) /
-    sqrt(rows).  The noise log-densities are evaluated once, here.
+    u = [x; noise], with log_q = log q(u), the noise log-density at u:
+    (value, grad, hess) where ``model.affine``, (value, grad, se) otherwise,
+    with se = (rows / n) std(softplus rows) / sqrt(rows).
 
     With h = log phi(u) + c - log q(u) - log nu and the row sign s = +1 on
     data and -1 on noise, the data terms softplus(-h) and the noise terms
@@ -195,16 +210,17 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
     n = len(x)
     u = np.concatenate([x, noise])
     rows = model.rows(u)
-    np.add(rows.offset,
-           -log_density_marginal(marginal, u) - np.log(len(noise) // n),
-           out=rows.offset)
+    np.add(rows.offset, -log_q - np.log(len(noise) // n), out=rows.offset)
     h, w = np.empty(len(u)), np.empty(len(u))
     work = _pair_work(len(u))
     affine = model.affine
     se = None
+    calls = 0
 
     def objective(theta_c):
-        nonlocal se
+        nonlocal se, calls
+        calls += 1
+        call = calls
         rows.value(theta_c[:-1], h)
         np.add(h, rows.offset, out=h)
         np.add(h, theta_c[-1], out=h)
@@ -219,13 +235,19 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, marginal: MarginalKer
             if se is None:
                 se = len(sp) / n * _std_error(sp)
             return value, np.append(g_theta, g_c), se
-        np.subtract(1.0, sig, out=h)
-        np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
-        p = len(g_theta)
-        hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = rows.gram(h) / n
-        hess[:p, p] = hess[p, :p] = rows.vjp(h) / n
-        hess[p, p] = float(np.sum(h)) / n
+
+        def hess():
+            if call != calls:
+                raise RuntimeError(_STALE)
+            np.subtract(1.0, sig, out=h)
+            np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
+            p = len(g_theta)
+            out = np.empty((p + 1, p + 1))
+            out[:p, :p] = rows.gram(h) / n
+            out[:p, p] = out[p, :p] = rows.vjp(h) / n
+            out[p, p] = float(np.sum(h)) / n
+            return out
+
         return value, np.append(g_theta, g_c), hess
 
     return objective
@@ -239,7 +261,7 @@ def score_matching_objective(model, x: np.ndarray):
     """(value, grad, hess) callable over theta.
 
     The loss is theta'A theta / 2 + b'theta + c, with (A, b, c) built once
-    from the data, so each call is O(p^2) and the Hessian is A itself: Newton's
+    from the data, so each call is O(p^2) and hess returns A itself: Newton's
     first step lands on the minimiser.
     """
     a, b, c = model.score_quadratic(np.asarray(x, dtype=float))
@@ -247,7 +269,7 @@ def score_matching_objective(model, x: np.ndarray):
     def objective(theta):
         grad = a @ theta + b
         value = 0.5 * float(theta @ (grad + b)) + c
-        return value, grad, a
+        return value, grad, lambda: a
 
     return objective
 

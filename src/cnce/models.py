@@ -38,6 +38,12 @@ the rest; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last
 ``features(U)`` = (Phi, offset), which the affine models state (Bernoulli
 as its log-weight indicators); Laplace ICA builds non-affine rows from the
 sources B U' instead.
+
+Phi of affine rows is column-major: on 40 000 rows of 15 columns,
+``value``, ``vjp`` and the Gram ran 1.3-2x faster in that layout than in
+the row-major one.  The invariant holds because every ``features`` returns
+a column-major (m, p) array (a one-column array is both layouts), and
+``pair_rows`` forms its differences on the contiguous (p, m) transposes.
 """
 
 from __future__ import annotations
@@ -60,7 +66,10 @@ BERNOULLI = "bernoulli"
 _SQRT2 = np.sqrt(2.0)
 
 
-_GRAM_ROWS = 4096  # row block of _weighted_gram
+# row block of _weighted_gram: on column-major rows of 40 000 x 15 it tied
+# with 3072 and beat 2048, 6144 and 8192; at 2 columns it was within 0.05 ms
+# of the best
+_GRAM_ROWS = 4096
 
 
 def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -74,7 +83,7 @@ def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _AffineRows:
-    """Rows Phi @ theta + offset."""
+    """Rows Phi @ theta + offset, Phi column-major (module docstring)."""
 
     def __init__(self, phi, offset):
         self.phi, self.offset = phi, offset
@@ -150,8 +159,11 @@ class _Model:
     def pair_rows(self, x, y, kappa: int):
         phi_x, off_x = self.features(x)
         phi_y, off_y = self.features(y)
-        i = np.arange(len(y)) // kappa
-        return _AffineRows(phi_x[i] - phi_y, off_x[i] - off_y)
+        # on the (p, m) transposes, so that the differences are column-major
+        # with no row-major intermediate
+        diff = np.repeat(phi_x.T, kappa, axis=1)
+        np.subtract(diff, phi_y.T, out=diff)
+        return _AffineRows(diff.T, np.repeat(off_x, kappa) - off_y)
 
     def score_quadratic(self, x):
         """(A, b, c) with the score-matching loss, the mean over x of the
@@ -212,8 +224,7 @@ class GaussianPrecisionModel(_Model):
     def features(self, U):
         U = self._as_batch(U)
         # built as (p, m) rows, with no (m, p) temporaries, and returned as
-        # a column-major (m, p) view: the products with phi in the loss
-        # routes run up to 2x faster on that layout than on row-major
+        # the column-major (m, p) view that rows hold
         ut = U.T.copy()
         phi_t = np.empty((self.param_count, len(U)))
         for k, (i, j) in enumerate(zip(*self._iu)):
@@ -480,7 +491,7 @@ class LogNormalExtModel(_Model):
 
     def features(self, U):
         u, pos = self._split(U)
-        phi = np.zeros((len(u), 2))
+        phi = np.zeros((len(u), 2), order="F")
         offset = np.zeros(len(u))
         lu = np.log(u[pos])
         phi[pos, 0] = -0.5 * lu**2
@@ -545,7 +556,7 @@ class BernoulliModel(_Model):
 
     def features(self, U):
         ones = self._bits(U)
-        phi = np.zeros((len(ones), 2))
+        phi = np.zeros((len(ones), 2), order="F")
         phi[~ones, 0] = 1.0
         phi[ones, 1] = 1.0
         return phi, np.zeros(len(ones))

@@ -4,11 +4,15 @@ heuristic.
 ``minimize`` has two routes, chosen by what the objective returns at the
 start point:
 
-- ``(value, grad, hess)``, a matrix third slot: damped Newton, with the
-  smallest Levenberg damping that makes the Hessian positive definite and
-  an Armijo backtracking line search (Hager and Zhang's approximate Wolfe
-  test where the loss cannot resolve the decrease).  The affine-feature
-  objectives of ``losses`` take this route.
+- ``(value, grad, hess)``, a third slot that is a matrix or a
+  zero-argument callable returning one: damped Newton, with the smallest
+  Levenberg damping that makes the Hessian positive definite and an Armijo
+  backtracking line search (Hager and Zhang's approximate Wolfe test where
+  the loss cannot resolve the decrease).  The affine-feature objectives of
+  ``losses`` take this route.  A callable is called once per Newton
+  direction, right after the objective call that returned it: never at a
+  rejected line-search trial or at the point the run ends on.  The start
+  point's Hessian is evaluated and checked before its first record.
 - ``(value, grad)`` or ``(value, grad, se)``, a scalar third slot:
   full-batch Adam, which hands on the best point it visited.  The Laplace
   ICA objectives take this route.
@@ -16,8 +20,9 @@ start point:
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
 acceptable Newton step) and ``nonfinite`` (a non-finite loss, gradient or
-Hessian: Adam hands on the best finite point it visited, Newton, whose line
-search accepts finite points only, stops at a non-finite start).
+Hessian: Adam hands on the best finite point it visited; Newton, whose line
+search accepts points of finite loss and gradient only, stops at the point
+whose Hessian is non-finite, with no record of it where that is the start).
 ``minimize`` never raises for a non-finite value.  ``mle_fit`` adds
 ``closed_form``, a converged run with an empty trace.
 
@@ -202,6 +207,12 @@ def _all_finite(out) -> bool:
     return all(np.all(np.isfinite(a)) for a in out)
 
 
+def _hessian(slot) -> np.ndarray:
+    """The matrix of a Newton objective's third slot, calling it if it is
+    a callable."""
+    return slot() if callable(slot) else slot
+
+
 def _accept(value, out, step, slope, direction) -> bool:
     """Armijo's f_new <= f + c step phi'(0), or, where |f_new - f| is within
     _FLAT_ULPS ulps of |f| (a last Newton step, whose decrease is below the
@@ -213,10 +224,11 @@ def _accept(value, out, step, slope, direction) -> bool:
 
 
 def _newton_phase(loss_fn, z, first, cfg, run):
-    if not _all_finite(first):
+    value, grad, slot = first
+    hess = _hessian(slot)
+    if not _all_finite((value, grad, hess)):
         run.stop = "nonfinite"
         return z
-    value, grad, hess = first
     while True:
         _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
@@ -225,6 +237,11 @@ def _newton_phase(loss_fn, z, first, cfg, run):
         if run.iters >= cfg.max_iters:
             run.stop = "max_iters"
             return z
+        if hess is None:  # an accepted point's, built only now that a step needs it
+            hess = _hessian(slot)
+            if not np.all(np.isfinite(hess)):
+                run.stop = "nonfinite"
+                return z
         direction = _newton_direction(hess, grad)
         slope = float(grad @ direction)
         step = 1.0
@@ -234,29 +251,31 @@ def _newton_phase(loss_fn, z, first, cfg, run):
             # decrease test, so only finite points are ever accepted
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 out = loss_fn(z_new)
-            if _all_finite(out) and _accept(value, out, step, slope, direction):
+            if _all_finite(out[:2]) and _accept(value, out, step, slope, direction):
                 break
             step *= 0.5
             if step < 1e-14:
                 run.stop = "step_collapse"
                 return z
-        z, (value, grad, hess) = z_new, out
+        z, (value, grad, slot), hess = z_new, out, None
 
 
 def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     """Minimise a differentiable objective from theta0 (unconstrained
     coordinates).
 
-    ``loss_fn(z)`` returns ``(value, grad)``, ``(value, grad, hess)`` or
-    ``(value, grad, se)``.  The first call, at the start point, picks the
-    route (module docstring); Adam reads ``se`` from that call alone.
+    ``loss_fn(z)`` returns ``(value, grad)``, ``(value, grad, hess)``, with
+    hess a matrix or a zero-argument callable returning one, or ``(value,
+    grad, se)``.  The first call, at the start point, picks the route
+    (module docstring); Adam reads ``se`` from that call alone.
     ``run.iters <= cfg.max_iters``.
     """
     started = time.perf_counter()
     z = np.array(theta0, dtype=float)
     run = EstimationRun(theta=z)
     first = loss_fn(z)
-    phase = _newton_phase if len(first) == 3 and np.ndim(first[2]) == 2 else _adam_phase
+    newton = len(first) == 3 and (callable(first[2]) or np.ndim(first[2]) == 2)
+    phase = _newton_phase if newton else _adam_phase
     run.theta = phase(loss_fn, z, first, cfg, run)
     run.wall_ms = (time.perf_counter() - started) * 1e3
     return run

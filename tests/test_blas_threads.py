@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -78,3 +79,26 @@ def test_ring_grid_bytes_do_not_depend_on_the_thread_count(tmp_path):
               "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
         results.append((out / "results.csv").read_bytes())
     assert results[0] == results[1]
+
+
+_AFFINE_GRIDS = """
+import cnce.experiments as ex
+from cnce.models import _CLASSES
+for cls in _CLASSES.values():
+    if cls.affine:
+        cfg = ex.ExperimentConfig(
+            model=cls(), methods=tuple(m for m in ("cnce", "nce") if m in cls.methods),
+            n_grid=(1000, 4000), kappa_grid=(10,), repeats=1, master_seed=1)
+        print(ex.records_to_csv(ex.run_grid(cfg)[0]))
+"""
+
+
+def test_affine_grid_bytes_do_not_depend_on_the_thread_count():
+    # every affine model at its default dim, with cnce and nce where it has
+    # them: the shapes the determinism docstring of ``experiments`` covers.
+    # The two processes run side by side
+    with ThreadPoolExecutor(2) as pool:
+        one, two = pool.map(lambda t: _run(["-c", _AFFINE_GRIDS], OPENBLAS_NUM_THREADS=t),
+                            ("1", "2"))
+    assert one.count("-r0000,") == 14
+    assert one == two

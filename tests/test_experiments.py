@@ -294,10 +294,10 @@ def test_run_grid_isolates_a_failing_cell(jobs, monkeypatch):
     clean = run_grid(cfg, jobs=1)[0]
     build = cnce.experiments.nce_objective
 
-    def flaky(model, x, noise, marginal):
+    def flaky(model, x, noise, log_q):
         if len(x) == 400:
             raise ValueError("injected")
-        return build(model, x, noise, marginal)
+        return build(model, x, noise, log_q)
 
     monkeypatch.setattr(cnce.experiments, "nce_objective", flaky)
     records, summaries, warnings = run_grid(cfg, jobs=jobs)
@@ -333,10 +333,10 @@ def test_failed_cell_writes_valid_json(tmp_path, monkeypatch):
     cfg = small_config(kind=GAUSSIAN, methods=("nce",), repeats=1)
     build = cnce.experiments.nce_objective
 
-    def flaky(model, x, noise, marginal):
+    def flaky(model, x, noise, log_q):
         if len(x) == 400:
             raise ValueError("injected")
-        return build(model, x, noise, marginal)
+        return build(model, x, noise, log_q)
 
     monkeypatch.setattr(cnce.experiments, "nce_objective", flaky)
     records, summaries, _ = run_grid(cfg)
@@ -374,8 +374,8 @@ def test_run_grid_keeps_a_nonfinite_nce_cell(monkeypatch):
 
     build = cnce.experiments.nce_objective
 
-    def poisoned(model, x, noise, marginal):
-        objective = build(model, x, noise, marginal)
+    def poisoned(model, x, noise, log_q):
+        objective = build(model, x, noise, log_q)
         return lambda raw: (np.nan,) + tuple(objective(raw)[1:])
 
     monkeypatch.setattr(cnce.experiments, "nce_objective", poisoned)
@@ -398,8 +398,8 @@ def test_run_single_records_the_best_point_of_a_run_that_turns_nonfinite(
     build, minimize = cnce.experiments.nce_objective, cnce.experiments.minimize
     runs = []
 
-    def poisoned(model, x, noise, marginal):
-        objective, calls = build(model, x, noise, marginal), []
+    def poisoned(model, x, noise, log_q):
+        objective, calls = build(model, x, noise, log_q), []
 
         def fn(raw):
             calls.append(raw)
@@ -464,9 +464,9 @@ def test_run_single_starts_nce_c_at_its_log_normaliser_where_newton_runs(
     build, minimize = cnce.experiments.nce_objective, cnce.experiments.minimize
     seen = {}
 
-    def recorded_build(model, x, noise, marginal):
-        seen["args"] = (model, noise, marginal)
-        return build(model, x, noise, marginal)
+    def recorded_build(model, x, noise, log_q):
+        seen["args"] = (model, noise, log_q)
+        return build(model, x, noise, log_q)
 
     def recorded_minimize(objective, raw0, cfg):
         seen["raw0"] = raw0
@@ -477,12 +477,13 @@ def test_run_single_starts_nce_c_at_its_log_normaliser_where_newton_runs(
     cfg = small_config(kind=kind, methods=("nce",), n_grid=(200,), repeats=1,
                        optimizer=OptimizerConfig(max_iters=3))
     run_single(cfg, "nce", 200, 2, 0)
-    model, noise, marginal = seen["args"]
+    model, noise, log_q = seen["args"]
     *theta0, c0 = seen["raw0"]
     if kind == ICA:  # the Adam route starts c at 0
         assert c0 == 0.0
     else:
-        assert c0 == nce_log_normaliser(model, np.array(theta0), noise, marginal)
+        assert c0 == nce_log_normaliser(model, np.array(theta0), noise,
+                                        log_q[-len(noise):])
 
 
 def test_run_single_fields():

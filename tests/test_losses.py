@@ -11,6 +11,7 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from cnce import (
+    ExperimentConfig,
     OptimizerConfig,
     ParameterError,
     RingModel,
@@ -22,6 +23,7 @@ from cnce import (
     log_density_marginal,
     minimize,
     mle_fit,
+    run_single,
     sample_conditional,
     sample_marginal,
 )
@@ -54,6 +56,11 @@ from test_models import make, random_points, random_theta
 def make_noise(model, theta, x, kappa, seed):
     eps = 0.25 if model.kind == BERNOULLI else 0.4
     return sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
+
+
+def nce_log_q(marginal, x, noise):
+    """log q at [x; noise], the noise log-densities ``nce_objective`` takes."""
+    return log_density_marginal(marginal, np.concatenate([x, noise]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def test_nce_gradient_finite_differences():
             noise = sample_marginal(marginal, 100, int(rng.integers(2**31)))
             assert_oracle_and_objective_grads_match(
                 lambda t: nce_loss(model, t, x, noise, marginal),
-                nce_objective(model, x, noise, marginal),
+                nce_objective(model, x, noise, nce_log_q(marginal, x, noise)),
                 np.concatenate([theta, [0.2]]))
 
 
@@ -303,7 +310,7 @@ def test_ica_nce_objective_standard_error():
     hy = (model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise)
           - log_nu)
     sp = np.concatenate([np.logaddexp(0.0, -hx), np.logaddexp(0.0, hy)])
-    objective = nce_objective(model, x, noise, marginal)
+    objective = nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
     theta_c = np.concatenate([theta, [c]])
     value, _, se = objective(theta_c)
     assert value == pytest.approx(np.sum(sp) / n, rel=1e-12)
@@ -334,7 +341,7 @@ def test_nce_objective_matches_reference(kind):
     model, theta, x, noise, marginal = nce_problem(kind)
     if kind == ICA:
         assert np.min(np.abs(x @ model.unpack(theta).T)) == 0.0
-    objective = nce_objective(model, x, noise, marginal)
+    objective = nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
     theta_c = np.concatenate([theta, [0.3]])
     value, grad = objective(theta_c)[:2]
     ref_value, ref_grad = nce_loss(model, theta_c, x, noise, marginal)
@@ -344,23 +351,31 @@ def test_nce_objective_matches_reference(kind):
 
 @pytest.mark.parametrize("kind", NCE_KINDS)
 def test_nce_objective_evaluates_noise_density_only_at_build(kind, monkeypatch):
-    import cnce.losses
+    # the builder takes log q as values: an NCE cell evaluates it once per
+    # point of [x; noise], before the objective is built, and shares it
+    # between the objective's offsets and c's start
+    import cnce.experiments
 
-    calls = []
+    calls, built = [], []
 
     def counted(marginal, u):
         calls.append(len(u))
         return log_density_marginal(marginal, u)
 
-    monkeypatch.setattr(cnce.losses, "log_density_marginal", counted)
-    model, theta, x, noise, marginal = nce_problem(kind)
-    objective = nce_objective(model, x, noise, marginal)
-    built = len(calls)
-    assert built > 0
-    theta_c = np.concatenate([theta, [0.3]])
-    for step in range(5):
-        objective(theta_c + 0.01 * step)
-    assert len(calls) == built
+    build = cnce.experiments.nce_objective
+
+    def recorded_build(*args):
+        built.append(len(calls))
+        return build(*args)
+
+    monkeypatch.setattr(cnce.experiments, "log_density_marginal", counted)
+    monkeypatch.setattr(cnce.experiments, "nce_objective", recorded_build)
+    cfg = ExperimentConfig(model=make(kind), methods=("nce",), n_grid=(200,),
+                           kappa_grid=(2,), repeats=1,
+                           optimizer=OptimizerConfig(max_iters=5))
+    run_single(cfg, "nce", 200, 2, 0)
+    assert built == [len(calls)]
+    assert sum(calls) == 200 * (1 + 2)
 
 
 def test_objectives_reject_models_without_a_route():
@@ -373,8 +388,9 @@ def test_objectives_reject_models_without_a_route():
     model = make(BERNOULLI)
     x = model.sample(np.log([0.4, 0.6]), 20, rng_from(48))
     marginal = fit_marginal(x)
+    noise = sample_marginal(marginal, 40, 49)
     with pytest.raises(UnsupportedModelError):
-        nce_objective(model, x, sample_marginal(marginal, 40, 49), marginal)
+        nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
 
 
 class _LocationRows:
@@ -432,7 +448,8 @@ def test_objectives_take_any_model_that_states_its_rows():
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert np.allclose(grad, ref_grad, rtol=1e-12, atol=1e-12)
         full = np.append(theta, 0.3)
-        value, grad, se = nce_objective(model, x, noise, marginal)(full)
+        objective = nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
+        value, grad, se = objective(full)
         ref_value, ref_grad = nce_loss(model, full, x, noise, marginal, model.grad_theta)
         assert np.ndim(se) == 0 and se > 0
         assert value == pytest.approx(ref_value, rel=1e-12)
@@ -476,7 +493,7 @@ def test_nce_prefers_truth_at_scale():
     noise = sample_marginal(marginal, 20_000, 50)
     # true log-normaliser of exp(-u'Lu/2): log[(2 pi)^{d/2} det(L)^{-1/2}]
     c_true = -(0.5 * 5 * np.log(2 * np.pi) - 0.5 * np.linalg.slogdet(2 * np.eye(5))[1])
-    objective = nce_objective(model, x, noise, marginal)
+    objective = nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
     at_truth = objective(np.concatenate([theta, [c_true]]))[0]
     at_perturbed = objective(np.concatenate([theta + 0.3, [c_true]]))[0]
     assert at_truth < at_perturbed
@@ -487,7 +504,8 @@ def test_nce_noise_count_multiple():
     x = rng_from(51).standard_normal((10, 5))
     marginal = fit_marginal(x)
     with pytest.raises(ParameterError):
-        nce_objective(model, x, np.zeros((15, 5)), marginal)
+        nce_objective(model, x, np.zeros((15, 5)),
+                      nce_log_q(marginal, x, np.zeros((15, 5))))
 
 
 @pytest.mark.parametrize("spread", [1.0, 1.5])
@@ -507,7 +525,8 @@ def test_nce_log_normaliser_matches_the_gaussian_log_partition(spread):
     w = np.exp(log_w - log_w.max())
     se = float(np.std(w) / np.mean(w)) / np.sqrt(len(w))
     assert se < 0.01
-    assert abs(nce_log_normaliser(model, theta, noise, marginal) + log_z) < 4 * se
+    log_q = log_density_marginal(marginal, noise)
+    assert abs(nce_log_normaliser(model, theta, noise, log_q) + log_z) < 4 * se
 
 
 def test_nce_log_normaliser_shifts_before_exp():
@@ -517,14 +536,15 @@ def test_nce_log_normaliser_shifts_before_exp():
     theta = model.random_params(rng_from(58))
     marginal = fit_marginal(model.sample(theta, 500, rng_from(59)))
     noise = sample_marginal(marginal, 2_000, 60)
-    base = nce_log_normaliser(model, theta, noise, marginal)
+    log_q = log_density_marginal(marginal, noise)
+    base = nce_log_normaliser(model, theta, noise, log_q)
 
     class Scaled(GaussianPrecisionModel):
         def log_phi(self, theta, U):
             return super().log_phi(theta, U) + shift
 
     for shift in (-1000.0, 1000.0):
-        assert nce_log_normaliser(Scaled(5), theta, noise, marginal) == \
+        assert nce_log_normaliser(Scaled(5), theta, noise, log_q) == \
             pytest.approx(base - shift, abs=1e-9)
 
 

@@ -237,6 +237,19 @@ def test_rows_match_log_phi_and_its_gradient(kind):
         assert np.allclose(got, grad, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", [k for k in KINDS if _CLASSES[k].affine])
+def test_affine_rows_are_column_major(kind):
+    # the layout their products run fastest on (``models`` docstring)
+    model = make(kind)
+    rng = rng_from(64, kind)
+    theta = random_theta(model, rng)
+    x = random_points(model, theta, rng, m=12)
+    y = random_points(model, theta, rng, m=36)
+    for rows in (model.rows(y), model.pair_rows(x, y, 3)):
+        assert rows.phi.shape == (36, model.param_count)
+        assert rows.phi.flags.f_contiguous
+
+
 # ---------------------------------------------------------------------------
 # point gradients / laplacians
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The Newton route of ``minimize``: exact Hessians of the affine-feature
 objectives against finite differences of their gradients, route selection
-through wrappers, the stopping rules, and overflow-safe line search."""
+through wrappers, the stopping rules, overflow-safe line search, and when
+the Hessian callable runs."""
 
 import warnings
 
@@ -11,6 +12,7 @@ from cnce import (
     ExperimentConfig,
     OptimizerConfig,
     fit_marginal,
+    log_density_marginal,
     minimize,
     run_single,
     sample_conditional,
@@ -41,7 +43,8 @@ def build_objective(kind, method, seed=0, n=80):
     if method == "nce":
         marginal = fit_marginal(x)
         noise = sample_marginal(marginal, 2 * n, seed + 3)
-        return nce_objective(model, x, noise, marginal), np.append(start, 0.2)
+        log_q = log_density_marginal(marginal, np.concatenate([x, noise]))
+        return nce_objective(model, x, noise, log_q), np.append(start, 0.2)
     return score_matching_objective(model, x), start
 
 
@@ -49,6 +52,7 @@ def build_objective(kind, method, seed=0, n=80):
 def test_hessian_matches_gradient_finite_differences(kind, method):
     objective, raw = build_objective(kind, method)
     value, grad, hess = objective(raw)
+    hess = hess()
     assert hess.shape == (len(raw), len(raw))
     h = 1e-5
     fd = np.empty_like(hess)
@@ -67,7 +71,7 @@ def test_hessian_is_positive_semidefinite_around_the_start(kind, method):
     objective, raw = build_objective(kind, method)
     rng = rng_from(11, kind, method)
     for _ in range(20):
-        hess = objective(raw + rng.uniform(-2.0, 2.0, len(raw)))[2]
+        hess = objective(raw + rng.uniform(-2.0, 2.0, len(raw)))[2]()
         eig = np.linalg.eigvalsh(hess)
         assert eig[0] >= -1e-10 * eig[-1]
 
@@ -180,3 +184,59 @@ def test_lognormal_nce_overflowing_trials_leak_no_warnings():
         record, _ = run_single(cfg, "nce", 4000, 10, 0)
     assert record.converged
     assert np.isfinite(record.error)
+
+
+def test_newton_builds_a_hessian_only_for_the_step_it_takes(monkeypatch):
+    # a Gaussian NCE cell (the benchmark's affine grid at seed 1) whose line
+    # search rejects trials.  Each objective call's Hessian callable is
+    # counted: it runs once per Newton direction, at the start and at every
+    # accepted point but the last, and never at a rejected trial or at the
+    # point the run ends on
+    import cnce.experiments
+
+    build, minimize_ = cnce.experiments.nce_objective, cnce.experiments.minimize
+    calls, runs = [], []  # calls: [value, Hessian runs] per objective call
+
+    def counted_build(*args):
+        objective = build(*args)
+
+        def counted(raw):
+            value, grad, hess = objective(raw)
+            entry = [value, 0]
+            calls.append(entry)
+
+            def counted_hess():
+                entry[1] += 1
+                return hess()
+
+            return value, grad, counted_hess
+
+        return counted
+
+    def recorded_minimize(*args):
+        runs.append(minimize_(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cnce.experiments, "nce_objective", counted_build)
+    monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
+    cfg = ExperimentConfig(model=make(GAUSSIAN), methods=("nce",),
+                           n_grid=(4000,), kappa_grid=(10,), repeats=1,
+                           master_seed=395090079)
+    run_single(cfg, "nce", 4000, 10, 0)
+    (run,) = runs
+    assert run.stop == "grad_tol"
+    assert len(calls) > run.iters  # some trials were rejected
+    built = [entry for entry in calls if entry[1]]
+    assert [count for _, count in built] == [1] * (run.iters - 1)
+    assert [value for value, _ in built] == run.loss_trace[:-1]
+    assert calls[-1] == [run.loss_trace[-1], 0]
+
+
+@pytest.mark.parametrize("method", ("cnce", "nce"))
+def test_a_hessian_callable_refuses_to_run_after_a_later_call(method):
+    # it reads the scratch arrays of its call, which the next call overwrites
+    objective, raw = build_objective(GAUSSIAN, method)
+    hess = objective(raw)[2]
+    objective(raw + 0.1)
+    with pytest.raises(RuntimeError, match="valid only until the next call"):
+        hess()

@@ -2,6 +2,16 @@
 grids, error metrics with the model-specific ambiguity handling, quantile
 summaries, result persistence, and the small-noise expansion check.
 
+Where each fit starts: ``run_single`` draws theta0 from the cell's seed
+(``model.init_theta``), where the noise-scale ladder, score matching and
+the ICA CNCE and NCE fits start; the ICA MLE draws its own start.  The
+CNCE and NCE fits of an affine model, damped Newton on a loss convex in
+theta, start instead at the model's closed-form estimate
+(``newton_start``), NCE's c at its log-normaliser there: both starts
+reach the same minimiser, and on the benchmark's affine grid (seeds
+1-20) the closed-form one took 1829 Newton iterations where theta0 took
+2492.
+
 Determinism contract: every run derives its generator from
 ``stable_hash(master_seed, model kind, method, n, kappa, repeat)`` and
 sub-streams from named child hashes, so results are independent of execution
@@ -39,12 +49,12 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ParameterError, _integer, _real, convert_fields
+from .errors import (CnceError, ParameterError, UnsupportedModelError, _integer, _real,
+                     convert_fields)
 from .kernels import fit_marginal, log_density_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
@@ -178,6 +188,28 @@ def _run_id(model_kind, method, n, kappa, repeat) -> str:
     return f"{model_kind}-{method}-n{n:09d}-k{kappa:05d}-r{repeat:04d}"
 
 
+def newton_start(model, x, theta0):
+    """Where a contrastive fit of ``model`` on x starts: for an affine
+    model, whose CNCE and NCE losses are convex in theta, its closed-form
+    estimate, ``model.mle(x)`` or, where the model has no MLE, the
+    score-matching minimiser -A^{-1} b of ``model.score_quadratic(x)``.
+    Both are consistent, so Newton starts near the minimiser it reaches
+    from any start.  theta0 where the model is not affine (Adam keeps its
+    random start) or the estimate fails or is not finite: a Gaussian with
+    fewer points than dims, Bernoulli data that take one value."""
+    if not model.affine:
+        return theta0
+    try:
+        try:
+            theta = model.mle(x)
+        except UnsupportedModelError:
+            a, b, _ = model.score_quadratic(x)
+            theta = -np.linalg.solve(a, b)
+    except (CnceError, np.linalg.LinAlgError):
+        return theta0
+    return theta if np.all(np.isfinite(theta)) else theta0
+
+
 def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                repeat: int, collect_trace: bool = False):
     """One (method, n, kappa, repeat) cell.  Returns (ErrorRecord, warnings)
@@ -216,6 +248,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 kernel = model.kernel.for_data(epsilon, x)
                 noise = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
                 objective = cnce_objective(model, x, noise)
+                start = newton_start(model, x, theta0)
             elif method == "nce":
                 marginal = fit_marginal(x)
                 noise = sample_marginal(marginal, kappa * n,
@@ -225,14 +258,15 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 log_q = np.concatenate([log_density_marginal(marginal, x), log_q_noise])
                 objective = nce_objective(model, x, noise, log_q)
                 # where log phi is affine (Newton), the trailing log-normaliser
-                # c starts at its optimum for theta0: from c = 0, 8-10 nats
-                # off, the noise terms saturate and the line search
+                # c starts at its optimum for theta's start: from c = 0, 8-10
+                # nats off, the noise terms saturate and the line search
                 # backtracks.  Adam (Laplace ICA) keeps c = 0: there this
                 # start cut iterations by 14% but raised the error geometric
                 # mean by 5% (ica_grid seeds 1-24)
-                c0 = (nce_log_normaliser(model, theta0, noise, log_q_noise)
+                start = newton_start(model, x, theta0)
+                c0 = (nce_log_normaliser(model, start, noise, log_q_noise)
                       if model.affine else 0.0)
-                start = np.concatenate([theta0, [c0]])
+                start = np.concatenate([start, [c0]])
             elif method == "score_matching":
                 objective = score_matching_objective(model, x)
             else:
@@ -298,6 +332,10 @@ def run_grid(cfg: ExperimentConfig, jobs: int = 1):
         for r in range(cfg.repeats)
     ]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: on one worker, leaving multiprocessing unloaded
+        # took import cnce.experiments from 130 to 110 ms (2-core VM)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_task, [(cfg, t) for t in tasks],
                                     chunksize=1))

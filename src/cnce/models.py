@@ -24,9 +24,11 @@ du), the small-noise limit check; ``rows(U)`` and ``pair_rows(x, y,
 kappa)`` serve the contrastive objectives and the ICA MLE (below);
 ``score_quadratic(x) -> (A, b, c)``, with the score-matching loss exactly
 theta'A theta / 2 + b'theta + c, serves score matching; ``mle(x)`` gives
-the closed-form MLE; and ``error`` is the estimation error with the
-model's ambiguities resolved (Euclidean by default).  What a model does
-not support raises ``UnsupportedModelError``.
+the closed-form MLE; the two also give the start of the contrastive
+Newton fits (``experiments.newton_start``); and ``error`` is the
+estimation error with the model's ambiguities resolved (Euclidean by
+default).  What a model does not support raises
+``UnsupportedModelError``.
 
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
@@ -248,8 +250,18 @@ class GaussianPrecisionModel(_Model):
         return 0.5 * (a + a.T), b, 0.0
 
     def mle(self, x):
+        # x'x / n is singular below dim points, where a Cholesky factor can
+        # still pass on rounding and the inverse reads ~1e16
         x = self._as_batch(x)
-        return self.pack(np.linalg.inv(x.T @ x / len(x)))
+        if len(x) < self.dim:
+            raise SingularityError(
+                f"gaussian mle needs n >= dim = {self.dim} points, got {len(x)}")
+        s = x.T @ x / len(x)
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            raise SingularityError("gaussian mle: x'x / n is singular") from None
+        return self.pack(np.linalg.inv(s))
 
     def sample(self, theta, n, rng):
         lam = self.unpack(theta)

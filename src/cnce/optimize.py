@@ -35,6 +35,9 @@ Nocedal 2018, SIAM Review 60(2), sections 3-4), so Adam stops with
 ``STAT_FRACTION`` standard errors over the last ``STAT_WINDOW`` trace
 entries.  Without a third slot it stops on ``grad_tol`` or ``max_iters``.
 
+``minimize`` starts where its caller says: ``experiments.run_single``
+gives the contrastive Newton fits of an affine model its closed-form
+estimate and the other fits a random start (``experiments`` docstring).
 Everything is a pure function of (objective, start, config): traces are
 bit-reproducible.
 """
@@ -61,7 +64,11 @@ class OptimizerConfig:
     """Settings of ``minimize``'s two routes, damped Newton and Adam.
     ``max_iters`` caps the trace length and ``grad_tol`` is the gradient
     stop on both; ``adam_*`` apply to Adam only.  ``init_scale`` is the
-    spread of the random start that ``model.init_theta`` draws for a fit.
+    spread of the random starts that ``model.init_theta`` draws: a cell's
+    theta0, where its noise-scale ladder, score matching and the ICA fits
+    start, and the ICA MLE's own start.  The CNCE and NCE fits of an
+    affine model start at its closed-form estimate instead, where that is
+    finite (``experiments.newton_start``).
     Adam's statistical stop has constants, not options: it ends a run once
     progress falls below the loss's own sampling error, which no setting
     should trade away."""

@@ -23,8 +23,13 @@ from cnce import (
     limit_check,
     persist,
     load_records,
+    fit_marginal,
+    log_density_marginal,
+    minimize,
     run_grid,
     run_single,
+    sample_conditional,
+    sample_marginal,
     stable_hash,
     summarize,
 )
@@ -34,11 +39,14 @@ from cnce.experiments import (
     ErrorRecord,
     config_from_json,
     config_to_json,
+    newton_start,
     records_from_csv,
     records_to_csv,
     write_outputs,
 )
+from cnce.losses import cnce_objective, nce_log_normaliser, nce_objective
 from cnce.models import BERNOULLI, GAUSSIAN, ICA, KINDS, LOGNORMAL, RING
+from cnce.optimize import adapt_epsilon
 from cnce.seeding import rng_from
 
 from test_models import make
@@ -484,6 +492,150 @@ def test_run_single_starts_nce_c_at_its_log_normaliser_where_newton_runs(
     else:
         assert c0 == nce_log_normaliser(model, np.array(theta0), noise,
                                         log_q[-len(noise):])
+
+
+# every affine model with each contrastive method it supports
+CONTRASTIVE_CASES = [(kind, method) for kind in (GAUSSIAN, RING, LOGNORMAL, BERNOULLI)
+                     for method in ("cnce", "nce") if method in make(kind).methods]
+
+
+@pytest.fixture
+def minimize_starts(monkeypatch):
+    """The start of every ``minimize`` call that ``run_single`` makes."""
+    import cnce.experiments
+
+    minimize_ = cnce.experiments.minimize
+    starts = []
+
+    def recorded_minimize(objective, start, cfg):
+        starts.append(start)
+        return minimize_(objective, start, cfg)
+
+    monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
+    return starts
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_newton_start_is_the_closed_form_estimate_of_an_affine_model(kind):
+    model = make(kind)
+    x = model.sample(model.random_params(rng_from(81, kind)), 300, rng_from(82, kind))
+    theta0 = model.init_theta(rng_from(83, kind))
+    start = newton_start(model, x, theta0)
+    if not model.affine:  # Adam keeps the random start
+        assert start is theta0
+    elif "mle" in model.methods:
+        assert np.array_equal(start, model.mle(x))
+    else:  # the ring: the score-matching minimiser, -b / a for its one parameter
+        a, b, _ = model.score_quadratic(x)
+        assert start == pytest.approx(-b / a[0], rel=1e-14)
+        assert start[0] > 0
+
+
+def test_newton_start_falls_back_to_theta0_below_dim_gaussian_points():
+    model = make(GAUSSIAN)
+    theta0 = model.init_theta(rng_from(84))
+    for n in (2, 3, 4):
+        x = model.sample(model.random_params(rng_from(85)), n, rng_from(86, n))
+        assert newton_start(model, x, theta0) is theta0
+    x = model.sample(model.random_params(rng_from(85)), 5, rng_from(87))
+    assert newton_start(model, x, theta0) is not theta0
+
+
+@pytest.mark.parametrize("bit", (0.0, 1.0))
+def test_newton_start_falls_back_to_theta0_on_single_valued_bernoulli_data(bit):
+    # the MLE gives the value the data never take a log-weight of -inf
+    model = make(BERNOULLI)
+    x = np.full((40, 1), bit)
+    assert not np.all(np.isfinite(model.mle(x)))
+    theta0 = model.init_theta(rng_from(88))
+    assert newton_start(model, x, theta0) is theta0
+
+
+def test_newton_start_falls_back_to_theta0_on_a_singular_ring_quadratic():
+    # every point on the shell: A = mean (r - mu)^2 = 0 has no inverse
+    model = make(RING)
+    x = np.zeros((10, model.dim))
+    x[:, 0] = model.mu
+    theta0 = model.init_theta(rng_from(89))
+    assert newton_start(model, x, theta0) is theta0
+
+
+@pytest.mark.parametrize("kind,method", CONTRASTIVE_CASES)
+def test_contrastive_fits_from_the_closed_form_start_and_from_theta0_agree(
+        kind, method):
+    # the loss is convex in theta, so both starts reach the one minimiser,
+    # each within what grad_tol resolves.  Near it the loss is quadratic
+    # with Hessian H = V diag(lam) V', a stop at |g|_inf <= grad_tol lies
+    # within |g|_2 / lam_k <= sqrt(p) grad_tol / lam_k of it along v_k and
+    # within p grad_tol^2 / (2 lam_min) of its loss; a direction H does
+    # not see (the Bernoulli offset) is left free
+    model = make(kind)
+    cfg = OptimizerConfig()
+    n, kappa = 1000, 10
+    x = model.sample(model.random_params(rng_from(91, kind)), n, rng_from(92, kind))
+    theta0 = model.init_theta(rng_from(93, kind))
+    start = newton_start(model, x, theta0)
+    assert not np.array_equal(start, theta0)
+    if method == "cnce":
+        epsilon, _ = adapt_epsilon(model, theta0, x, EpsilonSchedule(), kappa, 94)
+        noise = sample_conditional(model.kernel.for_data(epsilon, x), x, kappa, 95)
+        objective = cnce_objective(model, x, noise)
+        starts = (start, theta0)
+    else:
+        marginal = fit_marginal(x)
+        noise = sample_marginal(marginal, kappa * n, 96)
+        log_q_noise = log_density_marginal(marginal, noise)
+        objective = nce_objective(model, x, noise, np.concatenate(
+            [log_density_marginal(marginal, x), log_q_noise]))
+        starts = [np.append(s, nce_log_normaliser(model, s, noise, log_q_noise))
+                  for s in (start, theta0)]
+    closed, random = (minimize(objective, s, cfg) for s in starts)
+    assert closed.stop == random.stop == "grad_tol"
+    lam, vec = np.linalg.eigh(objective(closed.theta)[2]())
+    seen = lam > 1e-12 * lam[-1]
+    p = len(closed.theta)
+    bound = 2.0 * np.sqrt(p) * cfg.grad_tol / lam[seen]
+    assert np.all(np.abs(vec[:, seen].T @ (closed.theta - random.theta)) <= bound)
+    f_closed, f_random = closed.loss_trace[-1], random.loss_trace[-1]
+    assert abs(f_closed - f_random) <= (p * cfg.grad_tol**2 / lam[seen].min()
+                                        + 16 * np.spacing(f_closed))
+
+
+@pytest.mark.parametrize("kind,method", CONTRASTIVE_CASES + [(ICA, "cnce"), (ICA, "nce")])
+def test_run_single_starts_at_newton_start_and_picks_epsilon_at_theta0(
+        kind, method, minimize_starts):
+    # the closed-form start moves where the fit starts, not the noise scale
+    cfg = small_config(kind=kind, methods=(method,), n_grid=(300,), repeats=1,
+                       kappa_grid=(5,), optimizer=OptimizerConfig(max_iters=3))
+    record, _ = run_single(cfg, method, 300, 5, 0)
+    seed = stable_hash(cfg.master_seed, kind, method, 300, 5, 0)
+    model = cfg.model
+    x = model.sample(model.random_params(rng_from(stable_hash(seed, "params"))), 300,
+                     rng_from(stable_hash(seed, "data")))
+    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")),
+                              cfg.optimizer.init_scale)
+    (start,) = minimize_starts
+    assert record.seed == seed
+    assert np.array_equal(start[:model.param_count], newton_start(model, x, theta0))
+    if method == "cnce":
+        assert record.epsilon == adapt_epsilon(model, theta0, x, cfg.epsilon_schedule,
+                                               5, stable_hash(seed, "epsilon"))[0]
+
+
+def test_run_single_fits_a_gaussian_below_dim_points_from_theta0(minimize_starts):
+    # the MLE of 3 points in 5 dims is singular: CNCE starts at theta0 and
+    # converges, and the MLE cell alone fails
+    cfg = small_config(kind=GAUSSIAN, methods=("cnce", "mle"), n_grid=(3,), repeats=1,
+                       kappa_grid=(5,), optimizer=OptimizerConfig())
+    record, warnings = run_single(cfg, "cnce", 3, 5, 0)
+    seed = stable_hash(cfg.master_seed, GAUSSIAN, "cnce", 3, 5, 0)
+    (start,) = minimize_starts
+    assert np.array_equal(start, cfg.model.init_theta(rng_from(stable_hash(seed, "init"))))
+    assert record.converged and warnings == []
+    record, warnings = run_single(cfg, "mle", 3, 5, 0)
+    assert not record.converged
+    assert warnings == ["cell failed: SingularityError: gaussian mle needs n >= dim = 5 "
+                        "points, got 3"]
 
 
 def test_run_single_fields():

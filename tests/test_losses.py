@@ -15,6 +15,7 @@ from cnce import (
     OptimizerConfig,
     ParameterError,
     RingModel,
+    SingularityError,
     TWO_LOG2,
     UnsupportedModelError,
     cnce_loss,
@@ -594,6 +595,33 @@ def test_mle_gaussian_closed_form():
     assert np.allclose(model.unpack(res.theta), np.linalg.inv(s))
     assert (res.stop, res.converged, res.iters) == ("closed_form", True, 0)
     assert np.all(np.linalg.eigvalsh(model.unpack(res.theta)) > 0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_mle_gaussian_refuses_fewer_points_than_dims(n):
+    # x'x / n has rank n < 5: at n = 4 its inverse read ~1e16, and at 2 and
+    # 3 the inverse failed the symmetry check of pack instead
+    model = make(GAUSSIAN)
+    x = model.sample(model.random_params(rng_from(60)), n, rng_from(61))
+    with pytest.raises(SingularityError, match="n >= dim"):
+        model.mle(x)
+
+
+def test_mle_gaussian_refuses_a_singular_second_moment():
+    # as many points as dims or more, but all in a hyperplane
+    model = make(GAUSSIAN)
+    x = model.sample(model.random_params(rng_from(62)), 50, rng_from(63))
+    x[:, 2] = 0.0
+    with pytest.raises(SingularityError, match="singular"):
+        model.mle(x)
+
+
+def test_mle_gaussian_at_as_many_points_as_dims():
+    model = make(GAUSSIAN)
+    x = model.sample(model.random_params(rng_from(64)), model.dim, rng_from(65))
+    lam = model.unpack(model.mle(x))
+    assert np.array_equal(lam, model.unpack(model.pack(np.linalg.inv(x.T @ x / len(x)))))
+    assert np.all(np.linalg.eigvalsh(lam) > 0)
 
 
 def test_mle_bernoulli_frequencies():

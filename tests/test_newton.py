@@ -18,9 +18,10 @@ from cnce import (
     sample_conditional,
     sample_marginal,
 )
-from cnce.losses import cnce_objective, nce_objective, score_matching_objective
+from cnce.losses import (cnce_objective, nce_log_normaliser, nce_objective,
+                         score_matching_objective)
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
-from cnce.seeding import rng_from
+from cnce.seeding import rng_from, stable_hash
 
 from test_models import make
 
@@ -186,44 +187,38 @@ def test_lognormal_nce_overflowing_trials_leak_no_warnings():
     assert np.isfinite(record.error)
 
 
-def test_newton_builds_a_hessian_only_for_the_step_it_takes(monkeypatch):
-    # a Gaussian NCE cell (the benchmark's affine grid at seed 1) whose line
+def test_newton_builds_a_hessian_only_for_the_step_it_takes():
+    # the NCE objective of a Gaussian cell (the benchmark's affine grid at
+    # seed 1), fitted from the cell's random start theta0, where the line
     # search rejects trials.  Each objective call's Hessian callable is
     # counted: it runs once per Newton direction, at the start and at every
     # accepted point but the last, and never at a rejected trial or at the
     # point the run ends on
-    import cnce.experiments
+    model = make(GAUSSIAN)
+    seed = stable_hash(395090079, GAUSSIAN, "nce", 4000, 10, 0)
+    x = model.sample(model.random_params(rng_from(stable_hash(seed, "params"))),
+                     4000, rng_from(stable_hash(seed, "data")))
+    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")))
+    marginal = fit_marginal(x)
+    noise = sample_marginal(marginal, 40_000, stable_hash(seed, "nce_noise"))
+    log_q_noise = log_density_marginal(marginal, noise)
+    objective = nce_objective(model, x, noise, np.concatenate(
+        [log_density_marginal(marginal, x), log_q_noise]))
+    start = np.append(theta0, nce_log_normaliser(model, theta0, noise, log_q_noise))
+    calls = []  # [value, Hessian runs] per objective call
 
-    build, minimize_ = cnce.experiments.nce_objective, cnce.experiments.minimize
-    calls, runs = [], []  # calls: [value, Hessian runs] per objective call
+    def counted(raw):
+        value, grad, hess = objective(raw)
+        entry = [value, 0]
+        calls.append(entry)
 
-    def counted_build(*args):
-        objective = build(*args)
+        def counted_hess():
+            entry[1] += 1
+            return hess()
 
-        def counted(raw):
-            value, grad, hess = objective(raw)
-            entry = [value, 0]
-            calls.append(entry)
+        return value, grad, counted_hess
 
-            def counted_hess():
-                entry[1] += 1
-                return hess()
-
-            return value, grad, counted_hess
-
-        return counted
-
-    def recorded_minimize(*args):
-        runs.append(minimize_(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(cnce.experiments, "nce_objective", counted_build)
-    monkeypatch.setattr(cnce.experiments, "minimize", recorded_minimize)
-    cfg = ExperimentConfig(model=make(GAUSSIAN), methods=("nce",),
-                           n_grid=(4000,), kappa_grid=(10,), repeats=1,
-                           master_seed=395090079)
-    run_single(cfg, "nce", 4000, 10, 0)
-    (run,) = runs
+    run = minimize(counted, start, OptimizerConfig())
     assert run.stop == "grad_tol"
     assert len(calls) > run.iters  # some trials were rejected
     built = [entry for entry in calls if entry[1]]

@@ -474,28 +474,29 @@ def test_usage_error_exit_1(capsys):
 
 _ONE_CELL_PER_METHOD = """
 import sys, cnce, cnce.cli
-from cnce.experiments import ExperimentConfig, run_single
+from cnce.experiments import ExperimentConfig, run_grid
 from cnce.models import _CLASSES
 from cnce.optimize import OptimizerConfig
 
 for cls in _CLASSES.values():
-    methods = cls.methods
-    cfg = ExperimentConfig(model=cls(), methods=methods, n_grid=(40,),
+    cfg = ExperimentConfig(model=cls(), methods=cls.methods, n_grid=(40,),
                            kappa_grid=(2,), repeats=1,
                            optimizer=OptimizerConfig(max_iters=20))
-    for method in methods:
-        run_single(cfg, method, 40, 2, 0)
+    run_grid(cfg, jobs=1)  # one cell per method
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
 """
 
 
 def test_cli_and_one_cell_per_method_load_no_scipy():
     # importing scipy.special alone takes ~0.3 s, more than half of a
-    # fresh process's start-up (2-core VM); the package needs numpy only
+    # fresh process's start-up (2-core VM); the package needs numpy only.
+    # Nor does a grid on one worker load multiprocessing, which only the
+    # process pool needs
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _ONE_CELL_PER_METHOD],
                          env=env, capture_output=True, text=True, check=True,
                          timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]

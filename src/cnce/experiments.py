@@ -83,7 +83,8 @@ class ExperimentConfig:
     - ``model`` (an instance of a ``models`` class) and ``methods`` (a
       non-empty tuple of the model's ``methods``): required.
     - ``n_grid``, ``kappa_grid`` (tuples of int, required): non-empty,
-      strictly ascending, >= 1; with ``"nce"``, every n >= dim + 1.
+      strictly ascending, >= 1; with ``"nce"``, every n >= dim + 1, and
+      with ``"mle"``, every n >= dim.
     - ``repeats`` (int, 20, >= 1) and ``master_seed`` (int, 0).
     - ``epsilon``: ``"auto"`` (default), which ``adapt_epsilon`` picks on
       ``epsilon_schedule`` per run, or CNCE's fixed noise scale, a float
@@ -130,6 +131,9 @@ class ExperimentConfig:
         if "nce" in self.methods and any(n < self.model.dim + 1 for n in self.n_grid):
             # the moment-matched noise needs a covariance fit
             raise ParameterError("nce needs every n >= dim + 1")
+        if "mle" in self.methods and any(n < self.model.dim for n in self.n_grid):
+            # x'x / n, which every MLE here inverts or whitens by, is singular
+            raise ParameterError("mle needs every n >= dim")
         cap = self.model.kernel.epsilon_cap
         if ("cnce" in self.methods and self.epsilon != "auto" and cap is not None
                 and self.epsilon > cap):
@@ -189,16 +193,15 @@ def _run_id(model_kind, method, n, kappa, repeat) -> str:
 
 
 def newton_start(model, x, theta0):
-    """Where a contrastive fit of ``model`` on x starts: for an affine
-    model, whose CNCE and NCE losses are convex in theta, its closed-form
+    """Where a contrastive fit of ``model`` on x starts: its closed-form
     estimate, ``model.mle(x)`` or, where the model has no MLE, the
     score-matching minimiser -A^{-1} b of ``model.score_quadratic(x)``.
-    Both are consistent, so Newton starts near the minimiser it reaches
-    from any start.  theta0 where the model is not affine (Adam keeps its
-    random start) or the estimate fails or is not finite: a Gaussian with
-    fewer points than dims, Bernoulli data that take one value."""
-    if not model.affine:
-        return theta0
+    Every affine model, whose CNCE and NCE losses are convex in theta, has
+    one of the two, and both are consistent, so Newton starts near the
+    minimiser it reaches from any start.  theta0 where the model has
+    neither (Laplace ICA: Adam keeps its random start) or the estimate
+    fails or is not finite: a Gaussian with fewer points than dims,
+    Bernoulli data that take one value."""
     try:
         try:
             theta = model.mle(x)

@@ -4,19 +4,23 @@ MLE baselines.
 
 Both contrastive losses are logistic, and the model enters them only
 through log phi on a fixed set of points: the partition function cancels
-in CNCE and is learned as c in NCE.  So each ``*_objective`` builder has
-one body, takes the model's rows over those points (``models`` docstring),
-folds every constant into the rows' offset once, and makes one ``value``,
-one ``_softplus_sigmoid_neg`` pass and one ``vjp`` per call:
+in CNCE and is learned as c in NCE.  So both are one body,
+``_logistic_objective``: a scaled sum of softplus(-row) over rows in the
+protocol of ``models``, with one ``value``, one ``_softplus_sigmoid_neg``
+pass and one ``vjp`` per call.  Each ``*_objective`` builder only picks
+the rows and the loss's scale:
 
 - CNCE: ``model.pair_rows``, one row per (data, noise) pair, G =
-  log phi(x) - log phi(y).  The kernel term log pc(y|x)/pc(x|y) of G is
-  zero for every kernel of ``kernels``, so the noise array is all a CNCE
-  loss takes of the kernel.
-- NCE: ``model.rows`` over u = [x; noise], with the offsets
-  -log q(u) - log nu folded in at build time from the noise log-densities
-  the caller evaluated, and a +-1 row sign that turns the data and noise
-  terms into one softplus.
+  log phi(x) - log phi(y), scaled by 2 / (n kappa).  The kernel term
+  log pc(y|x)/pc(x|y) of G is zero for every kernel of ``kernels``, so
+  the noise array is all a CNCE loss takes of the kernel.
+- NCE: ``_NceRows`` over ``model.rows`` of u = [x; noise], scaled by
+  1 / n.  The offsets -log q(u) - log nu are folded into the model's rows
+  at build time, from the noise log-densities the caller evaluated.  The
+  wrapper adds c as one more column and a +-1 row sign that turns the data
+  and noise terms into one softplus: its rows are s (log phi(u) + c -
+  log q(u) - log nu), linear in (theta, c) where log phi is affine in
+  theta.
 
 A method missing from ``model.methods``, or a model without rows, raises
 ``UnsupportedModelError``.  ``cnce_loss`` is the CNCE loss value alone,
@@ -137,18 +141,14 @@ def _require(model, method: str):
         raise UnsupportedModelError(f"{method} unsupported for {model.kind}")
 
 
-def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
-    """Objective over theta, from ``model.pair_rows`` over x
-    and its (n, kappa, dim) noise: (value, grad, hess) where ``model.affine``,
-    (value, grad, se) otherwise, with se = 2 std(softplus rows) / sqrt(rows)."""
-    _require(model, "cnce")
-    x = np.asarray(x, dtype=float)
-    y, kappa = _flat_pairs(x, noise)
-    rows = model.pair_rows(x, y, kappa)
-    m = len(y)
+def _logistic_objective(rows, m: int, scale, se_scale: float, affine: bool):
+    """The logistic loss scale(sum_r softplus(-row_r)) over m rows, as an
+    objective (module docstring): (value, grad, hess) on affine rows,
+    (value, grad, se) otherwise, se = se_scale std(softplus rows) / sqrt(m).
+    ``scale`` maps a sum over rows to the loss's scale, so that each
+    estimator keeps its own order of operations."""
     g = np.empty(m)
     work = _pair_work(m)
-    affine = model.affine
     se = None
     calls = 0
 
@@ -157,13 +157,12 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
         calls += 1
         call = calls
         rows.value(theta, g)
-        np.add(g, rows.offset, out=g)
         sp, sig = _softplus_sigmoid_neg(g, work)
-        value = 2.0 / m * float(np.sum(sp))
-        grad = -2.0 / m * rows.vjp(sig)
+        value = scale(float(np.sum(sp)))
+        grad = -scale(rows.vjp(sig))
         if not affine:
             if se is None:
-                se = 2.0 * _std_error(sp)
+                se = se_scale * _std_error(sp)
             return value, grad, se
 
         def hess():
@@ -171,11 +170,23 @@ def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
                 raise RuntimeError(_STALE)
             np.subtract(1.0, sig, out=g)
             np.multiply(g, sig, out=g)  # logistic curvature sig (1 - sig)
-            return 2.0 / m * rows.gram(g)
+            return scale(rows.gram(g))
 
         return value, grad, hess
 
     return objective
+
+
+def cnce_objective(model, x: np.ndarray, noise: np.ndarray):
+    """Objective over theta, from ``model.pair_rows`` over x
+    and its (n, kappa, dim) noise: (value, grad, hess) where ``model.affine``,
+    (value, grad, se) otherwise, with se = 2 std(softplus rows) / sqrt(rows)."""
+    _require(model, "cnce")
+    x = np.asarray(x, dtype=float)
+    y, kappa = _flat_pairs(x, noise)
+    m = len(y)
+    return _logistic_objective(model.pair_rows(x, y, kappa), m,
+                               lambda v: 2.0 / m * v, 2.0, model.affine)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +203,41 @@ def nce_log_normaliser(model, theta, noise: np.ndarray, log_q: np.ndarray) -> fl
     return -(top + float(np.log(np.mean(np.exp(a - top)))))
 
 
+class _NceRows:
+    """NCE's rows over (theta, c): s (h + c), with h the rows of u =
+    [x; noise] and the row sign s = +1 on the first n (data) and -1 on the
+    rest (noise), so that the data terms softplus(-h - c) and the noise
+    terms softplus(h + c) are all softplus(-row).  The c column s is
+    appended to ``vjp``, and borders ``gram`` (s^2 = 1)."""
+
+    def __init__(self, rows, n: int):
+        self.rows, self.n = rows, n
+        self.w = np.empty_like(rows.offset)  # the signed weights
+
+    def value(self, theta_c, out):
+        self.rows.value(theta_c[:-1], out)
+        np.add(out, theta_c[-1], out=out)
+        np.negative(out[self.n:], out=out[self.n:])
+
+    def vjp(self, w):
+        np.copyto(self.w, w)
+        np.negative(self.w[self.n:], out=self.w[self.n:])
+        return np.append(self.rows.vjp(self.w), np.sum(self.w))
+
+    def gram(self, c):
+        border = np.append(self.rows.vjp(c), np.sum(c))  # the c column's entries
+        return np.block([[self.rows.gram(c), border[:-1, None]], [border]])
+
+
 def nce_objective(model, x: np.ndarray, noise: np.ndarray, log_q: np.ndarray):
     """Objective over (theta, c), from ``model.rows`` over
     u = [x; noise], with log_q = log q(u), the noise log-density at u:
     (value, grad, hess) where ``model.affine``, (value, grad, se) otherwise,
     with se = (rows / n) std(softplus rows) / sqrt(rows).
 
-    With h = log phi(u) + c - log q(u) - log nu and the row sign s = +1 on
-    data and -1 on noise, the data terms softplus(-h) and the noise terms
-    softplus(h) are all softplus(-s h); w = s sigmoid(-s h) = -n d loss / dh.
+    h = log phi(u) - log q(u) - log nu, the constants folded into the rows'
+    offset here, and the loss is sum_r softplus(-row_r) / n over the rows of
+    ``_NceRows``.
     """
     _require(model, "nce")
     x = np.asarray(x, dtype=float)
@@ -211,46 +248,8 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, log_q: np.ndarray):
     u = np.concatenate([x, noise])
     rows = model.rows(u)
     np.add(rows.offset, -log_q - np.log(len(noise) // n), out=rows.offset)
-    h, w = np.empty(len(u)), np.empty(len(u))
-    work = _pair_work(len(u))
-    affine = model.affine
-    se = None
-    calls = 0
-
-    def objective(theta_c):
-        nonlocal se, calls
-        calls += 1
-        call = calls
-        rows.value(theta_c[:-1], h)
-        np.add(h, rows.offset, out=h)
-        np.add(h, theta_c[-1], out=h)
-        np.negative(h[n:], out=h[n:])
-        sp, sig = _softplus_sigmoid_neg(h, work)
-        value = float(np.sum(sp)) / n
-        np.copyto(w, sig)
-        np.negative(w[n:], out=w[n:])
-        g_theta = -rows.vjp(w) / n
-        g_c = -float(np.sum(w)) / n
-        if not affine:
-            if se is None:
-                se = len(sp) / n * _std_error(sp)
-            return value, np.append(g_theta, g_c), se
-
-        def hess():
-            if call != calls:
-                raise RuntimeError(_STALE)
-            np.subtract(1.0, sig, out=h)
-            np.multiply(h, sig, out=h)  # logistic curvature, bordered by the c column
-            p = len(g_theta)
-            out = np.empty((p + 1, p + 1))
-            out[:p, :p] = rows.gram(h) / n
-            out[:p, p] = out[p, :p] = rows.vjp(h) / n
-            out[p, p] = float(np.sum(h)) / n
-            return out
-
-        return value, np.append(g_theta, g_c), hess
-
-    return objective
+    return _logistic_objective(_NceRows(rows, n), len(u), lambda v: v / n,
+                               len(u) / n, model.affine)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,6 @@ def ica_mle_objective(model, x: np.ndarray):
         if sign == 0:
             return np.inf, np.zeros(d * d), np.nan
         rows.value(theta, log_phi)
-        np.add(log_phi, rows.offset, out=log_phi)
         if se is None:
             se = _std_error(log_phi)
         value = -logdet - float(np.mean(log_phi)) + const

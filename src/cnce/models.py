@@ -32,14 +32,15 @@ default).  What a model does not support raises
 
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
-object with ``offset``, the (m,) part no parameter moves, a fresh array a
-loss may fold its own constants into; ``value(theta, out)``, which writes
-the rest; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last
-``value``.  Affine rows, Phi @ theta + offset, add the exact curvature
-``gram(c)`` = Phi' diag(c) Phi.  ``_Model`` builds them from
-``features(U)`` = (Phi, offset), which the affine models state (Bernoulli
-as its log-weight indicators); Laplace ICA builds non-affine rows from the
-sources B U' instead.
+object with ``value(theta, out)``, which writes the whole (m,) row vector
+to out; ``vjp(w)``, sum_r w_r d row_r / d theta at the last ``value``;
+and ``offset``, the (m,) part of the rows no parameter moves, which
+``value`` adds: a fresh array, where a loss folds its own constants at
+build time (NCE its -log q - log nu).  Affine rows, Phi @ theta + offset,
+add the exact curvature ``gram(c)`` = Phi' diag(c) Phi.  ``_Model`` builds
+them from ``features(U)`` = (Phi, offset), which the affine models state
+(Bernoulli as its log-weight indicators); Laplace ICA builds non-affine
+rows from the sources B U' instead.
 
 Phi of affine rows is column-major: on 40 000 rows of 15 columns,
 ``value``, ``vjp`` and the Gram ran 1.3-2x faster in that layout than in
@@ -93,6 +94,7 @@ class _AffineRows:
     def value(self, theta, out):
         # np.dot, not matmul: same bits, and 6-8x faster for one column
         np.dot(self.phi, theta, out=out)
+        np.add(out, self.offset, out=out)
 
     def vjp(self, w):
         if self.phi.shape[1] == 1:
@@ -319,6 +321,7 @@ class _IcaRows(_IcaSources):
 
     def value(self, theta, out):
         np.multiply(self.l1(theta, out), -_SQRT2, out=out)
+        np.add(out, self.offset, out=out)
 
     def vjp(self, w):
         return -_SQRT2 * self.pull(w)
@@ -336,6 +339,7 @@ class _IcaPairRows:
         pairs = self.y.l1(theta, out).reshape(-1, self.kappa)
         np.subtract(pairs, self.x.l1(theta, self.fx)[:, None], out=pairs)
         np.multiply(out, _SQRT2, out=out)
+        np.add(out, self.offset, out=out)
 
     def vjp(self, w):
         np.sum(w.reshape(-1, self.kappa), axis=1, out=self.fx)

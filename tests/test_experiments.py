@@ -201,6 +201,8 @@ def test_config_validation():
             small_config(kappa_grid=kappa_grid)
     with pytest.raises(ParameterError):
         small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(5, 200))
+    with pytest.raises(ParameterError, match="mle needs every n >= dim"):
+        small_config(kind=GAUSSIAN, methods=("cnce", "mle"), n_grid=(4, 200))
     small_config(kind=GAUSSIAN, methods=("cnce", "nce"), n_grid=(6,),
                  kappa_grid=(1, np.int64(3)))
     small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(5,))
@@ -624,18 +626,16 @@ def test_run_single_starts_at_newton_start_and_picks_epsilon_at_theta0(
 
 def test_run_single_fits_a_gaussian_below_dim_points_from_theta0(minimize_starts):
     # the MLE of 3 points in 5 dims is singular: CNCE starts at theta0 and
-    # converges, and the MLE cell alone fails
-    cfg = small_config(kind=GAUSSIAN, methods=("cnce", "mle"), n_grid=(3,), repeats=1,
+    # converges, and a config with the MLE is refused
+    cfg = small_config(kind=GAUSSIAN, methods=("cnce",), n_grid=(3,), repeats=1,
                        kappa_grid=(5,), optimizer=OptimizerConfig())
     record, warnings = run_single(cfg, "cnce", 3, 5, 0)
     seed = stable_hash(cfg.master_seed, GAUSSIAN, "cnce", 3, 5, 0)
     (start,) = minimize_starts
     assert np.array_equal(start, cfg.model.init_theta(rng_from(stable_hash(seed, "init"))))
     assert record.converged and warnings == []
-    record, warnings = run_single(cfg, "mle", 3, 5, 0)
-    assert not record.converged
-    assert warnings == ["cell failed: SingularityError: gaussian mle needs n >= dim = 5 "
-                        "points, got 3"]
+    with pytest.raises(ParameterError, match="mle needs every n >= dim"):
+        small_config(kind=GAUSSIAN, methods=("cnce", "mle"), n_grid=(3,))
 
 
 def test_run_single_fields():

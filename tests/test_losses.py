@@ -406,6 +406,7 @@ class _LocationRows:
         out[:] = -np.abs(self.a - raw[0])
         if self.b is not None:
             out += np.abs(self.b - raw[0])
+        out += self.offset
 
     def vjp(self, w):
         g = w @ np.sign(self.a - self.theta)

@@ -18,6 +18,7 @@ from cnce import (
     SingularityError,
     UnsupportedModelError,
 )
+from cnce.losses import _NceRows
 from cnce.models import (
     _CLASSES,
     BERNOULLI,
@@ -215,7 +216,7 @@ def test_ica_grad_rows_are_signed_inputs():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_match_log_phi_and_its_gradient(kind):
-    # value + offset is log phi (or its pair difference); vjp is the
+    # value is log phi (or its pair difference); vjp is the
     # gradient of sum_r w_r row_r
     model = make(kind)
     rng = rng_from(63, kind)
@@ -229,12 +230,38 @@ def test_rows_match_log_phi_and_its_gradient(kind):
     for rows, expected, stacks, signs in cases:
         out = np.empty(len(y))
         rows.value(theta, out)
-        assert np.allclose(out + rows.offset, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
         w = rng.standard_normal(len(y))
         got = rows.vjp(w)
         grad = sum(sign * (w @ grad_theta(model, theta, u))
                    for u, sign in zip(stacks, signs))
         assert np.allclose(got, grad, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if "nce" in _CLASSES[k].methods])
+def test_nce_rows_add_the_c_column_and_the_row_signs(kind):
+    # over u = [x; noise] and (theta, c): value is s (log phi + c), with s
+    # = +1 on the n data rows and -1 on the rest; the c column is s, so vjp
+    # appends sum_r w_r s_r and gram is the Gram matrix of the bordered rows
+    model = make(kind)
+    rng = rng_from(65, kind)
+    theta = random_theta(model, rng)
+    n = 12
+    u = np.concatenate([random_points(model, theta, rng, m=n),
+                        random_points(model, theta, rng, m=36)])
+    c = 0.7
+    rows = _NceRows(model.rows(u), n)
+    s = np.where(np.arange(len(u)) < n, 1.0, -1.0)
+    out = np.empty(len(u))
+    rows.value(np.append(theta, c), out)
+    assert np.allclose(out, s * (model.log_phi(theta, u) + c), rtol=1e-12, atol=1e-12)
+    jac = s[:, None] * np.column_stack([grad_theta(model, theta, u), np.ones(len(u))])
+    w = rng.standard_normal(len(u))
+    assert np.allclose(rows.vjp(w), w @ jac, rtol=1e-10, atol=1e-12)
+    if model.affine:
+        curvature = rng.random(len(u))
+        assert np.allclose(rows.gram(curvature), jac.T @ (curvature[:, None] * jac),
+                           rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", [k for k in KINDS if _CLASSES[k].affine])

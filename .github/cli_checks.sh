@@ -16,6 +16,7 @@ trap 'rm -rf "$dir"' EXIT
 echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 2}, "methods": ["score_matching"], "n_grid": [200], "kappa_grid": [1], "repeats": 1}' > "$dir/config.json"
 $cnce experiment --config "$dir/config.json" --out "$dir/out"
 $cnce report --csv "$dir/out/results.csv" --out "$dir/report"
+cmp "$dir/out/gaussian_precision.svg" "$dir/report/gaussian_precision.svg"
 status=0
 $cnce experiment --config "$dir/config.json" --out "$dir/jobs0" --jobs 0 2> "$dir/err" || status=$?
 test "$status" -eq 1

@@ -3,6 +3,9 @@
 Subcommands: ``estimate`` (one synthetic estimation run), ``experiment``
 (a full grid with CSV/JSON/SVG outputs), ``limit-check`` (the small-noise
 expansion table) and ``report`` (render an existing results CSV to SVG).
+``report`` accepts only rows whose model is a known kind, which names its
+chart file, and the chart it draws from an ``experiment``'s
+``results.csv`` equals that ``experiment``'s chart byte for byte.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with warnings:
 a run that did not converge, or a noise-scale ladder that reached the

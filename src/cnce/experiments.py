@@ -407,8 +407,8 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list:
-    """Records of a results CSV; a malformed row raises ``ParameterError``
-    naming its line."""
+    """Records of a results CSV; a malformed row, or one whose model is no
+    known kind, raises ``ParameterError`` naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
     if not header:
@@ -427,6 +427,9 @@ def records_from_csv(text: str) -> list:
                     values[name] = decode(cell)
                 except ValueError as exc:
                     raise ValueError(f"{name}: {exc}") from None
+            # the model names the chart file that ``cnce report`` writes
+            if values["model"] not in _CLASSES:
+                raise ValueError(f"unknown model kind {values['model']!r}")
             out.append(ErrorRecord(**values))
         except ValueError as exc:
             raise ParameterError(f"csv line {reader.line_num}: {exc}") from None

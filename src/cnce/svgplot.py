@@ -9,12 +9,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
+from itertools import groupby
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 78, 24, 46, 58
+_PLOT_W, _PLOT_H = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
 
+# one colour per (method, kappa) group: 4 methods x 4 kappa draw 16 groups
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-           "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+           "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
+           "#e377c2", "#bcbd22", "#393b79", "#637939",
+           "#8c6d31", "#843c39", "#7b4173", "#000000")
+
+_GRID = 'stroke="#dddddd" stroke-width="1"'
+_DASH = ' stroke-dasharray="6,4"'
 
 
 @dataclass(frozen=True)
@@ -33,17 +42,31 @@ def _fmt(v: float) -> str:
 
 def _decades(lo: float, hi: float) -> list:
     a = math.floor(lo + 1e-9)
-    b = math.ceil(hi - 1e-9)
-    if b <= a:
-        b = a + 1
+    b = max(math.ceil(hi - 1e-9), a + 1)
     return list(range(a, b + 1))
 
 
-def _finite_log_points(series):
-    for s in series:
-        for x, y in zip(s.xs, s.ys):
-            if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y):
-                yield math.log10(x), math.log10(y)
+def _log_points(s: Series) -> list:
+    """(log10 x, log10 y) of each point of s whose coordinates are both
+    positive and finite: the points a chart spans its axes with and draws."""
+    return [(math.log10(x), math.log10(y)) for x, y in zip(s.xs, s.ys)
+            if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)]
+
+
+def _text(x, y, body, size=12, anchor="middle", transform=None) -> str:
+    """<text> of body, escaped; anchor None writes no text-anchor."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{escape(str(body), quote=False)}</text>')
+
+
+def _line(x1, y1, x2, y2, stroke: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+
+
+def _stroke(s: Series) -> str:
+    return f'stroke="{s.color}" stroke-width="1.8"' + (_DASH if s.dashed else "")
 
 
 def render_loglog(series, title: str, xlabel: str, ylabel: str) -> str:
@@ -52,90 +75,48 @@ def render_loglog(series, title: str, xlabel: str, ylabel: str) -> str:
     Series with no positive finite points contribute nothing but legends;
     with no series at all the axes default to sensible decade ranges.
     """
-    pts = list(_finite_log_points(series))
-    if pts:
-        lx = [p[0] for p in pts]
-        ly = [p[1] for p in pts]
-        x_dec = _decades(min(lx), max(lx))
-        y_dec = _decades(min(ly), max(ly))
-    else:
-        x_dec = _decades(2, 5)
-        y_dec = _decades(-4, 0)
+    logs = [_log_points(s) for s in series]
+    pts = [p for ps in logs for p in ps]
+    spans = zip(*pts) if pts else ((2, 5), (-4, 0))
+    x_dec, y_dec = (_decades(min(v), max(v)) for v in spans)
 
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    mid_y = MARGIN_T + _PLOT_H // 2
 
     def px(logx):
-        return MARGIN_L + (logx - x_dec[0]) / (x_dec[-1] - x_dec[0]) * plot_w
+        return MARGIN_L + (logx - x_dec[0]) / (x_dec[-1] - x_dec[0]) * _PLOT_W
 
     def py(logy):
-        return MARGIN_T + (y_dec[-1] - logy) / (y_dec[-1] - y_dec[0]) * plot_h
+        return MARGIN_T + (y_dec[-1] - logy) / (y_dec[-1] - y_dec[0]) * _PLOT_H
 
-    out = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
-    out.append(
-        f'<text x="{WIDTH / 2:.0f}" y="26" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_esc(title)}</text>'
-    )
-
-    # grid + ticks
+        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        _text(WIDTH // 2, 26, title, 16),
+    ]
     for d in x_dec:
-        x = px(d)
-        out.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_T}" x2="{_fmt(x)}" '
-            f'y2="{HEIGHT - MARGIN_B}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">1e{d}</text>'
-        )
+        x = _fmt(px(d))
+        out += [_line(x, MARGIN_T, x, HEIGHT - MARGIN_B, _GRID),
+                _text(x, HEIGHT - MARGIN_B + 18, f"1e{d}")]
     for d in y_dec:
         y = py(d)
-        out.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{MARGIN_L - 6}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">1e{d}</text>'
-        )
-    out.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_esc(xlabel)}</text>'
-    )
-    out.append(
-        f'<text x="20" y="{MARGIN_T + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {MARGIN_T + plot_h / 2:.0f})">{_esc(ylabel)}</text>'
-    )
+        out += [_line(MARGIN_L, _fmt(y), WIDTH - MARGIN_R, _fmt(y), _GRID),
+                _text(MARGIN_L - 6, _fmt(y + 4), f"1e{d}", anchor="end")]
+    out += [
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{_PLOT_W}" height="{_PLOT_H}" '
+        f'fill="none" stroke="#000000" stroke-width="1"/>',
+        _text(MARGIN_L + _PLOT_W // 2, HEIGHT - 12, xlabel, 13),
+        _text(20, mid_y, ylabel, 13, transform=f"rotate(-90 20 {mid_y})"),
+    ]
 
-    for s in series:
-        pts = [
-            (px(math.log10(x)), py(math.log10(y)))
-            for x, y in zip(s.xs, s.ys)
-            if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)
-        ]
-        if not pts:
+    for s, ps in zip(series, logs):
+        if not ps:
             continue
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-        dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{s.color}" '
-            f'stroke-width="1.8"{dash}/>'
-        )
-        for x, y in pts:
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.4" fill="{s.color}"/>'
-            )
+        xy = [(_fmt(px(x)), _fmt(py(y))) for x, y in ps]
+        coords = " ".join(f"{x},{y}" for x, y in xy)
+        out.append(f'<polyline points="{coords}" fill="none" {_stroke(s)}/>')
+        out += [f'<circle cx="{x}" cy="{y}" r="2.4" fill="{s.color}"/>' for x, y in xy]
 
     legend = [s for s in series if s.in_legend]
     if legend:
@@ -147,49 +128,28 @@ def render_loglog(series, title: str, xlabel: str, ylabel: str) -> str:
         )
         for k, s in enumerate(legend):
             yy = ly + 16 * k + 14
-            dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-            out.append(
-                f'<line x1="{lx + 8}" y1="{yy - 4}" x2="{lx + 34}" y2="{yy - 4}" '
-                f'stroke="{s.color}" stroke-width="1.8"{dash}/>'
-            )
-            out.append(
-                f'<text x="{lx + 40}" y="{yy}" font-family="sans-serif" '
-                f'font-size="12">{_esc(s.label)}</text>'
-            )
+            out += [_line(lx + 8, yy - 4, lx + 34, yy - 4, _stroke(s)),
+                    _text(lx + 40, yy, s.label, anchor=None)]
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _esc(text: str) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
 
 
 def chart_series_for_model(summaries) -> list:
     """Series for one model's quantile summaries: per (method, kappa) a solid
     median line plus dashed 0.1/0.9 quantile lines of the squared error
     against N."""
-    cells = {}
-    for s in summaries:
-        cells.setdefault((s.method, s.kappa), []).append(s)
+    rows = sorted(summaries, key=lambda s: (s.method, s.kappa, s.n))
+    groups = groupby(rows, key=lambda s: (s.method, s.kappa))
     series = []
-    for idx, key in enumerate(sorted(cells)):
-        method, kappa = key
+    for idx, ((method, kappa), cell) in enumerate(groups):
         color = PALETTE[idx % len(PALETTE)]
-        rows = sorted(cells[key], key=lambda s: s.n)
-        xs = tuple(r.n for r in rows)
-        series.append(Series(
-            label=f"{method} k={kappa}",
-            xs=xs, ys=tuple(r.median**2 for r in rows), color=color,
-        ))
-        series.append(Series(
-            label=f"{method} k={kappa} q10",
-            xs=xs, ys=tuple(r.q10**2 for r in rows), color=color,
-            dashed=True, in_legend=False,
-        ))
-        series.append(Series(
-            label=f"{method} k={kappa} q90",
-            xs=xs, ys=tuple(r.q90**2 for r in rows), color=color,
-            dashed=True, in_legend=False,
-        ))
+        cell = tuple(cell)
+        xs = tuple(r.n for r in cell)
+        for q in ("median", "q10", "q90"):
+            median = q == "median"
+            series.append(Series(
+                label=f"{method} k={kappa}" + ("" if median else f" {q}"),
+                xs=xs, ys=tuple(getattr(r, q)**2 for r in cell), color=color,
+                dashed=not median, in_legend=median,
+            ))
     return series

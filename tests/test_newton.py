@@ -151,6 +151,25 @@ def test_newton_nonfinite_start_stops_there():
     assert np.array_equal(run.theta, [2.0])
 
 
+def test_newton_nonfinite_hessian_after_the_start_stops_at_that_point():
+    # |z|^2 / 2 with twice its Hessian at the start, so the first step goes
+    # half way, and a NaN Hessian everywhere else: that step is accepted and
+    # recorded, and the run ends at its point when the next step needs H
+    start = np.full(2, 2.0)
+    visited = []
+
+    def objective(z):
+        visited.append(z)
+        hess = 2.0 * np.eye(2) if np.array_equal(z, start) else np.full((2, 2), np.nan)
+        return 0.5 * float(z @ z), z, lambda: hess
+
+    run = minimize(objective, start, OptimizerConfig())
+    assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 2)
+    assert len(visited) == 2 and np.array_equal(run.theta, visited[1])
+    assert run.loss_trace == [4.0, 0.5 * float(visited[1] @ visited[1])]
+    assert run.grad_norm_trace[1] == pytest.approx(1.0)
+
+
 def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
     # mean_i (c_i + |x_i - z|^2 / 2): a quadratic with a constant offset of
     # ~1500, started 1.5e-7 from its minimiser.  The Newton step's decrease

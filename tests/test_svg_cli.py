@@ -1,6 +1,7 @@
 """SVG rendering determinism and the command-line surface (exit codes,
 config validation, output files)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import cnce.experiments
 from cnce.cli import main
 from cnce.svgplot import Series, chart_series_for_model, render_loglog
-from cnce.experiments import ErrorRecord, records_to_csv, summarize
+from cnce.experiments import ErrorRecord, QuantileSummary, records_to_csv, summarize
 
 
 def write_json(path, obj):
@@ -94,6 +95,74 @@ def test_chart_series_layout():
     assert len(series) == 3  # solid median + dashed q10 + dashed q90
     assert sum(s.in_legend for s in series) == 1
     assert sum(s.dashed for s in series) == 2
+
+
+def quantile_summaries(groups):
+    """Summaries of the first `groups` of 16 (method, kappa) groups at three
+    N, listed in reverse so the chart has to sort them."""
+    keys = [(method, kappa) for kappa in (2, 5, 10, 20)
+            for method in ("cnce", "nce", "score_matching", "mle")]
+    out = []
+    for j, (method, kappa) in enumerate(keys[:groups]):
+        for n in (500, 2000, 8000):
+            median = (j + 1) / n**0.5
+            out.append(QuantileSummary(method=method, n=n, kappa=kappa, median=median,
+                                       q10=0.6 * median, q90=1.7 * median))
+    return out[::-1]
+
+
+def golden_charts():
+    charts = {"empty": render_loglog([], "estimation error", "sample size N",
+                                     "squared error")}
+    for groups in range(1, 9):
+        charts[f"groups{groups}"] = render_loglog(
+            chart_series_for_model(quantile_summaries(groups)),
+            "gaussian_precision: estimation error", "sample size N", "squared error")
+    charts["escaped"] = render_loglog(
+        [Series("a <&> b", (10, 100), (0.5, 0.05), "#1f77b4")],
+        "<t&t>", "x <&>", "y & <y>")
+    nan, inf = float("nan"), float("inf")
+    charts["skipped"] = render_loglog([
+        Series("kept", (100, 0, 1000, -5, 10000, 1e5), (0.3, 0.2, nan, 0.1, 0.01, inf),
+               "#d62728"),
+        Series("dashed", (100, 1000, 10000), (0.2, 0.05, 0.003), "#2ca02c",
+               dashed=True),
+        Series("hidden", (200, 2000), (0.1, 0.02), "#9467bd", dashed=True,
+               in_legend=False),
+        Series("no points", (0, 10), (1.0, -inf), "#000000"),
+    ], "skipped points", "N", "error")
+    return charts
+
+
+# sha256 of each golden chart's UTF-8 bytes, captured from the svgplot these
+# charts were first drawn with: a rewrite of the writer must keep every byte
+GOLDEN_SHA256 = {
+    "empty": "050b48d359403b013b617601ccdd913724ce24002c26b20c501f16fc40ed25f4",
+    "groups1": "8eff2692574d55af4889f02583edbd76ed591e7dc08e9912a0466751e8772390",
+    "groups2": "89ee2a78921383e33ef1329a304f602336d1b7d4522ca88b62d0fbaef62ee3e3",
+    "groups3": "ea295225dd8a733b96631fc1ab65631357941fc648aa50c1a7bb2dc62ca68204",
+    "groups4": "8886a2f2e2b96205ec497469039ae549e7d742d82823c31b5271ee93f4061f11",
+    "groups5": "fd096a842faea87037e8546316b123822d5416772f83e96033f24b01b4b03ac4",
+    "groups6": "d78e97200e87f4a1e4e034452536cfdcac7a260877b605ecff50cce0a44f63a0",
+    "groups7": "55c0603b2793fe0243a4f8f77b042b9e7613c8bfbe1ea96fd51bfc5445a03aa9",
+    "groups8": "e15c6b7dbcebf03faa4cce71f875a14d3a84ad8ccc90979cc00c17b2cd4707d2",
+    "escaped": "90acf48dc506766318f1a917df1e97c14b2b27742344988c75a05e31433c6af3",
+    "skipped": "4c2fe4aae428468d5661d4de6caca80efeb31ee80a29b43aa3b0cda96e68d3f0",
+}
+
+
+def test_svg_golden_bytes():
+    digests = {name: hashlib.sha256(doc.encode()).hexdigest()
+               for name, doc in golden_charts().items()}
+    assert digests == GOLDEN_SHA256
+
+
+def test_chart_colours_distinct_for_16_groups():
+    series = chart_series_for_model(quantile_summaries(16))
+    medians = [s for s in series if s.in_legend]
+    assert len(medians) == 16 and len({s.color for s in medians}) == 16
+    # each group's quantile lines take its median's colour
+    assert all(s.color == series[3 * (i // 3)].color for i, s in enumerate(series))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +427,26 @@ def test_report_schema_mismatch_lists_columns(tmp_path, capsys):
 
 
 def test_report_malformed_row_exit_1(tmp_path, capsys):
-    # a short row, a converged flag that is neither true nor false, and a
-    # number that does not parse: each is an error naming the line
+    # a short row, a converged flag that is neither true nor false, a
+    # number that does not parse and a model that is no known kind (its
+    # chart would be written outside --out): each is an error naming the
+    # line, and nothing is written
     rec = ErrorRecord(run_id="a", model="ring", method="nce", n=10, kappa=1,
                       epsilon=None, seed=2, error=0.5, sq_error=0.25,
                       converged=True, iters=3, wall_ms=0.0)
     text = records_to_csv([rec, rec])
     header, first, second = text.splitlines()
-    for i, bad in enumerate((second.rsplit(",", 3)[0],
-                             second.replace(",true,", ",True,"),
-                             second.replace(",0.5,", ",half,"))):
+    bad_rows = (second.rsplit(",", 3)[0],
+                second.replace(",true,", ",True,"),
+                second.replace(",0.5,", ",half,"),
+                second.replace(",ring,", ",../escaped,"))
+    for i, bad in enumerate(bad_rows):
         csv_path = tmp_path / f"bad{i}.csv"
         csv_path.write_text("\n".join([header, first, bad]) + "\n")
         assert main(["report", "--csv", str(csv_path), "--out",
                      str(tmp_path / "rep")]) == 1
         assert capsys.readouterr().err.startswith("error: csv line 3:")
+    assert sorted(os.listdir(tmp_path)) == [f"bad{i}.csv" for i in range(len(bad_rows))]
 
 
 def test_unreadable_csv_or_config_exit_1(tmp_path, capsys):

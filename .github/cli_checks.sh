@@ -54,3 +54,29 @@ test ! -e "$dir/singular"
 echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 5}, "methods": ["cnce"], "n_grid": [4], "kappa_grid": [5], "repeats": 1, "master_seed": 1}' > "$dir/below_dim.json"
 $cnce experiment --config "$dir/below_dim.json" --out "$dir/below_dim"
 python -c 'import csv, sys; rows = [r for r in csv.DictReader(open(sys.argv[1])) if r["method"] == "cnce"]; assert [r["converged"] for r in rows] == ["true"]' "$dir/below_dim/results.csv"
+# estimate and limit-check write their outputs, and a rerun into the same
+# --out is refused (exit 1) with the first output unchanged
+echo '{"schema": 1, "model": {"kind": "ring", "dim": 2}, "method": "cnce", "n": 200, "kappa": 2}' > "$dir/estimate.json"
+$cnce estimate --config "$dir/estimate.json" --out "$dir/estimate"
+trace="$dir/estimate/ring-cnce-n000000200-k00002-r0000.json"
+cp "$trace" "$dir/trace_first.json"
+status=0
+$cnce estimate --config "$dir/estimate.json" --out "$dir/estimate" 2> "$dir/err" || status=$?
+test "$status" -eq 1
+grep -q 'exists (pass --force to overwrite)' "$dir/err"
+cmp "$dir/trace_first.json" "$trace"
+echo '{"schema": 1, "mc_pairs": 20000}' > "$dir/limit.json"
+status=0
+$cnce limit-check --config "$dir/limit.json" --out "$dir/limit" || status=$?
+test "$status" -eq 0 -o "$status" -eq 2
+cp "$dir/limit/limit_check.json" "$dir/limit_first.json"
+status=0
+$cnce limit-check --config "$dir/limit.json" --out "$dir/limit" 2> "$dir/err" || status=$?
+test "$status" -eq 1
+grep -q 'exists (pass --force to overwrite)' "$dir/err"
+cmp "$dir/limit_first.json" "$dir/limit/limit_check.json"
+# report reads no config, so it takes no --seed
+status=0
+$cnce report --csv "$dir/out/results.csv" --out "$dir/report_seed" --seed 1 2> "$dir/err" || status=$?
+test "$status" -eq 1
+test ! -e "$dir/report_seed"

@@ -5,7 +5,9 @@ Subcommands: ``estimate`` (one synthetic estimation run), ``experiment``
 expansion table) and ``report`` (render an existing results CSV to SVG).
 ``report`` accepts only rows whose model is a known kind, which names its
 chart file, and the chart it draws from an ``experiment``'s
-``results.csv`` equals that ``experiment``'s chart byte for byte.
+``results.csv`` equals that ``experiment``'s chart byte for byte.  The
+three commands that read a ``--config`` take ``--seed``, which overrides
+the config's seed; ``report`` reads no config and takes none.
 
 Exit codes: 0 success, 1 usage or config error, 2 completed with warnings:
 a run that did not converge, or a noise-scale ladder that reached the
@@ -21,9 +23,13 @@ and its outputs do not depend on that count at the shapes checked; the
 determinism contract in ``experiments`` gives them, and the wider shapes
 (a Gaussian at dim 7 or 8, say) whose outputs do.  The ``--out``
 directory is created only when the command writes, so a command that fails
-before then leaves none behind.  Each output file is written whole to a
-temporary file and then moved into place, and a JSON output writes a
-non-finite number, such as a failed cell's error, as ``null``.
+before then leaves none behind.  An existing output file is refused (exit
+1) unless ``--force`` is given: by ``estimate``, ``experiment`` and
+``limit-check`` before they compute, and by ``report``, whose file names
+come from the CSV's models, once it has drawn its charts.  Each output
+file is written whole to a temporary file and then moved into place, and
+a JSON output writes a non-finite number, such as a failed cell's error,
+as ``null``.
 
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
@@ -43,6 +49,7 @@ import numpy as np
 
 from .errors import CnceError, ParameterError
 from .experiments import (
+    _run_id,
     check_config,
     check_outputs,
     config_from_json,
@@ -87,10 +94,12 @@ def cmd_estimate(args) -> int:
     grid.update((key, obj[key]) for key in
                 ("epsilon", "optimizer", "epsilon_schedule") if key in obj)
     cfg = config_from_json(grid)
-    record, warnings, trace = run_single(cfg, obj["method"], cfg.n_grid[0],
-                                         cfg.kappa_grid[0], 0, collect_trace=True)
-    (trace_path,) = write_outputs(args.out, {f"{record.run_id}.json": trace},
-                                  args.force)
+    n, kappa = cfg.n_grid[0], cfg.kappa_grid[0]
+    name = f"{_run_id(cfg.model.kind, obj['method'], n, kappa, 0)}.json"
+    check_outputs(args.out, [name], args.force)
+    record, warnings, trace = run_single(cfg, obj["method"], n, kappa, 0,
+                                         collect_trace=True)
+    (trace_path,) = write_outputs(args.out, {name: trace}, args.force)
 
     print(f"run_id:    {record.run_id}")
     print(f"theta_hat: {np.array2string(np.asarray(trace['theta_hat']), precision=6)}")
@@ -143,6 +152,7 @@ def cmd_limit_check(args) -> int:
     else:
         model = GaussianPrecisionModel()
         theta = model.pack(np.eye(model.dim))
+    check_outputs(args.out, ["limit_check.json"], args.force)
     rows = limit_check(theta, obj.get("eps_grid", [0.04, 0.02, 0.01]),
                        obj.get("mc_pairs", 1_000_000),
                        obj.get("seed", 0) if args.seed is None else args.seed)
@@ -179,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="JSON config path")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
 

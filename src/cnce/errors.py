@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks that turn a
-config value into an int or a float or raise ``ParameterError``."""
+config value into an int, a float or a tuple or raise ``ParameterError``."""
 
 import dataclasses
 import math
@@ -45,6 +45,14 @@ def _real(value, what: str) -> float:
             and math.isfinite(value)):
         return float(value)
     raise ParameterError(f"{what} must be a finite real number, got {value!r}")
+
+
+def _sequence(value, what: str) -> tuple:
+    """A list or tuple as a tuple; anything else (a string, which would
+    split into characters, a number) raises naming the field."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    raise ParameterError(f"{what} must be a list, got {value!r}")
 
 
 def convert_fields(obj):

@@ -35,9 +35,9 @@ a one-column ``x.T @ x`` or ``np.cov`` over 40 000 rows.
 ``import cnce`` sets one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
 numpy reads the count when it is first imported, so the default holds only
-when ``cnce`` is imported before numpy.  Wall-clock time is deliberately
-not persisted (the wall_ms column is written as 0) to keep that guarantee;
-timings live on the in-memory optimiser traces.
+when ``cnce`` is imported before numpy.  No clock is read on the way to
+an output: neither a fit (``optimize``) nor a record carries a time, so
+``results.csv`` has no timing column.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import (CnceError, ParameterError, UnsupportedModelError, _integer, _real,
-                     convert_fields)
+                     _sequence, convert_fields)
 from .kernels import fit_marginal, log_density_marginal, sample_conditional, sample_marginal
 from .losses import (
     TWO_LOG2,
@@ -106,9 +106,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         convert_fields(self)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _sequence(self.methods, "methods"))
         for name in ("n_grid", "kappa_grid"):
-            grid = tuple(_integer(v, f"{name} entry") for v in getattr(self, name))
+            grid = tuple(_integer(v, f"{name} entry")
+                         for v in _sequence(getattr(self, name), name))
             if not grid or grid[0] < 1 or list(grid) != sorted(set(grid)):
                 raise ParameterError(
                     f"{name} must be non-empty, strictly ascending, integers >= 1")
@@ -154,7 +155,6 @@ class ErrorRecord:
     sq_error: float
     converged: bool
     iters: int
-    wall_ms: float
 
 
 CSV_HEADER = tuple(f.name for f in fields(ErrorRecord))
@@ -297,7 +297,6 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
         sq_error=error * error,
         converged=run.converged,
         iters=run.iters,
-        wall_ms=0.0,
     )
     if not collect_trace:
         return record, warnings
@@ -407,15 +406,21 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list:
-    """Records of a results CSV; a malformed row, or one whose model is no
-    known kind, raises ``ParameterError`` naming its line."""
+    """Records of a results CSV; a header other than ``CSV_HEADER`` raises
+    ``ParameterError`` naming the missing and unexpected columns, or saying
+    that only their order differs, and a malformed row, or one whose model
+    is no known kind, raises it naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
     if not header:
         raise ParameterError("csv has no header line")
     if header != CSV_HEADER:
         missing = [c for c in CSV_HEADER if c not in header]
-        raise ParameterError(f"csv schema mismatch; missing columns: {missing}")
+        unexpected = [c for c in header if c not in CSV_HEADER]
+        detail = (f"missing columns: {missing}, unexpected columns: {unexpected}"
+                  if missing or unexpected else
+                  f"columns repeated or out of order, expected {','.join(CSV_HEADER)}")
+        raise ParameterError(f"csv schema mismatch; {detail}")
     out = []
     for row in reader:
         try:

@@ -20,8 +20,6 @@ and states ``epsilon_cap``, the end of its scale's range (None: unbounded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DomainError, ParameterError
@@ -91,34 +89,25 @@ def sample_conditional(kernel, x: np.ndarray, kappa: int, rng_seed: int) -> np.n
     return kernel.perturb(x, kernel.draw(x, kappa, rng_from(rng_seed)))
 
 
-@dataclass(frozen=True, eq=False)
 class MarginalKernel:
     """Moment-matched Gaussian marginal noise for the NCE baseline: a
     Gaussian of the given mean and covariance.  A covariance without a
     Cholesky factor raises ``ParameterError``.  Kernels compare and hash by
-    identity: their fields are arrays."""
+    identity."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
-    _precision: np.ndarray = field(init=False, repr=False)
-    _log_norm: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
-        dim = len(mean)
-        if mean.ndim != 1 or cov.shape != (dim, dim):
+    def __init__(self, mean, covariance):
+        self.mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        self.covariance = np.asarray(covariance, dtype=float)
+        dim = len(self.mean)
+        if self.mean.ndim != 1 or self.covariance.shape != (dim, dim):
             raise ParameterError("need a mean vector and a covariance of its size")
         try:
-            chol = np.linalg.cholesky(cov)
+            self._chol = np.linalg.cholesky(self.covariance)
         except np.linalg.LinAlgError as exc:
             raise ParameterError("covariance is not positive definite") from exc
-        log_norm = -0.5 * (dim * np.log(2 * np.pi) + 2 * np.sum(np.log(np.diag(chol))))
-        derived = {"mean": mean, "covariance": cov, "_chol": chol,
-                   "_precision": np.linalg.inv(cov), "_log_norm": log_norm}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self._precision = np.linalg.inv(self.covariance)
+        self._log_norm = -0.5 * (dim * np.log(2 * np.pi)
+                                 + 2 * np.sum(np.log(np.diag(self._chol))))
 
 
 def fit_marginal(x: np.ndarray) -> MarginalKernel:

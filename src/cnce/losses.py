@@ -36,25 +36,31 @@ Score matching: log phi is affine in theta for every smooth model, so the
 loss is theta'A theta / 2 + b'theta + c (Hyvarinen 2005, JMLR 6), with
 (A, b, c) = ``model.score_quadratic(x)`` built once per objective.
 
-Objective contract: ``objective(theta)`` returns ``(value, grad, hess)``,
-``(value, grad, se)`` or ``(value, grad)``, in the model's parameters
-(NCE's with c appended).  The exact Hessian comes with score matching and
-with the contrastive objectives on affine rows: logistic losses of affine
-rows have a Gram-matrix Hessian, and score matching the matrix A, so every
-Hessian returned is positive semi-definite.  It comes as a zero-argument
-callable, so that ``minimize`` pays for it only where it takes a Newton
-step, not at rejected line-search trials or at the final point.  The
-contrastive objectives' callable builds the Gram matrix from the scratch
-arrays of its call: it is valid until the next call of the same objective,
-and raises ``RuntimeError`` after one.  The others (on non-affine rows,
-and ``ica_mle_objective``) return instead the loss's sampling standard
-error, std over sqrt(count) of the per-row terms they already hold, scaled
-as the loss scales them; it is computed at the first point an objective is
-called at, the optimiser's start, and returned unchanged after.
-``minimize`` picks Newton for a callable or matrix third slot and
-otherwise stops Adam on that standard error.  Both travel in the return
-value, not as attributes of the callable, so they survive any wrapper that
-passes the result through.
+Objective contract: ``objective(theta)`` returns one of two shapes, in
+the model's parameters (NCE's with c appended), and ``optimize.minimize``
+takes only these:
+
+- ``(value, grad, hess)``, hess a zero-argument callable that returns the
+  exact Hessian matrix: score matching (the matrix A) and the contrastive
+  objectives on affine rows (a Gram matrix, as for any logistic loss of
+  affine rows), so every Hessian returned is positive semi-definite.  A
+  callable lets ``minimize`` pay for it only where it takes a Newton
+  step, not at rejected line-search trials or at the final point.  The
+  contrastive objectives' callable builds the Gram matrix from the
+  scratch arrays of its call: it is valid until the next call of the same
+  objective, and raises ``RuntimeError`` after one.
+- ``(value, grad, se)``, se a float: the contrastive objectives on
+  non-affine rows and ``ica_mle_objective``.  se is the loss's sampling
+  standard error, std over sqrt(count) of the per-row terms they already
+  hold, scaled as the loss scales them; it is computed at the first point
+  an objective is called at, the optimiser's start, and returned
+  unchanged after.  NaN means unknown (``ica_mle_objective`` at a
+  singular start).
+
+``minimize`` takes Newton for a callable third slot and otherwise stops
+Adam on that standard error.  Both travel in the return value, not as
+attributes of the callable, so they survive any wrapper that passes the
+result through.
 
 log(1 + exp(-G)) and the logistic function are evaluated from one
 exp(-|G|) pass in ``_softplus_sigmoid_neg``; |G| beyond 700 overflows a

@@ -33,14 +33,18 @@ default).  What a model does not support raises
 Rows hold log phi over a fixed stack U, or log phi(x_i) - log phi(y_ij)
 over CNCE's pairs (y holding the kappa points of each x_i in turn), as an
 object with ``value(theta, out)``, which writes the whole (m,) row vector
-to out; ``vjp(w)``, sum_r w_r d row_r / d theta at the last ``value``;
-and ``offset``, the (m,) part of the rows no parameter moves, which
-``value`` adds: a fresh array, where a loss folds its own constants at
-build time (NCE its -log q - log nu).  Affine rows, Phi @ theta + offset,
-add the exact curvature ``gram(c)`` = Phi' diag(c) Phi.  ``_Model`` builds
-them from ``features(U)`` = (Phi, offset), which the affine models state
-(Bernoulli as its log-weight indicators); Laplace ICA builds non-affine
-rows from the sources B U' instead.
+to out; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last
+``value``.  ``rows(U)`` also has ``offset``, the (m,) part of the rows no
+parameter moves, which ``value`` adds: a fresh array, where NCE, the one
+loss that folds constants into rows, adds its -log q - log nu at build
+time.  No loss reads an offset of pair rows: affine pair rows add the
+difference of their points' offsets (the log-normal's needs it), and
+Laplace ICA's have none.
+Affine rows, Phi @ theta + offset, add the exact curvature ``gram(c)`` =
+Phi' diag(c) Phi.  ``_Model`` builds them from ``features(U)`` = (Phi,
+offset), which the affine models state (Bernoulli as its log-weight
+indicators); Laplace ICA builds non-affine rows from the sources B U'
+instead.
 
 Phi of affine rows is column-major: on 40 000 rows of 15 columns,
 ``value``, ``vjp`` and the Gram ran 1.3-2x faster in that layout than in
@@ -333,13 +337,11 @@ class _IcaPairRows:
     def __init__(self, x, y, kappa):
         self.x, self.y, self.kappa = _IcaSources(x), _IcaSources(y), kappa
         self.fx = np.empty(len(x))  # per data point: l1, then summed weights
-        self.offset = np.zeros(len(y))
 
     def value(self, theta, out):
         pairs = self.y.l1(theta, out).reshape(-1, self.kappa)
         np.subtract(pairs, self.x.l1(theta, self.fx)[:, None], out=pairs)
         np.multiply(out, _SQRT2, out=out)
-        np.add(out, self.offset, out=out)
 
     def vjp(self, w):
         np.sum(w.reshape(-1, self.kappa), axis=1, out=self.fx)

@@ -1,21 +1,21 @@
 """Deterministic full-batch optimiser plus the noise-scale adaptation
 heuristic.
 
-``minimize`` has two routes, chosen by what the objective returns at the
-start point:
+``minimize`` has two routes, one for each of the two objective shapes of
+the ``losses`` docstring, chosen by the third slot of what the objective
+returns at the start point:
 
-- ``(value, grad, hess)``, a third slot that is a matrix or a
-  zero-argument callable returning one: damped Newton, with the smallest
-  Levenberg damping that makes the Hessian positive definite and an Armijo
-  backtracking line search (Hager and Zhang's approximate Wolfe test where
-  the loss cannot resolve the decrease).  The affine-feature objectives of
-  ``losses`` take this route.  A callable is called once per Newton
-  direction, right after the objective call that returned it: never at a
-  rejected line-search trial or at the point the run ends on.  The start
-  point's Hessian is evaluated and checked before its first record.
-- ``(value, grad)`` or ``(value, grad, se)``, a scalar third slot:
-  full-batch Adam, which hands on the best point it visited.  The Laplace
-  ICA objectives take this route.
+- A callable, which returns the Hessian: damped Newton, with the smallest
+  Levenberg damping that makes the Hessian positive definite and an
+  Armijo backtracking line search (Hager and Zhang's approximate Wolfe
+  test where the loss cannot resolve the decrease).  The callable is
+  called once per Newton direction, right after the objective call that
+  returned it: never at a rejected line-search trial or at the point the
+  run ends on.  The start point's Hessian is evaluated and checked before
+  its first record.
+- Anything else, the loss's standard error se: full-batch Adam, which
+  hands on the best point it visited.  The Laplace ICA objectives take
+  this route.
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
@@ -33,23 +33,23 @@ below the estimator's own sampling error buys nothing (Bottou, Curtis and
 Nocedal 2018, SIAM Review 60(2), sections 3-4), so Adam stops with
 ``stat_tol`` once the best loss so far has improved by at most
 ``STAT_FRACTION`` standard errors over the last ``STAT_WINDOW`` trace
-entries.  Without a third slot it stops on ``grad_tol`` or ``max_iters``.
+entries.  An se of NaN means unknown: the run never meets the statistical
+stop, and ends on ``grad_tol`` or ``max_iters``.
 
 ``minimize`` starts where its caller says: ``experiments.run_single``
 gives the contrastive Newton fits of an affine model its closed-form
 estimate and the other fits a random start (``experiments`` docstring).
-Everything is a pure function of (objective, start, config): traces are
-bit-reproducible.
+A fit is a pure function of (objective, start, config): traces are
+bit-reproducible, and no clock is read.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _real, convert_fields
+from .errors import ParameterError, _real, _sequence, convert_fields
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from
 
@@ -81,10 +81,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         convert_fields(self)
-        if not isinstance(self.adam_betas, (list, tuple)):
-            raise ParameterError("adam_betas must be a list of two numbers")
-        object.__setattr__(self, "adam_betas", tuple(
-            _real(b, "adam_betas entry") for b in self.adam_betas))
+        betas = _sequence(self.adam_betas, "adam_betas")
+        object.__setattr__(self, "adam_betas",
+                           tuple(_real(b, "adam_betas entry") for b in betas))
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
         for name in ("grad_tol", "init_scale", "adam_step"):
@@ -133,13 +132,13 @@ class EpsilonSchedule:
 
 @dataclass
 class EstimationRun:
-    """One fit: the optimiser's trajectory, or a closed form's empty one;
-    ``stop`` is why it ended (module docstring)."""
+    """One fit: the point it hands on, the optimiser's loss and gradient
+    infinity-norm trajectory (a closed form's is empty) and ``stop``, why
+    it ended (module docstring).  No timing: a fit reads no clock."""
 
     theta: np.ndarray
     loss_trace: list = field(default_factory=list)
     grad_norm_trace: list = field(default_factory=list)
-    wall_ms: float = 0.0
     stop: str | None = None
 
     @property
@@ -159,7 +158,7 @@ def _record(run, value, grad):
 def _adam_phase(loss_fn, z, first, cfg, run):
     """Adam from z; returns the best finite point visited, or the point that
     met ``grad_tol``."""
-    tol = STAT_FRACTION * float(first[2]) if len(first) == 3 else np.nan
+    tol = STAT_FRACTION * float(first[2])  # NaN: never met
     b1, b2 = cfg.adam_betas
     m = np.zeros_like(z)
     v = np.zeros_like(z)
@@ -214,12 +213,6 @@ def _all_finite(out) -> bool:
     return all(np.all(np.isfinite(a)) for a in out)
 
 
-def _hessian(slot) -> np.ndarray:
-    """The matrix of a Newton objective's third slot, calling it if it is
-    a callable."""
-    return slot() if callable(slot) else slot
-
-
 def _accept(value, out, step, slope, direction) -> bool:
     """Armijo's f_new <= f + c step phi'(0), or, where |f_new - f| is within
     _FLAT_ULPS ulps of |f| (a last Newton step, whose decrease is below the
@@ -231,8 +224,8 @@ def _accept(value, out, step, slope, direction) -> bool:
 
 
 def _newton_phase(loss_fn, z, first, cfg, run):
-    value, grad, slot = first
-    hess = _hessian(slot)
+    value, grad, hess_fn = first
+    hess = hess_fn()
     if not _all_finite((value, grad, hess)):
         run.stop = "nonfinite"
         return z
@@ -245,7 +238,7 @@ def _newton_phase(loss_fn, z, first, cfg, run):
             run.stop = "max_iters"
             return z
         if hess is None:  # an accepted point's, built only now that a step needs it
-            hess = _hessian(slot)
+            hess = hess_fn()
             if not np.all(np.isfinite(hess)):
                 run.stop = "nonfinite"
                 return z
@@ -264,27 +257,23 @@ def _newton_phase(loss_fn, z, first, cfg, run):
             if step < 1e-14:
                 run.stop = "step_collapse"
                 return z
-        z, (value, grad, slot), hess = z_new, out, None
+        z, (value, grad, hess_fn), hess = z_new, out, None
 
 
 def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     """Minimise a differentiable objective from theta0 (unconstrained
     coordinates).
 
-    ``loss_fn(z)`` returns ``(value, grad)``, ``(value, grad, hess)``, with
-    hess a matrix or a zero-argument callable returning one, or ``(value,
-    grad, se)``.  The first call, at the start point, picks the route
-    (module docstring); Adam reads ``se`` from that call alone.
-    ``run.iters <= cfg.max_iters``.
+    ``loss_fn(z)`` returns ``(value, grad, hess)`` or ``(value, grad, se)``
+    (``losses`` docstring).  The first call, at the start point, picks the
+    route: Newton where its third slot is callable, Adam otherwise, which
+    reads ``se`` from that call alone.  ``run.iters <= cfg.max_iters``.
     """
-    started = time.perf_counter()
     z = np.array(theta0, dtype=float)
     run = EstimationRun(theta=z)
     first = loss_fn(z)
-    newton = len(first) == 3 and (callable(first[2]) or np.ndim(first[2]) == 2)
-    phase = _newton_phase if newton else _adam_phase
+    phase = _newton_phase if callable(first[2]) else _adam_phase
     run.theta = phase(loss_fn, z, first, cfg, run)
-    run.wall_ms = (time.perf_counter() - started) * 1e3
     return run
 
 

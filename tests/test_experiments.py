@@ -233,6 +233,11 @@ def test_config_validation():
             ("epsilon", 0.0, "epsilon must be 'auto' or > 0"),
             ("epsilon", -0.5, "epsilon must be 'auto' or > 0"),
             ("methods", [], "methods must be non-empty"),
+            # a string or a number where a list belongs is refused by name,
+            # not split into characters or iterated
+            ("methods", "cnce", "methods must be a list"),
+            ("n_grid", "12", "n_grid must be a list"),
+            ("kappa_grid", 5, "kappa_grid must be a list"),
             ("model", {"kind": "ring", "mu": False}, real),
             ("model", {"kind": "ring", "dim": 2, "mu": "3.0"}, real),
             ("epsilon_schedule", {"epsilon_0": True}, real),
@@ -244,7 +249,7 @@ def test_config_validation():
             ("optimizer", {"init_scale": "0.3"}, real),
             ("optimizer", {"adam_step": False}, real),
             ("optimizer", {"adam_betas": [0.9, True]}, real),
-            ("optimizer", {"adam_betas": 0.9}, "adam_betas must be a list of two numbers"),
+            ("optimizer", {"adam_betas": 0.9}, "adam_betas must be a list"),
             # a repeated method would run every cell twice
             ("methods", ["mle", "mle"], "methods must not repeat"),
             # a flip probability above 1 would fail every CNCE cell
@@ -644,7 +649,7 @@ def test_run_single_fields():
     assert record.model == GAUSSIAN
     assert record.epsilon is not None and record.epsilon > 0
     assert record.sq_error == record.error**2
-    assert record.wall_ms == 0.0
+    assert not hasattr(record, "wall_ms")  # a record carries no time
     assert record.seed == stable_hash(7, GAUSSIAN, "cnce", 300, 2, 0)
 
 
@@ -762,12 +767,12 @@ def _dummy_record():
     return ErrorRecord(
         run_id="bernoulli-cnce-n000000200-k00002-r0000", model="bernoulli",
         method="cnce", n=200, kappa=2, epsilon=0.2, seed=123, error=0.5,
-        sq_error=0.25, converged=True, iters=17, wall_ms=0.0)
+        sq_error=0.25, converged=True, iters=17)
 
 
 def test_csv_header_exact():
     text = records_to_csv([])
-    assert text == "run_id,model,method,n,kappa,epsilon,seed,error,sq_error,converged,iters,wall_ms\n"
+    assert text == "run_id,model,method,n,kappa,epsilon,seed,error,sq_error,converged,iters\n"
 
 
 def test_csv_single_row_roundtrip():
@@ -780,8 +785,7 @@ def test_csv_single_row_roundtrip():
 def test_csv_roundtrip_special_values():
     rec = ErrorRecord(run_id="a", model="ring", method="nce", n=10, kappa=1,
                       epsilon=None, seed=2**63 + 5, error=float("inf"),
-                      sq_error=float("inf"), converged=False, iters=0,
-                      wall_ms=0.0)
+                      sq_error=float("inf"), converged=False, iters=0)
     assert records_from_csv(records_to_csv([rec])) == [rec]
 
 
@@ -789,6 +793,13 @@ def test_csv_schema_mismatch():
     with pytest.raises(ParameterError) as err:
         records_from_csv("run_id,model,method\n")
     assert "missing columns" in str(err.value)
+    # the header of a CSV written with a trailing wall_ms time column
+    with pytest.raises(ParameterError) as err:
+        records_from_csv(",".join(CSV_HEADER) + ",wall_ms\n")
+    assert "missing columns: [], unexpected columns: ['wall_ms']" in str(err.value)
+    swapped = CSV_HEADER[1::-1] + CSV_HEADER[2:]
+    with pytest.raises(ParameterError, match="columns repeated or out of order"):
+        records_from_csv(",".join(swapped) + "\n")
 
 
 def test_persist_roundtrip_and_force(tmp_path):
@@ -871,7 +882,7 @@ def _one_cell(errors):
     return [
         ErrorRecord(run_id=f"m-c-n{0:09d}-k{1:05d}-r{i:04d}", model="m",
                     method="c", n=0, kappa=1, epsilon=None, seed=0, error=e,
-                    sq_error=e * e, converged=True, iters=0, wall_ms=0.0)
+                    sq_error=e * e, converged=True, iters=0)
         for i, e in enumerate(errors)
     ]
 

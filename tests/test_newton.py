@@ -131,7 +131,7 @@ def test_newton_line_search_collapse_is_reported_without_warnings():
     # overflows exp
     def objective(z):
         ez = np.exp(z)
-        return float(ez[0] - 2.0 * z[0]), ez - 2.0, np.diag(ez)
+        return float(ez[0] - 2.0 * z[0]), ez - 2.0, lambda: np.diag(ez)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -144,7 +144,7 @@ def test_newton_line_search_collapse_is_reported_without_warnings():
 
 def test_newton_nonfinite_start_stops_there():
     def objective(z):
-        return 0.5 * float(z @ z), z, np.full((1, 1), np.nan)
+        return 0.5 * float(z @ z), z, lambda: np.full((1, 1), np.nan)
 
     run = minimize(objective, np.full(1, 2.0), OptimizerConfig())
     assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 0)
@@ -183,7 +183,7 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
     def objective(z):
         r = x - z
         return (float(np.mean(c + 0.5 * np.sum(r * r, axis=1))),
-                -np.mean(r, axis=0), np.eye(3))
+                -np.mean(r, axis=0), lambda: np.eye(3))
 
     z0 = x.mean(axis=0) + 1.5e-7
     f0, g0, _ = objective(z0)

@@ -32,7 +32,7 @@ from test_models import make
 def quadratic_bowl(a):
     def fn(z):
         d = z - a
-        return 0.5 * float(d @ d), d
+        return 0.5 * float(d @ d), d, np.nan
 
     return fn
 
@@ -62,8 +62,8 @@ def test_minimize_nonfinite_hands_on_the_best_finite_point():
 
     def poisoned(z):
         visited.append(z)
-        value, grad = bowl(z)
-        return (np.nan if len(visited) > 30 else value), grad
+        value, grad, se = bowl(z)
+        return (np.nan if len(visited) > 30 else value), grad, se
 
     run = minimize(poisoned, np.zeros(2), OptimizerConfig())
     assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 30)
@@ -71,7 +71,7 @@ def test_minimize_nonfinite_hands_on_the_best_finite_point():
     assert np.array_equal(run.theta, visited[best])
     assert run.loss_trace[best] < run.loss_trace[0]
     # non-finite at the start: the start comes back, with an empty trace
-    run = minimize(lambda z: (np.nan, z), np.ones(2), OptimizerConfig())
+    run = minimize(lambda z: (np.nan, z, np.nan), np.ones(2), OptimizerConfig())
     assert (run.stop, run.iters) == ("nonfinite", 0)
     assert np.array_equal(run.theta, np.ones(2))
 
@@ -89,15 +89,16 @@ def l1_location(n=401, seed=0, with_se=True):
     """mean_i |z - x_i| over a 2-d sample: kinked at every data point, so
     the subgradient norm stalls near the minimiser (the coordinate-wise
     median; n is odd, so it is at least 1/n off the data points) and never
-    meets grad_tol.  With with_se, the third slot is the
-    sampling standard error std_i(sum_j |z_j - x_ij|) / sqrt(n)."""
+    meets grad_tol.  The third slot is the sampling standard error
+    std_i(sum_j |z_j - x_ij|) / sqrt(n) with with_se, NaN (unknown)
+    without."""
     x = rng_from(seed, "l1").standard_normal((n, 2)) + np.array([3.0, -1.0])
 
     def fn(z):
         r = z - x
         terms = np.abs(r).sum(axis=1)
-        out = float(np.mean(terms)), np.mean(np.sign(r), axis=0)
-        return out + (float(np.std(terms)) / np.sqrt(n),) if with_se else out
+        se = float(np.std(terms)) / np.sqrt(n) if with_se else np.nan
+        return float(np.mean(terms)), np.mean(np.sign(r), axis=0), se
 
     return fn, np.median(x, axis=0)
 
@@ -126,7 +127,6 @@ def test_minimize_without_standard_error_never_stops_on_stat_tol():
 def test_minimize_records_traces_and_iters():
     run = minimize(quadratic_bowl(np.ones(2)), np.zeros(2), OptimizerConfig())
     assert run.iters == len(run.loss_trace) == len(run.grad_norm_trace)
-    assert run.wall_ms >= 0.0
 
 
 def test_gaussian_1d_cnce_matches_grid_search():
@@ -147,7 +147,7 @@ def test_bernoulli_population_minimize_from_random_starts():
     truth = np.log([0.3, 0.7])
 
     def objective(theta):
-        return oracles.bernoulli_population_loss(theta, truth, 0.2)
+        return (*oracles.bernoulli_population_loss(theta, truth, 0.2), np.nan)
 
     rng = rng_from(5)
     for _ in range(5):

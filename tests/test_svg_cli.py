@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import cnce.cli
 import cnce.experiments
 from cnce.cli import main
 from cnce.svgplot import Series, chart_series_for_model, render_loglog
@@ -90,7 +91,7 @@ def test_chart_series_layout():
         records.append(ErrorRecord(
             run_id=f"g-cnce-n{n:09d}-k{2:05d}-r{i:04d}", model="g",
             method="cnce", n=n, kappa=2, epsilon=0.1, seed=0, error=err,
-            sq_error=err**2, converged=True, iters=1, wall_ms=0.0))
+            sq_error=err**2, converged=True, iters=1))
     series = chart_series_for_model(summarize(records))
     assert len(series) == 3  # solid median + dashed q10 + dashed q90
     assert sum(s.in_legend for s in series) == 1
@@ -366,7 +367,7 @@ def test_stale_chart_stops_experiment_and_report_before_any_output(tmp_path, cap
 
     recs = [ErrorRecord(run_id=f"{model}-r", model=model, method="cnce", n=10,
                         kappa=1, epsilon=0.1, seed=2, error=0.5, sq_error=0.25,
-                        converged=True, iters=3, wall_ms=0.0)
+                        converged=True, iters=3)
             for model in ("bernoulli", "ring")]
     csv_path = tmp_path / "r.csv"
     csv_path.write_text(records_to_csv(recs))
@@ -424,6 +425,14 @@ def test_report_schema_mismatch_lists_columns(tmp_path, capsys):
                  str(tmp_path / "rep")]) == 1
     err = capsys.readouterr().err
     assert "missing columns" in err and "sq_error" in err
+    # a results.csv with a trailing wall_ms column, the format before the
+    # column went: the unexpected column is named, and nothing is written
+    header = records_to_csv([]).rstrip("\n")
+    csv_path.write_text(f"{header},wall_ms\n")
+    assert main(["report", "--csv", str(csv_path), "--out",
+                 str(tmp_path / "rep")]) == 1
+    assert "unexpected columns: ['wall_ms']" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.csv"]
 
 
 def test_report_malformed_row_exit_1(tmp_path, capsys):
@@ -433,7 +442,7 @@ def test_report_malformed_row_exit_1(tmp_path, capsys):
     # line, and nothing is written
     rec = ErrorRecord(run_id="a", model="ring", method="nce", n=10, kappa=1,
                       epsilon=None, seed=2, error=0.5, sq_error=0.25,
-                      converged=True, iters=3, wall_ms=0.0)
+                      converged=True, iters=3)
     text = records_to_csv([rec, rec])
     header, first, second = text.splitlines()
     bad_rows = (second.rsplit(",", 3)[0],
@@ -541,9 +550,37 @@ def test_experiment_out_at_a_regular_file_exits_1_before_any_cell(
     assert (tmp_path / "file").read_text() == "kept"
 
 
+def test_estimate_and_limit_check_refuse_an_existing_output_before_computing(
+        tmp_path, capsys, monkeypatch):
+    # a second run into the same --out stops before the fit or the Monte
+    # Carlo table, and the first run's outputs are kept
+    est = write_json(tmp_path / "c.json", bernoulli_config())
+    lc = write_json(tmp_path / "l.json",
+                    {"schema": 1, "eps_grid": [0.04], "mc_pairs": 2000, "seed": 3})
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", est, "--out", str(out)]) == 0
+    assert main(["limit-check", "--config", lc, "--out", str(out)]) in (0, 2)
+    capsys.readouterr()
+    kept = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(kept) == 2
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before refusing the output")
+
+    monkeypatch.setattr(cnce.cli, "run_single", no_work)
+    monkeypatch.setattr(cnce.cli, "limit_check", no_work)
+    for command, cfg in (("estimate", est), ("limit-check", lc)):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "exists (pass --force to overwrite)" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["estimate", "--out", "x"]) == 1  # missing --config
     assert main(["no-such-command"]) == 1
+    # report reads no config, so it takes no --seed
+    assert main(["report", "--csv", "x", "--out", "y", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 _ONE_CELL_PER_METHOD = """

@@ -43,6 +43,11 @@ echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 5}, "methods"
 OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/gauss_threads.json" --out "$dir/gauss_threads1"
 OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/gauss_threads.json" --out "$dir/gauss_threads2"
 cmp "$dir/gauss_threads1/results.csv" "$dir/gauss_threads2/results.csv"
+# the log-normal's noise crosses zero, where its rows are +inf
+echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "methods": ["cnce", "nce"], "n_grid": [1000, 4000, 8000], "kappa_grid": [10], "repeats": 2, "master_seed": 1}' > "$dir/lognormal_threads.json"
+OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads1"
+OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads2"
+cmp "$dir/lognormal_threads1/results.csv" "$dir/lognormal_threads2/results.csv"
 # a Gaussian MLE below dim points is refused before any cell runs; CNCE
 # fits there from its random start
 echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 5}, "methods": ["cnce", "mle"], "n_grid": [4], "kappa_grid": [5], "repeats": 1, "master_seed": 1}' > "$dir/singular.json"
@@ -65,6 +70,10 @@ $cnce estimate --config "$dir/estimate.json" --out "$dir/estimate" 2> "$dir/err"
 test "$status" -eq 1
 grep -q 'exists (pass --force to overwrite)' "$dir/err"
 cmp "$dir/trace_first.json" "$trace"
+# the log-normal has one parameter, its precision
+echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "method": "cnce", "n": 200, "kappa": 2}' > "$dir/lognormal_estimate.json"
+$cnce estimate --config "$dir/lognormal_estimate.json" --out "$dir/lognormal_estimate"
+python -c 'import json, sys; assert len(json.load(open(sys.argv[1]))["theta_hat"]) == 1' "$dir/lognormal_estimate/lognormal_ext-cnce-n000000200-k00002-r0000.json"
 echo '{"schema": 1, "mc_pairs": 20000}' > "$dir/limit.json"
 status=0
 $cnce limit-check --config "$dir/limit.json" --out "$dir/limit" || status=$?

@@ -38,8 +38,11 @@ to out; and ``vjp(w)``, sum_r w_r d row_r / d theta at the last
 parameter moves, which ``value`` adds: a fresh array, where NCE, the one
 loss that folds constants into rows, adds its -log q - log nu at build
 time.  No loss reads an offset of pair rows: affine pair rows add the
-difference of their points' offsets (the log-normal's needs it), and
-Laplace ICA's have none.
+difference of their points' offsets, and Laplace ICA's have none.  The
+log-normal's offset is -inf where a point is <= 0 (phi = 0 there), so its
+pair offsets are +inf where a noise point is <= 0: such a pair, like an
+NCE noise row there after its sign, is +inf, and its softplus(-row),
+weight and curvature are exactly 0.
 Affine rows, Phi @ theta + offset, add the exact curvature ``gram(c)`` =
 Phi' diag(c) Phi.  ``_Model`` builds them from ``features(U)`` = (Phi,
 offset), which the affine models state (Bernoulli as its log-weight
@@ -476,75 +479,70 @@ class RingModel(_Model):
 
 @dataclass(frozen=True)
 class LogNormalExtModel(_Model):
-    """Log-normal on the positive axis, constant C elsewhere:
+    """Log-normal on the positive axis, zero elsewhere:
 
         log phi(u) = -theta/2 (log u)^2 - log u   for u > 0
-        log phi(u) = C                            for u <= 0
+        log phi(u) = -inf                         for u <= 0
 
-    The data live on (0, inf); the constant branch exists so that Gaussian
-    conditional noise (which crosses zero) stays inside the model domain.
+    The data live on (0, inf).  Gaussian conditional noise crosses zero;
+    a noise point there has phi = 0, so its CNCE pair and its NCE noise row
+    are +inf, whose softplus(-row), weight and curvature are exactly 0.
     """
 
     dim: int = 1
 
     kind = LOGNORMAL
     methods = ("cnce", "nce", "mle", "score_matching")
-    param_count = 2
+    param_count = 1
     max_dim = 1
 
     def init_theta(self, rng, scale=0.3):
-        return np.array([1.0, -5.0])  # C starts low: its optimum is -inf
+        return np.array([1.0])  # unit precision
 
     def _split(self, U):
         u = self._as_batch(U)[:, 0]
         return u, u > 0
 
     def log_phi(self, theta, U):
-        theta_p, c = self._check_theta(theta)
+        (theta_p,) = self._check_theta(theta)
         u, pos = self._split(U)
-        out = np.full(u.shape, c)
+        out = np.full(u.shape, -np.inf)
         lu = np.log(u[pos])
         out[pos] = -0.5 * theta_p * lu**2 - lu
         return out
 
     def features(self, U):
         u, pos = self._split(U)
-        phi = np.zeros((len(u), 2), order="F")
-        offset = np.zeros(len(u))
+        phi = np.zeros((len(u), 1))
+        offset = np.full(len(u), -np.inf)
         lu = np.log(u[pos])
         phi[pos, 0] = -0.5 * lu**2
-        phi[~pos, 1] = 1.0
         offset[pos] = -lu
         return phi, offset
 
     def score_quadratic(self, x):
-        # laplacian + |grad|^2 / 2 = [theta^2 lu^2 / 2 + theta (2 lu - 1) + 3/2] / u^2;
-        # C never enters, so its row and column of A are zero
+        # laplacian + |grad|^2 / 2 = [theta^2 lu^2 / 2 + theta (2 lu - 1) + 3/2] / u^2
         u, pos = self._split(x)
         if not np.all(pos):
             raise DomainError("score matching defined only on the positive axis")
         lu = np.log(u)
-        a = np.zeros((2, 2))
-        a[0, 0] = np.mean(lu**2 / u**2)
-        b = np.array([np.mean((2.0 * lu - 1.0) / u**2), 0.0])
+        a = np.array([[np.mean(lu**2 / u**2)]])
+        b = np.array([np.mean((2.0 * lu - 1.0) / u**2)])
         return a, b, float(np.mean(1.5 / u**2))
 
     def mle(self, x):
-        # precision of the log-data; C (the u <= 0 branch) is not identified
+        # precision of the log-data
         u, _ = self._split(x)
-        return np.array([1.0 / float(np.mean(np.log(u) ** 2)), -5.0])
-
-    def error(self, theta_hat, theta_true):
-        return float(abs(theta_hat[0] - theta_true[0]))  # precision only
+        return np.array([1.0 / float(np.mean(np.log(u) ** 2))])
 
     def sample(self, theta, n, rng):
-        theta_p, _ = self._check_theta(theta)
+        (theta_p,) = self._check_theta(theta)
         if theta_p <= 0:
             raise ParameterError("theta must be positive")
         return np.exp(rng.standard_normal(n) / np.sqrt(theta_p))[:, None]
 
     def random_params(self, rng):
-        return np.array([rng.uniform(0.5, 2.0), -5.0])
+        return np.array([rng.uniform(0.5, 2.0)])
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,8 @@ def _newton_direction(hess, grad) -> np.ndarray:
     Every Hessian ``minimize`` gets from this package is positive
     semi-definite (``losses`` docstring), so lam is a floor of 1e-12 s, s
     the largest diagonal magnitude of H, that keeps a rank-deficient H (the
-    Bernoulli offset, a vanishing log-normal C) from amplifying rounding
-    along its null space.  Where H + lam I still has no Cholesky factor, lam
-    doubles until it has one.
+    Bernoulli offset) from amplifying rounding along its null space.  Where
+    H + lam I still has no Cholesky factor, lam doubles until it has one.
     """
     eye = np.eye(len(grad))
     lam = 1e-12 * (float(np.max(np.abs(np.diag(hess)))) or 1.0)

@@ -47,10 +47,11 @@ def grad_theta(model, theta, U):
     if kind == RING:
         return (-0.5 * (np.linalg.norm(u, axis=1) - model.mu) ** 2)[:, None]
     if kind == LOGNORMAL:
-        # -(log u)^2 / 2 for the precision on u > 0, and 1 for C on u <= 0
+        # -(log u)^2 / 2 on u > 0; log phi = -inf on u <= 0 moves with no
+        # parameter, so its row is zero
         pos = u[:, 0] > 0
         lu = np.log(np.where(pos, u[:, 0], 1.0))
-        return np.column_stack([np.where(pos, -0.5 * lu**2, 0.0), ~pos]).astype(float)
+        return np.where(pos, -0.5 * lu**2, 0.0)[:, None]
     if kind == BERNOULLI:
         return np.column_stack([u[:, 0] == 0.0, u[:, 0] == 1.0]).astype(float)
     raise KeyError(kind)
@@ -91,6 +92,15 @@ def laplacian_u(model, theta, U):
 # losses, as (value, gradient)
 # ---------------------------------------------------------------------------
 
+def _data_log_phi(model, theta, x):
+    """log phi at the data points, refused where it is not finite: a
+    log-odds there could be inf - inf."""
+    out = model.log_phi(theta, x)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("log phi must be finite at every data point")
+    return out
+
+
 def cnce_G(model, theta, u1, u2) -> float:
     """CNCE's log-odds log phi(u1) - log phi(u2) of one pair; the kernel
     term vanishes for the symmetric kernels, the partition function
@@ -105,7 +115,10 @@ def cnce_loss(model, theta, x, noise, grad_theta=grad_theta):
     x, noise = np.asarray(x, dtype=float), np.asarray(noise, dtype=float)
     n, kappa = noise.shape[:2]
     y = noise.reshape(n * kappa, -1)
-    g = np.repeat(model.log_phi(theta, x), kappa) - model.log_phi(theta, y)
+    # a noise point with phi = 0 gives G = +inf, whose softplus(-G) and
+    # weight are exactly 0 (and its grad_theta row is zero); a data point
+    # with phi = 0 would give inf - inf, so it is refused
+    g = np.repeat(_data_log_phi(model, theta, x), kappa) - model.log_phi(theta, y)
     w = _sigmoid(-g)  # -d softplus(-G) / dG
     grad = (w @ grad_theta(model, theta, y)
             - w.reshape(n, kappa).sum(axis=1) @ grad_theta(model, theta, x))
@@ -120,7 +133,9 @@ def nce_loss(model, theta_c, x, noise, marginal, grad_theta=grad_theta):
     theta, c = theta_c[:-1], theta_c[-1]
     n = len(x)
     log_nu = np.log(len(noise) // n)
-    hx = model.log_phi(theta, x) + c - log_density_marginal(marginal, x) - log_nu
+    hx = _data_log_phi(model, theta, x) + c - log_density_marginal(marginal, x) - log_nu
+    # a noise point with phi = 0 gives hy = -inf, whose softplus(hy) and
+    # weight are exactly 0
     hy = model.log_phi(theta, noise) + c - log_density_marginal(marginal, noise) - log_nu
     value = (np.sum(_softplus(-hx)) + np.sum(_softplus(hy))) / n
     wx, wy = -_sigmoid(-hx), _sigmoid(hy)  # d loss / dh, times n

@@ -120,11 +120,12 @@ def test_error_bernoulli_scale_invariant(c, seed):
         assert estimation_error(model, *shifted) == pytest.approx(base, rel=1e-12)
 
 
-def test_error_lognormal_ignores_constant():
+def test_error_lognormal_is_the_precision_gap():
+    # the default Euclidean norm of a one-entry vector: |delta precision|
     model = make(LOGNORMAL)
-    truth = np.array([1.2, -5.0])
-    hat = np.array([1.5, 123.0])
-    assert estimation_error(model, hat, truth) == pytest.approx(0.3)
+    for hat, truth in (([1.5], [1.2]), ([0.7], [1.9]), ([1.2], [1.2])):
+        assert estimation_error(model, np.array(hat), np.array(truth)) == abs(
+            hat[0] - truth[0])
 
 
 def test_error_packing_mismatch():
@@ -702,8 +703,7 @@ def test_run_single_ica_mle_starts_at_the_grid_init_scale():
 @pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
 def test_run_single_score_matching_lands_on_the_quadratic_minimiser(kind):
     # the cell's data, drawn as run_single draws them, give the exact
-    # quadratic theta'A theta / 2 + b'theta + c; the log-normal C, which A
-    # does not see, is left out
+    # quadratic theta'A theta / 2 + b'theta + c, with A positive definite
     cfg = small_config(kind=kind, methods=("score_matching",), n_grid=(300,))
     record, warnings, trace = run_single(cfg, "score_matching", 300, 2, 0,
                                          collect_trace=True)
@@ -714,9 +714,7 @@ def test_run_single_score_matching_lands_on_the_quadratic_minimiser(kind):
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
     a, b, _ = model.score_quadratic(
         model.sample(theta_true, 300, rng_from(stable_hash(seed, "data"))))
-    seen = np.diag(a) > 0
-    expected = np.linalg.solve(a[np.ix_(seen, seen)], -b[seen])
-    np.testing.assert_allclose(np.array(trace["theta_hat"])[seen], expected,
+    np.testing.assert_allclose(trace["theta_hat"], np.linalg.solve(a, -b),
                                rtol=1e-10, atol=0)
 
 

@@ -350,6 +350,66 @@ def test_nce_objective_matches_reference(kind):
     assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
 
 
+def assert_objectives_agree(full, kept, points, scale):
+    """full(theta) and scale * kept(theta) agree in value, gradient and
+    Gram matrix at each point."""
+    for z in points:
+        (v, g, h), (vk, gk, hk) = full(z), kept(z)
+        assert v == pytest.approx(scale * vk, rel=1e-13)
+        np.testing.assert_allclose(g, scale * gk, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h(), scale * hk(), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lognormal_noise_where_phi_is_zero_adds_nothing():
+    # log phi = -inf at u <= 0: a CNCE pair or an NCE noise row there is
+    # +inf and its softplus, weight and curvature are exactly 0, so each
+    # objective equals the one built without those points
+    model = make(LOGNORMAL)
+    x = model.sample(np.array([1.3]), 40, rng_from(71))
+    thetas = [np.array([t]) for t in (0.4, 1.3, 3.0)]
+
+    # CNCE: the kept pairs, one per row of a kappa = 1 objective, whose
+    # 2 / rows scale the factor kept / all restores
+    noise = make_noise(model, None, x, 3, 72)
+    noise[:3, 0, 0] = (-0.8, 0.0, -1e-3)
+    y = noise.reshape(-1, 1)
+    kept = y[:, 0] > 0
+    assert 3 <= np.sum(~kept) < len(y)
+    full = cnce_objective(model, x, noise)
+    assert_objectives_agree(
+        full, cnce_objective(model, np.repeat(x, 3, axis=0)[kept], y[kept][:, None]),
+        thetas, np.sum(kept) / len(y))
+    for theta in thetas:
+        value = cnce_loss(model, theta, x, noise)  # the ladder's, from log phi
+        assert np.isfinite(value)
+        assert value == pytest.approx(full(theta)[0], rel=1e-13)
+
+    # NCE: 80 positive noise points, and 40 more at u <= 0 among them; the
+    # kept objective's nu is 2, not 3, which a shift of c by log(2 / 3)
+    # makes up
+    marginal = fit_marginal(x)
+    draws = sample_marginal(marginal, 400, 73)
+    positive = draws[draws[:, 0] > 0][:80]
+    off = -np.abs(draws[:40])
+    off[:2, 0] = (0.0, -1e-300)
+    noise = rng_from(74).permutation(np.concatenate([positive, off]))
+    kept_noise = noise[noise[:, 0] > 0]
+    assert len(kept_noise) == 80
+    full = nce_objective(model, x, noise, nce_log_q(marginal, x, noise))
+    kept = nce_objective(model, x, kept_noise, nce_log_q(marginal, x, kept_noise))
+    shift = np.log(2.0) - np.log(3.0)
+    assert_objectives_agree(full, lambda z: kept(z + [0.0, shift]),
+                            [np.append(theta, 0.3) for theta in thetas], 1.0)
+    for theta in thetas:
+        # NCE's start value of c: -log mean phi / q, where phi = 0 adds 0
+        c = nce_log_normaliser(model, theta, noise, log_density_marginal(marginal, noise))
+        assert np.isfinite(c)
+        c_kept = nce_log_normaliser(model, theta, kept_noise,
+                                    log_density_marginal(marginal, kept_noise))
+        assert c == pytest.approx(c_kept - shift, rel=1e-13)
+
+
 @pytest.mark.parametrize("kind", NCE_KINDS)
 def test_nce_objective_evaluates_noise_density_only_at_build(kind, monkeypatch):
     # the builder takes log q as values: an NCE cell evaluates it once per
@@ -646,7 +706,7 @@ def test_mle_bernoulli_single_valued_data(bit):
 
 def test_mle_lognormal_closed_form():
     model = make(LOGNORMAL)
-    theta = np.array([1.6, -5.0])
+    theta = np.array([1.6])
     x = model.sample(theta, 100_000, rng_from(59))
     res = mle_fit(model, x)
     assert res.theta[0] == pytest.approx(1.0 / np.mean(np.log(x[:, 0]) ** 2),

@@ -60,7 +60,7 @@ def test_param_counts():
     assert GaussianPrecisionModel(5).param_count == 15
     assert IcaLaplaceModel(4).param_count == 16
     assert RingModel(5).param_count == 1
-    assert LogNormalExtModel(1).param_count == 2
+    assert LogNormalExtModel(1).param_count == 1
     assert BernoulliModel(1).param_count == 2
     # each class states its kind, and the class defaults are the paper's
     assert [(kind, cls.kind, cls().dim) for kind, cls in _CLASSES.items()] == [
@@ -138,9 +138,10 @@ def test_log_phi_bernoulli_table():
 
 def test_log_phi_lognormal_branches():
     model = make(LOGNORMAL)
-    theta = np.array([1.3, -2.0])
-    assert model.log_phi(theta, np.array([-0.5]))[0] == -2.0
-    assert model.log_phi(theta, np.array([0.0]))[0] == -2.0
+    theta = np.array([1.3])
+    # phi = 0 off the positive axis, zero included
+    assert model.log_phi(theta, np.array([-0.5]))[0] == -np.inf
+    assert model.log_phi(theta, np.array([0.0]))[0] == -np.inf
     u = 1.7
     expect = -0.65 * np.log(u) ** 2 - np.log(u)
     assert model.log_phi(theta, np.array([u]))[0] == pytest.approx(expect, rel=1e-15)
@@ -155,7 +156,7 @@ def test_domain_errors():
                                np.array([np.nan, 0, 0, 0, 0]))
     # a bare number is one point of a one-dimensional model, and of no other
     lognormal = make(LOGNORMAL)
-    assert lognormal.log_phi([1.3, -2.0], 1.7) == lognormal.log_phi([1.3, -2.0], [[1.7]])
+    assert lognormal.log_phi([1.3], 1.7) == lognormal.log_phi([1.3], [[1.7]])
     for U in (1.7, np.ones(4), np.ones((2, 6))):
         with pytest.raises(DomainError, match="points must have dimension 5"):
             make(GAUSSIAN).log_phi(make(GAUSSIAN).pack(np.eye(5)), U)
@@ -214,6 +215,15 @@ def test_ica_grad_rows_are_signed_inputs():
         assert np.allclose(g[j], -np.sqrt(2) * np.sign(u[j]) * u)
 
 
+def with_lognormal_zeros(model, y):
+    """y, with the log-normal's first points moved to where phi = 0: below
+    zero and exactly at it (log phi = -inf, a +inf pair row)."""
+    if model.kind == LOGNORMAL:
+        y = y.copy()
+        y[:3, 0] = (-1.5, -1e-3, 0.0)
+    return y
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_rows_match_log_phi_and_its_gradient(kind):
     # value is log phi (or its pair difference); vjp is the
@@ -222,7 +232,7 @@ def test_rows_match_log_phi_and_its_gradient(kind):
     rng = rng_from(63, kind)
     theta = random_theta(model, rng)
     x = random_points(model, theta, rng, m=12)
-    y = random_points(model, theta, rng, m=36)
+    y = with_lognormal_zeros(model, random_points(model, theta, rng, m=36))
     cases = [(model.rows(y), model.log_phi(theta, y), [y], [1.0]),
              (model.pair_rows(x, y, 3),
               np.repeat(model.log_phi(theta, x), 3) - model.log_phi(theta, y),
@@ -248,7 +258,7 @@ def test_nce_rows_add_the_c_column_and_the_row_signs(kind):
     theta = random_theta(model, rng)
     n = 12
     u = np.concatenate([random_points(model, theta, rng, m=n),
-                        random_points(model, theta, rng, m=36)])
+                        with_lognormal_zeros(model, random_points(model, theta, rng, m=36))])
     c = 0.7
     rows = _NceRows(model.rows(u), n)
     s = np.where(np.arange(len(u)) < n, 1.0, -1.0)
@@ -298,7 +308,7 @@ def test_grad_u_ring_2d():
 
 def test_grad_u_lognormal_at_one():
     model = make(LOGNORMAL)
-    g = grad_u(model, np.array([1.0, -5.0]), np.array([1.0]))[0, 0]
+    g = grad_u(model, np.array([1.0]), np.array([1.0]))[0, 0]
     assert g == -1.0
 
 
@@ -343,6 +353,8 @@ def test_score_quadratic_matches_grad_u_and_laplacian(kind):
     p = model.param_count
     assert a.shape == (p, p) and b.shape == (p,)
     assert np.array_equal(a, a.T)
+    # every parameter is identified: the minimiser -A^{-1} b is unique
+    assert np.all(np.linalg.eigvalsh(a) > 0)
     for _ in range(6):
         theta = random_theta(model, rng) * rng.uniform(0.2, 3.0, p)
         score = grad_u(model, theta, x)
@@ -403,8 +415,8 @@ def test_gaussian_sampler_rejects_non_pd():
 
 @pytest.mark.parametrize("kind,theta,message", [
     (RING, [0.0], "gamma must be positive"), (RING, [-2.0], "gamma must be positive"),
-    (LOGNORMAL, [0.0, -5.0], "theta must be positive"),
-    (LOGNORMAL, [-1.0, -5.0], "theta must be positive")])
+    (LOGNORMAL, [0.0], "theta must be positive"),
+    (LOGNORMAL, [-1.0], "theta must be positive")])
 def test_samplers_reject_parameters_outside_their_domain(kind, theta, message):
     with pytest.raises(ParameterError, match=message):
         make(kind).sample(np.array(theta), 10, rng_from(0))
@@ -434,24 +446,20 @@ SAMPLER_ORACLE_CASES = [(GAUSSIAN, None), (RING, 1.0), (RING, 3.0), (RING, 10.0)
 @pytest.mark.parametrize("kind,param", SAMPLER_ORACLE_CASES)
 def test_sampler_recovers_theta_by_score_matching(kind, param):
     """Oracle for every smooth model's sampler: the score-matching
-    minimiser -A^+ b of ``score_quadratic`` is a consistent estimator that
-    shares no maths with the sampler.  Over 16 x 25 000 draws, the mean of
-    the 16 estimates must lie within 5 of their standard errors of theta in
-    every identified coordinate (log-normal's C is not identified)."""
+    minimiser -A^{-1} b of ``score_quadratic`` is a consistent estimator
+    that shares no maths with the sampler.  Over 16 x 25 000 draws, the
+    mean of the 16 estimates must lie within 5 of their standard errors of
+    theta in every coordinate."""
     model = make(kind)
-    if kind == GAUSSIAN:
-        theta = model.random_params(rng_from(3))
-    else:
-        theta = np.array([param] if kind == RING else [param, -5.0])
+    theta = model.random_params(rng_from(3)) if kind == GAUSSIAN else np.array([param])
     estimates = []
     for k in range(16):
         x = model.sample(theta, 25_000, rng_from(200 + k, kind))
         a, b, _ = model.score_quadratic(x)
-        estimates.append(-np.linalg.pinv(a) @ b)
-    identified = np.diag(a) > 0
-    estimates = np.array(estimates)[:, identified]
+        estimates.append(np.linalg.solve(a, -b))
+    estimates = np.array(estimates)
     se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
-    assert np.all(np.abs(estimates.mean(axis=0) - theta[identified]) < 5 * se)
+    assert np.all(np.abs(estimates.mean(axis=0) - theta) < 5 * se)
 
 
 def test_ring_sampler_positive_radius():
@@ -469,7 +477,7 @@ def test_bernoulli_sampler_frequency():
 
 def test_lognormal_sampler_positive_and_log_moments():
     model = make(LOGNORMAL)
-    theta = np.array([2.0, -5.0])
+    theta = np.array([2.0])
     x = model.sample(theta, 100_000, rng_from(10))
     assert np.all(x > 0)
     assert abs(np.mean(np.log(x[:, 0]) ** 2) - 0.5) < 0.01

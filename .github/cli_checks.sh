@@ -74,6 +74,14 @@ cmp "$dir/trace_first.json" "$trace"
 echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "method": "cnce", "n": 200, "kappa": 2}' > "$dir/lognormal_estimate.json"
 $cnce estimate --config "$dir/lognormal_estimate.json" --out "$dir/lognormal_estimate"
 python -c 'import json, sys; assert len(json.load(open(sys.argv[1]))["theta_hat"]) == 1' "$dir/lognormal_estimate/lognormal_ext-cnce-n000000200-k00002-r0000.json"
+# the epsilon ladder hands the fit the noise of the scale it picks, so an
+# auto-epsilon estimate equals the estimate at that fixed scale
+echo '{"schema": 1, "model": {"kind": "ring", "dim": 2}, "method": "cnce", "n": 500, "kappa": 5, "epsilon": "auto"}' > "$dir/auto.json"
+eps=$($cnce estimate --config "$dir/auto.json" --out "$dir/auto" | sed -n 's/^epsilon: *//p')
+test -n "$eps"
+echo "{\"schema\": 1, \"model\": {\"kind\": \"ring\", \"dim\": 2}, \"method\": \"cnce\", \"n\": 500, \"kappa\": 5, \"epsilon\": $eps}" > "$dir/fixed.json"
+$cnce estimate --config "$dir/fixed.json" --out "$dir/fixed"
+cmp "$dir/auto/ring-cnce-n000000500-k00005-r0000.json" "$dir/fixed/ring-cnce-n000000500-k00005-r0000.json"
 echo '{"schema": 1, "mc_pairs": 20000}' > "$dir/limit.json"
 status=0
 $cnce limit-check --config "$dir/limit.json" --out "$dir/limit" || status=$?

@@ -10,7 +10,16 @@ theta, start instead at the model's closed-form estimate
 (``newton_start``), NCE's c at its log-normaliser there: both starts
 reach the same minimiser, and on the benchmark's affine grid (seeds
 1-20) the closed-form one took 1128 Newton iterations, score matching's
-240 included, where theta0 took 1916.
+240 included, where theta0 took 1913.
+
+Each cell draws from named child hashes of its seed, one stream per use:
+``params`` (theta_true), ``data`` (x), ``init`` (theta0), ``noise`` (CNCE's
+conditional noise, drawn once and shared by the ladder and the fit: the
+ladder scans its rungs on that draw and hands the fit its picked rung's
+noise), ``nce_noise`` (NCE's marginal noise) and ``mle`` (the ICA MLE's
+start).  At any one epsilon the ladder's noise is the fit's noise at that
+fixed epsilon bit for bit, so an ``"auto"`` row equals the row of a fixed
+``epsilon`` at its pick.
 
 Determinism contract: every run derives its generator from
 ``stable_hash(master_seed, model kind, method, n, kappa, repeat)`` and
@@ -241,15 +250,16 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
             start = theta0
             if method == "cnce":
                 if cfg.epsilon == "auto":
-                    epsilon, capped = adapt_epsilon(
+                    # the ladder's draw is the fit's: its picked rung's noise
+                    epsilon, capped, noise = adapt_epsilon(
                         model, theta0, x, cfg.epsilon_schedule, kappa,
-                        stable_hash(seed, "epsilon"))
+                        stable_hash(seed, "noise"))
                     if capped:
                         warnings.append("epsilon ladder capped")
                 else:
                     epsilon = cfg.epsilon
-                kernel = model.kernel.for_data(epsilon, x)
-                noise = sample_conditional(kernel, x, kappa, stable_hash(seed, "noise"))
+                    noise = sample_conditional(model.kernel.for_data(epsilon, x), x,
+                                               kappa, stable_hash(seed, "noise"))
                 objective = cnce_objective(model, x, noise)
                 start = newton_start(model, x, theta0)
             elif method == "nce":

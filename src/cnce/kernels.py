@@ -12,10 +12,12 @@ model names its kernel class as ``model.kernel``.
 Each kernel splits its sampler in two: ``draw`` makes the scale-free random
 part from the generator, and ``perturb`` turns it into noise points at the
 kernel's scale.  ``sample_conditional`` is ``perturb(x, draw(x, kappa,
-rng))``, and a scan over noise scales draws once and perturbs per scale,
-getting at every scale the points ``sample_conditional`` gives with the
-same seed.  Each kernel class builds itself for a data set in ``for_data``
-and states ``epsilon_cap``, the end of its scale's range (None: unbounded).
+rng))``, and a scan over noise scales (``optimize.adapt_epsilon``) draws
+once and perturbs per scale, getting at every scale the points
+``sample_conditional`` gives with the same seed, so the scan's noise at the
+scale it picks is the noise a fit at that scale takes.  Each kernel class
+builds itself for a data set in ``for_data`` and states ``epsilon_cap``, the
+end of its scale's range (None: unbounded).
 """
 
 from __future__ import annotations

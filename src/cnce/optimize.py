@@ -282,17 +282,20 @@ def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
     the starting parameters departs from 2 log 2 by at least delta, for the
     model's own kernel class (``model.kernel``).
 
-    Returns (epsilon, capped).  Where no rung meets the gap, the ladder's
-    top is returned.  The ladder stops at the kernel's ``epsilon_cap``, the
-    end of its scale's range, where that comes before the schedule's
-    ``epsilon_max``; ``capped`` is set only when the ladder ends at
-    ``epsilon_max``, which a larger ``epsilon_max`` would move.  Ending at
-    the kernel's cap is no failure: the loss is still minimised at the
-    truth there (the flip kernel at eps = 1).  The kernel's scale-free
+    Returns (epsilon, capped, noise).  Where no rung meets the gap, the
+    ladder's top is returned.  The ladder stops at the kernel's
+    ``epsilon_cap``, the end of its scale's range, where that comes before
+    the schedule's ``epsilon_max``; ``capped`` is set only when the ladder
+    ends at ``epsilon_max``, which a larger ``epsilon_max`` would move.
+    Ending at the kernel's cap is no failure: the loss is still minimised at
+    the truth there (the flip kernel at eps = 1).  The kernel's scale-free
     random part is drawn once, from ``rng_seed``, and every rung perturbs x
     with it, so each rung's noise is the one ``sample_conditional`` gives
     for that scale and seed, and each rung's value is ``cnce_loss`` on it.
-    With shared draws the scan is monotone in the scale.
+    With shared draws the scan is monotone in the scale.  ``noise`` is the
+    (n, kappa, dim) noise of the returned rung, bit for bit
+    ``sample_conditional(model.kernel.for_data(epsilon, x), x, kappa,
+    rng_seed)``, so a fit at the picked scale needs no second draw.
     """
     x = np.asarray(x, dtype=float)
     if kappa < 1:
@@ -304,7 +307,7 @@ def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
         kernel = model.kernel.for_data(eps, x)
         if base is None:
             base = kernel.draw(x, kappa, rng_from(rng_seed))
-        value = cnce_loss(model, theta0, x, kernel.perturb(x, base))
-        if abs(value - TWO_LOG2) >= schedule.delta:
-            return eps, False
-    return ladder[-1], cap is None or schedule.epsilon_max < cap
+        noise = kernel.perturb(x, base)
+        if abs(cnce_loss(model, theta0, x, noise) - TWO_LOG2) >= schedule.delta:
+            return eps, False, noise
+    return ladder[-1], cap is None or schedule.epsilon_max < cap, noise

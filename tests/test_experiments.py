@@ -1,6 +1,7 @@
 """Harness: error metrics with ambiguity handling, seed hashing, grid
 determinism, persistence round-trips, and the small-noise expansion table."""
 
+import dataclasses
 import itertools
 import json
 import multiprocessing
@@ -585,7 +586,7 @@ def test_contrastive_fits_from_the_closed_form_start_and_from_theta0_agree(
     start = newton_start(model, x, theta0)
     assert not np.array_equal(start, theta0)
     if method == "cnce":
-        epsilon, _ = adapt_epsilon(model, theta0, x, EpsilonSchedule(), kappa, 94)
+        epsilon, _, _ = adapt_epsilon(model, theta0, x, EpsilonSchedule(), kappa, 94)
         noise = sample_conditional(model.kernel.for_data(epsilon, x), x, kappa, 95)
         objective = cnce_objective(model, x, noise)
         starts = (start, theta0)
@@ -627,7 +628,7 @@ def test_run_single_starts_at_newton_start_and_picks_epsilon_at_theta0(
     assert np.array_equal(start[:model.param_count], newton_start(model, x, theta0))
     if method == "cnce":
         assert record.epsilon == adapt_epsilon(model, theta0, x, cfg.epsilon_schedule,
-                                               5, stable_hash(seed, "epsilon"))[0]
+                                               5, stable_hash(seed, "noise"))[0]
 
 
 def test_run_single_fits_a_gaussian_below_dim_points_from_theta0(minimize_starts):
@@ -755,6 +756,40 @@ def test_run_single_fixed_epsilon():
                        epsilon=0.7)
     record, _ = run_single(cfg, "cnce", 300, 2, 0)
     assert record.epsilon == 0.7
+
+
+@pytest.mark.parametrize("kind", (GAUSSIAN, BERNOULLI))
+@pytest.mark.parametrize("epsilon", ("auto", 0.4))
+def test_run_single_cnce_draws_its_noise_once(kind, epsilon, monkeypatch):
+    # the ladder's draw is the fit's: an auto cell scans the rungs on the
+    # draw it fits on, and a fixed one draws once for the fit
+    model = make(kind)
+    calls = []
+    draw = model.kernel.draw
+
+    def counted(self, *args):
+        calls.append(1)
+        return draw(self, *args)
+
+    monkeypatch.setattr(model.kernel, "draw", counted)
+    cfg = small_config(kind=kind, n_grid=(300,), kappa_grid=(5,), repeats=1,
+                       epsilon=epsilon)
+    record, _ = run_single(cfg, "cnce", 300, 5, 0)
+    assert np.isfinite(record.error)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if "cnce" in make(k).methods])
+def test_run_single_auto_epsilon_row_equals_the_fixed_row_at_its_pick(kind):
+    # an auto row and a fixed-epsilon row at the scale it picked fit on the
+    # same noise from the same start
+    for repeat in (0, 1):
+        auto = small_config(kind=kind, n_grid=(300,), kappa_grid=(5,))
+        record, _ = run_single(auto, "cnce", 300, 5, repeat)
+        fixed = dataclasses.replace(auto, epsilon=record.epsilon)
+        again, _ = run_single(fixed, "cnce", 300, 5, repeat)
+        assert np.isfinite(record.error)
+        assert again == record  # error, iters and converged included
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ class _FlatModel:
 
 def test_adapt_epsilon_flat_model_hits_cap():
     x = rng_from(7).standard_normal((200, 2))
-    eps, capped = adapt_epsilon(_FlatModel(), np.zeros(3), x, EpsilonSchedule(), 2, 8)
+    eps, capped, _ = adapt_epsilon(_FlatModel(), np.zeros(3), x, EpsilonSchedule(), 2, 8)
     assert capped
     assert eps == 4.0
 
@@ -216,7 +216,7 @@ def test_adapt_epsilon_gaussian_returns_gap():
     x = model.sample(model.pack(np.eye(5)), 4_000, rng_from(9))
     theta0 = model.pack(np.eye(5))
     sched = EpsilonSchedule()
-    eps, capped = adapt_epsilon(model, theta0, x, sched, 5, 10)
+    eps, capped, _ = adapt_epsilon(model, theta0, x, sched, 5, 10)
     assert not capped
     assert eps in sched.ladder()
     noise = sample_conditional(model.kernel.for_data(eps, x), x, 5, 10)
@@ -228,8 +228,8 @@ def test_adapt_epsilon_tiny_delta_returns_floor():
     model = make(GAUSSIAN)
     x = model.sample(model.pack(np.eye(5)), 2_000, rng_from(11))
     sched = EpsilonSchedule(delta=1e-9)
-    eps, capped = adapt_epsilon(model, model.pack(np.eye(5)), x,
-                                sched, 3, 12)
+    eps, capped, _ = adapt_epsilon(model, model.pack(np.eye(5)), x,
+                                   sched, 3, 12)
     assert eps == sched.epsilon_0 and not capped
 
 
@@ -239,12 +239,33 @@ def test_adapt_epsilon_deterministic_and_on_ladder():
     sched = EpsilonSchedule()
     out1 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
     out2 = adapt_epsilon(model, np.zeros(2), x, sched, 4, 14)
-    assert out1 == out2
+    assert out1[:2] == out2[:2]
+    assert np.array_equal(out1[2], out2[2])
     for kappa in (0, -1):
         with pytest.raises(ParameterError, match="kappa must be >= 1"):
             adapt_epsilon(model, np.zeros(2), x, sched, kappa, 14)
     assert out1[0] in sched.ladder(cap=1.0)
     assert out1[0] <= 1.0  # flip probability stays a probability
+
+
+@pytest.mark.parametrize("kind,sched,outcome", [
+    (GAUSSIAN, EpsilonSchedule(), "meets delta"),
+    (GAUSSIAN, EpsilonSchedule(delta=1.3, epsilon_max=0.5), "capped"),
+    (BERNOULLI, EpsilonSchedule(delta=1.3), "kernel cap")])
+def test_adapt_epsilon_returns_the_noise_of_its_pick(kind, sched, outcome):
+    # the noise the fit takes: the picked rung's, or the top rung's where
+    # none meets delta, bit for bit the one sample_conditional draws there
+    model = make(kind)
+    x = model.sample(model.random_params(rng_from(18, kind)), 500, rng_from(19, kind))
+    kappa, seed = 4, 20
+    eps, capped, noise = adapt_epsilon(model, model.init_theta(rng_from(21, kind)),
+                                       x, sched, kappa, seed)
+    top = sched.ladder(model.kernel.epsilon_cap)[-1]
+    assert {"meets delta": eps < top and not capped,
+            "capped": eps == sched.epsilon_max and capped,
+            "kernel cap": eps == 1.0 and not capped}[outcome]
+    expected = sample_conditional(model.kernel.for_data(eps, x), x, kappa, seed)
+    assert noise.shape == expected.shape and noise.tobytes() == expected.tobytes()
 
 
 LADDER_CASES = [
@@ -297,8 +318,10 @@ def test_adapt_epsilon_matches_fresh_draw_per_rung(kind, kernel_name, monkeypatc
         sched = EpsilonSchedule(delta=delta, epsilon_max=eps_max)
         seen.clear()
         expected, rungs = oracle(sched)
-        got = adapt_epsilon(model, theta0, x, sched, kappa, seed)
+        eps, capped, noise = adapt_epsilon(model, theta0, x, sched, kappa, seed)
+        got = (eps, capped)
         assert got == expected
+        assert np.array_equal(noise, rungs[-1])  # the noise of the last rung seen
         assert len(seen) == len(rungs)
         assert all(np.array_equal(a, b) for a, b in zip(seen, rungs))
         outcomes.add(got)
@@ -346,11 +369,13 @@ def test_value_only_rungs_keep_the_affine_grid_epsilons(seed, monkeypatch):
                 theta0 = model.init_theta(rng_from(stable_hash(cell, "init")),
                                           cfg.optimizer.init_scale)
                 args = (model, theta0, x, cfg.epsilon_schedule, kappa,
-                        stable_hash(cell, "epsilon"))
+                        stable_hash(cell, "noise"))
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", cnce_loss)
                 picked = adapt_epsilon(*args)
                 monkeypatch.setattr(cnce.optimize, "cnce_loss", oracle_value)
-                assert adapt_epsilon(*args) == picked
+                got = adapt_epsilon(*args)
+                assert got[:2] == picked[:2]
+                assert np.array_equal(got[2], picked[2])
                 cells += 1
     assert cells == 8
     assert oracle_calls

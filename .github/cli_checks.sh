@@ -39,6 +39,12 @@ echo '{"schema": 1, "model": {"kind": "ring"}, "methods": ["cnce", "nce"], "n_gr
 OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/threads.json" --out "$dir/threads1"
 OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/threads.json" --out "$dir/threads2"
 cmp "$dir/threads1/results.csv" "$dir/threads2/results.csv"
+# the keys of removed options, at their old defaults, are dropped with a
+# warning and leave the results as they are without them
+echo '{"schema": 1, "model": {"kind": "ring"}, "methods": ["cnce", "nce"], "n_grid": [1000, 4000], "kappa_grid": [10], "repeats": 1, "master_seed": 3, "optimizer": {"init_scale": 0.3, "adam_step": 0.05, "adam_betas": [0.9, 0.999]}, "epsilon_schedule": {"growth": 2.0}}' > "$dir/removed_keys.json"
+OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/removed_keys.json" --out "$dir/removed_keys" 2> "$dir/err"
+grep -q 'deprecated and ignored' "$dir/err"
+cmp "$dir/threads1/results.csv" "$dir/removed_keys/results.csv"
 echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 5}, "methods": ["cnce", "nce"], "n_grid": [1000, 4000], "kappa_grid": [10], "repeats": 1, "master_seed": 1}' > "$dir/gauss_threads.json"
 OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/gauss_threads.json" --out "$dir/gauss_threads1"
 OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/gauss_threads.json" --out "$dir/gauss_threads2"
@@ -92,6 +98,13 @@ $cnce limit-check --config "$dir/limit.json" --out "$dir/limit" 2> "$dir/err" ||
 test "$status" -eq 1
 grep -q 'exists (pass --force to overwrite)' "$dir/err"
 cmp "$dir/limit_first.json" "$dir/limit/limit_check.json"
+# a limit-check precision must be a list of numbers
+echo '{"schema": 1, "precision": "1 0 1", "mc_pairs": 100}' > "$dir/precision.json"
+status=0
+$cnce limit-check --config "$dir/precision.json" --out "$dir/precision" 2> "$dir/err" || status=$?
+test "$status" -eq 1
+grep -q '^error: precision must be a list' "$dir/err"
+test ! -e "$dir/precision"
 # report reads no config, so it takes no --seed
 status=0
 $cnce report --csv "$dir/out/results.csv" --out "$dir/report_seed" --seed 1 2> "$dir/err" || status=$?

@@ -34,7 +34,9 @@ as ``null``.
 The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
 field's type, default and range; those of its ``model`` are ``kind`` and
-the fields of the model class named by ``kind`` (``models``).
+the fields of the model class named by ``kind`` (``models``).  The keys of
+removed options, such as Adam's step and betas, now constants of
+``optimize``, are accepted with a warning and ignored.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import CnceError, ParameterError
+from .errors import CnceError, ParameterError, _real, _sequence
 from .experiments import (
     _run_id,
     check_config,
@@ -148,7 +150,8 @@ def cmd_limit_check(args) -> int:
     obj = _load_config(args.config)
     check_config(obj, _LIMIT_KEYS, (), "limit-check config")
     if "precision" in obj:
-        theta = obj["precision"]
+        theta = [_real(v, "precision entry")
+                 for v in _sequence(obj["precision"], "precision")]
     else:
         model = GaussianPrecisionModel()
         theta = model.pack(np.eye(model.dim))

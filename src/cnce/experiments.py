@@ -3,10 +3,10 @@ grids, error metrics with the model-specific ambiguity handling, quantile
 summaries, result persistence, and the small-noise expansion check.
 
 Where each fit starts: ``run_single`` draws theta0 from the cell's seed
-(``model.init_theta``), where the noise-scale ladder, score matching and
-the ICA CNCE and NCE fits start; the ICA MLE draws its own start.  The
-CNCE and NCE fits of an affine model, damped Newton on a loss convex in
-theta, start instead at the model's closed-form estimate
+(``model.init_theta``, at its fixed spread), where the noise-scale ladder,
+score matching and the ICA CNCE and NCE fits start; the ICA MLE draws its
+own start.  The CNCE and NCE fits of an affine model, damped Newton on a
+loss convex in theta, start instead at the model's closed-form estimate
 (``newton_start``), NCE's c at its log-normaliser there: both starts
 reach the same minimiser, and on the benchmark's affine grid (seeds
 1-20) the closed-form one took 1128 Newton iterations, score matching's
@@ -237,8 +237,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     model = cfg.model
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
     x = model.sample(theta_true, n, rng_from(stable_hash(seed, "data")))
-    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")),
-                              cfg.optimizer.init_scale)
+    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")))
 
     warnings: list[str] = []
     epsilon = None
@@ -548,7 +547,7 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
     flagged as unresolved.
     """
     theta = np.asarray(theta, dtype=float)
-    eps_grid = [_real(eps, "eps_grid entry") for eps in eps_grid]
+    eps_grid = [_real(eps, "eps_grid entry") for eps in _sequence(eps_grid, "eps_grid")]
     mc_pairs, rng_seed = _integer(mc_pairs, "mc_pairs"), _integer(rng_seed, "seed")
     if mc_pairs < 1:
         raise ParameterError("mc_pairs must be >= 1")
@@ -562,7 +561,7 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
     x = model.sample(theta, mc_pairs, rng_from(stable_hash(rng_seed, "x")))
     xi = rng_from(stable_hash(rng_seed, "xi")).standard_normal((mc_pairs, dim))
     fx = model.log_phi(theta, x)
-    grad_dot_xi = np.einsum("ij,ij->i", model.grad_u(theta, x), xi)
+    grad_dot_xi = np.einsum("ij,ij->i", -np.dot(x, lam), xi)  # d log phi / du
     xi_h_xi = -np.einsum("ij,jk,ik->i", xi, lam, xi)
     proj = xi_h_xi + 0.5 * grad_dot_xi**2  # per-pair quadratic coefficient * 2
     sm_stat = float(np.mean(proj))
@@ -593,11 +592,12 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # config (de)serialisation
 # ---------------------------------------------------------------------------
 
-# schema-1 keys of the removed polish, plateau and backtracking phases and
-# of the removed multi-start loop: accepted and ignored, so that existing
-# configs keep running
+# schema-1 optimizer keys of removed options: the polish, plateau and
+# backtracking phases, the multi-start loop, and the random starts' spread
+# and Adam's step and betas, now constants.  Accepted, warned about and
+# dropped, so that every config and summary.json written so far still runs
 _OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol",
-                   "restarts"}
+                   "restarts", "init_scale", "adam_step", "adam_betas"}
 
 
 def check_config(obj, keys: set, required, where: str, schema: bool = True):
@@ -653,7 +653,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         model=_model_from_json,
         optimizer=lambda o: _from_json(OptimizerConfig, o, "optimizer",
                                        deprecated=_OPT_DEPRECATED),
-        epsilon_schedule=lambda o: _from_json(EpsilonSchedule, o, "epsilon_schedule"))
+        epsilon_schedule=lambda o: _from_json(EpsilonSchedule, o, "epsilon_schedule",
+                                              deprecated={"growth"}))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:

@@ -348,8 +348,7 @@ def _ica_mle(model, x, optimizer, rng_seed):
     evals, evecs = np.linalg.eigh(x.T @ x / n)
     c_half = (evecs * np.sqrt(evals)) @ evecs.T
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
-    b0 = model.init_theta(rng_from(stable_hash(rng_seed, "ica_mle_init")),
-                          optimizer.init_scale).reshape(d, d)
+    b0 = model.init_theta(rng_from(stable_hash(rng_seed, "ica_mle_init"))).reshape(d, d)
     run = minimize(ica_mle_objective(model, x @ c_inv_half),
                    (b0 @ c_half).reshape(-1), optimizer)
     run.theta = (run.theta.reshape(d, d) @ c_inv_half).reshape(-1)

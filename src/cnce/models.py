@@ -19,14 +19,13 @@ model's name in a config), ``param_count`` (the length of theta),
 ``methods`` (the estimators it supports), ``kernel`` (its CNCE noise kernel
 class, from ``kernels``) and ``affine`` (whether log phi is affine in
 theta) belong to the class.  ``log_phi`` serves the noise-scale ladder,
-NCE's start value of c and, with the Gaussian's ``grad_u`` (d log phi /
-du), the small-noise limit check; ``rows(U)`` and ``pair_rows(x, y,
-kappa)`` serve the contrastive objectives and the ICA MLE (below);
-``score_quadratic(x) -> (A, b, c)``, with the score-matching loss exactly
-theta'A theta / 2 + b'theta + c, serves score matching; ``mle(x)`` gives
-the closed-form MLE; the two also give the start of the contrastive
-Newton fits (``experiments.newton_start``); and ``error`` is the
-estimation error with the model's ambiguities resolved (Euclidean by
+NCE's start value of c and the small-noise limit check; ``rows(U)`` and
+``pair_rows(x, y, kappa)`` serve the contrastive objectives and the ICA
+MLE (below); ``score_quadratic(x) -> (A, b, c)``, with the score-matching
+loss exactly theta'A theta / 2 + b'theta + c, serves score matching;
+``mle(x)`` gives the closed-form MLE; the two also give the start of the
+contrastive Newton fits (``experiments.newton_start``); and ``error`` is
+the estimation error with the model's ambiguities resolved (Euclidean by
 default).  What a model does not support raises
 ``UnsupportedModelError``.
 
@@ -130,11 +129,11 @@ class _Model:
             raise ParameterError(f"{self.kind} model needs dim <= {self.max_dim}")
 
     # --- parametrisation ---------------------------------------------------
-    def init_theta(self, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
-        """Random optimiser start: N(0, scale^2) in every coordinate.
+    def init_theta(self, rng: np.random.Generator) -> np.ndarray:
+        """Random optimiser start: N(0, 0.3^2) in every coordinate.
         Bernoulli needs the jitter: equal weights make log phi constant,
         which degenerates the noise-scale heuristic."""
-        return scale * rng.standard_normal(self.param_count)
+        return 0.3 * rng.standard_normal(self.param_count)
 
     # --- point handling ----------------------------------------------------
     def _as_batch(self, U) -> np.ndarray:
@@ -242,10 +241,6 @@ class GaussianPrecisionModel(_Model):
             np.multiply(ut[i], self._coef[k], out=phi_t[k])
             np.multiply(phi_t[k], ut[j], out=phi_t[k])
         return phi_t.T, np.zeros(len(U))
-
-    def grad_u(self, theta, U):
-        lam = self.unpack(theta)
-        return -np.dot(self._as_batch(U), lam)  # matmul is slow at dim 1
 
     def score_quadratic(self, x):
         # mean(-tr Lam + |Lam u|^2 / 2) = -tr Lam + tr(Lam S Lam) / 2, S = x'x / n
@@ -425,7 +420,7 @@ class RingModel(_Model):
     param_count = 1
     min_dim = 2
 
-    def init_theta(self, rng, scale=0.3):
+    def init_theta(self, rng):
         return np.array([1.0])  # unit precision
 
     def log_phi(self, theta, U):
@@ -496,7 +491,7 @@ class LogNormalExtModel(_Model):
     param_count = 1
     max_dim = 1
 
-    def init_theta(self, rng, scale=0.3):
+    def init_theta(self, rng):
         return np.array([1.0])  # unit precision
 
     def _split(self, U):

@@ -15,7 +15,8 @@ returns at the start point:
   its first record.
 - Anything else, the loss's standard error se: full-batch Adam, which
   hands on the best point it visited.  The Laplace ICA objectives take
-  this route.
+  this route.  Its step ``ADAM_STEP`` and betas ``ADAM_BETAS`` are
+  constants, like its statistical stop (below).
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
@@ -49,62 +50,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _real, _sequence, convert_fields
+from .errors import ParameterError, convert_fields
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from
 
 STAT_WINDOW = 200  # trace entries the best loss must improve over
 STAT_FRACTION = 0.01  # ... by more than this many standard errors
+ADAM_STEP = 0.05
+ADAM_BETAS = (0.9, 0.999)  # Kingma and Ba's defaults (2015, ICLR)
 _ARMIJO = 1e-4  # sufficient-decrease constant of the Newton line search
 _FLAT_ULPS = 16  # a change this many ulps of |f| is rounding, not decrease
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of ``minimize``'s two routes, damped Newton and Adam.
-    ``max_iters`` caps the trace length and ``grad_tol`` is the gradient
-    stop on both; ``adam_*`` apply to Adam only.  ``init_scale`` is the
-    spread of the random starts that ``model.init_theta`` draws: a cell's
-    theta0, where its noise-scale ladder, score matching and the ICA fits
-    start, and the ICA MLE's own start.  The CNCE and NCE fits of an
-    affine model start at its closed-form estimate instead, where that is
-    finite (``experiments.newton_start``).
-    Adam's statistical stop has constants, not options: it ends a run once
-    progress falls below the loss's own sampling error, which no setting
-    should trade away."""
+    """Settings of ``minimize``'s two routes, damped Newton and Adam:
+    ``max_iters`` (2000, >= 1) caps the trace length and ``grad_tol``
+    (1e-7, > 0) is the gradient stop on both.  Adam's step and betas are
+    constants (``ADAM_STEP``, ``ADAM_BETAS``), and so is its statistical
+    stop: it ends a run once progress falls below the loss's own sampling
+    error, which no setting should trade away."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-7  # infinity norm
-    init_scale: float = 0.3
-    adam_step: float = 0.05
-    adam_betas: tuple = (0.9, 0.999)
 
     def __post_init__(self):
         convert_fields(self)
-        betas = _sequence(self.adam_betas, "adam_betas")
-        object.__setattr__(self, "adam_betas",
-                           tuple(_real(b, "adam_betas entry") for b in betas))
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        for name in ("grad_tol", "init_scale", "adam_step"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be finite and > 0")
-        if len(self.adam_betas) != 2 or not all(0 <= b < 1 for b in self.adam_betas):
-            raise ParameterError("adam_betas must be two values in [0, 1)")
+        if self.grad_tol <= 0:
+            raise ParameterError("grad_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """The geometric ladder of noise scales that ``adapt_epsilon`` scans,
-    the ``epsilon_schedule`` of a ``cnce experiment`` config.  Each field
-    is a finite real, not a bool or a string: ``epsilon_0`` (0.05, > 0),
-    the first rung; ``growth`` (2.0, > 1), the ratio of rungs; ``delta``
-    (0.05, in (0, 2 log 2)), the gap from the degenerate loss value 2 log 2
-    that a rung must reach; ``epsilon_max`` (4.0, > 0), the last rung,
+    """The doubling ladder of noise scales that ``adapt_epsilon`` scans,
+    epsilon_0 2^k, the ``epsilon_schedule`` of a ``cnce experiment``
+    config.  Each field is a finite real, not a bool or a string:
+    ``epsilon_0`` (0.05, > 0), the first rung; ``delta`` (0.05, in
+    (0, 2 log 2)), the gap from the degenerate loss value 2 log 2 that a
+    rung must reach; ``epsilon_max`` (4.0, >= epsilon_0), the last rung,
     unless the kernel's ``epsilon_cap`` comes first."""
 
     epsilon_0: float = 0.05
-    growth: float = 2.0
     delta: float = 0.05
     epsilon_max: float = 4.0
 
@@ -112,12 +100,10 @@ class EpsilonSchedule:
         convert_fields(self)
         if self.epsilon_0 <= 0:
             raise ParameterError("epsilon_0 must be > 0")
-        if self.growth <= 1:
-            raise ParameterError("growth must be > 1")
         if not 0 < self.delta < TWO_LOG2:
             raise ParameterError("delta must lie in (0, 2 log 2)")
-        if self.epsilon_max <= 0:
-            raise ParameterError("epsilon_max must be finite and > 0")
+        if self.epsilon_max < self.epsilon_0:
+            raise ParameterError("epsilon_max must be >= epsilon_0")
 
     def ladder(self, cap: float | None = None) -> list:
         top = self.epsilon_max if cap is None else min(self.epsilon_max, cap)
@@ -125,7 +111,7 @@ class EpsilonSchedule:
         eps = self.epsilon_0
         while eps < top * (1 - 1e-12):
             out.append(eps)
-            eps *= self.growth
+            eps *= 2.0
         out.append(top)
         return out
 
@@ -159,7 +145,7 @@ def _adam_phase(loss_fn, z, first, cfg, run):
     """Adam from z; returns the best finite point visited, or the point that
     met ``grad_tol``."""
     tol = STAT_FRACTION * float(first[2])  # NaN: never met
-    b1, b2 = cfg.adam_betas
+    b1, b2 = ADAM_BETAS
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     z_best, v_best = z, np.inf
@@ -183,7 +169,7 @@ def _adam_phase(loss_fn, z, first, cfg, run):
         v = b2 * v + (1 - b2) * grad * grad
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        z = z - cfg.adam_step * mhat / (np.sqrt(vhat) + 1e-8)
+        z = z - ADAM_STEP * mhat / (np.sqrt(vhat) + 1e-8)
     run.stop = "max_iters"
     return z_best  # the trace oscillates; hand the best visited point on
 
@@ -278,7 +264,7 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
 
 def adapt_epsilon(model, theta0, x, schedule: EpsilonSchedule,
                   kappa: int, rng_seed: int):
-    """Smallest noise scale on the geometric ladder whose empirical loss at
+    """Smallest noise scale on the doubling ladder whose empirical loss at
     the starting parameters departs from 2 log 2 by at least delta, for the
     model's own kernel class (``model.kernel``).
 

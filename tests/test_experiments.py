@@ -244,14 +244,12 @@ def test_config_validation():
             ("model", {"kind": "ring", "dim": 2, "mu": "3.0"}, real),
             ("epsilon_schedule", {"epsilon_0": True}, real),
             ("epsilon_schedule", {"delta": "0.1"}, real),
-            ("epsilon_schedule", {"growth": float("nan")}, real),
+            ("epsilon_schedule", {"epsilon_max": float("nan")}, real),
             ("epsilon_schedule", {"epsilon_0": 0.0}, "epsilon_0 must be > 0"),
-            ("epsilon_schedule", {"growth": 1.0}, "growth must be > 1"),
+            # a first rung above the last would be dropped unread
+            ("epsilon_schedule", {"epsilon_0": 8.0, "epsilon_max": 4.0},
+             "epsilon_max must be >= epsilon_0"),
             ("optimizer", {"grad_tol": True}, real),
-            ("optimizer", {"init_scale": "0.3"}, real),
-            ("optimizer", {"adam_step": False}, real),
-            ("optimizer", {"adam_betas": [0.9, True]}, real),
-            ("optimizer", {"adam_betas": 0.9}, "adam_betas must be a list"),
             # a repeated method would run every cell twice
             ("methods", ["mle", "mle"], "methods must not repeat"),
             # a flip probability above 1 would fail every CNCE cell
@@ -465,8 +463,7 @@ def test_run_single_ica_mle_maps_a_nonfinite_run_back_from_whitening(monkeypatch
     assert not record.converged and "not converged (nonfinite)" in warnings
     seed = stable_hash(3, ICA, "mle", 500, 5, 0)
     b0 = cfg.model.init_theta(
-        rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")),
-        cfg.optimizer.init_scale)
+        rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")))
     assert np.allclose(trace["theta_hat"], b0, rtol=1e-12, atol=1e-14)
     assert record.error == estimation_error(cfg.model, trace["theta_hat"],
                                             trace["theta_true"])
@@ -621,8 +618,7 @@ def test_run_single_starts_at_newton_start_and_picks_epsilon_at_theta0(
     model = cfg.model
     x = model.sample(model.random_params(rng_from(stable_hash(seed, "params"))), 300,
                      rng_from(stable_hash(seed, "data")))
-    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")),
-                              cfg.optimizer.init_scale)
+    theta0 = model.init_theta(rng_from(stable_hash(seed, "init")))
     (start,) = minimize_starts
     assert record.seed == seed
     assert np.array_equal(start[:model.param_count], newton_start(model, x, theta0))
@@ -688,17 +684,17 @@ def test_run_single_ica_mle_follows_the_grid_optimizer():
     assert "not converged (max_iters)" in warnings
 
 
-def test_run_single_ica_mle_starts_at_the_grid_init_scale():
-    # the ICA MLE once drew its start at init_theta's default scale whatever
-    # the grid set.  One Adam entry hands the start back, mapped out of the
-    # whitened coordinates, and init_theta's draw is linear in its scale
-    def start(scale):
-        cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
-                           optimizer=OptimizerConfig(max_iters=1, init_scale=scale))
-        _, _, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
-        return np.array(trace["theta_hat"])
-
-    assert np.allclose(start(1.0), start(0.3) / 0.3, rtol=1e-10, atol=0)
+def test_run_single_ica_mle_starts_at_its_init_theta_draw():
+    # one Adam entry hands the start back, mapped out of the whitened
+    # coordinates: the model's init_theta draw from the cell's mle stream
+    cfg = small_config(kind=ICA, methods=("mle",), n_grid=(500,), kappa_grid=(5,),
+                       optimizer=OptimizerConfig(max_iters=1))
+    _, _, trace = run_single(cfg, "mle", 500, 5, 0, collect_trace=True)
+    seed = stable_hash(cfg.master_seed, ICA, "mle", 500, 5, 0)
+    b0 = cfg.model.init_theta(
+        rng_from(stable_hash(stable_hash(seed, "mle"), "ica_mle_init")))
+    assert trace["iters"] == 1
+    assert np.allclose(trace["theta_hat"], b0, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", (GAUSSIAN, RING, LOGNORMAL))
@@ -862,17 +858,24 @@ def test_config_json_roundtrip():
 
 def test_config_json_accepts_and_drops_the_removed_optimizer_keys(caplog):
     obj = config_to_json(small_config())
-    assert not {"step_rule", "polish_iters", "plateau_window",
-                "plateau_rtol", "restarts"} & set(obj["optimizer"])
+    assert not {"step_rule", "polish_iters", "plateau_window", "plateau_rtol",
+                "restarts", "init_scale", "adam_step", "adam_betas"} & set(obj["optimizer"])
+    assert "growth" not in obj["epsilon_schedule"]
     old = dict(obj, optimizer={**obj["optimizer"], "step_rule": "adaptive_moment",
                                "polish_iters": 20, "plateau_window": 20,
-                               "plateau_rtol": 1e-12, "restarts": 3})
+                               "plateau_rtol": 1e-12, "restarts": 3,
+                               "init_scale": 0.3, "adam_step": 0.05,
+                               "adam_betas": [0.9, 0.999]},
+               epsilon_schedule={**obj["epsilon_schedule"], "growth": 2.0})
     with caplog.at_level("WARNING", logger="cnce.experiments"):
         assert config_from_json(old) == config_from_json(obj)
-    assert len(caplog.records) == 1
-    message = caplog.records[0].getMessage()
-    assert "deprecated" in message and "polish_iters" in message
-    assert "restarts" in message
+    # one warning per object that holds a removed key
+    assert len(caplog.records) == 2
+    optimizer, schedule = (r.getMessage() for r in caplog.records)
+    assert "deprecated" in optimizer and "polish_iters" in optimizer
+    for key in ("restarts", "init_scale", "adam_step", "adam_betas"):
+        assert key in optimizer
+    assert "deprecated" in schedule and "epsilon_schedule keys growth" in schedule
 
 
 def test_config_json_unknown_key():

@@ -295,7 +295,8 @@ def test_grad_u_gaussian_identity():
     model = make(GAUSSIAN)
     theta = model.pack(np.eye(5))
     u = np.array([1.0, 0, 0, 0, 0])
-    assert np.array_equal(model.grad_u(theta, u)[0], -u)
+    # limit_check's score, -u Lam, with Lam unpacked from theta
+    assert np.array_equal(-np.dot(u[None, :], model.unpack(theta))[0], -u)
     assert np.array_equal(grad_u(model, theta, u)[0], -u)
     assert laplacian_u(model, theta, u)[0] == -5.0
 
@@ -323,8 +324,8 @@ def test_grad_u_and_laplacian_match_finite_differences(kind):
         if kind == LOGNORMAL:
             u = np.abs(u) + 0.3
         grad = grad_u(model, theta, u[None, :])[0]
-        if kind == GAUSSIAN:  # the one model that keeps grad_u, for limit_check
-            assert np.allclose(model.grad_u(theta, u[None, :])[0], grad,
+        if kind == GAUSSIAN:  # limit_check's score, -u Lam
+            assert np.allclose(-np.dot(u[None, :], model.unpack(theta))[0], grad,
                                rtol=1e-14, atol=1e-14)
         lap = laplacian_u(model, theta, u[None, :])[0]
         fd = np.zeros_like(u)
@@ -364,12 +365,13 @@ def test_score_quadratic_matches_grad_u_and_laplacian(kind):
 
 
 def test_grad_u_unsupported_and_singular():
-    # only the Gaussian states grad_u, for limit_check, and it has no
-    # singular point; the oracle states it for the smooth kinds alone
-    for kind in (ICA, RING, LOGNORMAL, BERNOULLI):
+    # no model states grad_u: limit_check forms the Gaussian's, -u Lam,
+    # which has no singular point; the oracle states it for the smooth
+    # kinds alone
+    for kind in (GAUSSIAN, ICA, RING, LOGNORMAL, BERNOULLI):
         assert not hasattr(make(kind), "grad_u")
     model = make(GAUSSIAN)
-    assert np.array_equal(model.grad_u(model.pack(np.eye(5)), np.zeros(5)),
+    assert np.array_equal(-np.dot(np.zeros((1, 5)), model.unpack(model.pack(np.eye(5)))),
                           np.zeros((1, 5)))
     for kind in (ICA, BERNOULLI):
         model = make(kind)

@@ -395,7 +395,7 @@ def test_experiment_seed_override_changes_results(tmp_path):
     assert got["model"] == {"kind": "ring", "dim": 2, "mu": 3.5}
     assert "ring_mu" not in got
     assert got["optimizer"]["max_iters"] == 120
-    assert got["optimizer"]["adam_step"] == 0.05
+    assert set(got["optimizer"]) == {"max_iters", "grad_tol"}
     assert "plateau_window" not in got["optimizer"]  # a removed key is never written
     assert got["epsilon_schedule"]["epsilon_0"] == 0.07
     assert got["epsilon_schedule"]["delta"] == 0.1
@@ -519,6 +519,23 @@ def test_limit_check_precision_key(tmp_path, capsys):
     capsys.readouterr()
     assert texts[0] == texts[1] != texts[2]
     assert json.loads(texts[2])[0]["mc_loss"] != json.loads(texts[0])[0]["mc_loss"]
+
+
+def test_limit_check_config_values_are_checked_by_name(tmp_path, capsys):
+    # ["1", 0, "1"] and [true, 0, true] once ran as the precision [1, 0, 1],
+    # and a bare eps_grid number failed with "'float' object is not iterable"
+    real = "must be a finite real number"
+    cases = [({"precision": ["1", 0, "1"]}, "precision entry " + real),
+             ({"precision": [True, 0, True]}, "precision entry " + real),
+             ({"precision": "1 0 1"}, "precision must be a list"),
+             ({"eps_grid": 0.5}, "eps_grid must be a list"),
+             ({"eps_grid": ["0.5"]}, "eps_grid entry " + real)]
+    for i, (extra, message) in enumerate(cases):
+        cfg = write_json(tmp_path / f"l{i}.json", {"schema": 1, "mc_pairs": 100, **extra})
+        out = tmp_path / f"o{i}"
+        assert main(["limit-check", "--config", cfg, "--out", str(out)]) == 1, extra
+        assert message in capsys.readouterr().err, extra
+        assert not os.path.exists(out)
 
 
 def test_experiment_jobs_below_one_exit_1(tmp_path, capsys):

@@ -54,6 +54,13 @@ echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "methods": ["cnce", "nce
 OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads1"
 OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads2"
 cmp "$dir/lognormal_threads1/results.csv" "$dir/lognormal_threads2/results.csv"
+# a first rung above the flip kernel's cap of 1 is refused, not dropped
+echo '{"schema": 1, "model": {"kind": "bernoulli"}, "methods": ["cnce"], "n_grid": [200], "kappa_grid": [2], "repeats": 1, "epsilon_schedule": {"epsilon_0": 2.0}}' > "$dir/rung_cap.json"
+status=0
+$cnce experiment --config "$dir/rung_cap.json" --out "$dir/rung_cap" 2> "$dir/err" || status=$?
+test "$status" -eq 1
+grep -q '^error: .*epsilon_0' "$dir/err"
+test ! -e "$dir/rung_cap"
 # a Gaussian MLE below dim points is refused before any cell runs; CNCE
 # fits there from its random start
 echo '{"schema": 1, "model": {"kind": "gaussian_precision", "dim": 5}, "methods": ["cnce", "mle"], "n_grid": [4], "kappa_grid": [5], "repeats": 1, "master_seed": 1}' > "$dir/singular.json"

@@ -10,7 +10,9 @@ loss convex in theta, start instead at the model's closed-form estimate
 (``newton_start``), NCE's c at its log-normaliser there: both starts
 reach the same minimiser, and on the benchmark's affine grid (seeds
 1-20) the closed-form one took 1128 Newton iterations, score matching's
-240 included, where theta0 took 1913.
+240 included, where theta0 took 1913.  An NCE cell takes that start and
+its c before it builds its rows, so that their temporaries are freed
+before the cell's largest array exists.
 
 Each cell draws from named child hashes of its seed, one stream per use:
 ``params`` (theta_true), ``data`` (x), ``init`` (theta0), ``noise`` (CNCE's
@@ -100,7 +102,8 @@ class ExperimentConfig:
       > 0 and, with ``"cnce"``, at most the model kernel's ``epsilon_cap``
       (1 for Bernoulli's flip probability).
     - ``optimizer``, ``epsilon_schedule``: an ``OptimizerConfig`` and an
-      ``EpsilonSchedule``, their defaults by default.
+      ``EpsilonSchedule``, their defaults by default; with ``"cnce"`` and
+      ``"auto"``, the schedule's ``epsilon_0`` is at most that cap too.
     """
 
     model: object
@@ -144,11 +147,15 @@ class ExperimentConfig:
         if "mle" in self.methods and any(n < self.model.dim for n in self.n_grid):
             # x'x / n, which every MLE here inverts or whitens by, is singular
             raise ParameterError("mle needs every n >= dim")
+        # CNCE's noise scale, or the ladder's first rung, which the ladder
+        # would otherwise drop unread for the cap
         cap = self.model.kernel.epsilon_cap
-        if ("cnce" in self.methods and self.epsilon != "auto" and cap is not None
-                and self.epsilon > cap):
-            raise ParameterError(
-                f"epsilon must be <= {cap}, the cap of the {self.model.kind} kernel")
+        if "cnce" in self.methods and cap is not None:
+            name, eps = (("epsilon_0", self.epsilon_schedule.epsilon_0)
+                         if self.epsilon == "auto" else ("epsilon", self.epsilon))
+            if eps > cap:
+                raise ParameterError(
+                    f"{name} must be <= {cap}, the cap of the {self.model.kind} kernel")
 
 
 @dataclass(frozen=True)
@@ -265,20 +272,21 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                 marginal = fit_marginal(x)
                 noise = sample_marginal(marginal, kappa * n,
                                         stable_hash(seed, "nce_noise"))
-                # log q at every point once, shared by the offsets and c0
+                # log q at every point once, shared by c0 and the offsets
                 log_q_noise = log_density_marginal(marginal, noise)
-                log_q = np.concatenate([log_density_marginal(marginal, x), log_q_noise])
-                objective = nce_objective(model, x, noise, log_q)
                 # where log phi is affine (Newton), the trailing log-normaliser
                 # c starts at its optimum for theta's start: from c = 0, 8-10
                 # nats off, the noise terms saturate and the line search
                 # backtracks.  Adam (Laplace ICA) keeps c = 0: there this
                 # start cut iterations by 14% but raised the error geometric
-                # mean by 5% (ica_grid seeds 1-24)
+                # mean by 5% (ica_grid seeds 1-24).  Both come before the
+                # rows (module docstring)
                 start = newton_start(model, x, theta0)
                 c0 = (nce_log_normaliser(model, start, noise, log_q_noise)
                       if model.affine else 0.0)
                 start = np.concatenate([start, [c0]])
+                log_q = np.concatenate([log_density_marginal(marginal, x), log_q_noise])
+                objective = nce_objective(model, x, noise, log_q)
             elif method == "score_matching":
                 objective = score_matching_objective(model, x)
             else:

@@ -250,12 +250,12 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, log_q: np.ndarray):
     noise = np.asarray(noise, dtype=float)
     if len(noise) % len(x):
         raise ParameterError("noise count must be a multiple of the data count")
-    n = len(x)
-    u = np.concatenate([x, noise])
-    rows = model.rows(u)
+    n, m = len(x), len(x) + len(noise)
+    # the stack is the argument alone, so it is freed once the rows hold it
+    rows = model.rows(np.concatenate([x, noise]))
     np.add(rows.offset, -log_q - np.log(len(noise) // n), out=rows.offset)
-    return _logistic_objective(_NceRows(rows, n), len(u), lambda v: v / n,
-                               len(u) / n, model.affine)
+    return _logistic_objective(_NceRows(rows, n), m, lambda v: v / n,
+                               m / n, model.affine)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,17 @@ instead.
 Phi of affine rows is column-major: on 40 000 rows of 15 columns,
 ``value``, ``vjp`` and the Gram ran 1.3-2x faster in that layout than in
 the row-major one.  The invariant holds because every ``features`` returns
-a column-major (m, p) array (a one-column array is both layouts), and
-``pair_rows`` forms its differences on the contiguous (p, m) transposes.
+a fresh column-major (m, p) array (a one-column array is both layouts)
+that shares no memory with its points, and ``pair_rows`` writes
+Phi(x_i) - Phi(y_ij) over Phi(y) in place, on its contiguous (p, m)
+transpose: a cell's pair rows are one full-size array, with no repeated
+copy of the data rows beside it.
+
+The ring's norms, ``_row_norms``, add the squares of the columns in
+order, with no (m, dim) temporary.  Below 8 columns numpy's row reduce
+adds in the same order, so they equal ``np.linalg.norm(U, axis=1)`` bit
+for bit; from 8 columns numpy sums pairwise, and the two can differ in
+the last digits.
 """
 
 from __future__ import annotations
@@ -79,6 +88,20 @@ _SQRT2 = np.sqrt(2.0)
 # with 3072 and beat 2048, 6144 and 8192; at 2 columns it was within 0.05 ms
 # of the best
 _GRAM_ROWS = 4096
+
+
+# row block of GaussianPrecisionModel.features' transposed points: on 40 000
+# rows 16 384 tied with transposing them whole, and 4096 and 8192 were slower
+_FEATURE_ROWS = 16384
+
+
+def _row_norms(U: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of U, from the squares of its columns
+    added in order (module docstring)."""
+    sq = np.square(U[:, 0])
+    for j in range(1, U.shape[1]):
+        sq += np.square(U[:, j])
+    return np.sqrt(sq, out=sq)
 
 
 def _weighted_gram(d: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -169,11 +192,15 @@ class _Model:
     def pair_rows(self, x, y, kappa: int):
         phi_x, off_x = self.features(x)
         phi_y, off_y = self.features(y)
-        # on the (p, m) transposes, so that the differences are column-major
-        # with no row-major intermediate
-        diff = np.repeat(phi_x.T, kappa, axis=1)
-        np.subtract(diff, phi_y.T, out=diff)
-        return _AffineRows(diff.T, np.repeat(off_x, kappa) - off_y)
+        n, p = phi_x.shape
+        # Phi(x_i) - Phi(y_ij) written over Phi(y), on its contiguous (p, n,
+        # kappa) transpose, so that the differences are column-major and no
+        # second (m, p) array is made; the offsets likewise over off_y
+        diff = phi_y.T.reshape(p, n, kappa)
+        np.subtract(phi_x.T[:, :, None], diff, out=diff)
+        off = off_y.reshape(n, kappa)
+        np.subtract(off_x[:, None], off, out=off)
+        return _AffineRows(diff.reshape(p, -1).T, off.reshape(-1))
 
     def score_quadratic(self, x):
         """(A, b, c) with the score-matching loss, the mean over x of the
@@ -234,12 +261,15 @@ class GaussianPrecisionModel(_Model):
     def features(self, U):
         U = self._as_batch(U)
         # built as (p, m) rows, with no (m, p) temporaries, and returned as
-        # the column-major (m, p) view that rows hold
-        ut = U.T.copy()
+        # the column-major (m, p) view that rows hold; the points are
+        # transposed one block of _FEATURE_ROWS at a time
         phi_t = np.empty((self.param_count, len(U)))
-        for k, (i, j) in enumerate(zip(*self._iu)):
-            np.multiply(ut[i], self._coef[k], out=phi_t[k])
-            np.multiply(phi_t[k], ut[j], out=phi_t[k])
+        for lo in range(0, len(U), _FEATURE_ROWS):
+            ut = U[lo:lo + _FEATURE_ROWS].T.copy()
+            blk = phi_t[:, lo:lo + _FEATURE_ROWS]
+            for k, (i, j) in enumerate(zip(*self._iu)):
+                np.multiply(ut[i], self._coef[k], out=blk[k])
+                np.multiply(blk[k], ut[j], out=blk[k])
         return phi_t.T, np.zeros(len(U))
 
     def score_quadratic(self, x):
@@ -425,16 +455,16 @@ class RingModel(_Model):
 
     def log_phi(self, theta, U):
         (gamma,) = self._check_theta(theta)
-        r = np.linalg.norm(self._as_batch(U), axis=1)
+        r = _row_norms(self._as_batch(U))
         return -0.5 * gamma * (r - self.mu) ** 2
 
     def features(self, U):
-        r = np.linalg.norm(self._as_batch(U), axis=1)
+        r = _row_norms(self._as_batch(U))
         return (-0.5 * (r - self.mu) ** 2)[:, None], np.zeros(len(r))
 
     def score_quadratic(self, x):
         # |grad_u|^2 = gamma^2 (r - mu)^2; the laplacian is linear in gamma
-        r = np.linalg.norm(self._as_batch(x), axis=1)
+        r = _row_norms(self._as_batch(x))
         if np.any(r == 0):
             raise SingularityError("ring score undefined at the origin")
         dr = r - self.mu
@@ -465,7 +495,7 @@ class RingModel(_Model):
             short -= len(kept[-1])
         r = np.concatenate(kept)
         dirs = rng.standard_normal((n, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= _row_norms(dirs)[:, None]
         return dirs * r[:, None]
 
     def random_params(self, rng):

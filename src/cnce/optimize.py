@@ -90,7 +90,9 @@ class EpsilonSchedule:
     ``epsilon_0`` (0.05, > 0), the first rung; ``delta`` (0.05, in
     (0, 2 log 2)), the gap from the degenerate loss value 2 log 2 that a
     rung must reach; ``epsilon_max`` (4.0, >= epsilon_0), the last rung,
-    unless the kernel's ``epsilon_cap`` comes first."""
+    unless the kernel's ``epsilon_cap`` comes first.  An ``ExperimentConfig``
+    with auto CNCE refuses an ``epsilon_0`` above that cap, which the
+    ladder would drop unread."""
 
     epsilon_0: float = 0.05
     delta: float = 0.05

@@ -57,6 +57,17 @@ def grad_theta(model, theta, U):
     raise KeyError(kind)
 
 
+def affine_pair_rows(model, x, y, kappa):
+    """(Phi, offset) of the pair rows log phi(x_i) - log phi(y_ij) of an
+    affine model, y holding the kappa points of each x_i in turn, with the
+    data rows repeated: Phi from ``grad_theta`` and the offset, the part no
+    parameter moves, as log phi at theta = 0."""
+    zero = np.zeros(model.param_count)
+    phi = np.repeat(grad_theta(model, zero, x), kappa, axis=0) - grad_theta(model, zero, y)
+    offset = np.repeat(model.log_phi(zero, x), kappa) - model.log_phi(zero, y)
+    return phi, offset
+
+
 def grad_u(model, theta, U):
     """(m, dim) rows d log phi / du at the points U, for the smooth kinds."""
     u = model._as_batch(U)

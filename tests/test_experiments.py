@@ -269,6 +269,22 @@ def test_config_validation():
         assert type(exact.kappa_grid[0]) is int and type(exact.repeats) is int
 
 
+def test_config_refuses_a_first_rung_above_the_kernel_cap():
+    # the ladder would drop such an epsilon_0 unread and start at the cap
+    high = EpsilonSchedule(epsilon_0=2.0)
+    assert high.ladder(1.0) == [1.0]
+    base = config_to_json(small_config())
+    for build in (lambda: small_config(epsilon_schedule=high),
+                  lambda: config_from_json(dict(base, epsilon_schedule={"epsilon_0": 2.0}))):
+        with pytest.raises(ParameterError, match=r"epsilon_0 must be <= 1\.0, the cap"):
+            build()
+    # the cap itself is a rung, and the schedule binds only auto CNCE
+    small_config(epsilon_schedule=EpsilonSchedule(epsilon_0=1.0))
+    small_config(epsilon_schedule=high, epsilon=0.5)
+    small_config(methods=("mle",), epsilon_schedule=high)
+    small_config(kind=GAUSSIAN, epsilon_schedule=high)
+
+
 def test_run_grid_cardinality_and_order():
     cfg = small_config(methods=("cnce", "mle"), repeats=3)
     records, summaries, _ = run_grid(cfg)

@@ -3,6 +3,8 @@ eps = 0 identity, scale invariance, baselines, the objectives against the
 restated losses of ``oracles``, and the exact Bernoulli population loss
 against a brute-force grid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,28 @@ def test_cnce_loss_matches_oracle_value(kind):
     value = cnce_loss(model, theta, x, noise)
     assert type(value) is float
     assert value == pytest.approx(oracles.cnce_loss(model, theta, x, noise)[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, RING])
+def test_cnce_objective_builds_no_full_size_temporaries(kind):
+    """At n = 4000, kappa = 10, the tracemalloc peak of building a CNCE
+    objective exceeds what the objective holds (its rows and scratch
+    arrays) by at most 10%.  With the data rows repeated into a second
+    (m, p) array and ring norms from np.linalg.norm it exceeded them by 68%
+    (Gaussian) and 20% (ring); with the differences written over Phi(y) and
+    norms added column by column, by 3.5% and 0%."""
+    model = make(kind)
+    theta = model.random_params(rng_from(43, kind))
+    x = model.sample(theta, 4000, rng_from(44, kind))
+    noise = make_noise(model, theta, x, 10, 53)
+    tracemalloc.start()
+    try:
+        objective = cnce_objective(model, x, noise)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert objective(theta)[0] > 0
+    assert peak <= 1.10 * held, (peak, held)
 
 
 def test_ica_cnce_objective_standard_error():

@@ -21,6 +21,7 @@ from cnce import (
 from cnce.losses import _NceRows
 from cnce.models import (
     _CLASSES,
+    _row_norms,
     BERNOULLI,
     GAUSSIAN,
     ICA,
@@ -30,7 +31,7 @@ from cnce.models import (
 )
 from cnce.seeding import rng_from
 
-from oracles import grad_theta, grad_u, laplacian_u
+from oracles import affine_pair_rows, grad_theta, grad_u, laplacian_u
 
 SMOOTH = (GAUSSIAN, RING, LOGNORMAL)
 
@@ -285,6 +286,41 @@ def test_affine_rows_are_column_major(kind):
     for rows in (model.rows(y), model.pair_rows(x, y, 3)):
         assert rows.phi.shape == (36, model.param_count)
         assert rows.phi.flags.f_contiguous
+    # a fresh array, which pair_rows overwrites with its differences
+    for u in (y, np.asfortranarray(y)):
+        phi, _ = model.features(u)
+        assert phi.flags.f_contiguous and not np.shares_memory(phi, u)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if _CLASSES[k].affine])
+def test_pair_rows_equal_a_repeat_restatement_bit_for_bit(kind):
+    # 3300 data points of 10 pairs each: the 33 000 noise points cross the
+    # Gaussian's feature blocks twice
+    model = make(kind)
+    rng = rng_from(66, kind)
+    theta = random_theta(model, rng)
+    x = random_points(model, theta, rng, m=3300)
+    y = with_lognormal_zeros(model, random_points(model, theta, rng, m=33000))
+    rows = model.pair_rows(x, y, 10)
+    phi, offset = affine_pair_rows(model, x, y, 10)
+    assert rows.phi.flags.f_contiguous
+    for got, want in ((rows.phi, phi), (rows.offset, offset)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_norms_equal_numpy_below_8_columns():
+    # numpy's row reduce adds fewer than 8 entries in order, as _row_norms
+    # adds columns; from 8 on it sums pairwise, a last-digit move
+    rng = rng_from(67)
+    for d in range(2, 13):
+        u = (rng.standard_normal((4000, d))
+             * 10.0 ** rng.integers(-150, 151, size=(4000, 1)))
+        got = _row_norms(u).view(np.int64)
+        want = np.linalg.norm(u, axis=1).view(np.int64)
+        if d < 8:
+            assert np.array_equal(got, want), d
+        else:
+            assert np.max(np.abs(got - want)) <= 4, d
 
 
 # ---------------------------------------------------------------------------

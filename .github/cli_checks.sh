@@ -54,6 +54,12 @@ echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "methods": ["cnce", "nce
 OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads1"
 OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/lognormal_threads.json" --out "$dir/lognormal_threads2"
 cmp "$dir/lognormal_threads1/results.csv" "$dir/lognormal_threads2/results.csv"
+# Laplace ICA takes the BFGS route: every cell converges (exit 0), and its
+# bytes do not depend on the thread count
+echo '{"schema": 1, "model": {"kind": "ica_laplace"}, "methods": ["nce", "mle"], "n_grid": [500], "kappa_grid": [5], "repeats": 2, "master_seed": 11}' > "$dir/ica_threads.json"
+OPENBLAS_NUM_THREADS=1 $cnce experiment --config "$dir/ica_threads.json" --out "$dir/ica_threads1"
+OPENBLAS_NUM_THREADS=2 $cnce experiment --config "$dir/ica_threads.json" --out "$dir/ica_threads2"
+cmp "$dir/ica_threads1/results.csv" "$dir/ica_threads2/results.csv"
 # a first rung above the flip kernel's cap of 1 is refused, not dropped
 echo '{"schema": 1, "model": {"kind": "bernoulli"}, "methods": ["cnce"], "n_grid": [200], "kappa_grid": [2], "repeats": 1, "epsilon_schedule": {"epsilon_0": 2.0}}' > "$dir/rung_cap.json"
 status=0

@@ -12,9 +12,11 @@ the config's seed; ``report`` reads no config and takes none.
 Exit codes: 0 success, 1 usage or config error, 2 completed with warnings:
 a run that did not converge, or a noise-scale ladder that reached the
 schedule's ``epsilon_max`` without meeting its gap ``delta`` (raise either
-to act on it).  A run whose loss turned non-finite is one that did not
-converge, with the warning "not converged (nonfinite)".  A ladder that ends
-at its kernel's own cap, the flip kernel at probability 1, is no warning.
+to act on it).  A run whose loss is non-finite at its start did not
+converge, with the warning "not converged (nonfinite)"; one whose loss
+turns non-finite later warns "not converged (step_collapse)" and hands on
+its last finite point.  A ladder that ends at its kernel's own cap, the
+flip kernel at probability 1, is no warning.
 All outputs are deterministic functions of (config, seed) for one
 numpy/OpenBLAS build and allocation pattern: no timing or environment state
 is written.  The command runs at one BLAS thread unless
@@ -35,8 +37,8 @@ The keys of an ``experiment`` config are the fields of ``ExperimentConfig``,
 ``OptimizerConfig`` and ``EpsilonSchedule``, whose docstrings give each
 field's type, default and range; those of its ``model`` are ``kind`` and
 the fields of the model class named by ``kind`` (``models``).  The keys of
-removed options, such as Adam's step and betas, now constants of
-``optimize``, are accepted with a warning and ignored.
+removed options, such as Adam's step and betas, removed with Adam, are
+accepted with a warning and ignored.
 """
 
 from __future__ import annotations

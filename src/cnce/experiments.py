@@ -7,12 +7,12 @@ Where each fit starts: ``run_single`` draws theta0 from the cell's seed
 score matching and the ICA CNCE and NCE fits start; the ICA MLE draws its
 own start.  The CNCE and NCE fits of an affine model, damped Newton on a
 loss convex in theta, start instead at the model's closed-form estimate
-(``newton_start``), NCE's c at its log-normaliser there: both starts
-reach the same minimiser, and on the benchmark's affine grid (seeds
-1-20) the closed-form one took 1128 Newton iterations, score matching's
-240 included, where theta0 took 1913.  An NCE cell takes that start and
-its c before it builds its rows, so that their temporaries are freed
-before the cell's largest array exists.
+(``newton_start``): both starts reach the same minimiser, and on the
+benchmark's affine grid (seeds 1-20) the closed-form one took 1128 Newton
+iterations, score matching's 240 included, where theta0 took 1913.  Every
+NCE fit starts its c at the log-normaliser of its theta start.  An NCE
+cell takes that start and its c before it builds its rows, so that their
+temporaries are freed before the cell's largest array exists.
 
 Each cell draws from named child hashes of its seed, one stream per use:
 ``params`` (theta_true), ``data`` (x), ``init`` (theta0), ``noise`` (CNCE's
@@ -215,7 +215,7 @@ def newton_start(model, x, theta0):
     Every affine model, whose CNCE and NCE losses are convex in theta, has
     one of the two, and both are consistent, so Newton starts near the
     minimiser it reaches from any start.  theta0 where the model has
-    neither (Laplace ICA: Adam keeps its random start) or the estimate
+    neither (Laplace ICA: BFGS keeps its random start) or the estimate
     fails or is not finite: a Gaussian with fewer points than dims,
     Bernoulli data that take one value."""
     try:
@@ -234,12 +234,13 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
     """One (method, n, kappa, repeat) cell.  Returns (ErrorRecord, warnings)
     or, with collect_trace, (ErrorRecord, warnings, trace dict).  A cell
     that does not converge warns "not converged (<stop>)" with the
-    optimiser's stop reason, which the trace dict also carries as ``stop``;
-    a run that meets a non-finite loss is one of them, "not converged
-    (nonfinite)", with the error of the point it returned.  An exception
-    from the estimation fails the cell alone: error = inf, not converged,
-    no stop reason, and one warning, naming the exception class, so that a
-    grid keeps its other cells."""
+    optimiser's stop reason, which the trace dict also carries as ``stop``:
+    "not converged (nonfinite)" where the loss is non-finite at the start,
+    "not converged (step_collapse)" where it turns non-finite later, each
+    with the error of the point the run handed on, its start or its last
+    finite point.  An exception from the estimation fails the cell alone:
+    error = inf, not converged, no stop reason, and one warning, naming the
+    exception class, so that a grid keeps its other cells."""
     seed = stable_hash(cfg.master_seed, cfg.model.kind, method, n, kappa, repeat)
     model = cfg.model
     theta_true = model.random_params(rng_from(stable_hash(seed, "params")))
@@ -274,16 +275,16 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, kappa: int,
                                         stable_hash(seed, "nce_noise"))
                 # log q at every point once, shared by c0 and the offsets
                 log_q_noise = log_density_marginal(marginal, noise)
-                # where log phi is affine (Newton), the trailing log-normaliser
-                # c starts at its optimum for theta's start: from c = 0, 8-10
-                # nats off, the noise terms saturate and the line search
-                # backtracks.  Adam (Laplace ICA) keeps c = 0: there this
-                # start cut iterations by 14% but raised the error geometric
-                # mean by 5% (ica_grid seeds 1-24).  Both come before the
-                # rows (module docstring)
+                # the trailing log-normaliser c starts at its optimum for
+                # theta's start.  From c = 0, 8-10 nats off on the affine
+                # models, the noise terms saturate and Newton's line search
+                # backtracks.  On Laplace ICA, 1.7-5.4 nats off, BFGS with
+                # an 80-iteration window ended more than 0.01 se above
+                # Adam's loss in 8 of 120 cells from c = 0 and in 3 from
+                # this start (ica_grid seeds 661-720).  Both come before
+                # the rows (module docstring)
                 start = newton_start(model, x, theta0)
-                c0 = (nce_log_normaliser(model, start, noise, log_q_noise)
-                      if model.affine else 0.0)
+                c0 = nce_log_normaliser(model, start, noise, log_q_noise)
                 start = np.concatenate([start, [c0]])
                 log_q = np.concatenate([log_density_marginal(marginal, x), log_q_noise])
                 objective = nce_objective(model, x, noise, log_q)
@@ -601,9 +602,10 @@ def limit_check(theta, eps_grid, mc_pairs: int, rng_seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 # schema-1 optimizer keys of removed options: the polish, plateau and
-# backtracking phases, the multi-start loop, and the random starts' spread
-# and Adam's step and betas, now constants.  Accepted, warned about and
-# dropped, so that every config and summary.json written so far still runs
+# backtracking phases, the multi-start loop, the random starts' spread, now
+# a constant, and Adam's step and betas, removed with Adam.  Accepted,
+# warned about and dropped, so that every config and summary.json written
+# so far still runs
 _OPT_DEPRECATED = {"step_rule", "polish_iters", "plateau_window", "plateau_rtol",
                    "restarts", "init_scale", "adam_step", "adam_betas"}
 

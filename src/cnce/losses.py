@@ -58,7 +58,7 @@ takes only these:
   singular start).
 
 ``minimize`` takes Newton for a callable third slot and otherwise stops
-Adam on that standard error.  Both travel in the return value, not as
+BFGS on that standard error.  Both travel in the return value, not as
 attributes of the callable, so they survive any wrapper that passes the
 result through.
 
@@ -287,7 +287,7 @@ def mle_fit(model, x: np.ndarray, optimizer=None, rng_seed: int = 0):
     """Maximum likelihood under the normalised model, as an
     ``EstimationRun``: the model's closed form
     (``model.mle``), with stop ``"closed_form"`` and an empty trace, or for
-    ICA the run of Adam under ``optimizer`` (an ``OptimizerConfig``, its
+    ICA the run of BFGS under ``optimizer`` (an ``OptimizerConfig``, its
     defaults when None) from a start drawn from ``rng_seed``.  Models
     without either raise ``UnsupportedModelError``."""
     x = np.asarray(x, dtype=float)
@@ -331,15 +331,16 @@ def ica_mle_objective(model, x: np.ndarray):
 
 
 def _ica_mle(model, x, optimizer, rng_seed):
-    """Adam on the whitened problem.  With C = x'x/n, the data x C^{-1/2}
+    """BFGS on the whitened problem.  With C = x'x/n, the data x C^{-1/2}
     have identity second moment, and B~ = B C^{1/2} gives the same sources
     B~ (C^{-1/2} x) = B x, so the loss changes by the constant
     (1/2) log det C and the minimiser maps back as B = B~ C^{-1/2}.  Only
-    Adam's path changes: its per-coordinate steps suit the evenly scaled
-    whitened problem, which reaches the statistical stop in fewer
-    iterations and with a much shorter tail than the raw one.  ICA NCE and
-    CNCE are not whitened: it gained nothing for NCE and moved CNCE cells
-    to other basins."""
+    the optimiser's path changes, and BFGS finds the whitened one shorter:
+    on the 30 cells of N 500/2000/8000, kappa 5 and master seeds
+    1001-1010, the whitened fits took 5546 objective evaluations and the
+    raw ones 6679, at an error geometric mean of 0.1458 against 0.1492.
+    ICA NCE and CNCE are not whitened: under Adam it gained nothing for
+    NCE and moved CNCE cells to other basins."""
     from .optimize import OptimizerConfig, minimize
     from .seeding import rng_from, stable_hash
 

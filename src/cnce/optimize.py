@@ -13,29 +13,46 @@ returns at the start point:
   returned it: never at a rejected line-search trial or at the point the
   run ends on.  The start point's Hessian is evaluated and checked before
   its first record.
-- Anything else, the loss's standard error se: full-batch Adam, which
-  hands on the best point it visited.  The Laplace ICA objectives take
-  this route.  Its step ``ADAM_STEP`` and betas ``ADAM_BETAS`` are
-  constants, like its statistical stop (below).
+- Anything else, the loss's standard error se: BFGS with a weak Wolfe
+  line search, which works on objectives with |.| kinks (Lewis and
+  Overton 2013, Math. Programming 141).  The Laplace ICA objectives take
+  this route.  Its first step is steepest descent, ``FIRST_STEP`` long in
+  its largest coordinate.  Every step it takes meets Armijo's condition,
+  so the trace decreases and the point handed on is its last.  Its line
+  search rejects a non-finite trial like one that fails the decrease
+  test.
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
-acceptable Newton step) and ``nonfinite`` (a non-finite loss, gradient or
-Hessian: Adam hands on the best finite point it visited; Newton, whose line
-search accepts points of finite loss and gradient only, stops at the point
-whose Hessian is non-finite, with no record of it where that is the start).
-``minimize`` never raises for a non-finite value.  ``mle_fit`` adds
-``closed_form``, a converged run with an empty trace.
+acceptable step: Newton's halving fell below 1e-14, or BFGS's line search
+ran out of trials where the statistical stop does not apply) and
+``nonfinite`` (a non-finite loss, gradient or Hessian).  Both line
+searches accept points of finite loss and gradient only, so a run whose
+loss turns non-finite mid-run ends on ``step_collapse`` at its last
+finite point, and BFGS meets ``nonfinite`` only at the start, which it
+hands back with an empty trace; Newton stops at the point whose Hessian
+is non-finite, with no record of it where that is the start.  ``minimize``
+never raises for a non-finite value.  ``mle_fit`` adds ``closed_form``, a
+converged run with an empty trace.
 
-The statistical stop.  The ICA objectives have |.| kinks, where Adam's
+The statistical stop.  The ICA objectives have |.| kinks, where the
 gradient norm stalls far above any useful ``grad_tol``.  Their third slot
 is the loss's sampling standard error at the start point.  Optimising
 below the estimator's own sampling error buys nothing (Bottou, Curtis and
-Nocedal 2018, SIAM Review 60(2), sections 3-4), so Adam stops with
-``stat_tol`` once the best loss so far has improved by at most
-``STAT_FRACTION`` standard errors over the last ``STAT_WINDOW`` trace
-entries.  An se of NaN means unknown: the run never meets the statistical
-stop, and ends on ``grad_tol`` or ``max_iters``.
+Nocedal 2018, SIAM Review 60(2), sections 3-4), so BFGS stops with
+``stat_tol`` once the loss has improved by at most ``STAT_FRACTION``
+standard errors over the last ``STAT_WINDOW`` iterations, or where its
+line search fails with every trial finite and none below the current
+loss: no step tried along the direction lowers the loss, as at the exact
+minimiser of a kinked objective, so none lowers it by a fraction of its
+standard error.  The window crosses most plateaus of the whitened ICA
+MLE, where a run can improve by less than that for dozens of iterations
+and then fall by half a standard error or more: on ``ica_grid`` master
+seeds 601-660, a window of 40 stopped 7 of 120 MLE cells more than 0.01
+se above full-batch Adam's loss, one of 60 stopped 4 and one of 80
+stopped 3.  An se of NaN
+means unknown: the run never meets the statistical stop, and ends on
+``grad_tol``, ``step_collapse`` or ``max_iters``.
 
 ``minimize`` starts where its caller says: ``experiments.run_single``
 gives the contrastive Newton fits of an affine model its closed-form
@@ -54,22 +71,23 @@ from .errors import ParameterError, convert_fields
 from .losses import TWO_LOG2, cnce_loss
 from .seeding import rng_from
 
-STAT_WINDOW = 200  # trace entries the best loss must improve over
+STAT_WINDOW = 60  # iterations the loss must improve over
 STAT_FRACTION = 0.01  # ... by more than this many standard errors
-ADAM_STEP = 0.05
-ADAM_BETAS = (0.9, 0.999)  # Kingma and Ba's defaults (2015, ICLR)
-_ARMIJO = 1e-4  # sufficient-decrease constant of the Newton line search
+FIRST_STEP = 0.05  # largest coordinate of the first BFGS step
+_ARMIJO = 1e-4  # sufficient-decrease constant of both line searches
+_WOLFE = 0.9  # curvature constant of the BFGS line search
+_WOLFE_TRIALS = 50  # objective calls the BFGS line search may take per step
 _FLAT_ULPS = 16  # a change this many ulps of |f| is rounding, not decrease
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of ``minimize``'s two routes, damped Newton and Adam:
+    """Settings of ``minimize``'s two routes, damped Newton and BFGS:
     ``max_iters`` (2000, >= 1) caps the trace length and ``grad_tol``
-    (1e-7, > 0) is the gradient stop on both.  Adam's step and betas are
-    constants (``ADAM_STEP``, ``ADAM_BETAS``), and so is its statistical
-    stop: it ends a run once progress falls below the loss's own sampling
-    error, which no setting should trade away."""
+    (1e-7, > 0) is the gradient stop on both.  BFGS's first step and line
+    search are constants, and so is its statistical stop: it ends a run
+    once progress falls below the loss's own sampling error, which no
+    setting should trade away."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-7  # infinity norm
@@ -143,39 +161,6 @@ def _record(run, value, grad):
     run.grad_norm_trace.append(float(np.max(np.abs(grad))))
 
 
-def _adam_phase(loss_fn, z, first, cfg, run):
-    """Adam from z; returns the best finite point visited, or the point that
-    met ``grad_tol``."""
-    tol = STAT_FRACTION * float(first[2])  # NaN: never met
-    b1, b2 = ADAM_BETAS
-    m = np.zeros_like(z)
-    v = np.zeros_like(z)
-    z_best, v_best = z, np.inf
-    best = []  # best loss so far, per trace entry
-    for t in range(1, cfg.max_iters + 1):
-        value, grad = (first if t == 1 else loss_fn(z))[:2]
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            run.stop = "nonfinite"
-            return z_best
-        _record(run, value, grad)
-        if value < v_best:
-            z_best, v_best = z, value
-        best.append(v_best)
-        if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            run.stop = "grad_tol"
-            return z
-        if t > STAT_WINDOW and best[-STAT_WINDOW - 1] - v_best <= tol:
-            run.stop = "stat_tol"
-            return z_best
-        m = b1 * m + (1 - b1) * grad
-        v = b2 * v + (1 - b2) * grad * grad
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        z = z - ADAM_STEP * mhat / (np.sqrt(vhat) + 1e-8)
-    run.stop = "max_iters"
-    return z_best  # the trace oscillates; hand the best visited point on
-
-
 def _newton_direction(hess, grad) -> np.ndarray:
     """-(H + lam I)^{-1} grad with Levenberg damping lam.
 
@@ -247,19 +232,96 @@ def _newton_phase(loss_fn, z, first, cfg, run):
         z, (value, grad, hess_fn), hess = z_new, out, None
 
 
+def _wolfe_search(loss_fn, z, value, grad, direction):
+    """The first step along ``direction`` that meets both weak Wolfe
+    conditions, Armijo's f_new <= f + c1 step phi'(0) and the curvature
+    condition phi'(step) >= c2 phi'(0): a step that fails the first bounds
+    the bracket above, one that fails the second bounds it below.  The
+    bracket grows by doubling until it has an upper end, then shrinks by
+    bisection (Lewis and Overton 2013).
+    Returns (point, objective output) or, after ``_WOLFE_TRIALS`` trials
+    without one, (None, flat): flat where every trial was finite and none
+    had a loss below f, so that no step tried lowers the loss."""
+    slope = float(grad @ direction)
+    low, high, step = 0.0, np.inf, 1.0
+    flat = True
+    for _ in range(_WOLFE_TRIALS):
+        z_new = z + step * direction
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = loss_fn(z_new)
+        flat = flat and _all_finite(out[:2]) and out[0] >= value
+        # a non-finite trial, or one that does not move the point, is
+        # rejected like one that fails the decrease test
+        if not (_all_finite(out[:2]) and out[0] <= value + _ARMIJO * step * slope
+                and not np.array_equal(z_new, z)):
+            high = step
+        elif float(out[1] @ direction) < _WOLFE * slope:
+            low = step
+        else:
+            return z_new, out
+        step = 2.0 * step if high == np.inf else 0.5 * (low + high)
+    return None, flat
+
+
+def _bfgs_phase(loss_fn, z, first, cfg, run):
+    """BFGS from z with a weak Wolfe line search; returns the last accepted
+    point, whose loss is the lowest of the trace.  The first step is
+    steepest descent, ``FIRST_STEP`` long in its largest coordinate; the
+    inverse Hessian starts at (s'y / y'y) I from the first step that has
+    s'y > 0 and takes the standard update from every such step after.  A
+    failed line search ends the run (module docstring)."""
+    tol = STAT_FRACTION * float(first[2])  # NaN: never met
+    value, grad = first[:2]
+    if not _all_finite((value, grad)):
+        run.stop = "nonfinite"
+        return z
+    h = None  # inverse Hessian estimate
+    while True:
+        _record(run, value, grad)
+        if run.grad_norm_trace[-1] <= cfg.grad_tol:
+            run.stop = "grad_tol"
+            return z
+        if run.iters > STAT_WINDOW and run.loss_trace[-STAT_WINDOW - 1] - value <= tol:
+            run.stop = "stat_tol"
+            return z
+        if run.iters >= cfg.max_iters:
+            run.stop = "max_iters"
+            return z
+        if h is None:
+            direction = -FIRST_STEP / run.grad_norm_trace[-1] * grad
+        else:
+            direction = -h @ grad
+        z_new, out = _wolfe_search(loss_fn, z, value, grad, direction)
+        if z_new is None:
+            # flat (out): no trial lowered the loss, so none lowered it by
+            # a fraction of a known standard error
+            run.stop = "stat_tol" if out and not np.isnan(tol) else "step_collapse"
+            return z
+        value, grad_new, _ = out
+        s, y = z_new - z, grad_new - grad
+        sy = float(s @ y)
+        if sy > 0:
+            if h is None:
+                h = sy / float(y @ y) * np.eye(len(z))
+            hy = h @ y
+            h = (h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+                 - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        z, grad = z_new, grad_new
+
+
 def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     """Minimise a differentiable objective from theta0 (unconstrained
     coordinates).
 
     ``loss_fn(z)`` returns ``(value, grad, hess)`` or ``(value, grad, se)``
     (``losses`` docstring).  The first call, at the start point, picks the
-    route: Newton where its third slot is callable, Adam otherwise, which
+    route: Newton where its third slot is callable, BFGS otherwise, which
     reads ``se`` from that call alone.  ``run.iters <= cfg.max_iters``.
     """
     z = np.array(theta0, dtype=float)
     run = EstimationRun(theta=z)
     first = loss_fn(z)
-    phase = _newton_phase if callable(first[2]) else _adam_phase
+    phase = _newton_phase if callable(first[2]) else _bfgs_phase
     run.theta = phase(loss_fn, z, first, cfg, run)
     return run
 

@@ -20,6 +20,7 @@ from cnce import (
     sample_conditional,
 )
 from cnce.experiments import config_from_json
+from cnce import optimize
 from cnce.losses import cnce_objective
 from cnce.optimize import _newton_direction
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
@@ -45,31 +46,50 @@ def test_minimize_quadratic_bowl():
         assert run.converged
 
 
+def rosenbrock(z):
+    """Rosenbrock's valley, minimum 0 at (1, 1), with an unknown se."""
+    u, v = z
+    r = v - u * u
+    return (100 * r * r + (1 - u) ** 2,
+            np.array([-400 * u * r - 2 * (1 - u), 200 * r]), np.nan)
+
+
 def test_minimize_deterministic():
     a = np.array([1.0, 2.0])
     cfg = OptimizerConfig()
-    r1 = minimize(quadratic_bowl(a), np.zeros(2), cfg)
-    r2 = minimize(quadratic_bowl(a), np.zeros(2), cfg)
-    assert np.array_equal(r1.theta, r2.theta)
-    assert r1.loss_trace == r2.loss_trace
+    for fn, z0 in ((quadratic_bowl(a), np.zeros(2)), (rosenbrock, np.array([-1.2, 1.0])),
+                   (l1_location()[0], np.zeros(2))):
+        r1 = minimize(fn, z0, cfg)
+        r2 = minimize(fn, z0, cfg)
+        assert r1.theta.tobytes() == r2.theta.tobytes()
+        assert r1.loss_trace == r2.loss_trace
+        assert r1.grad_norm_trace == r2.grad_norm_trace
+        assert r1.stop == r2.stop
 
 
 def test_minimize_nonfinite_hands_on_the_best_finite_point():
-    # Adam into a bowl whose loss turns NaN after 30 calls: the run stops
-    # there without raising and hands on the lowest point it visited
-    bowl = quadratic_bowl(np.array([3.0, -1.0]))
+    # BFGS down Rosenbrock's valley, whose loss turns NaN after 30 calls:
+    # every later trial is rejected, the line search runs out of trials,
+    # and the run hands on the last accepted point, the lowest it visited
     visited = []
 
     def poisoned(z):
         visited.append(z)
-        value, grad, se = bowl(z)
+        value, grad, se = rosenbrock(z)
         return (np.nan if len(visited) > 30 else value), grad, se
 
-    run = minimize(poisoned, np.zeros(2), OptimizerConfig())
-    assert (run.stop, run.converged, run.iters) == ("nonfinite", False, 30)
-    best = int(np.argmin(run.loss_trace))
-    assert np.array_equal(run.theta, visited[best])
-    assert run.loss_trace[best] < run.loss_trace[0]
+    run = minimize(poisoned, np.array([-1.2, 1.0]), OptimizerConfig())
+    assert (run.stop, run.converged) == ("step_collapse", False)
+    assert 2 < run.iters < 30 and len(visited) == 30 + optimize._WOLFE_TRIALS
+    last = [rosenbrock(z)[0] for z in visited].index(run.loss_trace[-1])
+    assert np.array_equal(run.theta, visited[last])
+    assert run.loss_trace[-1] == min(run.loss_trace) < run.loss_trace[0]
+    # with a known se too: a line search that fails on NaN trials is no
+    # statistical stop
+    visited.clear()
+    run = minimize(lambda z: poisoned(z)[:2] + (1.0,), np.array([-1.2, 1.0]),
+                   OptimizerConfig())
+    assert (run.stop, run.converged) == ("step_collapse", False)
     # non-finite at the start: the start comes back, with an empty trace
     run = minimize(lambda z: (np.nan, z, np.nan), np.ones(2), OptimizerConfig())
     assert (run.stop, run.iters) == ("nonfinite", 0)
@@ -81,52 +101,149 @@ def test_minimize_stop_reasons_grad_tol_and_max_iters():
     done = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig())
     assert (done.stop, done.converged) == ("grad_tol", True)
     assert done.grad_norm_trace[-1] <= 1e-7
-    capped = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(max_iters=5))
-    assert (capped.stop, capped.converged, capped.iters) == ("max_iters", False, 5)
+    assert done.iters > 2
+    capped = minimize(quadratic_bowl(a), np.zeros(2), OptimizerConfig(max_iters=2))
+    assert (capped.stop, capped.converged, capped.iters) == ("max_iters", False, 2)
 
 
-def l1_location(n=401, seed=0, with_se=True):
-    """mean_i |z - x_i| over a 2-d sample: kinked at every data point, so
-    the subgradient norm stalls near the minimiser (the coordinate-wise
-    median; n is odd, so it is at least 1/n off the data points) and never
-    meets grad_tol.  The third slot is the sampling standard error
+def l1_location(n=401, seed=0, with_se=True, dim=2, right=True):
+    """mean_i |z - x_i| over a dim-d sample: kinked at every data point, so
+    the gradient norm stalls near the minimiser (the coordinate-wise
+    median) and never meets grad_tol: the gradient is the right derivative,
+    whose coordinates are odd multiples of 1/n (n is odd), at a kink too.
+    With right=False it is np.sign's subgradient, which is 0 at the exact
+    median.  The third slot is the sampling standard error
     std_i(sum_j |z_j - x_ij|) / sqrt(n) with with_se, NaN (unknown)
     without."""
-    x = rng_from(seed, "l1").standard_normal((n, 2)) + np.array([3.0, -1.0])
+    x = rng_from(seed, "l1").standard_normal((n, dim)) + np.resize([3.0, -1.0], dim)
 
     def fn(z):
         r = z - x
         terms = np.abs(r).sum(axis=1)
         se = float(np.std(terms)) / np.sqrt(n) if with_se else np.nan
-        return float(np.mean(terms)), np.mean(np.sign(r), axis=0), se
+        sign = np.where(r < 0, -1.0, 1.0) if right else np.sign(r)
+        return float(np.mean(terms)), np.mean(sign, axis=0), se
 
     return fn, np.median(x, axis=0)
 
 
 def test_minimize_stat_stop_on_noisy_first_order_objective():
-    fn, median = l1_location()
-    run = minimize(fn, np.zeros(2), OptimizerConfig())
-    assert (run.stop, run.converged) == ("stat_tol", True)
-    assert min(run.grad_norm_trace) > 1e-7  # grad_tol alone never stops it
-    assert run.iters < 2000
-    # stopped within a small fraction of the standard error of the loss
-    se = fn(np.zeros(2))[2]
-    assert fn(run.theta)[0] - fn(median)[0] < 0.05 * se
-    assert fn(run.theta)[0] == min(run.loss_trace)  # the best point visited
-    # the window: the best loss improved by at most 0.01 se over 200 entries
-    best = np.minimum.accumulate(run.loss_trace)
-    assert best[-201] - best[-1] <= 0.01 * se < best[-202] - best[-2]
+    # in 2 dimensions BFGS lands on the median within the window, where no
+    # step lowers the loss; in 8 it is still improving the loss, by less
+    # than 0.01 se over the window, when the window closes
+    w = optimize.STAT_WINDOW
+    for dim in (2, 8):
+        fn, median = l1_location(dim=dim)
+        run = minimize(fn, np.zeros(dim), OptimizerConfig())
+        assert (run.stop, run.converged) == ("stat_tol", True)
+        assert min(run.grad_norm_trace) > 1e-7  # grad_tol alone never stops it
+        assert run.iters < 2000
+        # stopped within a small fraction of the standard error of the loss
+        se = fn(np.zeros(dim))[2]
+        assert fn(run.theta)[0] - fn(median)[0] < 0.05 * se
+        assert fn(run.theta)[0] == min(run.loss_trace)  # the best point visited
+        best = np.minimum.accumulate(run.loss_trace)
+        if dim == 2:  # too short for the window: the median's loss, to rounding
+            assert run.iters <= w
+            assert fn(run.theta)[0] - fn(median)[0] <= 4 * np.spacing(fn(median)[0])
+        else:  # the loss improved by at most 0.01 se over the window, by more before
+            assert best[-w - 1] - best[-1] <= 0.01 * se < best[-w - 2] - best[-2]
+
+
+def test_bfgs_meets_grad_tol_on_the_exact_median_with_a_zero_subgradient():
+    # the 2-d run above with np.sign's subgradient: it lands on the median
+    # bit for bit, where that subgradient is 0, with or without an se
+    for with_se in (True, False):
+        fn, median = l1_location(with_se=with_se, right=False)
+        run = minimize(fn, np.zeros(2), OptimizerConfig())
+        assert (run.stop, run.converged) == ("grad_tol", True)
+        assert np.array_equal(run.theta, median)
 
 
 def test_minimize_without_standard_error_never_stops_on_stat_tol():
+    # the run that stops on stat_tol at the 2-d median with its se: with no
+    # se, grad_tol is out of reach and the line search finds no lower point
     fn, _ = l1_location(with_se=False)
     run = minimize(fn, np.zeros(2), OptimizerConfig())
-    assert (run.stop, run.converged, run.iters) == ("max_iters", False, 2000)
+    assert (run.stop, run.converged) == ("step_collapse", False)
 
 
 def test_minimize_records_traces_and_iters():
     run = minimize(quadratic_bowl(np.ones(2)), np.zeros(2), OptimizerConfig())
     assert run.iters == len(run.loss_trace) == len(run.grad_norm_trace)
+
+
+# ---------------------------------------------------------------------------
+# the BFGS route, for objectives whose third slot is an se
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def wolfe_steps(monkeypatch):
+    """(z, value, grad, found) of every line search the BFGS route runs,
+    found its accepted (point, objective output) or (None, flat)."""
+    steps = []
+    search = optimize._wolfe_search
+
+    def recorded_search(loss_fn, z, value, grad, direction):
+        steps.append((z, value, grad, search(loss_fn, z, value, grad, direction)))
+        return steps[-1][3]
+
+    monkeypatch.setattr(optimize, "_wolfe_search", recorded_search)
+    return steps
+
+
+def test_bfgs_reaches_the_rosenbrock_minimum():
+    # Nocedal and Wright's standard start
+    run = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig())
+    assert (run.stop, run.converged) == ("grad_tol", True)
+    np.testing.assert_allclose(run.theta, [1.0, 1.0], atol=1e-6)
+
+
+BFGS_CASES = [(rosenbrock, np.array([-1.2, 1.0])), (l1_location()[0], np.zeros(2)),
+              (l1_location(dim=8)[0], np.zeros(8))]
+
+
+@pytest.mark.parametrize("fn,z0", BFGS_CASES, ids=["rosenbrock", "l1_2d", "l1_8d"])
+def test_bfgs_steps_meet_the_weak_wolfe_conditions(fn, z0, wolfe_steps):
+    # each step s taken has f_new <= f + c1 g's and g_new's >= c2 g's,
+    # c1 = 1e-4 and c2 = 0.9, with the values the objective returned
+    run = minimize(fn, z0, OptimizerConfig())
+    taken = [(z, f, g, found) for z, f, g, found in wolfe_steps if found[0] is not None]
+    assert len(taken) == run.iters - 1 > 10
+    for z, f, g, (z_new, (f_new, g_new, _)) in taken:
+        s = z_new - z
+        assert np.any(s != 0) and g @ s < 0
+        assert f_new <= f + 1e-4 * (g @ s)
+        assert g_new @ s >= 0.9 * (g @ s)
+
+
+@pytest.mark.parametrize("fn,z0", BFGS_CASES, ids=["rosenbrock", "l1_2d", "l1_8d"])
+def test_bfgs_trace_decreases_and_ends_at_the_point_handed_on(fn, z0, wolfe_steps):
+    run = minimize(fn, z0, OptimizerConfig())
+    assert all(b <= a for a, b in zip(run.loss_trace, run.loss_trace[1:]))
+    taken = [found for *_, found in wolfe_steps if found[0] is not None]
+    assert run.loss_trace[1:] == [out[0] for _, out in taken]
+    assert np.array_equal(taken[-1][0], run.theta)
+
+
+def test_bfgs_converges_inside_the_ball_where_the_loss_is_finite():
+    # NaN beyond 0.15 outside the minimiser's radius, where the doubling of
+    # the line search lands: those trials are rejected like a failed decrease
+    fn, median = l1_location(dim=8)
+    radius = np.linalg.norm(median) + 0.15
+    rejected = []
+
+    def fenced(z):
+        value, grad, se = fn(z)
+        if z @ z > radius**2:
+            rejected.append(z)
+            value = np.nan
+        return value, grad, se
+
+    run = minimize(fenced, np.zeros(8), OptimizerConfig())
+    assert (run.stop, run.converged) == ("stat_tol", True)
+    assert rejected and run.theta @ run.theta <= radius**2
+    assert fn(run.theta)[0] - fn(median)[0] < 0.05 * fn(np.zeros(8))[2]
 
 
 def test_gaussian_1d_cnce_matches_grid_search():

@@ -315,7 +315,7 @@ def test_experiment_outputs_and_cardinality(tmp_path):
 
 
 def test_experiment_ica_nce_and_mle_exits_0(tmp_path, capsys):
-    # the Laplace ICA objectives are kinked, so Adam never meets grad_tol;
+    # the Laplace ICA objectives are kinked, so BFGS never meets grad_tol;
     # the statistical stop makes their cells converge
     cfg = write_json(tmp_path / "e.json", {
         "schema": 1, "model": {"kind": "ica_laplace"}, "methods": ["nce", "mle"],

@@ -93,6 +93,13 @@ cmp "$dir/trace_first.json" "$trace"
 echo '{"schema": 1, "model": {"kind": "lognormal_ext"}, "method": "cnce", "n": 200, "kappa": 2}' > "$dir/lognormal_estimate.json"
 $cnce estimate --config "$dir/lognormal_estimate.json" --out "$dir/lognormal_estimate"
 python -c 'import json, sys; assert len(json.load(open(sys.argv[1]))["theta_hat"]) == 1' "$dir/lognormal_estimate/lognormal_ext-cnce-n000000200-k00002-r0000.json"
+# at a grad_tol the loss cannot resolve, a Newton run ends on step_collapse
+# (exit 2) once no trial of its line search moves the loss, not on max_iters
+echo '{"schema": 1, "model": {"kind": "bernoulli"}, "method": "cnce", "n": 500, "kappa": 5, "seed": 3, "optimizer": {"grad_tol": 1e-300}}' > "$dir/unresolvable.json"
+status=0
+$cnce estimate --config "$dir/unresolvable.json" --out "$dir/unresolvable" || status=$?
+test "$status" -eq 2
+grep -q '"stop": "step_collapse"' "$dir/unresolvable/bernoulli-cnce-n000000500-k00005-r0000.json"
 # the epsilon ladder hands the fit the noise of the scale it picks, so an
 # auto-epsilon estimate equals the estimate at that fixed scale
 echo '{"schema": 1, "model": {"kind": "ring", "dim": 2}, "method": "cnce", "n": 500, "kappa": 5, "epsilon": "auto"}' > "$dir/auto.json"

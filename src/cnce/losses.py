@@ -129,6 +129,8 @@ def _flat_pairs(x: np.ndarray, noise: np.ndarray):
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 3 or len(noise) != len(x):
         raise ParameterError("noise must be (n, kappa, dim), drawn around this sample")
+    if noise.shape[1] < 1:
+        raise ParameterError("noise must hold kappa >= 1 points per data point")
     return noise.reshape(len(x) * noise.shape[1], -1), noise.shape[1]
 
 
@@ -248,8 +250,8 @@ def nce_objective(model, x: np.ndarray, noise: np.ndarray, log_q: np.ndarray):
     _require(model, "nce")
     x = np.asarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if len(noise) % len(x):
-        raise ParameterError("noise count must be a multiple of the data count")
+    if len(noise) == 0 or len(noise) % len(x):
+        raise ParameterError("noise count must be a positive multiple of the data count")
     n, m = len(x), len(x) + len(noise)
     # the stack is the argument alone, so it is freed once the rows hold it
     rows = model.rows(np.concatenate([x, noise]))

@@ -1,37 +1,41 @@
 """Deterministic full-batch optimiser plus the noise-scale adaptation
 heuristic.
 
-``minimize`` has two routes, one for each of the two objective shapes of
-the ``losses`` docstring, chosen by the third slot of what the objective
-returns at the start point:
+``minimize`` runs one descent loop: record the point, test the stops, take
+a direction, search along it, move.  The direction is one of two, one for
+each of the two objective shapes of the ``losses`` docstring, chosen by the
+third slot of what the objective returns at the start point:
 
 - A callable, which returns the Hessian: damped Newton, with the smallest
-  Levenberg damping that makes the Hessian positive definite and an
-  Armijo backtracking line search (Hager and Zhang's approximate Wolfe
-  test where the loss cannot resolve the decrease).  The callable is
-  called once per Newton direction, right after the objective call that
-  returned it: never at a rejected line-search trial or at the point the
-  run ends on.  The start point's Hessian is evaluated and checked before
-  its first record.
-- Anything else, the loss's standard error se: BFGS with a weak Wolfe
-  line search, which works on objectives with |.| kinks (Lewis and
-  Overton 2013, Math. Programming 141).  The Laplace ICA objectives take
-  this route.  Its first step is steepest descent, ``FIRST_STEP`` long in
-  its largest coordinate.  Every step it takes meets Armijo's condition,
-  so the trace decreases and the point handed on is its last.  Its line
-  search rejects a non-finite trial like one that fails the decrease
-  test.
+  Levenberg damping that makes the Hessian positive definite.  The
+  callable is called once per Newton direction, right after the objective
+  call that returned it: never at a rejected line-search trial or at the
+  point the run ends on.  The start point's Hessian is evaluated and
+  checked before its first record.
+- Anything else, the loss's standard error se: BFGS, which works on
+  objectives with |.| kinks (Lewis and Overton 2013, Math. Programming
+  141).  The Laplace ICA objectives take this route.  Its first step is
+  steepest descent, ``FIRST_STEP`` long in its largest coordinate.
+
+Both go to one weak Wolfe line search, whose first trial is the full step
+(Nocedal and Wright 2006, Numerical Optimization, section 3.1).  Newton's
+decrease test admits Hager and Zhang's approximate Wolfe test where the
+loss cannot resolve the decrease (``_accept``).  Every BFGS step meets
+Armijo's condition, so a BFGS trace decreases and the point handed on is
+its last; a Newton step that meets the approximate test instead may leave
+the loss up to ``_FLAT_ULPS`` ulps higher.  The search rejects a
+non-finite trial, and one that does not move the point, like one that
+fails the decrease test.
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
-count as converged, ``max_iters`` (trace length), ``step_collapse`` (no
-acceptable step: Newton's halving fell below 1e-14, or BFGS's line search
-ran out of trials where the statistical stop does not apply) and
-``nonfinite`` (a non-finite loss, gradient or Hessian).  Both line
-searches accept points of finite loss and gradient only, so a run whose
-loss turns non-finite mid-run ends on ``step_collapse`` at its last
-finite point, and BFGS meets ``nonfinite`` only at the start, which it
-hands back with an empty trace; Newton stops at the point whose Hessian
-is non-finite, with no record of it where that is the start.  ``minimize``
+count as converged, ``max_iters`` (trace length), ``step_collapse`` (the
+line search ran out of its ``_WOLFE_TRIALS`` trials where the statistical
+stop does not apply) and ``nonfinite`` (a non-finite loss, gradient or
+Hessian).  The line search accepts points of finite loss and gradient
+only, so a run whose loss turns non-finite mid-run ends on
+``step_collapse`` at its last finite point.  A non-finite start comes back
+with an empty trace, and a Newton run stops at the point whose Hessian is
+non-finite, with no record of it where that is the start.  ``minimize``
 never raises for a non-finite value.  ``mle_fit`` adds ``closed_form``, a
 converged run with an empty trace.
 
@@ -52,7 +56,8 @@ seeds 601-660, a window of 40 stopped 7 of 120 MLE cells more than 0.01
 se above full-batch Adam's loss, one of 60 stopped 4 and one of 80
 stopped 3.  An se of NaN
 means unknown: the run never meets the statistical stop, and ends on
-``grad_tol``, ``step_collapse`` or ``max_iters``.
+``grad_tol``, ``step_collapse`` or ``max_iters``.  A Newton run has no se
+and never meets it either.
 
 ``minimize`` starts where its caller says: ``experiments.run_single``
 gives the contrastive Newton fits of an affine model its closed-form
@@ -74,17 +79,17 @@ from .seeding import rng_from
 STAT_WINDOW = 60  # iterations the loss must improve over
 STAT_FRACTION = 0.01  # ... by more than this many standard errors
 FIRST_STEP = 0.05  # largest coordinate of the first BFGS step
-_ARMIJO = 1e-4  # sufficient-decrease constant of both line searches
-_WOLFE = 0.9  # curvature constant of the BFGS line search
-_WOLFE_TRIALS = 50  # objective calls the BFGS line search may take per step
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_WOLFE = 0.9  # curvature constant of the line search
+_WOLFE_TRIALS = 50  # objective calls the line search may take per step
 _FLAT_ULPS = 16  # a change this many ulps of |f| is rounding, not decrease
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of ``minimize``'s two routes, damped Newton and BFGS:
-    ``max_iters`` (2000, >= 1) caps the trace length and ``grad_tol``
-    (1e-7, > 0) is the gradient stop on both.  BFGS's first step and line
+    """Settings of ``minimize``, on both its directions, damped Newton and
+    BFGS: ``max_iters`` (2000, >= 1) caps the trace length and ``grad_tol``
+    (1e-7, > 0) is the gradient stop.  BFGS's first step and line
     search are constants, and so is its statistical stop: it ends a run
     once progress falls below the loss's own sampling error, which no
     setting should trade away."""
@@ -186,59 +191,26 @@ def _all_finite(out) -> bool:
 
 
 def _accept(value, out, step, slope, direction) -> bool:
-    """Armijo's f_new <= f + c step phi'(0), or, where |f_new - f| is within
-    _FLAT_ULPS ulps of |f| (a last Newton step, whose decrease is below the
-    loss's rounding error), Hager and Zhang's approximate Wolfe test
-    phi'(step) <= (2c - 1) phi'(0) (2005, SIAM J. Optim. 16(1))."""
-    if abs(out[0] - value) <= _FLAT_ULPS * np.spacing(abs(value)):
+    """Armijo's f_new <= f + c step phi'(0), for a trial with objective
+    output ``out``.  On the Newton route (``out[2]`` callable), where
+    |f_new - f| is within _FLAT_ULPS ulps of |f| (a last Newton step, whose
+    decrease is below the loss's rounding error), Hager and Zhang's
+    approximate Wolfe test phi'(step) <= (2c - 1) phi'(0) takes its place
+    (2005, SIAM J. Optim. 16(1)).  BFGS keeps Armijo's test there: on a
+    kinked loss the flat test accepts moves at rounding level."""
+    if callable(out[2]) and abs(out[0] - value) <= _FLAT_ULPS * np.spacing(abs(value)):
         return float(out[1] @ direction) <= (2 * _ARMIJO - 1) * slope
     return out[0] <= value + _ARMIJO * step * slope
 
 
-def _newton_phase(loss_fn, z, first, cfg, run):
-    value, grad, hess_fn = first
-    hess = hess_fn()
-    if not _all_finite((value, grad, hess)):
-        run.stop = "nonfinite"
-        return z
-    while True:
-        _record(run, value, grad)
-        if run.grad_norm_trace[-1] <= cfg.grad_tol:
-            run.stop = "grad_tol"
-            return z
-        if run.iters >= cfg.max_iters:
-            run.stop = "max_iters"
-            return z
-        if hess is None:  # an accepted point's, built only now that a step needs it
-            hess = hess_fn()
-            if not np.all(np.isfinite(hess)):
-                run.stop = "nonfinite"
-                return z
-        direction = _newton_direction(hess, grad)
-        slope = float(grad @ direction)
-        step = 1.0
-        while True:
-            z_new = z + step * direction
-            # a trial that overflows is rejected like one that fails the
-            # decrease test, so only finite points are ever accepted
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = loss_fn(z_new)
-            if _all_finite(out[:2]) and _accept(value, out, step, slope, direction):
-                break
-            step *= 0.5
-            if step < 1e-14:
-                run.stop = "step_collapse"
-                return z
-        z, (value, grad, hess_fn), hess = z_new, out, None
-
-
 def _wolfe_search(loss_fn, z, value, grad, direction):
     """The first step along ``direction`` that meets both weak Wolfe
-    conditions, Armijo's f_new <= f + c1 step phi'(0) and the curvature
-    condition phi'(step) >= c2 phi'(0): a step that fails the first bounds
-    the bracket above, one that fails the second bounds it below.  The
-    bracket grows by doubling until it has an upper end, then shrinks by
-    bisection (Lewis and Overton 2013).
+    conditions, ``_accept``'s decrease test and the curvature condition
+    phi'(step) >= c2 phi'(0): a step that fails the first bounds the bracket
+    above, one that fails the second bounds it below.  The first trial is
+    the full step; the bracket grows by doubling until it has an upper end,
+    then shrinks by bisection (Lewis and Overton 2013), so a Newton step
+    that fails the decrease test is halved.
     Returns (point, objective output) or, after ``_WOLFE_TRIALS`` trials
     without one, (None, flat): flat where every trial was finite and none
     had a loss below f, so that no step tried lowers the loss."""
@@ -249,10 +221,11 @@ def _wolfe_search(loss_fn, z, value, grad, direction):
         z_new = z + step * direction
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = loss_fn(z_new)
-        flat = flat and _all_finite(out[:2]) and out[0] >= value
+        finite = _all_finite(out[:2])
+        flat = flat and finite and out[0] >= value
         # a non-finite trial, or one that does not move the point, is
         # rejected like one that fails the decrease test
-        if not (_all_finite(out[:2]) and out[0] <= value + _ARMIJO * step * slope
+        if not (finite and _accept(value, out, step, slope, direction)
                 and not np.array_equal(z_new, z)):
             high = step
         elif float(out[1] @ direction) < _WOLFE * slope:
@@ -263,31 +236,49 @@ def _wolfe_search(loss_fn, z, value, grad, direction):
     return None, flat
 
 
-def _bfgs_phase(loss_fn, z, first, cfg, run):
-    """BFGS from z with a weak Wolfe line search; returns the last accepted
-    point, whose loss is the lowest of the trace.  The first step is
-    steepest descent, ``FIRST_STEP`` long in its largest coordinate; the
-    inverse Hessian starts at (s'y / y'y) I from the first step that has
-    s'y > 0 and takes the standard update from every such step after.  A
-    failed line search ends the run (module docstring)."""
-    tol = STAT_FRACTION * float(first[2])  # NaN: never met
-    value, grad = first[:2]
-    if not _all_finite((value, grad)):
+def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
+    """Minimise a differentiable objective from theta0 (unconstrained
+    coordinates).
+
+    ``loss_fn(z)`` returns ``(value, grad, hess)`` or ``(value, grad, se)``
+    (``losses`` docstring).  The first call, at the start point, picks the
+    direction: Newton's where its third slot is callable, BFGS's otherwise,
+    which reads ``se`` from that call alone.  Either direction goes to the
+    one line search, ``_wolfe_search``.  BFGS's first step is steepest
+    descent, ``FIRST_STEP`` long in its largest coordinate; its inverse
+    Hessian starts at (s'y / y'y) I from the first step that has s'y > 0
+    and takes the standard update from every such step after.
+    ``run.iters <= cfg.max_iters``.
+    """
+    z = np.array(theta0, dtype=float)
+    run = EstimationRun(theta=z)
+    value, grad, third = loss_fn(z)  # third: the Hessian callable or the se
+    newton = callable(third)
+    tol = np.nan if newton else STAT_FRACTION * float(third)  # NaN: never met
+    hess = third() if newton else None
+    if not _all_finite((value, grad, hess) if newton else (value, grad)):
         run.stop = "nonfinite"
-        return z
-    h = None  # inverse Hessian estimate
+        return run
+    h = None  # BFGS's inverse Hessian estimate
     while True:
         _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
             run.stop = "grad_tol"
-            return z
+            break
         if run.iters > STAT_WINDOW and run.loss_trace[-STAT_WINDOW - 1] - value <= tol:
             run.stop = "stat_tol"
-            return z
+            break
         if run.iters >= cfg.max_iters:
             run.stop = "max_iters"
-            return z
-        if h is None:
+            break
+        if newton:
+            if hess is None:  # an accepted point's, built only now that a step needs it
+                hess = third()
+                if not np.all(np.isfinite(hess)):
+                    run.stop = "nonfinite"
+                    break
+            direction = _newton_direction(hess, grad)
+        elif h is None:
             direction = -FIRST_STEP / run.grad_norm_trace[-1] * grad
         else:
             direction = -h @ grad
@@ -296,33 +287,19 @@ def _bfgs_phase(loss_fn, z, first, cfg, run):
             # flat (out): no trial lowered the loss, so none lowered it by
             # a fraction of a known standard error
             run.stop = "stat_tol" if out and not np.isnan(tol) else "step_collapse"
-            return z
-        value, grad_new, _ = out
-        s, y = z_new - z, grad_new - grad
-        sy = float(s @ y)
-        if sy > 0:
-            if h is None:
-                h = sy / float(y @ y) * np.eye(len(z))
-            hy = h @ y
-            h = (h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
-                 - (np.outer(hy, s) + np.outer(s, hy)) / sy)
-        z, grad = z_new, grad_new
-
-
-def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
-    """Minimise a differentiable objective from theta0 (unconstrained
-    coordinates).
-
-    ``loss_fn(z)`` returns ``(value, grad, hess)`` or ``(value, grad, se)``
-    (``losses`` docstring).  The first call, at the start point, picks the
-    route: Newton where its third slot is callable, BFGS otherwise, which
-    reads ``se`` from that call alone.  ``run.iters <= cfg.max_iters``.
-    """
-    z = np.array(theta0, dtype=float)
-    run = EstimationRun(theta=z)
-    first = loss_fn(z)
-    phase = _newton_phase if callable(first[2]) else _bfgs_phase
-    run.theta = phase(loss_fn, z, first, cfg, run)
+            break
+        value, grad_new, third = out
+        if not newton:
+            s, y = z_new - z, grad_new - grad
+            sy = float(s @ y)
+            if sy > 0:
+                if h is None:
+                    h = sy / float(y @ y) * np.eye(len(z))
+                hy = h @ y
+                h = (h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+                     - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        z, grad, hess = z_new, grad_new, None
+    run.theta = z
     return run
 
 

@@ -157,6 +157,18 @@ def test_cnce_loss_shape_mismatch():
         cnce_loss(model, model.pack(np.eye(5)), x, noise)
 
 
+@pytest.mark.parametrize("build", [cnce_loss, cnce_objective], ids=["loss", "objective"])
+def test_cnce_refuses_noise_with_no_point_per_data_point(build):
+    # (n, 0, dim) noise holds no pair: refused by name, not by reshape
+    model = make(GAUSSIAN, dim=2)
+    theta = model.random_params(rng_from(26))
+    x = model.sample(theta, 10, rng_from(27))
+    args = (model, theta, x, x[:, None, :][:, :0]) if build is cnce_loss else (
+        model, x, x[:, None, :][:, :0])
+    with pytest.raises(ParameterError, match="kappa >= 1"):
+        build(*args)
+
+
 def test_softplus_sigmoid_neg_matches_logaddexp_and_expit():
     mags = (0.0, 1e-300, 1.0, 30.0, 700.0, 750.0, 1e308)
     g = np.array([sign * v for v in mags for sign in (1.0, -1.0)])
@@ -592,6 +604,15 @@ def test_nce_noise_count_multiple():
     with pytest.raises(ParameterError):
         nce_objective(model, x, np.zeros((15, 5)),
                       nce_log_q(marginal, x, np.zeros((15, 5))))
+
+
+def test_nce_objective_refuses_empty_noise():
+    # no noise would give loss 0 and gradient 0 at every (theta, c)
+    model = make(GAUSSIAN)
+    x = rng_from(52).standard_normal((10, 5))
+    marginal = fit_marginal(x)
+    with pytest.raises(ParameterError, match="positive multiple"):
+        nce_objective(model, x, x[:0], nce_log_q(marginal, x, x[:0]))
 
 
 @pytest.mark.parametrize("spread", [1.0, 1.5])

@@ -18,6 +18,7 @@ from cnce import (
     sample_conditional,
     sample_marginal,
 )
+from cnce import optimize
 from cnce.losses import (cnce_objective, nce_log_normaliser, nce_objective,
                          score_matching_objective)
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
@@ -171,7 +172,8 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
     # ~1500, started 1.5e-7 from its minimiser.  The Newton step's decrease
     # (~3e-14) is below the rounding of the mean, so the Armijo test alone
     # decides on last-bit noise; the approximate Wolfe test takes the full
-    # step (halving it stops just under grad_tol on this data)
+    # step (where the line search refused it, its bisection would try half
+    # the step next, and that stops just under grad_tol on this data)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4000, 3))
     c = 1000.0 * (1.0 + rng.random(4000))
@@ -187,6 +189,26 @@ def test_newton_last_step_taken_where_the_loss_cannot_resolve_it():
     run = minimize(objective, z0, OptimizerConfig())
     assert (run.stop, run.iters) == ("grad_tol", 2)
     assert run.grad_norm_trace[-1] < 1e-12
+
+
+@pytest.mark.parametrize("kind", (BERNOULLI, LOGNORMAL))
+def test_newton_ends_on_step_collapse_where_the_loss_cannot_resolve_grad_tol(kind):
+    # a grad_tol the loss cannot resolve: once the Newton steps are at
+    # rounding level, a trial that does not move the point is rejected, not
+    # accepted as a new iterate at the same loss, and the line search runs
+    # out of trials, none of which changed the loss
+    objective, raw = build_objective(kind, "cnce")
+    values = []
+
+    def recorded(z):
+        out = objective(z)
+        values.append(out[0])
+        return out
+
+    run = minimize(recorded, raw, OptimizerConfig(grad_tol=1e-300))
+    assert (run.stop, run.converged) == ("step_collapse", False)
+    assert run.iters <= 10
+    assert values[-optimize._WOLFE_TRIALS:] == [run.loss_trace[-1]] * optimize._WOLFE_TRIALS
 
 
 def test_lognormal_nce_overflowing_trials_leak_no_warnings():

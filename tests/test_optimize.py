@@ -28,6 +28,7 @@ from cnce.seeding import rng_from, stable_hash
 
 import oracles
 from test_models import make
+from test_newton import build_objective
 
 
 def quadratic_bowl(a):
@@ -174,13 +175,15 @@ def test_minimize_records_traces_and_iters():
 
 
 # ---------------------------------------------------------------------------
-# the BFGS route, for objectives whose third slot is an se
+# the BFGS route, for objectives whose third slot is an se, and the line
+# search it shares with the Newton route
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def wolfe_steps(monkeypatch):
-    """(z, value, grad, found) of every line search the BFGS route runs,
-    found its accepted (point, objective output) or (None, flat)."""
+    """(z, value, grad, found) of every line search ``minimize`` runs, on
+    either direction, found its accepted (point, objective output) or
+    (None, flat)."""
     steps = []
     search = optimize._wolfe_search
 
@@ -201,15 +204,25 @@ def test_bfgs_reaches_the_rosenbrock_minimum():
 
 BFGS_CASES = [(rosenbrock, np.array([-1.2, 1.0])), (l1_location()[0], np.zeros(2)),
               (l1_location(dim=8)[0], np.zeros(8))]
+# the Newton direction goes to the same line search: (fn, z0, newton)
+WOLFE_CASES = ([pytest.param(fn, z0, False, id=name) for (fn, z0), name
+                in zip(BFGS_CASES, ["rosenbrock", "l1_2d", "l1_8d"])]
+               + [pytest.param(*build_objective(kind, method), True,
+                               id=f"newton_{kind}_{method}")
+                  for kind, method in ((GAUSSIAN, "cnce"), (GAUSSIAN, "nce"),
+                                       (RING, "nce"), (LOGNORMAL, "cnce"),
+                                       (BERNOULLI, "cnce"))])
 
 
-@pytest.mark.parametrize("fn,z0", BFGS_CASES, ids=["rosenbrock", "l1_2d", "l1_8d"])
-def test_bfgs_steps_meet_the_weak_wolfe_conditions(fn, z0, wolfe_steps):
+@pytest.mark.parametrize("fn,z0,newton", WOLFE_CASES)
+def test_bfgs_steps_meet_the_weak_wolfe_conditions(fn, z0, newton, wolfe_steps):
     # each step s taken has f_new <= f + c1 g's and g_new's >= c2 g's,
     # c1 = 1e-4 and c2 = 0.9, with the values the objective returned
     run = minimize(fn, z0, OptimizerConfig())
+    assert run.converged
     taken = [(z, f, g, found) for z, f, g, found in wolfe_steps if found[0] is not None]
-    assert len(taken) == run.iters - 1 > 10
+    assert len(taken) == run.iters - 1
+    assert newton or len(taken) > 10  # Newton takes a few steps, BFGS many
     for z, f, g, (z_new, (f_new, g_new, _)) in taken:
         s = z_new - z
         assert np.any(s != 0) and g @ s < 0
@@ -217,8 +230,8 @@ def test_bfgs_steps_meet_the_weak_wolfe_conditions(fn, z0, wolfe_steps):
         assert g_new @ s >= 0.9 * (g @ s)
 
 
-@pytest.mark.parametrize("fn,z0", BFGS_CASES, ids=["rosenbrock", "l1_2d", "l1_8d"])
-def test_bfgs_trace_decreases_and_ends_at_the_point_handed_on(fn, z0, wolfe_steps):
+@pytest.mark.parametrize("fn,z0,newton", WOLFE_CASES)
+def test_bfgs_trace_decreases_and_ends_at_the_point_handed_on(fn, z0, newton, wolfe_steps):
     run = minimize(fn, z0, OptimizerConfig())
     assert all(b <= a for a, b in zip(run.loss_trace, run.loss_trace[1:]))
     taken = [found for *_, found in wolfe_steps if found[0] is not None]

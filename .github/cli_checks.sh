@@ -100,6 +100,14 @@ status=0
 $cnce estimate --config "$dir/unresolvable.json" --out "$dir/unresolvable" || status=$?
 test "$status" -eq 2
 grep -q '"stop": "step_collapse"' "$dir/unresolvable/bernoulli-cnce-n000000500-k00005-r0000.json"
+# ... also where its last moves leave the loss flat: a Gaussian run stops
+# once no such move lowers the gradient's infinity norm
+echo '{"schema": 1, "model": {"kind": "gaussian_precision"}, "method": "cnce", "n": 500, "kappa": 5, "seed": 3, "optimizer": {"grad_tol": 1e-300}}' > "$dir/flat.json"
+status=0
+$cnce estimate --config "$dir/flat.json" --out "$dir/flat" || status=$?
+test "$status" -eq 2
+grep -q '"stop": "step_collapse"' "$dir/flat/gaussian_precision-cnce-n000000500-k00005-r0000.json"
+python -c 'import json, sys; assert len(json.load(open(sys.argv[1]))["loss_trace"]) < 50' "$dir/flat/gaussian_precision-cnce-n000000500-k00005-r0000.json"
 # the epsilon ladder hands the fit the noise of the scale it picks, so an
 # auto-epsilon estimate equals the estimate at that fixed scale
 echo '{"schema": 1, "model": {"kind": "ring", "dim": 2}, "method": "cnce", "n": 500, "kappa": 5, "epsilon": "auto"}' > "$dir/auto.json"

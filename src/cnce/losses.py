@@ -20,7 +20,11 @@ the rows and the loss's scale:
   wrapper adds c as one more column and a +-1 row sign that turns the data
   and noise terms into one softplus: its rows are s (log phi(u) + c -
   log q(u) - log nu), linear in (theta, c) where log phi is affine in
-  theta.
+  theta.  The sign is applied where it is needed, with no stored +-1
+  vector: ``_NceRows.value`` negates the noise rows in place, and
+  ``_NceRows.vjp`` writes the signed weights s w in one pass over w, the
+  data rows copied and the noise rows negated.  That is as fast as one
+  multiply by a stored sign, and keeps m floats out of the objective.
 
 A method missing from ``model.methods``, or a model without rows, raises
 ``UnsupportedModelError``.  ``cnce_loss`` is the CNCE loss value alone,
@@ -82,8 +86,9 @@ _STALE = "a Hessian callable is valid only until the next call of its objective"
 
 
 def _pair_work(m: int):
-    """Scratch arrays for _softplus_sigmoid_neg; allocating these once per
-    objective (not per iteration) keeps the hot loop free of large mmaps."""
+    """Scratch arrays for _softplus_sigmoid_neg, each as long as its g;
+    allocating these once per objective (not per iteration) keeps the hot
+    loop free of large mmaps."""
     return (np.empty(m), np.empty(m), np.empty(m))
 
 
@@ -102,9 +107,7 @@ def _softplus_sigmoid_neg(g: np.ndarray, work=None):
     and 1/(1+t) otherwise because t <= 1.  The select is a float mask and
     a maximum, not a masked store.  Consumes g.
     """
-    if work is None:
-        work = _pair_work(len(g))
-    ag, sp, sig = (w[: len(g)] for w in work)
+    ag, sp, sig = _pair_work(len(g)) if work is None else work
     np.less(g, 0.0, out=sig)  # sig := [g < 0] as 0.0 / 1.0
     np.abs(g, out=ag)
     np.negative(g, out=g)
@@ -166,7 +169,7 @@ def _logistic_objective(rows, m: int, scale, se_scale: float, affine: bool):
         call = calls
         rows.value(theta, g)
         sp, sig = _softplus_sigmoid_neg(g, work)
-        value = scale(float(np.sum(sp)))
+        value = scale(float(sp.sum()))
         grad = -scale(rows.vjp(sig))
         if not affine:
             if se is None:
@@ -216,7 +219,9 @@ class _NceRows:
     [x; noise] and the row sign s = +1 on the first n (data) and -1 on the
     rest (noise), so that the data terms softplus(-h - c) and the noise
     terms softplus(h + c) are all softplus(-row).  The c column s is
-    appended to ``vjp``, and borders ``gram`` (s^2 = 1)."""
+    appended to ``vjp``, which writes the signed weights s w in one pass
+    over w, the data rows copied and the noise rows negated into ``w``;
+    it borders ``gram`` (s^2 = 1)."""
 
     def __init__(self, rows, n: int):
         self.rows, self.n = rows, n
@@ -228,12 +233,13 @@ class _NceRows:
         np.negative(out[self.n:], out=out[self.n:])
 
     def vjp(self, w):
-        np.copyto(self.w, w)
-        np.negative(self.w[self.n:], out=self.w[self.n:])
-        return np.append(self.rows.vjp(self.w), np.sum(self.w))
+        n = self.n
+        self.w[:n] = w[:n]
+        np.negative(w[n:], out=self.w[n:])
+        return np.append(self.rows.vjp(self.w), self.w.sum())
 
     def gram(self, c):
-        border = np.append(self.rows.vjp(c), np.sum(c))  # the c column's entries
+        border = np.append(self.rows.vjp(c), c.sum())  # the c column's entries
         return np.block([[self.rows.gram(c), border[:-1, None]], [border]])
 
 
@@ -325,7 +331,7 @@ def ica_mle_objective(model, x: np.ndarray):
         rows.value(theta, log_phi)
         if se is None:
             se = _std_error(log_phi)
-        value = -logdet - float(np.mean(log_phi)) + const
+        value = -logdet - float(log_phi.sum() / n) + const
         grad = -np.linalg.inv(b).T.reshape(-1) - rows.vjp(w)
         return value, grad, se
 

@@ -336,7 +336,7 @@ class _IcaSources:
         d = len(self.ut)
         np.matmul(theta.reshape(d, d), self.ut, out=self.s)
         np.abs(self.s, out=self.a)
-        return np.sum(self.a, axis=0, out=out)
+        return self.a.sum(axis=0, out=out)
 
     def pull(self, w):
         np.sign(self.s, out=self.a)
@@ -372,7 +372,7 @@ class _IcaPairRows:
         np.multiply(out, _SQRT2, out=out)
 
     def vjp(self, w):
-        np.sum(w.reshape(-1, self.kappa), axis=1, out=self.fx)
+        w.reshape(-1, self.kappa).sum(axis=1, out=self.fx)
         return _SQRT2 * (self.y.pull(w) - self.x.pull(self.fx))
 
 

@@ -22,10 +22,11 @@ Both go to one weak Wolfe line search, whose first trial is the full step
 decrease test admits Hager and Zhang's approximate Wolfe test where the
 loss cannot resolve the decrease (``_accept``).  Every BFGS step meets
 Armijo's condition, so a BFGS trace decreases and the point handed on is
-its last; a Newton step that meets the approximate test instead may leave
-the loss up to ``_FLAT_ULPS`` ulps higher.  The search rejects a
-non-finite trial, and one that does not move the point, like one that
-fails the decrease test.
+its last; a Newton step that meets the approximate test instead, and
+lowers the gradient's infinity norm as that test also asks, may leave the
+loss up to ``_FLAT_ULPS`` ulps higher.  The search rejects a non-finite
+trial, and one that does not move the point, like one that fails the
+decrease test.
 
 Stop reasons (``EstimationRun.stop``): ``grad_tol`` and ``stat_tol``, which
 count as converged, ``max_iters`` (trace length), ``step_collapse`` (the
@@ -59,6 +60,22 @@ means unknown: the run never meets the statistical stop, and ends on
 ``grad_tol``, ``step_collapse`` or ``max_iters``.  A Newton run has no se
 and never meets it either.
 
+The loop's own cost.  At Laplace ICA's shapes (d = 4, n <= 2000) an
+iteration's bookkeeping costs about as much as an objective call, so the
+loop makes few numpy calls and allocates little: a trial's loss is tested
+with ``math.isfinite`` and its gradient with one ``isfinite(...).all()``,
+the no-move test is ``(z_new != z).any()``, ``np.errstate`` is entered once
+per line search, and the BFGS update is computed in place, in two (p, p)
+buffers kept for the run, with one ``np.multiply.outer(hy, s)`` and its
+transpose for hy s' + s hy'.  Each element rounds as in the textbook
+update from three fresh outer products, which ``tests/oracles.py``
+restates and the tests hold to the same bits.  On ICA MLE fits (master seed 5, 30 repeats at
+each of n 500 and 2000, 8225 iterations, 1.37 objective calls per
+iteration; 2-core VM, one BLAS thread, medians of 3 runs), the loop took
+47 microseconds per iteration and the objective 44 per call with fresh
+arrays, a finiteness generator, an errstate per trial and ``np.mean``;
+as written here and in ``losses``, they take 27 and 34.
+
 ``minimize`` starts where its caller says: ``experiments.run_single``
 gives the contrastive Newton fits of an affine model its closed-form
 estimate and the other fits a random start (``experiments`` docstring).
@@ -68,6 +85,7 @@ bit-reproducible, and no clock is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +181,7 @@ class EstimationRun:
 
 def _record(run, value, grad):
     run.loss_trace.append(float(value))
-    run.grad_norm_trace.append(float(np.max(np.abs(grad))))
+    run.grad_norm_trace.append(float(np.abs(grad).max()))
 
 
 def _newton_direction(hess, grad) -> np.ndarray:
@@ -186,20 +204,22 @@ def _newton_direction(hess, grad) -> np.ndarray:
     return -np.linalg.solve(hess + lam * eye, grad)
 
 
-def _all_finite(out) -> bool:
-    return all(np.all(np.isfinite(a)) for a in out)
-
-
-def _accept(value, out, step, slope, direction) -> bool:
+def _accept(value, grad, out, step, slope, direction) -> bool:
     """Armijo's f_new <= f + c step phi'(0), for a trial with objective
-    output ``out``.  On the Newton route (``out[2]`` callable), where
-    |f_new - f| is within _FLAT_ULPS ulps of |f| (a last Newton step, whose
-    decrease is below the loss's rounding error), Hager and Zhang's
-    approximate Wolfe test phi'(step) <= (2c - 1) phi'(0) takes its place
-    (2005, SIAM J. Optim. 16(1)).  BFGS keeps Armijo's test there: on a
-    kinked loss the flat test accepts moves at rounding level."""
+    output ``out`` from a point of loss ``value`` and gradient ``grad``.  On
+    the Newton route (``out[2]`` callable), where |f_new - f| is within
+    _FLAT_ULPS ulps of |f| (a last Newton step, whose decrease is below the
+    loss's rounding error), Hager and Zhang's approximate Wolfe test
+    phi'(step) <= (2c - 1) phi'(0) takes its place (2005, SIAM J. Optim.
+    16(1)), and the trial must also lower the gradient's infinity norm below
+    the current point's: the loss cannot tell such a step from a move at
+    rounding level, the gradient can, so a run whose moves no longer reduce
+    it ends on ``step_collapse``, not at ``max_iters``.  BFGS keeps Armijo's
+    test there: on a kinked loss the flat test accepts moves at rounding
+    level."""
     if callable(out[2]) and abs(out[0] - value) <= _FLAT_ULPS * np.spacing(abs(value)):
-        return float(out[1] @ direction) <= (2 * _ARMIJO - 1) * slope
+        return (float(out[1] @ direction) <= (2 * _ARMIJO - 1) * slope
+                and np.abs(out[1]).max() < np.abs(grad).max())
     return out[0] <= value + _ARMIJO * step * slope
 
 
@@ -217,22 +237,22 @@ def _wolfe_search(loss_fn, z, value, grad, direction):
     slope = float(grad @ direction)
     low, high, step = 0.0, np.inf, 1.0
     flat = True
-    for _ in range(_WOLFE_TRIALS):
-        z_new = z + step * direction
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_WOLFE_TRIALS):
+            z_new = z + step * direction
             out = loss_fn(z_new)
-        finite = _all_finite(out[:2])
-        flat = flat and finite and out[0] >= value
-        # a non-finite trial, or one that does not move the point, is
-        # rejected like one that fails the decrease test
-        if not (finite and _accept(value, out, step, slope, direction)
-                and not np.array_equal(z_new, z)):
-            high = step
-        elif float(out[1] @ direction) < _WOLFE * slope:
-            low = step
-        else:
-            return z_new, out
-        step = 2.0 * step if high == np.inf else 0.5 * (low + high)
+            finite = math.isfinite(out[0]) and np.isfinite(out[1]).all()
+            flat = flat and finite and out[0] >= value
+            # a non-finite trial, or one that does not move the point, is
+            # rejected like one that fails the decrease test
+            if not (finite and _accept(value, grad, out, step, slope, direction)
+                    and (z_new != z).any()):
+                high = step
+            elif float(out[1] @ direction) < _WOLFE * slope:
+                low = step
+            else:
+                return z_new, out
+            step = 2.0 * step if high == np.inf else 0.5 * (low + high)
     return None, flat
 
 
@@ -256,10 +276,11 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
     newton = callable(third)
     tol = np.nan if newton else STAT_FRACTION * float(third)  # NaN: never met
     hess = third() if newton else None
-    if not _all_finite((value, grad, hess) if newton else (value, grad)):
+    if not (math.isfinite(value) and np.isfinite(grad).all()
+            and (not newton or np.isfinite(hess).all())):
         run.stop = "nonfinite"
         return run
-    h = None  # BFGS's inverse Hessian estimate
+    h = None  # BFGS's inverse Hessian estimate, updated in place
     while True:
         _record(run, value, grad)
         if run.grad_norm_trace[-1] <= cfg.grad_tol:
@@ -274,7 +295,7 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
         if newton:
             if hess is None:  # an accepted point's, built only now that a step needs it
                 hess = third()
-                if not np.all(np.isfinite(hess)):
+                if not np.isfinite(hess).all():
                     run.stop = "nonfinite"
                     break
             direction = _newton_direction(hess, grad)
@@ -295,9 +316,17 @@ def minimize(loss_fn, theta0, cfg: OptimizerConfig) -> EstimationRun:
             if sy > 0:
                 if h is None:
                     h = sy / float(y @ y) * np.eye(len(z))
+                    a, b = np.empty_like(h), np.empty_like(h)
+                # h + ((sy + y'hy) / sy^2) s s' - (hy s' + s hy') / sy,
+                # with s hy' as a', product for product
                 hy = h @ y
-                h = (h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
-                     - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+                np.multiply.outer(s, s, out=a)
+                a *= (sy + float(y @ hy)) / sy**2
+                h += a
+                np.multiply.outer(hy, s, out=a)
+                np.add(a, a.T, out=b)
+                b /= sy
+                h -= b
         z, grad, hess = z_new, grad_new, None
     run.theta = z
     return run

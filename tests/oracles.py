@@ -9,12 +9,20 @@ exp(-logaddexp(0, -v)).  The derivatives restate the formulas of each
 model's docstring; ``test_models`` checks them against finite differences
 of ``log_phi``.  The losses take their parameter gradient from
 ``grad_theta`` unless given another, for models defined in a test.
+
+``minimize`` restates the descent loop of ``cnce.optimize.minimize`` the
+plain way, with fresh arrays and no shortcut: a finiteness check over each
+output in turn, ``np.errstate`` entered per trial, ``np.array_equal`` for
+the no-move test and the BFGS update from three ``np.outer`` products.
+Its constants and the Newton direction are the package's own.
 """
 
 import numpy as np
 
-from cnce import ParameterError, log_density_marginal
+from cnce import EstimationRun, ParameterError, log_density_marginal
 from cnce.models import BERNOULLI, GAUSSIAN, ICA, LOGNORMAL, RING
+from cnce.optimize import (FIRST_STEP, STAT_FRACTION, STAT_WINDOW, _ARMIJO,
+                           _FLAT_ULPS, _WOLFE, _WOLFE_TRIALS, _newton_direction)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -185,3 +193,99 @@ def bernoulli_population_loss(theta, theta_true, epsilon: float):
              + 2.0 * epsilon * (p0 * _softplus(-g) + (1.0 - p0) * _softplus(g)))
     dg = 2.0 * epsilon * (-p0 * _sigmoid(-g) + (1.0 - p0) * _sigmoid(g))
     return float(value), np.array([dg, -dg])
+
+
+# ---------------------------------------------------------------------------
+# the optimiser's descent loop
+# ---------------------------------------------------------------------------
+
+def _all_finite(out) -> bool:
+    return all(np.all(np.isfinite(a)) for a in out)
+
+
+def _accept(value, grad, out, step, slope, direction) -> bool:
+    """Armijo's test, or on the Newton route where the loss moved by at
+    most _FLAT_ULPS ulps, the approximate Wolfe test and a lower gradient
+    infinity norm."""
+    if callable(out[2]) and abs(out[0] - value) <= _FLAT_ULPS * np.spacing(abs(value)):
+        return (float(out[1] @ direction) <= (2 * _ARMIJO - 1) * slope
+                and float(np.max(np.abs(out[1]))) < float(np.max(np.abs(grad))))
+    return out[0] <= value + _ARMIJO * step * slope
+
+
+def _wolfe_search(loss_fn, z, value, grad, direction):
+    """(point, objective output) of the first weak Wolfe step, doubled then
+    bisected from the full step, or (None, flat)."""
+    slope = float(grad @ direction)
+    low, high, step = 0.0, np.inf, 1.0
+    flat = True
+    for _ in range(_WOLFE_TRIALS):
+        z_new = z + step * direction
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = loss_fn(z_new)
+        finite = _all_finite(out[:2])
+        flat = flat and finite and out[0] >= value
+        if not (finite and _accept(value, grad, out, step, slope, direction)
+                and not np.array_equal(z_new, z)):
+            high = step
+        elif float(out[1] @ direction) < _WOLFE * slope:
+            low = step
+        else:
+            return z_new, out
+        step = 2.0 * step if high == np.inf else 0.5 * (low + high)
+    return None, flat
+
+
+def minimize(loss_fn, theta0, cfg) -> EstimationRun:
+    """Damped Newton where the objective's third slot is callable, BFGS
+    otherwise, with the stops of ``cnce.optimize``."""
+    z = np.array(theta0, dtype=float)
+    run = EstimationRun(theta=z)
+    value, grad, third = loss_fn(z)
+    newton = callable(third)
+    tol = np.nan if newton else STAT_FRACTION * float(third)
+    hess = third() if newton else None
+    if not _all_finite((value, grad, hess) if newton else (value, grad)):
+        run.stop = "nonfinite"
+        return run
+    h = None
+    while True:
+        run.loss_trace.append(float(value))
+        run.grad_norm_trace.append(float(np.max(np.abs(grad))))
+        if run.grad_norm_trace[-1] <= cfg.grad_tol:
+            run.stop = "grad_tol"
+            break
+        if run.iters > STAT_WINDOW and run.loss_trace[-STAT_WINDOW - 1] - value <= tol:
+            run.stop = "stat_tol"
+            break
+        if run.iters >= cfg.max_iters:
+            run.stop = "max_iters"
+            break
+        if newton:
+            if hess is None:
+                hess = third()
+                if not np.all(np.isfinite(hess)):
+                    run.stop = "nonfinite"
+                    break
+            direction = _newton_direction(hess, grad)
+        elif h is None:
+            direction = -FIRST_STEP / run.grad_norm_trace[-1] * grad
+        else:
+            direction = -h @ grad
+        z_new, out = _wolfe_search(loss_fn, z, value, grad, direction)
+        if z_new is None:
+            run.stop = "stat_tol" if out and not np.isnan(tol) else "step_collapse"
+            break
+        value, grad_new, third = out
+        if not newton:
+            s, y = z_new - z, grad_new - grad
+            sy = float(s @ y)
+            if sy > 0:
+                if h is None:
+                    h = sy / float(y @ y) * np.eye(len(z))
+                hy = h @ y
+                h = (h + ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+                     - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        z, grad, hess = z_new, grad_new, None
+    run.theta = z
+    return run

@@ -275,6 +275,34 @@ def test_nce_rows_add_the_c_column_and_the_row_signs(kind):
                            rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", [k for k in KINDS if "nce" in _CLASSES[k].methods])
+def test_nce_rows_sign_the_weights_as_an_explicit_negation_does(kind):
+    # vjp, and gram, whose rows carry the sign twice, have the bits of an
+    # explicit restatement: the weights copied and their noise rows
+    # negated, 0.0 and -0.0 weights included
+    model = make(kind)
+    rng = rng_from(66, kind)
+    theta = random_theta(model, rng)
+    n, nu = 12, 3
+    u = np.concatenate([random_points(model, theta, rng, m=n),
+                        random_points(model, theta, rng, m=nu * n)])
+    rows = _NceRows(model.rows(u), n)
+    out = np.empty(len(u))
+    rows.value(np.append(theta, 0.3), out)  # ICA's vjp reuses this call's sources
+    w = rng.standard_normal(len(u))
+    w[[1, n + 1]] = 0.0
+    w[[2, n + 2]] = -0.0
+    signed = w.copy()
+    signed[n:] = -signed[n:]
+    assert rows.vjp(w).tobytes() == np.append(rows.rows.vjp(signed), np.sum(signed)).tobytes()
+    if model.affine:
+        c = rng.random(len(u))
+        c[[1, n + 1]] = 0.0
+        border = np.append(rows.rows.vjp(c), np.sum(c))
+        gram = np.block([[rows.rows.gram(c), border[:-1, None]], [border]])
+        assert rows.gram(c).tobytes() == gram.tobytes()
+
+
 @pytest.mark.parametrize("kind", [k for k in KINDS if _CLASSES[k].affine])
 def test_affine_rows_are_column_major(kind):
     # the layout their products run fastest on (``models`` docstring)

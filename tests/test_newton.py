@@ -211,6 +211,19 @@ def test_newton_ends_on_step_collapse_where_the_loss_cannot_resolve_grad_tol(kin
     assert values[-optimize._WOLFE_TRIALS:] == [run.loss_trace[-1]] * optimize._WOLFE_TRIALS
 
 
+@pytest.mark.parametrize("method", ("cnce", "nce"))
+def test_newton_flat_steps_must_lower_the_gradient_norm(method):
+    # Gaussian Newton steps at rounding level still move the point and meet
+    # the approximate Wolfe test; with a grad_tol the loss cannot resolve
+    # they filled the run up to max_iters.  A step that the flat-loss test
+    # decides must also lower the gradient's infinity norm, so the run ends
+    # on step_collapse
+    objective, raw = build_objective(GAUSSIAN, method)
+    run = minimize(objective, raw, OptimizerConfig(grad_tol=1e-300))
+    assert (run.stop, run.converged) == ("step_collapse", False)
+    assert run.iters < 50
+
+
 def test_lognormal_nce_overflowing_trials_leak_no_warnings():
     # this cell's NCE noise has points <= 0, whose rows are +inf; it must
     # converge without a RuntimeWarning

@@ -20,7 +20,7 @@ from cnce import (
     sample_conditional,
 )
 from cnce.experiments import config_from_json
-from cnce import optimize
+from cnce import experiments, optimize, run_single
 from cnce.losses import cnce_objective
 from cnce.optimize import _newton_direction
 from cnce.models import BERNOULLI, GAUSSIAN, LOGNORMAL, RING
@@ -257,6 +257,66 @@ def test_bfgs_converges_inside_the_ball_where_the_loss_is_finite():
     assert (run.stop, run.converged) == ("stat_tol", True)
     assert rejected and run.theta @ run.theta <= radius**2
     assert fn(run.theta)[0] - fn(median)[0] < 0.05 * fn(np.zeros(8))[2]
+
+
+class _Captured(Exception):
+    pass
+
+
+def ica_fit_objective(monkeypatch, method, n):
+    """The (objective, start) that ``run_single`` hands to ``minimize`` on
+    a Laplace ICA cell at kappa 5: NCE's and CNCE's as built, the MLE's on
+    whitened data (``losses._ica_mle``).  The fit itself does not run."""
+    cfg = config_from_json({"schema": 1, "model": {"kind": "ica_laplace"},
+                            "methods": [method], "n_grid": [n], "kappa_grid": [5],
+                            "repeats": 1, "master_seed": 33})
+    seen = []
+
+    def capture(loss_fn, theta0, opt_cfg):
+        seen.append((loss_fn, np.array(theta0)))
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "minimize", capture)
+        patch.setattr(optimize, "minimize", capture)  # the MLE imports it from here
+        _, warnings = run_single(cfg, method, n, 5, 0)
+    assert warnings == ["cell failed: _Captured: "] and len(seen) == 1
+    return seen[0]
+
+
+LOOP_CASES = ([pytest.param(method, n, id=f"ica_{method}_{n}")
+               for method, n in (("nce", 500), ("nce", 2000), ("cnce", 500), ("mle", 500))]
+              + [pytest.param("rosenbrock", None, id="rosenbrock")]
+              + [pytest.param((kind, method), None, id=f"newton_{kind}_{method}")
+                 for kind, method in ((GAUSSIAN, "cnce"), (RING, "nce"))])
+
+
+@pytest.mark.parametrize("case,n", LOOP_CASES)
+def test_minimize_takes_the_steps_of_the_plain_loop_bit_for_bit(case, n, monkeypatch):
+    # the in-place BFGS update, the one errstate per search and the
+    # finiteness and no-move tests on whole arrays leave every rounding as
+    # the plain loop of ``oracles`` has it, and call the objective as often
+    if case == "rosenbrock":
+        fn, z0 = rosenbrock, np.array([-1.2, 1.0])
+    elif n is None:
+        fn, z0 = build_objective(*case)
+    else:
+        fn, z0 = ica_fit_objective(monkeypatch, case, n)
+    calls = {"plain": 0, "lean": 0}
+
+    def counted(side):
+        def objective(z):
+            calls[side] += 1
+            return fn(z)
+        return objective
+
+    plain = oracles.minimize(counted("plain"), z0, OptimizerConfig())
+    lean = minimize(counted("lean"), z0, OptimizerConfig())
+    assert lean.iters > 2 and lean.converged
+    assert lean.theta.tobytes() == plain.theta.tobytes()
+    assert lean.loss_trace == plain.loss_trace
+    assert lean.grad_norm_trace == plain.grad_norm_trace
+    assert (lean.stop, calls["lean"]) == (plain.stop, calls["plain"])
 
 
 def test_gaussian_1d_cnce_matches_grid_search():
